@@ -11,10 +11,13 @@ probe mode estimates a log-log growth slope over a finite grid.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 from typing import Mapping
 
 import numpy as np
 
+from . import _digraph
 from .cones import ProductVector, ShapeSpec
 from .maps import MapInstance, evaluate
 
@@ -136,32 +139,24 @@ def build_dual_graph(
     return _build(F, mode, t_grid, slope_tol, F.dual_edge_oracle, "dual")
 
 
-def _reachability(adjacency: np.ndarray) -> np.ndarray:
-    n = adjacency.shape[0]
-    R = adjacency | np.eye(n, dtype=bool)
-    for _ in range(max(1, int(np.ceil(np.log2(max(n, 2)))))):
-        R = (R.astype(np.int64) @ R.astype(np.int64)) > 0
-    return R
-
-
 def check_existence_condition(g: IndexGraph, shape: ShapeSpec | None = None) -> bool:
     """Path-existence condition for positive eigenvectors of non-expansive maps.
 
     The quantifier string "for every target and every choice tuple some block
     coordinate reaches the target" is equivalent to: for every target node
     there is a block whose nodes *all* reach it.  That rewriting (exists-block
-    forall-choice) avoids enumerating the product index set.
+    forall-choice) avoids enumerating the product index set: the union over
+    blocks of the intersection of the block's reach sets must cover every node.
     """
     if shape is not None and shape != g.shape:
         raise ValueError("shape disagrees with the graph's shape")
-    reach = _reachability(g.adjacency())
-    slices = g.shape.block_slices()
-    for t_idx in range(g.shape.total):
-        if not any(bool(reach[sl, t_idx].all()) for sl in slices):
-            return False
-    return True
+    reach = _digraph.reach_sets(g.adjacency())
+    covered = 0
+    for sl in g.shape.block_slices():
+        covered |= functools.reduce(operator.and_, reach[sl])
+    return covered == (1 << g.shape.total) - 1
 
 
 def is_strongly_connected(g: IndexGraph) -> bool:
     """Every node reaches every node (reflexive reachability)."""
-    return bool(_reachability(g.adjacency()).all())
+    return _digraph.strongly_connected(g.adjacency())

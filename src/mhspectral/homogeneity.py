@@ -2,7 +2,8 @@
 
 Provides the spectral radius, the left Perron weight vector, the contraction
 weight search for strictly sub-unit spectral radii, the metric Lipschitz bound
-max_i (A^T b)_i / b_i, and pattern irreducibility / primitivity tests.
+max_i (A^T b)_i / b_i, and the pattern irreducibility / primitivity tests,
+which search the digraph of the pattern of A instead of taking its powers.
 
 The spectral radius and Perron vector are computed by power iteration that is
 accelerated through repeated squaring: B = A + shift*I is squared in a
@@ -20,6 +21,8 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+
+from . import _digraph
 
 __all__ = [
     "PerronStructureError",
@@ -167,19 +170,14 @@ def _pattern(A, pattern_tol: float) -> np.ndarray:
     return np.asarray(A, dtype=float) > pattern_tol
 
 
-def _reachability(P: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure of a boolean adjacency pattern."""
-    n = P.shape[0]
-    R = P | np.eye(n, dtype=bool)
-    for _ in range(max(1, int(np.ceil(np.log2(max(n, 2)))))):
-        R = (R.astype(np.int64) @ R.astype(np.int64)) > 0
-    return R
-
-
 def is_irreducible(A, pattern_tol: float = 1e-12) -> bool:
-    """Pattern irreducibility: (I + A)^{n-1} entrywise positive."""
+    """Pattern irreducibility, equivalently (I + A)^{n-1} entrywise positive.
+
+    Decided as strong connectivity of the pattern digraph: a forward and a
+    reverse breadth-first search from one node, O(n^2) on the dense pattern.
+    """
     A = _check_nonneg_square(A)
-    return bool(_reachability(_pattern(A, pattern_tol)).all())
+    return _digraph.strongly_connected(_pattern(A, pattern_tol))
 
 
 def wielandt_bound(n: int) -> int:
@@ -188,15 +186,12 @@ def wielandt_bound(n: int) -> int:
 
 
 def is_primitive(A, pattern_tol: float = 1e-12) -> bool:
-    """Pattern primitivity: some power up to the Wielandt bound is all-positive."""
+    """Pattern primitivity, equivalently some power up to the Wielandt bound is all-positive.
+
+    Decided as irreducibility plus period 1, the period being the gcd of
+    level(u) + 1 - level(v) over the edges for breadth-first levels from one
+    node: three searches and one pass over the edges, O(n^2).  A 1 x 1 zero
+    pattern is irreducible but not primitive.
+    """
     A = _check_nonneg_square(A)
-    P = _pattern(A, pattern_tol)
-    if not _reachability(P).all():
-        return False
-    Pi = P.astype(np.int64)
-    Q = Pi.copy()
-    for _ in range(wielandt_bound(A.shape[0])):
-        if Q.all():
-            return True
-        Q = ((Q @ Pi) > 0).astype(np.int64)
-    return bool(Q.all())
+    return _digraph.primitive(_pattern(A, pattern_tol))

@@ -36,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _digraph
 from .cones import (
     NormSpec,
     ProductVector,
@@ -483,37 +484,41 @@ def delta_continuation(F: MapInstance, cfg: SolverConfig) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 
+def _dirr_pattern(L, shape: ShapeSpec, pattern_tol: float) -> np.ndarray:
+    L = np.asarray(L, dtype=float)
+    if L.shape != (shape.total, shape.total):
+        raise ValueError("L does not match the shape's total dimension")
+    return L > pattern_tol
+
+
 def check_dirr(L, i: int, tau: int, shape: ShapeSpec, pattern_tol: float = 1e-12) -> bool:
     """Summed-powers positivity: block i of sum_{k<=tau} L^k w > 0 for all w >= 0.
 
     Exact at pattern level: with P the boolean pattern of L, the condition
-    holds iff rows of block i in P or P^2 or ... or P^tau are all ones.
+    holds iff rows of block i in P or P^2 or ... or P^tau are all ones, i.e.
+    every node of block i reaches every node by a walk of length 1..tau.
+    Decided by a layered search over walk lengths that stops once the reach
+    sets stop growing: at most min(tau, n + 1) layers of O(nnz) set unions.
     """
     L = np.asarray(L, dtype=float)
     if tau < 1:
         raise ValueError("tau must be >= 1")
     if not (0 <= i < shape.d):
         raise ValueError(f"block index {i} out of range")
-    if L.shape != (shape.total, shape.total):
-        raise ValueError("L does not match the shape's total dimension")
-    P = (L > pattern_tol).astype(np.int64)
-    acc = P.copy()
-    power = P.copy()
-    for _ in range(tau - 1):
-        power = ((power @ P) > 0).astype(np.int64)
-        acc |= power
-    rows = shape.block_slices()[i]
-    return bool(acc[rows].all())
+    P = _dirr_pattern(L, shape, pattern_tol)
+    # the summed powers only grow with tau, so block i is full at tau iff it
+    # is full at some tau' <= tau
+    return _digraph.first_full_block(P, [shape.block_slices()[i]], tau) is not None
 
 
 def find_dirr(L, shape: ShapeSpec, pattern_tol: float = 1e-12):
-    """Smallest (block, tau) satisfying check_dirr, or None within the Wielandt bound."""
-    bound = wielandt_bound(shape.total)
-    for tau in range(1, bound + 1):
-        for i in range(shape.d):
-            if check_dirr(L, i, tau, shape, pattern_tol):
-                return i, tau
-    return None
+    """Smallest tau, then lowest block, satisfying check_dirr, as (block, tau).
+
+    Returns None when no block qualifies within the Wielandt bound.  One
+    layered search serves every tau and every block (see check_dirr).
+    """
+    P = _dirr_pattern(L, shape, pattern_tol)
+    return _digraph.first_full_block(P, shape.block_slices(), wielandt_bound(shape.total))
 
 
 def certify_uniqueness(F: MapInstance, report: SolveReport, pattern_tol: float = 1e-12) -> Certificate:
