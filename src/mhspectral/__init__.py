@@ -9,7 +9,8 @@ r_b = prod_i lambda_i^{b_i}:
 - ``cones``       product vectors, scaling algebra, block norms
 - ``metrics``     weighted Hilbert / Thompson metrics on the open cone
 - ``maps``        map families, closure algebra, structure verification
-- ``homogeneity`` spectral radius, Perron weights, contraction weight search
+- ``homogeneity`` spectral radius, Perron weights, contraction weight search,
+                  the per-map regime and weight policy (``analyze_homogeneity``)
 - ``graphs``      index graphs, path existence condition, dual graphs
 - ``solver``      bracketed power method, continuation, certificates
 - ``cli``         the ``mhspectral`` batch front end
@@ -38,8 +39,10 @@ from .graphs import (
     probe_vector,
 )
 from .homogeneity import (
+    HomogeneityAnalysis,
     PerronStructureError,
     WeightSearchResult,
+    analyze_homogeneity,
     contraction_weights,
     is_irreducible,
     is_primitive,

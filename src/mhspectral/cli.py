@@ -25,35 +25,11 @@ from . import graphs as graphmod
 from . import maps as mapmod
 from . import solver as solvermod
 from .cones import NormSpec, ProductVector, ShapeSpec, normalize, ones_vector, random_interior
-from .homogeneity import (
-    PerronStructureError,
-    contraction_weights,
-    is_irreducible,
-    is_primitive,
-    perron_weights,
-    spectral_radius,
-)
+from .homogeneity import PerronStructureError, is_irreducible, is_primitive, lipschitz_bound
 
 __all__ = ["main", "parse_instance", "canonical_instance", "dump_json", "InstanceError"]
 
 log = logging.getLogger("mhspectral")
-
-_FAMILIES = (
-    "linear",
-    "singular",
-    "pq_singular",
-    "tensor_eigen",
-    "max_example",
-    "motivating",
-    "nonirr",
-    "irrex",
-    "tight",
-    "compose",
-    "hadamard",
-    "weighted_sum",
-    "shifted",
-    "dual",
-)
 
 
 class InstanceError(ValueError):
@@ -151,71 +127,74 @@ def _parse_matrix(raw, path: str) -> np.ndarray:
     return M
 
 
+def _param(params, key: str, path: str):
+    return _get(params, key, f"{path}.params", required=True)
+
+
+def _matrix_param(params, key: str, path: str) -> np.ndarray:
+    return _parse_matrix(_param(params, key, path), f"{path}.params")
+
+
+def _map_param(params, key: str, path: str, norms_hint) -> mapmod.MapInstance:
+    return _build_map(_param(params, key, path), f"{path}.params.{key}", norms_hint)
+
+
+def _weighted_sum(q, path, hint):
+    left, right = _map_param(q, "left", path, hint), _map_param(q, "right", path, hint)
+    norms = _build_norms(hint, left.shape, f"{path} (norms)")
+    return mapmod.weighted_sum(left, right, _matrix_param(q, "d_matrix", path), norms)
+
+
+def _shifted(q, path, hint):
+    base = _map_param(q, "base", path, hint)
+    norms = _build_norms(hint, base.shape, f"{path} (norms)")
+    return mapmod.shifted(base, float(_param(q, "delta", path)), norms)
+
+
+# family -> builder(params, JSON path of the map, norms hint), in documented order
+_FAMILIES = {
+    "linear": lambda q, path, hint: mapmod.linear_map(_matrix_param(q, "matrix", path)),
+    "singular": lambda q, path, hint: mapmod.singular_map(_matrix_param(q, "matrix", path)),
+    "pq_singular": lambda q, path, hint: mapmod.pq_singular_map(
+        _matrix_param(q, "matrix", path), float(_param(q, "p", path)), float(_param(q, "q", path))
+    ),
+    "tensor_eigen": lambda q, path, hint: mapmod.tensor_eigen_map(
+        np.array(_param(q, "tensor", path), dtype=float), float(_param(q, "p", path))
+    ),
+    "max_example": lambda q, path, hint: mapmod.max_example_map(float(_param(q, "eps", path))),
+    "motivating": lambda q, path, hint: mapmod.motivating_map(),
+    "nonirr": lambda q, path, hint: mapmod.nonirr_map(),
+    "irrex": lambda q, path, hint: mapmod.irrex_map(),
+    "tight": lambda q, path, hint: mapmod.tight_map(
+        _matrix_param(q, "exponents", path), [int(n) for n in _param(q, "sizes", path)]
+    ),
+    "compose": lambda q, path, hint: mapmod.compose(
+        _map_param(q, "outer", path, hint), _map_param(q, "inner", path, hint)
+    ),
+    "hadamard": lambda q, path, hint: mapmod.hadamard(
+        _map_param(q, "left", path, hint), _map_param(q, "right", path, hint)
+    ),
+    "weighted_sum": _weighted_sum,
+    "shifted": _shifted,
+    "dual": lambda q, path, hint: mapmod.dual(_map_param(q, "base", path, hint)),
+}
+
+
 def _build_map(doc, path: str, norms_hint) -> mapmod.MapInstance:
     if not isinstance(doc, dict):
         _fail(path, "map spec must be an object")
     family = _get(doc, "family", path, required=True)
     params = _get(doc, "params", path, default={})
-    if family not in _FAMILIES:
-        _fail(path, f"unknown family '{family}'; expected one of {_FAMILIES}")
-    p = f"{path}.params"
+    # a non-string family (say a list) is unknown, not a TypeError of the lookup
+    build = _FAMILIES.get(family) if isinstance(family, str) else None
+    if build is None:
+        _fail(path, f"unknown family '{family}'; expected one of {tuple(_FAMILIES)}")
     try:
-        if family == "linear":
-            return mapmod.linear_map(_parse_matrix(_get(params, "matrix", p, required=True), p))
-        if family == "singular":
-            return mapmod.singular_map(_parse_matrix(_get(params, "matrix", p, required=True), p))
-        if family == "pq_singular":
-            return mapmod.pq_singular_map(
-                _parse_matrix(_get(params, "matrix", p, required=True), p),
-                float(_get(params, "p", p, required=True)),
-                float(_get(params, "q", p, required=True)),
-            )
-        if family == "tensor_eigen":
-            return mapmod.tensor_eigen_map(
-                np.array(_get(params, "tensor", p, required=True), dtype=float),
-                float(_get(params, "p", p, required=True)),
-            )
-        if family == "max_example":
-            return mapmod.max_example_map(float(_get(params, "eps", p, required=True)))
-        if family == "motivating":
-            return mapmod.motivating_map()
-        if family == "nonirr":
-            return mapmod.nonirr_map()
-        if family == "irrex":
-            return mapmod.irrex_map()
-        if family == "tight":
-            return mapmod.tight_map(
-                _parse_matrix(_get(params, "exponents", p, required=True), p),
-                [int(n) for n in _get(params, "sizes", p, required=True)],
-            )
-        if family == "compose":
-            return mapmod.compose(
-                _build_map(_get(params, "outer", p, required=True), f"{p}.outer", norms_hint),
-                _build_map(_get(params, "inner", p, required=True), f"{p}.inner", norms_hint),
-            )
-        if family == "hadamard":
-            return mapmod.hadamard(
-                _build_map(_get(params, "left", p, required=True), f"{p}.left", norms_hint),
-                _build_map(_get(params, "right", p, required=True), f"{p}.right", norms_hint),
-            )
-        if family == "weighted_sum":
-            left = _build_map(_get(params, "left", p, required=True), f"{p}.left", norms_hint)
-            right = _build_map(_get(params, "right", p, required=True), f"{p}.right", norms_hint)
-            norms = _build_norms(norms_hint, left.shape, f"{path} (norms)")
-            return mapmod.weighted_sum(
-                left, right, _parse_matrix(_get(params, "d_matrix", p, required=True), p), norms
-            )
-        if family == "shifted":
-            base = _build_map(_get(params, "base", p, required=True), f"{p}.base", norms_hint)
-            norms = _build_norms(norms_hint, base.shape, f"{path} (norms)")
-            return mapmod.shifted(base, float(_get(params, "delta", p, required=True)), norms)
-        if family == "dual":
-            return mapmod.dual(_build_map(_get(params, "base", p, required=True), f"{p}.base", norms_hint))
+        return build(params, path, norms_hint)
     except InstanceError:
         raise
     except (ValueError, TypeError) as exc:
-        _fail(p, str(exc))
-    raise AssertionError("unreachable")
+        _fail(f"{path}.params", str(exc))
 
 
 def _build_norms(raw, shape: ShapeSpec, path: str) -> NormSpec:
@@ -353,37 +332,24 @@ def _solver_config(inst: Instance, keep_iterates: bool = False) -> solvermod.Sol
 
 def run_analyze(doc: dict) -> tuple[int, dict]:
     inst = parse_instance(doc)
-    A = inst.map.A
-    rho = spectral_radius(A)
-    if rho < 1.0 - 1e-9:
-        regime = "strict_contraction"
-    elif rho <= 1.0 + 1e-9:
-        regime = "non_expansive"
-    else:
-        regime = "expansive"
+    A, analysis = inst.map.A, inst.map.analysis
     notes = []
     weights = inst.weights
-    if weights is None and regime != "expansive":
-        try:
-            weights = (
-                contraction_weights(A).b if regime == "strict_contraction" else perron_weights(A)
-            )
-        except PerronStructureError as exc:
-            notes.append(f"no positive weights with A^T b <= b ({exc})")
-    if regime == "expansive":
+    if weights is None:
+        weights, reason = analysis.auto_weights
+        if reason is not None:
+            notes.append(reason)
+    if analysis.regime == "expansive":
         notes.append("solve refused in the expansive regime unless weights are explicit")
     if not inst.map.homogeneity_exact:
         notes.append("declared homogeneity matrix holds only under uniform block scaling")
-    lip = None
-    if weights is not None:
-        lip = float(np.max(A.T @ weights / weights))
     report = {
         "label": inst.map.label,
         "A": A.tolist(),
-        "rho": rho,
-        "regime": regime,
+        "rho": analysis.rho,
+        "regime": analysis.regime,
         "weights": None if weights is None else list(weights),
-        "lipschitz_bound": lip,
+        "lipschitz_bound": None if weights is None else lipschitz_bound(A, weights),
         "A_irreducible": is_irreducible(A),
         "A_primitive": is_primitive(A),
         "notes": notes,

@@ -5,6 +5,10 @@ weight search for strictly sub-unit spectral radii, the metric Lipschitz bound
 max_i (A^T b)_i / b_i, and the pattern irreducibility / primitivity tests,
 which search the digraph of the pattern of A instead of taking its powers.
 
+:func:`analyze_homogeneity` is the one regime and weight policy, cached per
+map as ``MapInstance.analysis`` and read by the solver, the certificates and
+the CLI: rho(A) below, at or above 1, and the automatic weights for it.
+
 The spectral radius and Perron vector are computed by power iteration that is
 accelerated through repeated squaring: B = A + shift*I is squared in a
 renormalized log scale, so the Collatz-Wielandt style bracket
@@ -19,14 +23,18 @@ vanilla iteration stalls.  The diagonal shift is removed exactly at the end
 from __future__ import annotations
 
 import dataclasses
+import functools
+from typing import Optional
 
 import numpy as np
 
 from . import _digraph
 
 __all__ = [
+    "HomogeneityAnalysis",
     "PerronStructureError",
     "WeightSearchResult",
+    "analyze_homogeneity",
     "spectral_radius",
     "perron_weights",
     "contraction_weights",
@@ -35,6 +43,9 @@ __all__ = [
     "is_primitive",
     "wielandt_bound",
 ]
+
+# |rho(A) - 1| up to this counts as rho(A) = 1, the non-expansive regime
+_REGIME_TOL = 1e-9
 
 
 class PerronStructureError(ValueError):
@@ -93,10 +104,16 @@ def perron_weights(
     fall back to :func:`contraction_weights`.
     """
     A = _check_nonneg_square(A)
+    return _perron_weights(A, spectral_radius(A), tol, shift, positivity_ratio)
+
+
+def _perron_weights(
+    A: np.ndarray, rho: float, tol=1e-10, shift=1e-8, positivity_ratio=1e-12
+) -> np.ndarray:
+    """:func:`perron_weights` of a checked A whose spectral radius is ``rho``."""
     d = A.shape[0]
     if d == 1:
         return np.ones(1)
-    rho = spectral_radius(A)
     M = (A + shift * np.eye(d)).T
     b = np.full(d, 1.0 / d)
     for _ in range(64):
@@ -131,30 +148,75 @@ def contraction_weights(A, margin_tol: float = 1e-12) -> WeightSearchResult:
     to a t with rho still below 1 and takes that matrix's Perron vector.
     """
     A = _check_nonneg_square(A)
-    d = A.shape[0]
     rho = spectral_radius(A)
     if rho >= 1.0 - 1e-12:
         raise ValueError(f"contraction weight search needs rho(A) < 1, got {rho:.6g}")
+    return _contraction_weights(A, rho, margin_tol)
+
+
+def _contraction_weights(A: np.ndarray, rho: float, margin_tol: float = 1e-12) -> WeightSearchResult:
+    """:func:`contraction_weights` of a checked A whose spectral radius is ``rho`` < 1."""
     try:
-        b = perron_weights(A)
+        b = _perron_weights(A, rho)
         if np.all(A.T @ b <= rho * b + margin_tol):
             return WeightSearchResult(b, rho, True)
     except PerronStructureError:
         pass
     target = 0.5 * (1.0 + rho)
-    t = (1.0 - rho) / (2.0 * d)
+    t = (1.0 - rho) / (2.0 * A.shape[0])
     for _ in range(200):
-        r_t = spectral_radius(A + t)
-        if r_t < target:
+        r = spectral_radius(A + t)
+        if r < target:
             break
         t *= 0.5
     else:  # pragma: no cover - continuity of rho guarantees termination
         raise RuntimeError("inflation bisection failed to find rho(A + t) < 1")
-    b = perron_weights(A + t)
-    r = spectral_radius(A + t)
+    b = _perron_weights(A + t, r)
     if not np.all(A.T @ b <= r * b + margin_tol):  # pragma: no cover - self check
         raise RuntimeError("contraction weight postcondition A^T b <= r b failed")
     return WeightSearchResult(b, r, False)
+
+
+@dataclasses.dataclass(frozen=True)
+class HomogeneityAnalysis:
+    """rho(A), its regime, and the automatic solver weights for that regime.
+
+    ``auto_weights`` is computed on first access: ``(b, None)`` with the
+    contraction weights (strict contraction) or the left Perron vector
+    (non-expansive), ``(None, reason)`` when no strictly positive b with
+    A^T b <= b exists, and ``(None, None)`` in the expansive regime.
+    """
+
+    A: np.ndarray = dataclasses.field(repr=False, compare=False)
+    rho: float
+    regime: str
+
+    @functools.cached_property
+    def auto_weights(self) -> tuple[Optional[np.ndarray], Optional[str]]:
+        if self.regime == "expansive":
+            return None, None
+        try:
+            if self.regime == "strict_contraction":
+                b = _contraction_weights(self.A, self.rho).b
+            else:
+                b = _perron_weights(self.A, self.rho)
+        except PerronStructureError as exc:
+            return None, f"no positive weights with A^T b <= b ({exc})"
+        b.setflags(write=False)
+        return b, None
+
+
+def analyze_homogeneity(A) -> HomogeneityAnalysis:
+    """rho(A) and its regime; the only place the rho(A) = 1 tolerance is applied."""
+    A = _check_nonneg_square(A)
+    rho = spectral_radius(A)
+    if rho < 1.0 - _REGIME_TOL:
+        regime = "strict_contraction"
+    elif rho <= 1.0 + _REGIME_TOL:
+        regime = "non_expansive"
+    else:
+        regime = "expansive"
+    return HomogeneityAnalysis(A, rho, regime)
 
 
 def lipschitz_bound(A, b) -> float:

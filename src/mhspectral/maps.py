@@ -21,6 +21,7 @@ conjugation (the dual map).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +35,7 @@ from .cones import (
     random_interior,
     scale_blocks,
 )
+from .homogeneity import HomogeneityAnalysis, analyze_homogeneity
 
 __all__ = [
     "MapInstance",
@@ -107,6 +109,11 @@ class MapInstance:
         object.__setattr__(self, "A", check_homogeneity_matrix(self.A, self.shape.d))
         if self.domain not in ("cone", "interior"):
             raise ValueError("domain must be 'cone' or 'interior'")
+
+    @functools.cached_property
+    def analysis(self) -> HomogeneityAnalysis:
+        """Regime and automatic weights of A, computed once per map."""
+        return analyze_homogeneity(self.A)
 
     def __call__(self, x: ProductVector) -> ProductVector:
         return evaluate(self, x)

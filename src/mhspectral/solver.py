@@ -13,14 +13,15 @@ which bracket the weighted spectral radius r_b whenever A^T b <= b, the lower
 trace nondecreasing and the upper nonincreasing.  Iteration stops once the log
 bracket gap drops below the (scale-free) tolerance.
 
-Weight selection: for rho(A) < 1 any contraction weights work and the iterates
-converge at the linear rate rho(A); for rho(A) = 1 the left Perron vector of A
-is required, and convergence additionally needs a primitive Jacobian pattern
-at the eigenvector.  For rho(A) > 1 no guarantee from the underlying theory
-applies and auto-solving refuses.  (The cited convergence-rate statement is
-phrased with "A b < b" where the bracket statements use "A^T b <= b"; the
-solver follows the transpose form throughout and attaches the rate envelope
-exactly when rho(A) < 1.)
+Weight selection (``F.analysis``, see :func:`~mhspectral.analyze_homogeneity`):
+for rho(A) < 1 any contraction weights work and the iterates converge at the
+linear rate rho(A); for rho(A) = 1 the left Perron vector of A is required,
+and convergence additionally needs a primitive Jacobian pattern at the
+eigenvector.  For rho(A) > 1 no guarantee from the underlying theory applies
+and auto-solving refuses.  (The cited convergence-rate statement is phrased
+with "A b < b" where the bracket statements use "A^T b <= b"; the solver
+follows the transpose form throughout and attaches the rate envelope exactly
+when rho(A) < 1.)
 
 Also here: the raw Collatz-Wielandt bound functions, an orbit-growth estimate
 of the Bonsall radius, a warm-started delta-continuation toward maximal
@@ -48,14 +49,7 @@ from .cones import (
     scale_blocks,
     weighted_norm_product,
 )
-from .homogeneity import (
-    PerronStructureError,
-    contraction_weights,
-    is_irreducible,
-    perron_weights,
-    spectral_radius,
-    wielandt_bound,
-)
+from .homogeneity import PerronStructureError, is_irreducible, spectral_radius, wielandt_bound
 from .maps import EigenPair, MapInstance, evaluate, has_kink, jacobian_at
 from .metrics import hilbert_metric
 
@@ -83,8 +77,6 @@ CONVERGED = "converged"
 BRACKET_CONVERGED_CYCLING = "bracket_converged_cycling"
 MAX_ITER = "max_iter"
 DIVERGED = "diverged"
-
-_RHO_ONE_TOL = 1e-9
 
 
 class ExpansiveMapError(ValueError):
@@ -161,33 +153,27 @@ class SolveReport:
     r_extrapolated: Optional[float] = None
 
 
-def _resolve_weights(A: np.ndarray, weights, messages: list) -> np.ndarray:
-    """Solver weight policy keyed on rho(A); explicit weights pass through."""
-    d = A.shape[0]
+def _resolve_weights(F: MapInstance, weights, messages: list) -> np.ndarray:
+    """Explicit weights pass through with a check; otherwise ``F.analysis`` decides."""
     if weights is not None:
-        b = as_weight_vector(weights, d)
-        slack = A.T @ b - b
+        b = as_weight_vector(weights, F.shape.d)
+        slack = F.A.T @ b - b
         if np.any(slack > 1e-12):
             messages.append(
                 "warning: supplied weights violate A^T b <= b; bracket "
                 "monotonicity is not guaranteed"
             )
         return b
-    rho = spectral_radius(A)
-    if rho < 1.0 - _RHO_ONE_TOL:
-        return contraction_weights(A).b
-    if rho <= 1.0 + _RHO_ONE_TOL:
-        try:
-            return perron_weights(A)
-        except PerronStructureError as exc:
-            raise PerronStructureError(
-                f"no positive weights with A^T b <= b ({exc})"
-            ) from exc
-    raise ExpansiveMapError(
-        f"rho(A) = {rho:.6g} > 1: the expansive regime carries no existence, "
-        "uniqueness, or bracket guarantees; supply explicit weights to iterate "
-        "anyway"
-    )
+    analysis = F.analysis
+    if analysis.regime == "expansive":
+        raise ExpansiveMapError(
+            f"rho(A) = {analysis.rho:.6g} > 1: the expansive regime carries no existence, "
+            "uniqueness, or bracket guarantees; supply explicit weights to iterate anyway"
+        )
+    b, reason = analysis.auto_weights
+    if b is None:
+        raise PerronStructureError(reason)
+    return b
 
 
 def _log_weighted_ratio_bounds(y: ProductVector, x: ProductVector, b: np.ndarray):
@@ -266,13 +252,13 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
     if norms.d != F.shape.d:
         raise ValueError("norm spec does not match the map shape")
     messages: list[str] = []
-    b = _resolve_weights(F.A, cfg.weights, messages)
+    b = _resolve_weights(F, cfg.weights, messages)
     x = normalize(x0 if x0 is not None else ones_vector(F.shape), norms)
     if not x.is_pos():
         raise ValueError("starting vector must be strictly positive")
 
-    rho = spectral_radius(F.A)
-    rate_bound = rho if rho < 1.0 - _RHO_ONE_TOL else None
+    analysis = F.analysis
+    rate_bound = analysis.rho if analysis.regime == "strict_contraction" else None
     trace: list[tuple[float, float]] = []
     iterates = [x] if cfg.keep_iterates else None
     recent = collections.deque([x], maxlen=cfg.cycle_window + 1)
@@ -311,8 +297,9 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
                 dist_step = _inf_dist(x, recent[-2]) if len(recent) >= 2 else math.inf
                 if dist_cycle < 1e-10 and dist_step > 10.0 * dist_cycle:
                     candidate = _cycle_average(list(recent)[1:], norms)
-                    ylam = block_norms(evaluate(F, candidate), norms)
-                    res_c = _relative_residual_inf(evaluate(F, candidate), ylam, candidate)
+                    y_c = evaluate(F, candidate)
+                    ylam = block_norms(y_c, norms)
+                    res_c = _relative_residual_inf(y_c, ylam, candidate)
                     if res_c < 10.0 * cfg.tol:
                         eigenpair = EigenPair(candidate, ylam, _weighted_product(ylam, b))
                         status, res_val = BRACKET_CONVERGED_CYCLING, res_c
@@ -324,9 +311,10 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
             iterates.append(x)
 
     if status == MAX_ITER and trace:
-        lam = block_norms(evaluate(F, x), norms)
+        y = evaluate(F, x)
+        lam = block_norms(y, norms)
         eigenpair = EigenPair(x, lam, _weighted_product(lam, b))
-        res_val = _relative_residual_inf(evaluate(F, x), lam, x)
+        res_val = _relative_residual_inf(y, lam, x)
         messages.append("bracket did not close within max_iter")
 
     report = SolveReport(
@@ -423,7 +411,7 @@ def delta_continuation(F: MapInstance, cfg: SolverConfig) -> SolveReport:
     from .maps import shifted  # local import keeps module load order simple
 
     messages: list[str] = []
-    b = _resolve_weights(F.A, cfg.weights, messages)
+    b = _resolve_weights(F, cfg.weights, messages)
     schedule = cfg.delta_schedule.values()
     floor = cfg.delta_schedule.floor
     x = ones_vector(F.shape)
@@ -531,10 +519,10 @@ def certify_uniqueness(F: MapInstance, report: SolveReport, pattern_tol: float =
     powers positivity (maximality only).  Non-differentiable maps at kink
     points yield ``none`` with a reason.
     """
-    rho_A = spectral_radius(F.A)
-    if rho_A < 1.0 - _RHO_ONE_TOL:
+    rho_A, regime = F.analysis.rho, F.analysis.regime
+    if regime == "strict_contraction":
         return Certificate("contraction", {"rho_A": rho_A})
-    if rho_A > 1.0 + _RHO_ONE_TOL:
+    if regime == "expansive":
         return Certificate("none", {"reason": f"expansive regime rho(A)={rho_A:.6g}"})
     if report.eigenpair is None:
         return Certificate("none", {"reason": "no eigenpair available"})

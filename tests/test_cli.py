@@ -65,6 +65,74 @@ class TestParsing:
         c2 = dump_json(canonical_instance(parse_instance(json.loads(c1))))
         assert c1 == c2
 
+_MOTIVATING = {"family": "motivating"}
+_FULL_PARAMS = {
+    "linear": {"matrix": [[1, 2], [3, 4]]},
+    "singular": {"matrix": [[1, 2], [3, 4]]},
+    "pq_singular": {"matrix": [[1, 2], [3, 4]], "p": 3, "q": 3},
+    "tensor_eigen": {"tensor": [[[1, 1], [1, 1]], [[1, 1], [1, 1]]], "p": 3},
+    "max_example": {"eps": 0.3},
+    "tight": {"exponents": [[0.5, 0.2], [0.1, 0.4]], "sizes": [2, 2]},
+    "compose": {"outer": _MOTIVATING, "inner": _MOTIVATING},
+    "hadamard": {"left": _MOTIVATING, "right": _MOTIVATING},
+    "weighted_sum": {"left": _MOTIVATING, "right": _MOTIVATING, "d_matrix": [[0, 2], [0.125, 0]]},
+    "shifted": {"base": _MOTIVATING, "delta": 0.5},
+    "dual": {"base": _MOTIVATING},
+}
+_ALL_FAMILIES = (
+    "('linear', 'singular', 'pq_singular', 'tensor_eigen', 'max_example', 'motivating', "
+    "'nonirr', 'irrex', 'tight', 'compose', 'hadamard', 'weighted_sum', 'shifted', 'dual')"
+)
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("family", sorted(_FULL_PARAMS))
+    def test_full_params_parse(self, family):
+        parse_instance({"map": {"family": family, "params": copy.deepcopy(_FULL_PARAMS[family])}})
+
+    @pytest.mark.parametrize(
+        "family,field",
+        [(fam, key) for fam in sorted(_FULL_PARAMS) for key in _FULL_PARAMS[fam]],
+    )
+    def test_missing_param_names_path_and_field(self, family, field):
+        params = copy.deepcopy(_FULL_PARAMS[family])
+        del params[field]
+        with pytest.raises(InstanceError) as err:
+            parse_instance({"map": {"family": family, "params": params}})
+        assert str(err.value) == f"$.map.params: missing required field '{field}'"
+
+    def test_nested_missing_param(self):
+        inner = {"family": "tight", "params": {"sizes": [2, 2]}}
+        doc = {"map": {"family": "compose", "params": {"outer": _MOTIVATING, "inner": inner}}}
+        with pytest.raises(InstanceError) as err:
+            parse_instance(doc)
+        assert str(err.value) == "$.map.params.inner.params: missing required field 'exponents'"
+
+    def test_non_matrix_matrix(self):
+        with pytest.raises(InstanceError) as err:
+            parse_instance({"map": {"family": "linear", "params": {"matrix": [1, 2, 3]}}})
+        assert str(err.value) == "$.map.params: expected a matrix (list of rows)"
+        with pytest.raises(InstanceError) as err:
+            parse_instance({"map": {"family": "linear", "params": {"matrix": "abc"}}})
+        assert str(err.value) == "$.map.params: expected a dense numeric matrix"
+
+    def test_list_valued_family(self):
+        with pytest.raises(InstanceError) as err:
+            parse_instance({"map": {"family": ["linear"]}})
+        assert str(err.value) == f"$.map: unknown family '['linear']'; expected one of {_ALL_FAMILIES}"
+
+    def test_unknown_family_full_message(self):
+        with pytest.raises(InstanceError) as err:
+            parse_instance({"map": {"family": "nope"}})
+        assert str(err.value) == f"$.map: unknown family 'nope'; expected one of {_ALL_FAMILIES}"
+
+    def test_weighted_sum_norms_error_names_map_path(self):
+        params = copy.deepcopy(_FULL_PARAMS["weighted_sum"])
+        with pytest.raises(InstanceError) as err:
+            parse_instance({"map": {"family": "weighted_sum", "params": params}, "norms": [{"p": 2}]})
+        assert str(err.value).startswith("$.map (norms): norms must list one selector per block")
+
+
 class TestAnalyze:
     def test_motivating_regime(self):
         code, rep = run_analyze(copy.deepcopy(MOTIVATING_DOC))

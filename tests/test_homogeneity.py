@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from mhspectral import (
+    HomogeneityAnalysis,
     PerronStructureError,
+    analyze_homogeneity,
     contraction_weights,
     is_irreducible,
     is_primitive,
@@ -15,6 +17,7 @@ from mhspectral import (
     perron_weights,
     spectral_radius,
 )
+from mhspectral import homogeneity
 
 MOTIVATING_A = np.array([[0.0, 2.0], [0.125, 0.0]])
 
@@ -94,6 +97,65 @@ class TestContractionWeights:
     def test_requires_contraction(self):
         with pytest.raises(ValueError):
             contraction_weights(np.eye(2))
+
+
+def _count_radius_calls(monkeypatch) -> list:
+    keys = []
+    original = homogeneity.spectral_radius
+
+    def counting(M, *args, **kwargs):
+        keys.append(np.asarray(M, dtype=float).tobytes())
+        return original(M, *args, **kwargs)
+
+    monkeypatch.setattr(homogeneity, "spectral_radius", counting)
+    return keys
+
+
+class TestContractionWeightsRadiusCalls:
+    def test_exact_path_one_radius(self, monkeypatch):
+        keys = _count_radius_calls(monkeypatch)
+        contraction_weights(MOTIVATING_A)
+        assert len(keys) == 1
+
+    def test_inflation_path_measures_each_matrix_once(self, monkeypatch):
+        keys = _count_radius_calls(monkeypatch)
+        res = contraction_weights([[0.5, 1.0], [0.0, 0.5]])
+        assert not res.exact
+        assert len(keys) >= 2 and len(keys) == len(set(keys))
+
+
+class TestAnalyzeHomogeneity:
+    def test_regimes(self):
+        assert analyze_homogeneity(MOTIVATING_A).regime == "strict_contraction"
+        assert analyze_homogeneity(np.eye(2)).regime == "non_expansive"
+        assert analyze_homogeneity(np.eye(2) * (1.0 + 5e-10)).regime == "non_expansive"
+        assert analyze_homogeneity(np.eye(2) * (1.0 - 5e-9)).regime == "strict_contraction"
+        expansive = analyze_homogeneity([[2.0]])
+        assert expansive.regime == "expansive" and expansive.rho == 2.0
+        assert expansive.auto_weights == (None, None)
+
+    def test_auto_weights_follow_regime(self):
+        b, reason = analyze_homogeneity(MOTIVATING_A).auto_weights
+        assert reason is None
+        np.testing.assert_array_equal(b, contraction_weights(MOTIVATING_A).b)
+        b, reason = analyze_homogeneity(np.eye(3)).auto_weights
+        np.testing.assert_array_equal(b, perron_weights(np.eye(3)))
+        with pytest.raises(ValueError):
+            b[0] = 1.0  # cached and shared, so read-only
+
+    def test_missing_positive_weights_keep_the_reason(self):
+        b, reason = analyze_homogeneity([[1.0, 0.0], [0.0, 0.5]]).auto_weights
+        assert b is None
+        assert reason.startswith("no positive weights with A^T b <= b (")
+
+    def test_weights_are_lazy_and_cached(self, monkeypatch):
+        keys = _count_radius_calls(monkeypatch)
+        F = irrex_map()
+        analysis = F.analysis
+        assert isinstance(analysis, HomogeneityAnalysis) and F.analysis is analysis
+        assert len(keys) == 1 and "auto_weights" not in vars(analysis)
+        assert analysis.auto_weights is analysis.auto_weights
+        assert len(keys) == 1
 
 
 class TestLipschitzBound:

@@ -35,7 +35,9 @@ from mhspectral import (
     tensor_eigen_map,
     tight_map,
 )
+from mhspectral import homogeneity, solver
 from mhspectral.cones import ShapeSpec
+from mhspectral.maps import MapInstance
 
 MOTIVATING_LAMBDA = np.array([2.0**-0.5, 2.0 ** (7.0 / 16.0)])
 MOTIVATING_RB = 2.0 ** (5.0 / 16.0)  # with weights (1/4, 1)
@@ -441,3 +443,79 @@ class TestCheckDirr:
         L = np.array([[1.0, 1.0], [1.0, 0.0]])
         bound = (shape.total - 1) ** 2 + 1
         assert check_dirr(L, 0, bound, shape)
+
+
+class TestHomogeneityAnalysisReuse:
+    @staticmethod
+    def _count_radius_of(monkeypatch, A):
+        """Wrap spectral_radius in both namespaces that call it; count calls on A."""
+        seen = []
+        original = homogeneity.spectral_radius
+
+        def counting(M, *args, **kwargs):
+            if np.array_equal(np.asarray(M, dtype=float), A):
+                seen.append(1)
+            return original(M, *args, **kwargs)
+
+        monkeypatch.setattr(homogeneity, "spectral_radius", counting)
+        monkeypatch.setattr(solver, "spectral_radius", counting)
+        return seen
+
+    def test_auto_weights_compute_rho_of_A_once(self, monkeypatch):
+        F = motivating_map()
+        seen = self._count_radius_of(monkeypatch, F.A)
+        rep = power_method(F, None, _cfg(2))
+        cert = certify_uniqueness(F, rep)
+        assert len(seen) == 1
+        np.testing.assert_allclose(rep.weights, [0.2, 0.8], rtol=1e-12)
+        assert rep.rate_bound == F.analysis.rho
+        assert cert.kind == "contraction"
+
+    def test_explicit_weights_run_no_weight_search(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("weight search ran for explicit weights")
+
+        monkeypatch.setattr(homogeneity, "_contraction_weights", forbidden)
+        monkeypatch.setattr(homogeneity, "_perron_weights", forbidden)
+        F = motivating_map()
+        seen = self._count_radius_of(monkeypatch, F.A)
+        rep = power_method(F, None, _cfg(2, weights=np.array([0.25, 1.0])))
+        cert = certify_uniqueness(F, rep)
+        assert len(seen) == 1
+        assert abs(rep.rate_bound - 0.5) < 1e-12
+        assert cert.kind == "contraction"
+
+
+class TestEvaluateCounts:
+    @staticmethod
+    def _count_evaluate(monkeypatch):
+        calls = []
+
+        def counting(F, x):
+            calls.append(1)
+            return evaluate(F, x)
+
+        monkeypatch.setattr(solver, "evaluate", counting)
+        return calls
+
+    def test_max_iter_tail_evaluates_once(self, monkeypatch):
+        calls = self._count_evaluate(monkeypatch)
+        F = linear_map([[1, 2, 0.5], [0.3, 1, 1], [2, 0.1, 1]])
+        rep = power_method(F, None, _cfg(1, max_iter=3))
+        assert rep.status == "max_iter" and rep.iterations == 3
+        assert len(calls) == 4
+
+    def test_cycle_average_evaluates_once(self, monkeypatch):
+        # block 2 is swapped every step; its tiny weight lets the bracket close
+        F = MapInstance(
+            shape=ShapeSpec((1, 2)),
+            A=np.eye(2),
+            evaluator=lambda x: ProductVector([x.blocks[0], x.blocks[1][::-1]]),
+            label="swap",
+        )
+        calls = self._count_evaluate(monkeypatch)
+        x0 = ProductVector([[1.0], [1.0, 2.0]])
+        rep = power_method(F, x0, _cfg(2, weights=np.array([1.0, 1e-13])))
+        assert rep.status == "bracket_converged_cycling" and rep.iterations == 3
+        np.testing.assert_allclose(rep.eigenpair.x.blocks[1], [2**-0.5, 2**-0.5])
+        assert len(calls) == 4
