@@ -1,18 +1,23 @@
 """Product-cone vectors, the blockwise scaling algebra, and block norms.
 
-Vectors live in V = R^{n_1} x ... x R^{n_d} and are stored as d separate
-blocks.  A *block scaling* is a length-d array ``alpha`` acting as
-``alpha (x) x = (alpha_1 x_1, ..., alpha_d x_d)``; scalings compose through
-entrywise products and can be raised to matrix exponents,
-``(alpha ** B)_i = prod_k alpha_k^{B_ik}``.  All objects are immutable and
-every function is pure, so they are safe to share across threads.
+Vectors live in V = R^{n_1} x ... x R^{n_d} and are stored as one contiguous
+float buffer of length n_1 + ... + n_d, block after block, together with
+their ``ShapeSpec``; the blocks are read-only views into that buffer.
+Blockwise work (scalings, norms, extrema) runs on the buffer with one numpy
+call per step, whatever d is.  A *block scaling* is a length-d array
+``alpha`` acting as ``alpha (x) x = (alpha_1 x_1, ..., alpha_d x_d)``;
+scalings compose through entrywise products and can be raised to matrix
+exponents, ``(alpha ** B)_i = prod_k alpha_k^{B_ik}``.  All objects are
+immutable and every function is pure, so they are safe to share across
+threads.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -63,62 +68,131 @@ class ShapeSpec:
 
     def block_slices(self) -> list[slice]:
         """Slices of each block inside the flattened length-``total`` layout."""
-        out, off = [], 0
-        for n in self.sizes:
-            out.append(slice(off, off + n))
-            off += n
-        return out
+        return list(self._slices)
+
+    # Layout caches, computed once per instance (``cached_property`` writes the
+    # instance dict directly, so the frozen dataclass allows it).
+
+    @functools.cached_property
+    def _slices(self) -> tuple[slice, ...]:
+        ends = np.cumsum(self.sizes).tolist()
+        return tuple(slice(end - n, end) for n, end in zip(self.sizes, ends))
+
+    @functools.cached_property
+    def _starts(self) -> np.ndarray:
+        """Block start offsets, the ``indices`` of ``ufunc.reduceat``."""
+        starts = np.array([sl.start for sl in self._slices], dtype=np.intp)
+        starts.setflags(write=False)
+        return starts
+
+    @functools.cached_property
+    def _uniform(self) -> Optional[int]:
+        """The common block size when all blocks have one, else None."""
+        n = self.sizes[0]
+        return n if all(m == n for m in self.sizes) else None
+
+    @functools.cached_property
+    def _repeats(self):
+        return self._uniform or np.array(self.sizes, dtype=np.intp)
+
+    def _spread(self, per_block: np.ndarray) -> np.ndarray:
+        """One value per block, repeated over the block's entries.
+
+        A single block's length-1 array is returned as is: it broadcasts.
+        """
+        if len(self.sizes) == 1:
+            return per_block
+        return np.repeat(per_block, self._repeats)
+
+
+@functools.lru_cache(maxsize=64)
+def _shape_of(sizes: tuple[int, ...]) -> ShapeSpec:
+    # one shared (immutable) spec per block structure, so vectors built from
+    # blocks reuse its layout caches instead of recomputing them per vector
+    return ShapeSpec(sizes)
+
+
+def _wrap(flat: np.ndarray, shape: ShapeSpec, cls=None) -> "ProductVector":
+    """A vector owning ``flat``, a fresh float array of length ``shape.total``.
+
+    No copy and no check: only for buffers just computed by the caller.
+    """
+    flat.setflags(write=False)
+    vec = object.__new__(cls or ProductVector)
+    object.__setattr__(vec, "flat", flat)
+    object.__setattr__(vec, "shape", shape)
+    object.__setattr__(vec, "_blocks", None)
+    return vec
 
 
 class ProductVector:
-    """Immutable point of R^{n_1} x ... x R^{n_d}, stored as d blocks."""
+    """Immutable point of R^{n_1} x ... x R^{n_d}.
 
-    __slots__ = ("blocks",)
+    ``flat`` is the one read-only float buffer holding the d blocks back to
+    back; ``shape`` gives the block sizes, and ``blocks`` is a tuple of
+    read-only views into ``flat``.  The constructor copies its input, so later
+    changes to the caller's arrays do not reach the vector.
+    """
+
+    __slots__ = ("flat", "shape", "_blocks")
 
     def __init__(self, blocks: Iterable[Sequence[float]]):
         parsed = []
         for blk in blocks:
-            arr = np.array(blk, dtype=float)
+            arr = np.asarray(blk, dtype=float)
             if arr.ndim != 1 or arr.size == 0:
                 raise ValueError("each block must be a nonempty 1-d array")
-            arr.setflags(write=False)
             parsed.append(arr)
         if not parsed:
             raise ValueError("a product vector needs at least one block")
-        object.__setattr__(self, "blocks", tuple(parsed))
+        flat = np.concatenate(parsed)  # always a fresh copy
+        flat.setflags(write=False)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "shape", _shape_of(tuple(map(len, parsed))))
+        object.__setattr__(self, "_blocks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProductVector is immutable")
 
+    def __reduce__(self):
+        return (type(self).from_flat, (self.flat, self.shape))
+
     @property
-    def shape(self) -> ShapeSpec:
-        return ShapeSpec(tuple(len(b) for b in self.blocks))
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        blocks = self._blocks
+        if blocks is None:  # built on first use; many vectors never need them
+            flat = self.flat
+            blocks = (flat,) if self.shape.d == 1 else tuple(flat[sl] for sl in self.shape._slices)
+            object.__setattr__(self, "_blocks", blocks)
+        return blocks
 
     @property
     def d(self) -> int:
-        return len(self.blocks)
+        return self.shape.d
 
     def concat(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
+        return self.flat.copy()
 
     @classmethod
     def from_flat(cls, flat: Sequence[float], shape: ShapeSpec) -> "ProductVector":
-        flat = np.asarray(flat, dtype=float)
+        flat = np.array(flat, dtype=float)
         if flat.shape != (shape.total,):
             raise ValueError("flat data does not match the shape")
-        return cls([flat[sl] for sl in shape.block_slices()])
+        return _wrap(flat, shape, cls)
 
     # -- membership predicates (K_+, K_{+,0}, K_{++}) -----------------------
 
     def is_nonneg(self) -> bool:
-        return all(b.min() >= 0.0 for b in self.blocks)
+        return bool(np.minimum.reduce(self.flat) >= 0.0)
 
     def is_semipos(self) -> bool:
         """Each block nonnegative with at least one nonzero entry."""
-        return self.is_nonneg() and all(b.max() > 0.0 for b in self.blocks)
+        return self.is_nonneg() and bool(
+            np.minimum.reduce(np.maximum.reduceat(self.flat, self.shape._starts)) > 0.0
+        )
 
     def is_pos(self) -> bool:
-        return all(b.min() > 0.0 for b in self.blocks)
+        return bool(np.minimum.reduce(self.flat) > 0.0)
 
     def approx_pos(self, floor: float = APPROX_POS_FLOOR) -> bool:
         """Diagnostic predicate: every entry exceeds ``floor``.
@@ -126,24 +200,22 @@ class ProductVector:
         Membership tests use exact zero; this looser check is for reporting
         near-boundary iterates only.
         """
-        return all(b.min() > floor for b in self.blocks)
+        return bool(np.minimum.reduce(self.flat) > floor)
 
     # -- convenience arithmetic ---------------------------------------------
 
     def __add__(self, other: "ProductVector") -> "ProductVector":
         _check_same_shape(self, other)
-        return ProductVector([a + b for a, b in zip(self.blocks, other.blocks)])
+        return _wrap(self.flat + other.flat, self.shape)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProductVector):
             return NotImplemented
-        return len(self.blocks) == len(other.blocks) and all(
-            a.shape == b.shape and bool(np.all(a == b))
-            for a, b in zip(self.blocks, other.blocks)
-        )
+        return self.shape.sizes == other.shape.sizes and bool((self.flat == other.flat).all())
 
     def __hash__(self):
-        return hash(tuple((b.shape[0], b.tobytes()) for b in self.blocks))
+        # + 0.0 turns -0.0 into 0.0: equal vectors must hash equal
+        return hash((self.shape.sizes, (self.flat + 0.0).tobytes()))
 
     def __repr__(self):
         inner = ", ".join(np.array2string(b, precision=6) for b in self.blocks)
@@ -158,7 +230,7 @@ class NormSpec:
     the weighted-l1 functional <|v|, phi>.
     """
 
-    __slots__ = ("selectors",)
+    __slots__ = ("selectors", "_euclidean")
 
     def __init__(self, selectors: Sequence):
         parsed = []
@@ -179,9 +251,13 @@ class NormSpec:
         if not parsed:
             raise ValueError("need at least one block selector")
         object.__setattr__(self, "selectors", tuple(parsed))
+        object.__setattr__(self, "_euclidean", all(sel == ("p", 2.0) for sel in parsed))
 
     def __setattr__(self, name, value):
         raise AttributeError("NormSpec is immutable")
+
+    def __reduce__(self):
+        return (type(self), ([val for _, val in self.selectors],))
 
     @classmethod
     def euclidean(cls, d: int) -> "NormSpec":
@@ -203,18 +279,18 @@ class NormSpec:
 
     def block_norm(self, i: int, v: np.ndarray) -> float:
         kind, val = self.selectors[i]
-        av = np.abs(v)
         if kind == "phi":
             if val.shape != v.shape:
                 raise ValueError(f"phi weight length mismatch in block {i}")
-            return float(np.dot(av, val))
+            return float(np.dot(np.abs(v), val))
         p = val
+        if p == 2.0:
+            return float(np.sqrt(np.dot(v, v)))
+        av = np.abs(v)
         if p == math.inf:
             return float(av.max())
         if p == 1.0:
             return float(av.sum())
-        if p == 2.0:
-            return float(np.sqrt(np.dot(v, v)))
         return float(np.sum(av**p) ** (1.0 / p))
 
     def __repr__(self):
@@ -226,7 +302,7 @@ class NormSpec:
 
 
 def _check_same_shape(x: ProductVector, y: ProductVector):
-    if tuple(len(b) for b in x.blocks) != tuple(len(b) for b in y.blocks):
+    if x.shape.sizes != y.shape.sizes:
         raise ValueError("shape mismatch between product vectors")
 
 
@@ -252,7 +328,7 @@ def as_weight_vector(b, d: int, normalized: bool = False) -> np.ndarray:
 def scale_blocks(alpha, x: ProductVector) -> ProductVector:
     """Blockwise scaling alpha (x) x = (alpha_1 x_1, ..., alpha_d x_d)."""
     a = _as_scaling(alpha, x.d)
-    return ProductVector([a[i] * blk for i, blk in enumerate(x.blocks)])
+    return _wrap(x.shape._spread(a) * x.flat, x.shape)
 
 
 def matrix_power_scale(alpha, B) -> np.ndarray:
@@ -284,6 +360,13 @@ def block_norms(x: ProductVector, norms: NormSpec) -> np.ndarray:
     """Vector of per-block norms (||x_1||_{g_1}, ..., ||x_d||_{g_d})."""
     if norms.d != x.d:
         raise ValueError("norm spec block count does not match the vector")
+    n = x.shape._uniform
+    if norms._euclidean and n is not None and x.d > 1:
+        # one stacked (1 x n) @ (n x 1) product per block: numpy computes each
+        # with the same dot kernel as np.dot, so the norms match the per-block
+        # loop to the last bit (a summing reduction would not)
+        X = x.flat.reshape(x.d, n)
+        return np.sqrt(np.matmul(X[:, None, :], X[:, :, None]).ravel())
     return np.array([norms.block_norm(i, blk) for i, blk in enumerate(x.blocks)])
 
 
@@ -320,7 +403,7 @@ def partial_order_compare(x: ProductVector, y: ProductVector) -> str:
     ``incomparable``.
     """
     _check_same_shape(x, y)
-    diff = np.concatenate([yb - xb for xb, yb in zip(x.blocks, y.blocks)])
+    diff = y.flat - x.flat
     if np.all(diff == 0.0):
         return "eq"
     if np.all(diff >= 0.0):
@@ -331,7 +414,7 @@ def partial_order_compare(x: ProductVector, y: ProductVector) -> str:
 
 
 def ones_vector(shape: ShapeSpec) -> ProductVector:
-    return ProductVector([np.ones(n) for n in shape.sizes])
+    return _wrap(np.ones(shape.total), shape)
 
 
 def random_interior(shape: ShapeSpec, rng, low: float = 0.5, high: float = 1.5) -> ProductVector:

@@ -30,6 +30,7 @@ from .cones import (
     NormSpec,
     ProductVector,
     ShapeSpec,
+    _wrap,
     block_norms,
     matrix_power_scale,
     random_interior,
@@ -594,7 +595,7 @@ def hadamard(F: MapInstance, G: MapInstance) -> MapInstance:
 
     def ev(x):
         fx, gx = F.evaluator(x), G.evaluator(x)
-        return ProductVector([a * b for a, b in zip(fx.blocks, gx.blocks)])
+        return _wrap(fx.flat * gx.flat, fx.shape)
 
     jac = None
     if F.jacobian is not None and G.jacobian is not None:
@@ -685,9 +686,9 @@ def shifted(F: MapInstance, delta: float, norms: NormSpec) -> MapInstance:
     def ev(x):
         y = F.evaluator(x)
         shift = delta * matrix_power_scale(block_norms(x, norms), A)
-        return ProductVector([blk + shift[i] for i, blk in enumerate(y.blocks)])
+        return _wrap(y.flat + y.shape._spread(shift), y.shape)
 
-    return MapInstance(
+    G = MapInstance(
         shape=F.shape,
         A=A,
         evaluator=ev,
@@ -696,6 +697,9 @@ def shifted(F: MapInstance, delta: float, norms: NormSpec) -> MapInstance:
         homogeneity_exact=F.homogeneity_exact,
         domain=F.domain,
     )
+    # same A, so the same analysis: a schedule of shifts measures rho(A) once
+    object.__setattr__(G, "analysis", F.analysis)
+    return G
 
 
 def dual(F: MapInstance) -> MapInstance:
@@ -706,7 +710,7 @@ def dual(F: MapInstance) -> MapInstance:
     """
 
     def tau(x):
-        return ProductVector([1.0 / blk for blk in x.blocks])
+        return _wrap(1.0 / x.flat, x.shape)
 
     def ev(x):
         inner = tau(x)
@@ -776,35 +780,33 @@ def verify_order_preserving(
     return VerificationReport(True, worst, samples, tol)
 
 
-def _perturbed(u: ProductVector, i: int, j: int, h: float) -> ProductVector:
-    blocks = [blk.copy() for blk in u.blocks]
-    blocks[i][j] += h
-    return ProductVector(blocks)
+def _perturbed(u: ProductVector, k: int, h: float) -> ProductVector:
+    """u with flat coordinate k moved by h."""
+    flat = u.flat.copy()
+    flat[k] += h
+    return _wrap(flat, u.shape)
 
 
 def _fd_jacobian(F: MapInstance, u: ProductVector, mode: str) -> np.ndarray:
     if not u.is_pos():
         raise ValueError("u must be strictly positive")
     total = u.shape.total
-    f0 = evaluate(F, u).concat() if mode != "central" else None
+    f0 = evaluate(F, u).flat if mode != "central" else None
     J = np.empty((total, total))
-    col = 0
-    for i, blk in enumerate(u.blocks):
-        for j in range(blk.size):
-            h = _FD_STEP * max(1.0, abs(blk[j]))
-            # keep the minus-side probe inside the cone
-            h = min(h, 0.5 * blk[j]) if mode != "forward" else h
-            if mode == "central":
-                fp = evaluate(F, _perturbed(u, i, j, h)).concat()
-                fm = evaluate(F, _perturbed(u, i, j, -h)).concat()
-                J[:, col] = (fp - fm) / (2.0 * h)
-            elif mode == "forward":
-                fp = evaluate(F, _perturbed(u, i, j, h)).concat()
-                J[:, col] = (fp - f0) / h
-            else:
-                fm = evaluate(F, _perturbed(u, i, j, -h)).concat()
-                J[:, col] = (f0 - fm) / h
-            col += 1
+    for k, uk in enumerate(u.flat.tolist()):
+        h = _FD_STEP * max(1.0, abs(uk))
+        # keep the minus-side probe inside the cone
+        h = min(h, 0.5 * uk) if mode != "forward" else h
+        if mode == "central":
+            fp = evaluate(F, _perturbed(u, k, h)).flat
+            fm = evaluate(F, _perturbed(u, k, -h)).flat
+            J[:, k] = (fp - fm) / (2.0 * h)
+        elif mode == "forward":
+            fp = evaluate(F, _perturbed(u, k, h)).flat
+            J[:, k] = (fp - f0) / h
+        else:
+            fm = evaluate(F, _perturbed(u, k, -h)).flat
+            J[:, k] = (f0 - fm) / h
     if not np.all(np.isfinite(J)):
         raise ValueError("non-finite evaluations while differencing near u")
     return J

@@ -16,7 +16,7 @@ import dataclasses
 
 import numpy as np
 
-from .cones import ProductVector, _check_same_shape, as_weight_vector
+from .cones import ProductVector, ShapeSpec, _check_same_shape, as_weight_vector
 
 __all__ = [
     "POSITIVITY_FLOOR",
@@ -39,15 +39,46 @@ class RatioExtrema:
     minima: np.ndarray
 
 
-def _require_interior(v: ProductVector, name: str):
-    for blk in v.blocks:
-        if blk.min() <= POSITIVITY_FLOOR:
-            raise ValueError(f"{name} must be strictly positive (entry <= {POSITIVITY_FLOOR:g})")
+def _require_interior(flat: np.ndarray, name: str):
+    if np.minimum.reduce(flat, axis=None) <= POSITIVITY_FLOOR:
+        raise ValueError(f"{name} must be strictly positive (entry <= {POSITIVITY_FLOOR:g})")
 
 
-def _log_blocks(v: ProductVector) -> list[np.ndarray]:
-    with np.errstate(divide="ignore"):
-        return [np.log(blk) for blk in v.blocks]
+def _log_ratio_extrema(x: np.ndarray, y: np.ndarray, shape: ShapeSpec):
+    """Per-block (min, max) of log(x) - log(y) over buffers laid out as ``shape``.
+
+    The one blockwise ratio kernel: ``x`` is a flat buffer or a stack of them
+    (one per row), ``y`` a flat buffer; the extrema are reduced along the last
+    axis.  Zero entries of x give -inf (and a divide warning, which a caller
+    admitting them silences).
+    """
+    diff = np.log(x)
+    diff -= np.log(y)
+    starts = shape._starts
+    return np.minimum.reduceat(diff, starts, axis=-1), np.maximum.reduceat(diff, starts, axis=-1)
+
+
+def _weighted_sum(w: np.ndarray, v: np.ndarray):
+    """sum_i w_i v_i along the last axis, added left to right like a Python loop.
+
+    ``np.dot`` and pairwise sums round differently; the + 0.0 mirrors the
+    loop's 0.0 start, which turns a lone -0.0 into 0.0.
+    """
+    return np.add.accumulate((w * v).T)[-1] + 0.0
+
+
+def _hilbert_trace(xs, y: ProductVector, b) -> list[float]:
+    """[hilbert_metric(x, y, b) for x in xs] in one 2-D pass over the stacked xs.
+
+    Every x must have the shape of y.
+    """
+    X = np.stack([x.flat for x in xs])
+    _require_interior(X[0], "x")
+    _require_interior(y.flat, "y")
+    _require_interior(X, "x")
+    w = as_weight_vector(b, y.d)
+    lo, hi = _log_ratio_extrema(X, y.flat, y.shape)
+    return _weighted_sum(w, hi - lo).tolist()
 
 
 def ratio_extrema(x: ProductVector, y: ProductVector) -> RatioExtrema:
@@ -56,17 +87,13 @@ def ratio_extrema(x: ProductVector, y: ProductVector) -> RatioExtrema:
     The sandwich m(x/y) (x) y <=_K x <=_K M(x/y) (x) y holds componentwise.
     """
     _check_same_shape(x, y)
-    maxima, minima = [], []
-    for xb, yb in zip(x.blocks, y.blocks):
-        if yb.min() <= 0.0:
-            raise ValueError("y has a zero entry; ratios need y in K_++")
-        if xb.min() < 0.0:
-            raise ValueError("x must be nonnegative")
-        with np.errstate(divide="ignore"):
-            diff = np.log(xb) - np.log(yb)  # -inf where x is 0
-        maxima.append(np.exp(diff.max()))
-        minima.append(np.exp(diff.min()))
-    return RatioExtrema(np.array(maxima), np.array(minima))
+    if np.minimum.reduce(y.flat) <= 0.0:
+        raise ValueError("y has a zero entry; ratios need y in K_++")
+    if np.minimum.reduce(x.flat) < 0.0:
+        raise ValueError("x must be nonnegative")
+    with np.errstate(divide="ignore"):
+        lo, hi = _log_ratio_extrema(x.flat, y.flat, x.shape)
+    return RatioExtrema(np.exp(hi), np.exp(lo))
 
 
 def hilbert_metric(x: ProductVector, y: ProductVector, b) -> float:
@@ -77,24 +104,14 @@ def hilbert_metric(x: ProductVector, y: ProductVector, b) -> float:
     argument.
     """
     _check_same_shape(x, y)
-    _require_interior(x, "x")
-    _require_interior(y, "y")
-    w = as_weight_vector(b, x.d)
-    total = 0.0
-    for wi, xb, yb in zip(w, _log_blocks(x), _log_blocks(y)):
-        diff = xb - yb
-        total += wi * (diff.max() - diff.min())
-    return float(total)
+    return _hilbert_trace([x], y, b)[0]
 
 
 def thompson_metric(x: ProductVector, y: ProductVector, b) -> float:
     """Weighted Thompson metric on K_{++}: a genuine metric, zero iff x == y."""
     _check_same_shape(x, y)
-    _require_interior(x, "x")
-    _require_interior(y, "y")
+    _require_interior(x.flat, "x")
+    _require_interior(y.flat, "y")
     w = as_weight_vector(b, x.d)
-    total = 0.0
-    for wi, xb, yb in zip(w, _log_blocks(x), _log_blocks(y)):
-        diff = xb - yb
-        total += wi * max(diff.max(), -diff.min())
-    return float(total)
+    lo, hi = _log_ratio_extrema(x.flat, y.flat, x.shape)
+    return float(_weighted_sum(w, np.maximum(hi, -lo)))

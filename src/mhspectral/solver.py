@@ -51,7 +51,7 @@ from .cones import (
 )
 from .homogeneity import PerronStructureError, is_irreducible, spectral_radius, wielandt_bound
 from .maps import EigenPair, MapInstance, evaluate, has_kink, jacobian_at
-from .metrics import hilbert_metric
+from .metrics import _hilbert_trace, _log_ratio_extrema, _weighted_sum
 
 __all__ = [
     "ExpansiveMapError",
@@ -176,31 +176,23 @@ def _resolve_weights(F: MapInstance, weights, messages: list) -> np.ndarray:
     return b
 
 
-def _log_weighted_ratio_bounds(y: ProductVector, x: ProductVector, b: np.ndarray):
-    lo = hi = 0.0
-    for bi, yb, xb in zip(b, y.blocks, x.blocks):
-        with np.errstate(divide="ignore"):
-            diff = np.log(yb) - np.log(xb)
-        lo += bi * diff.min()
-        hi += bi * diff.max()
-    return lo, hi
-
-
 def _relative_residual_inf(y: ProductVector, lam: np.ndarray, x: ProductVector) -> float:
-    worst = 0.0
-    for li, yb, xb in zip(lam, y.blocks, x.blocks):
-        scale = float(np.max(np.abs(li * xb)))
-        if scale == 0.0:
-            return math.inf
-        worst = max(worst, float(np.max(np.abs(yb - li * xb))) / scale)
-    return worst
+    """max_i ||y_i - lam_i x_i||_inf / ||lam_i x_i||_inf, inf when some lam_i x_i is 0."""
+    lx = x.shape._spread(lam) * x.flat
+    starts = x.shape._starts
+    scale = np.maximum.reduceat(np.abs(lx), starts)
+    if (scale == 0.0).any():
+        return math.inf
+    # fmax skips a NaN block, as the max over blocks did
+    per_block = np.maximum.reduceat(np.abs(y.flat - lx), starts) / scale
+    return float(np.fmax.reduce(per_block, initial=0.0))
 
 
 def residual(F: MapInstance, x: ProductVector, lam, norms: NormSpec, floor: float = 1e-15) -> float:
     """Eigen-equation defect max_i ||F_i(x) - lam_i x_i|| / max(lam_i, floor)."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     y = evaluate(F, x)
-    defect = ProductVector([yb - li * xb for li, yb, xb in zip(lam, y.blocks, x.blocks)])
+    defect = ProductVector.from_flat(y.flat - x.shape._spread(lam) * x.flat, x.shape)
     norms_vec = block_norms(defect, norms)
     return float(np.max(norms_vec / np.maximum(lam, floor)))
 
@@ -218,9 +210,6 @@ def cw_bounds(F: MapInstance, x: ProductVector, b) -> tuple[float, float]:
     y = evaluate(F, x)
     log_lo = 0.0
     lo_zero = False
-    for yb, xb in zip(y.blocks, x.blocks):
-        if not np.any(xb > 0.0):
-            raise ValueError("x has a zero block")
     for wi, yb, xb in zip(w, y.blocks, x.blocks):
         mask = xb > 0.0
         ratios = yb[mask] / xb[mask]
@@ -273,8 +262,7 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
             messages.append(f"evaluation failed: {exc}")
             break
         iterations += 1
-        ycat = y.concat()
-        if not np.all(np.isfinite(ycat)):
+        if not np.isfinite(y.flat).all():
             status = DIVERGED
             messages.append("non-finite iterate")
             break
@@ -282,7 +270,8 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
             status = DIVERGED
             messages.append("iterate left the open cone")
             break
-        log_lo, log_hi = _log_weighted_ratio_bounds(y, x, b)
+        lo_i, hi_i = _log_ratio_extrema(y.flat, x.flat, y.shape)
+        log_lo, log_hi = _weighted_sum(b, lo_i), _weighted_sum(b, hi_i)
         trace.append((math.exp(log_lo), math.exp(log_hi)))
         lam = block_norms(y, norms)
         if log_hi - log_lo < cfg.tol:
@@ -335,8 +324,7 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
         and eigenpair is not None
         and eigenpair.x.is_pos()
     ):
-        u = eigenpair.x
-        mu = [hilbert_metric(xk, u, b) for xk in iterates]
+        mu = _hilbert_trace(iterates, eigenpair.x, b)
         report.metric_trace = mu
         bound0 = mu[0] / (1.0 - rate_bound)
         report.envelope_ok = all(
@@ -352,12 +340,12 @@ def _weighted_product(lam: np.ndarray, b: np.ndarray) -> float:
 
 
 def _inf_dist(x: ProductVector, y: ProductVector) -> float:
-    return max(float(np.max(np.abs(a - c))) for a, c in zip(x.blocks, y.blocks))
+    return float(np.maximum.reduce(np.abs(x.flat - y.flat)))
 
 
 def _cycle_average(vectors, norms) -> ProductVector:
-    blocks = [np.mean([v.blocks[i] for v in vectors], axis=0) for i in range(vectors[0].d)]
-    return normalize(ProductVector(blocks), norms)
+    mean = np.mean([v.flat for v in vectors], axis=0)
+    return normalize(ProductVector.from_flat(mean, vectors[0].shape), norms)
 
 
 def bonsall_estimate(F: MapInstance, x: ProductVector, b, m: int, norms: NormSpec) -> float:
@@ -377,7 +365,7 @@ def bonsall_estimate(F: MapInstance, x: ProductVector, b, m: int, norms: NormSpe
     cur = x
     for _ in range(m):
         y = evaluate(F, cur)
-        if not np.all(np.isfinite(y.concat())):
+        if not np.all(np.isfinite(y.flat)):
             raise ValueError("overflow despite renormalization")
         growth = weighted_norm_product(y, w, norms)
         if growth <= 0.0:

@@ -1,0 +1,423 @@
+"""The flat-buffer blockwise kernels against the per-block loops they replace.
+
+The reference routines below are the library's former implementations, one
+Python loop over the blocks each.  The kernels now run on ``ProductVector.flat``
+with ``np.repeat`` / ``ufunc.reduceat`` and a left-to-right weighted sum, and
+every output must equal the loop's to the last bit, signed zeros included,
+because reports print floats with 17 significant digits.
+"""
+
+import copy
+import math
+import pickle
+
+import numpy as np
+import pytest
+
+from mhspectral import (
+    NormSpec,
+    ProductVector,
+    ShapeSpec,
+    SolverConfig,
+    block_norms,
+    hilbert_metric,
+    motivating_map,
+    power_method,
+    ratio_extrema,
+    residual,
+    scale_blocks,
+    thompson_metric,
+)
+from mhspectral import maps, metrics, solver
+from mhspectral.maps import MapInstance, evaluate
+from mhspectral.metrics import POSITIVITY_FLOOR
+
+
+# ---------------------------------------------------------------------------
+# reference loops
+# ---------------------------------------------------------------------------
+
+
+def _ref_block_norm(sel, v):
+    kind, val = sel
+    av = np.abs(v)
+    if kind == "phi":
+        return float(np.dot(av, val))
+    if val == math.inf:
+        return float(av.max())
+    if val == 1.0:
+        return float(av.sum())
+    if val == 2.0:
+        return float(np.sqrt(np.dot(v, v)))
+    return float(np.sum(av**val) ** (1.0 / val))
+
+
+def _ref_block_norms(blocks, norms):
+    return np.array([_ref_block_norm(sel, blk) for sel, blk in zip(norms.selectors, blocks)])
+
+
+def _ref_scale_blocks(a, blocks):
+    return [a[i] * blk for i, blk in enumerate(blocks)]
+
+
+def _ref_predicates(blocks):
+    nonneg = all(b.min() >= 0.0 for b in blocks)
+    return {
+        "is_nonneg": nonneg,
+        "is_semipos": nonneg and all(b.max() > 0.0 for b in blocks),
+        "is_pos": all(b.min() > 0.0 for b in blocks),
+        "approx_pos": all(b.min() > 1e-14 for b in blocks),
+    }
+
+
+def _ref_log_weighted_ratio_bounds(yblocks, xblocks, b):
+    lo = hi = 0.0
+    for bi, yb, xb in zip(b, yblocks, xblocks):
+        with np.errstate(divide="ignore"):
+            diff = np.log(yb) - np.log(xb)
+        lo += bi * diff.min()
+        hi += bi * diff.max()
+    return lo, hi
+
+
+def _ref_ratio_extrema(xblocks, yblocks):
+    maxima, minima = [], []
+    for xb, yb in zip(xblocks, yblocks):
+        with np.errstate(divide="ignore"):
+            diff = np.log(xb) - np.log(yb)
+        maxima.append(np.exp(diff.max()))
+        minima.append(np.exp(diff.min()))
+    return np.array(maxima), np.array(minima)
+
+
+def _ref_metric(xblocks, yblocks, w, thompson):
+    total = 0.0
+    for wi, xb, yb in zip(w, xblocks, yblocks):
+        diff = np.log(xb) - np.log(yb)
+        total += wi * (max(diff.max(), -diff.min()) if thompson else diff.max() - diff.min())
+    return float(total)
+
+
+def _ref_relative_residual_inf(yblocks, lam, xblocks):
+    worst = 0.0
+    for li, yb, xb in zip(lam, yblocks, xblocks):
+        scale = float(np.max(np.abs(li * xb)))
+        if scale == 0.0:
+            return math.inf
+        worst = max(worst, float(np.max(np.abs(yb - li * xb))) / scale)
+    return worst
+
+
+def _ref_residual(F, x, lam, norms, floor=1e-15):
+    y = evaluate(F, x)
+    defect = [yb - li * xb for li, yb, xb in zip(lam, y.blocks, x.blocks)]
+    return float(np.max(_ref_block_norms(defect, norms) / np.maximum(lam, floor)))
+
+
+def _ref_cycle_average_blocks(vectors):
+    return [np.mean([v.blocks[i] for v in vectors], axis=0) for i in range(vectors[0].d)]
+
+
+def _ref_fd_jacobian(F, u, mode):
+    def perturbed(i, j, h):
+        blocks = [blk.copy() for blk in u.blocks]
+        blocks[i][j] += h
+        return ProductVector(blocks)
+
+    total = u.shape.total
+    f0 = evaluate(F, u).concat() if mode != "central" else None
+    J = np.empty((total, total))
+    col = 0
+    for i, blk in enumerate(u.blocks):
+        for j in range(blk.size):
+            h = maps._FD_STEP * max(1.0, abs(blk[j]))
+            h = min(h, 0.5 * blk[j]) if mode != "forward" else h
+            if mode == "central":
+                fp = evaluate(F, perturbed(i, j, h)).concat()
+                fm = evaluate(F, perturbed(i, j, -h)).concat()
+                J[:, col] = (fp - fm) / (2.0 * h)
+            elif mode == "forward":
+                J[:, col] = (evaluate(F, perturbed(i, j, h)).concat() - f0) / h
+            else:
+                J[:, col] = (f0 - evaluate(F, perturbed(i, j, -h)).concat()) / h
+            col += 1
+    return J
+
+
+# ---------------------------------------------------------------------------
+# seeded cases
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _random_shape(rng, d, uniform):
+    if uniform:
+        return ShapeSpec((int(rng.integers(1, 10)),) * d)
+    return ShapeSpec(tuple(int(n) for n in rng.integers(1, 10, d)))
+
+
+def _random_selectors(rng, shape):
+    sels = []
+    for n in shape.sizes:
+        pick = int(rng.integers(0, 5))
+        sels.append(rng.uniform(0.2, 3.0, n) if pick == 4 else [1.0, 2.0, 3.0, math.inf][pick])
+    return sels
+
+
+def _cases(seed=2018):
+    """(shape, rng) over d = 1..12, ragged and uniform block sizes 1..9."""
+    rng = np.random.default_rng(seed)
+    for d in range(1, 13):
+        for uniform in (True, False):
+            for _ in range(4):
+                yield _random_shape(rng, d, uniform), rng
+
+
+def _vector(rng, shape, low=0.05, high=3.0):
+    scale = 10.0 ** rng.uniform(-3, 3, shape.d)
+    return ProductVector([rng.uniform(low, high, n) * s for n, s in zip(shape.sizes, scale)])
+
+
+def _power_map(shape, a=0.5):
+    """F_i(x) = (x_{i+1 mod d} reversed, cycled to length n_i) ** a; A = a * cyclic shift."""
+    d = shape.d
+    A = np.zeros((d, d))
+    A[np.arange(d), (np.arange(d) + 1) % d] = a
+    perm = [(i + 1) % d for i in range(d)]
+
+    def ev(x):
+        blocks = x.blocks
+        return ProductVector([np.resize(blocks[perm[i]][::-1], n) ** a for i, n in enumerate(shape.sizes)])
+
+    return MapInstance(shape=shape, A=A, evaluator=ev, label="test-power")
+
+
+# ---------------------------------------------------------------------------
+# kernels
+# ---------------------------------------------------------------------------
+
+
+class TestBlockwiseKernels:
+    def test_block_norms(self):
+        for shape, rng in _cases():
+            x = ProductVector([rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3) for n in shape.sizes])
+            for norms in (NormSpec.euclidean(shape.d), NormSpec(_random_selectors(rng, shape))):
+                assert _same_bits(block_norms(x, norms), _ref_block_norms(x.blocks, norms))
+
+    def test_scale_blocks_and_add(self):
+        for shape, rng in _cases():
+            x, y = _vector(rng, shape), _vector(rng, shape)
+            a = rng.uniform(0.0, 3.0, shape.d)
+            want = _ref_scale_blocks(a, x.blocks)
+            assert _same_bits(scale_blocks(a, x).flat, np.concatenate(want))
+            assert _same_bits((x + y).flat, np.concatenate([p + q for p, q in zip(x.blocks, y.blocks)]))
+
+    def test_predicates(self):
+        for shape, rng in _cases():
+            blocks = [rng.uniform(-0.3, 1.0, n) for n in shape.sizes]
+            for _ in range(int(rng.integers(0, 3))):
+                i = int(rng.integers(0, shape.d))
+                blocks[i][int(rng.integers(0, shape.sizes[i]))] = rng.choice([0.0, -0.0, 1e-20])
+            if rng.random() < 0.3:
+                i = int(rng.integers(0, shape.d))
+                blocks[i] = np.zeros(shape.sizes[i])
+            if rng.random() < 0.5:
+                blocks = [np.abs(b) for b in blocks]
+            x = ProductVector(blocks)
+            got = {name: getattr(x, name)() for name in ("is_nonneg", "is_semipos", "is_pos", "approx_pos")}
+            assert got == _ref_predicates(x.blocks)
+
+    def test_log_ratio_bounds_and_ratio_extrema(self):
+        for shape, rng in _cases():
+            x, y = _vector(rng, shape), _vector(rng, shape)
+            b = rng.uniform(0.01, 1.0, shape.d)
+            lo_i, hi_i = metrics._log_ratio_extrema(y.flat, x.flat, y.shape)
+            ref_lo, ref_hi = _ref_log_weighted_ratio_bounds(y.blocks, x.blocks, b)
+            assert _same_bits(metrics._weighted_sum(b, lo_i), ref_lo)
+            assert _same_bits(metrics._weighted_sum(b, hi_i), ref_hi)
+            # a zero entry in x gives a -inf minimum
+            xz = ProductVector([np.where(rng.random(n) < 0.2, 0.0, blk) for n, blk in zip(shape.sizes, x.blocks)])
+            ext = ratio_extrema(xz, y)
+            ref_max, ref_min = _ref_ratio_extrema(xz.blocks, y.blocks)
+            assert _same_bits(ext.maxima, ref_max) and _same_bits(ext.minima, ref_min)
+
+    def test_hilbert_and_thompson(self):
+        for shape, rng in _cases():
+            x, y = _vector(rng, shape), _vector(rng, shape)
+            b = rng.uniform(0.01, 1.0, shape.d)
+            for got, thompson in ((hilbert_metric(x, y, b), False), (thompson_metric(x, y, b), True)):
+                want = _ref_metric(x.blocks, y.blocks, b, thompson)
+                assert type(got) is float and _same_bits(got, want)
+            assert _same_bits(thompson_metric(x, x, b), _ref_metric(x.blocks, x.blocks, b, True))
+            assert _same_bits(hilbert_metric(x, x, b), 0.0)
+
+    def test_weighted_sum_keeps_the_loops_zero_start(self):
+        # the loop starts from 0.0, so an all -0.0 sum is 0.0, not -0.0
+        out = metrics._weighted_sum(np.array([1.0, 2.0]), np.array([-0.0, -0.0]))
+        assert _same_bits(out, 0.0)
+
+    def test_relative_residual_and_residual(self):
+        for shape, rng in _cases():
+            F = _power_map(shape)
+            x, y = _vector(rng, shape), _vector(rng, shape)
+            lam = rng.uniform(0.1, 3.0, shape.d)
+            assert _same_bits(
+                solver._relative_residual_inf(y, lam, x), _ref_relative_residual_inf(y.blocks, lam, x.blocks)
+            )
+            for norms in (NormSpec.euclidean(shape.d), NormSpec(_random_selectors(rng, shape))):
+                assert _same_bits(residual(F, x, lam, norms), _ref_residual(F, x, lam, norms))
+            zero = lam.copy()
+            zero[int(rng.integers(0, shape.d))] = 0.0
+            assert solver._relative_residual_inf(y, zero, x) == math.inf
+
+    def test_inf_dist_and_cycle_average(self):
+        for shape, rng in _cases():
+            vs = [_vector(rng, shape) for _ in range(int(rng.integers(1, 5)))]
+            want = max(float(np.max(np.abs(a - c))) for a, c in zip(vs[0].blocks, vs[-1].blocks))
+            assert _same_bits(solver._inf_dist(vs[0], vs[-1]), want)
+            norms = NormSpec.euclidean(shape.d)
+            ref_blocks = _ref_cycle_average_blocks(vs)
+            ref_norms = _ref_block_norms(ref_blocks, norms)
+            want = np.concatenate(_ref_scale_blocks(1.0 / ref_norms, ref_blocks))
+            assert _same_bits(solver._cycle_average(vs, norms).flat, want)
+
+    def test_envelope_trace(self):
+        for shape, rng in _cases():
+            xs = [_vector(rng, shape) for _ in range(int(rng.integers(1, 6)))]
+            u = _vector(rng, shape)
+            b = rng.uniform(0.01, 1.0, shape.d)
+            want = [_ref_metric(x.blocks, u.blocks, b, False) for x in xs]
+            got = metrics._hilbert_trace(xs, u, b)
+            assert all(type(v) is float for v in got)
+            assert _same_bits(got, want)
+
+    def test_envelope_trace_of_a_solve(self):
+        F = motivating_map()
+        rep = power_method(F, None, SolverConfig(norms=NormSpec.euclidean(2)))
+        assert rep.envelope_ok
+        u, b = rep.eigenpair.x, rep.weights
+        assert _same_bits(rep.metric_trace, [_ref_metric(x.blocks, u.blocks, b, False) for x in rep.iterates])
+
+    def test_envelope_trace_checks_interior_in_call_order(self):
+        # the same first error as one hilbert_metric(x, u, b) call per iterate
+        good = ProductVector([[1.0, 2.0], [1.0]])
+        tiny = ProductVector([[1.0, POSITIVITY_FLOOR], [1.0]])
+        with pytest.raises(ValueError, match="^x must"):
+            metrics._hilbert_trace([tiny, good], tiny, [1.0, 1.0])
+        with pytest.raises(ValueError, match="^y must"):
+            metrics._hilbert_trace([good, tiny], tiny, [1.0, 1.0])
+        with pytest.raises(ValueError, match="^x must"):
+            metrics._hilbert_trace([good, tiny], good, [1.0, 1.0])
+
+    def test_finite_difference_jacobians(self):
+        rng = np.random.default_rng(11)
+        for sizes in ((3,), (2, 2), (1, 4, 2), (3, 3, 3)):
+            shape = ShapeSpec(sizes)
+            F = _power_map(shape, a=0.7)
+            u = _vector(rng, shape, 0.2, 2.0)
+            for mode in ("central", "forward", "backward"):
+                assert _same_bits(maps._fd_jacobian(F, u, mode), _ref_fd_jacobian(F, u, mode))
+        F = maps.max_example_map(0.3)
+        u = ProductVector([[1.0, 0.5, 0.3]])
+        for mode in ("central", "forward", "backward"):
+            assert _same_bits(maps._fd_jacobian(F, u, mode), _ref_fd_jacobian(F, u, mode))
+
+
+# ---------------------------------------------------------------------------
+# storage
+# ---------------------------------------------------------------------------
+
+
+class TestFlatStorage:
+    def test_blocks_are_read_only_views_of_one_buffer(self):
+        for sizes in ((3,), (2, 3), (1, 1, 4)):
+            x = ProductVector([np.arange(n, dtype=float) + 1.0 for n in sizes])
+            assert x.flat.flags.c_contiguous and not x.flat.flags.writeable
+            assert x.shape == ShapeSpec(sizes) and x.d == len(sizes)
+            for blk in x.blocks:
+                assert not blk.flags.writeable
+                assert blk is x.flat or blk.base is x.flat
+                with pytest.raises(ValueError):
+                    blk[0] = 7.0
+            with pytest.raises(AttributeError):
+                x.flat = np.zeros(sum(sizes))
+
+    def test_constructor_and_from_flat_copy_their_input(self):
+        src = [np.array([1.0, 2.0]), np.array([3.0])]
+        x = ProductVector(src)
+        src[0][0] = 99.0
+        assert x.blocks[0][0] == 1.0
+        single = np.array([1.0, 2.0])
+        y = ProductVector([single])
+        single[0] = 99.0
+        assert y.flat[0] == 1.0
+        buf = np.array([1.0, 2.0, 3.0])
+        z = ProductVector.from_flat(buf, ShapeSpec((2, 1)))
+        buf[0] = 99.0
+        assert z.flat[0] == 1.0
+
+    def test_concat_returns_a_copy(self):
+        x = ProductVector([[1.0, 2.0], [3.0]])
+        out = x.concat()
+        out[0] = 99.0
+        assert x.flat[0] == 1.0 and x.blocks[0][0] == 1.0
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        x = ProductVector([[1.0, 2.0], [3.0]])
+        norms = NormSpec([2, [0.5, 1.5], math.inf])
+        for clone in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert clone == x and clone.shape == x.shape and not clone.flat.flags.writeable
+        for clone in (pickle.loads(pickle.dumps(norms)), copy.deepcopy(norms)):
+            assert repr(clone) == repr(norms)
+            assert _same_bits(block_norms(ProductVector([[3.0, 4.0], [1.0, 1.0], [2.0]]), clone), [5.0, 2.0, 2.0])
+        rep = power_method(motivating_map(), None, SolverConfig(norms=NormSpec.euclidean(2)))
+        again = pickle.loads(pickle.dumps(rep))
+        assert again.eigenpair.x == rep.eigenpair.x and again.iterates == rep.iterates
+
+    def test_equal_vectors_hash_equal(self):
+        x, y = ProductVector([[0.0, 1.0]]), ProductVector([[-0.0, 1.0]])
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+        assert ProductVector([[1.0], [2.0]]) != ProductVector([[1.0, 2.0]])
+
+
+class TestKernelProperties:
+    """The same identities on hypothesis-drawn shapes, selectors and values."""
+
+    def test_kernels_match_the_loops(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        sel = st.one_of(st.sampled_from([1.0, 2.0, 3.0, math.inf]), st.just("phi"))
+        positive = st.floats(1e-3, 1e3)
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(
+            st.lists(st.tuples(st.integers(1, 9), sel), min_size=1, max_size=12),
+            st.data(),
+        )
+        def check(blocks, data):
+            sizes = [n for n, _ in blocks]
+            vals = lambda: [data.draw(st.lists(positive, min_size=n, max_size=n)) for n in sizes]
+            x, y = ProductVector(vals()), ProductVector(vals())
+            b = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(sizes), max_size=len(sizes))))
+            selectors = [np.ones(n) if s == "phi" else s for n, s in blocks]
+            for norms in (NormSpec(selectors), NormSpec.euclidean(len(sizes))):
+                assert _same_bits(block_norms(x, norms), _ref_block_norms(x.blocks, norms))
+            assert _same_bits(scale_blocks(b, x).flat, np.concatenate(_ref_scale_blocks(b, x.blocks)))
+            lo_i, hi_i = metrics._log_ratio_extrema(y.flat, x.flat, x.shape)
+            ref_lo, ref_hi = _ref_log_weighted_ratio_bounds(y.blocks, x.blocks, b)
+            assert _same_bits([metrics._weighted_sum(b, lo_i), metrics._weighted_sum(b, hi_i)], [ref_lo, ref_hi])
+            assert _same_bits(hilbert_metric(x, y, b), _ref_metric(x.blocks, y.blocks, b, False))
+            assert _same_bits(thompson_metric(x, y, b), _ref_metric(x.blocks, y.blocks, b, True))
+            assert _same_bits(
+                solver._relative_residual_inf(y, b, x), _ref_relative_residual_inf(y.blocks, b, x.blocks)
+            )
+            assert _same_bits(metrics._hilbert_trace([x, y], y, b), [
+                _ref_metric(x.blocks, y.blocks, b, False), _ref_metric(y.blocks, y.blocks, b, False)
+            ])
+
+        check()

@@ -471,6 +471,15 @@ class TestHomogeneityAnalysisReuse:
         assert rep.rate_bound == F.analysis.rho
         assert cert.kind == "contraction"
 
+    def test_continuation_measures_rho_of_A_once(self, monkeypatch):
+        from mhspectral.cli import run_solve
+
+        seen = self._count_radius_of(monkeypatch, motivating_map().A)
+        code, rep = run_solve({"map": {"family": "motivating"}, "solver": {"method": "continuation"}})
+        assert code == 0 and len(rep["delta_trace"]) > 20
+        # every shifted map of the schedule shares the base map's analysis
+        assert len(seen) == 1
+
     def test_explicit_weights_run_no_weight_search(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("weight search ran for explicit weights")
