@@ -88,7 +88,12 @@ def _encode(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [pad_in + _encode(v, indent, level + 1) for v in obj]
+        # plain floats (bracket pairs, say) are formatted in place, not
+        # through one more call each
+        items = [
+            pad_in + (_format_float(v) if type(v) is float else _encode(v, indent, level + 1))
+            for v in obj
+        ]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -387,8 +392,9 @@ def run_solve(doc: dict) -> tuple[int, dict]:
     except (solvermod.ExpansiveMapError, PerronStructureError, ValueError) as exc:
         raise InstanceError(f"solver hypothesis failed: {exc}") from exc
     log.info("%s: %s after %d iterations", inst.map.label, rep.status, rep.iterations)
-    for k, (lo, hi) in enumerate(rep.bracket_trace):
-        log.debug("iter %d bracket [%.17g, %.17g]", k, lo, hi)
+    if log.isEnabledFor(logging.DEBUG):
+        for k, (lo, hi) in enumerate(rep.bracket_trace):
+            log.debug("iter %d bracket [%.17g, %.17g]", k, lo, hi)
     cert = None
     if rep.eigenpair is not None and rep.status in (
         solvermod.CONVERGED,

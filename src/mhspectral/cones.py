@@ -54,11 +54,16 @@ class ShapeSpec:
             raise ValueError(f"block sizes must be positive, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
 
-    @property
+    # ``d`` and ``total`` are read several times per solver iteration; like the
+    # layout caches below they are computed once per instance
+    # (``cached_property`` writes the instance dict directly, so the frozen
+    # dataclass allows it).
+
+    @functools.cached_property
     def d(self) -> int:
         return len(self.sizes)
 
-    @property
+    @functools.cached_property
     def total(self) -> int:
         return sum(self.sizes)
 
@@ -70,8 +75,7 @@ class ShapeSpec:
         """Slices of each block inside the flattened length-``total`` layout."""
         return list(self._slices)
 
-    # Layout caches, computed once per instance (``cached_property`` writes the
-    # instance dict directly, so the frozen dataclass allows it).
+    # Layout caches, computed once per instance.
 
     @functools.cached_property
     def _slices(self) -> tuple[slice, ...]:
@@ -337,7 +341,10 @@ def matrix_power_scale(alpha, B) -> np.ndarray:
     Computed as exp(B @ log alpha) to stay stable for extreme fractional
     exponents.  Zero bases follow the 0^0 = 1 convention (forced by continuity
     of multi-homogeneity at the boundary); a zero base under a negative
-    exponent is rejected.
+    exponent is rejected.  The argument checks run here, on every call;
+    callers that validated B once and pass nonnegative scalings of the right
+    length (the delta-shift, per evaluation) call the kernel
+    ``_power_scale`` directly.
     """
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
@@ -345,11 +352,20 @@ def matrix_power_scale(alpha, B) -> np.ndarray:
     a = _as_scaling(alpha, B.shape[0])
     if np.any(a < 0.0):
         raise ValueError("scaling entries must be nonnegative")
-    if np.all(a > 0.0):
+    if np.any(B[:, a == 0.0] < 0.0):
+        raise ValueError("zero base with negative exponent")
+    return _power_scale(a, B)
+
+
+def _power_scale(a: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """exp(B @ log a) with 0^0 = 1, for a float d x d ``B`` and a length-d ``a``.
+
+    No checks: ``a`` must be nonnegative and no zero entry of ``a`` may meet a
+    negative exponent (see ``matrix_power_scale``).
+    """
+    if np.minimum.reduce(a) > 0.0:
         return np.exp(B @ np.log(a))
     zero = a == 0.0
-    if np.any(B[:, zero] < 0.0):
-        raise ValueError("zero base with negative exponent")
     log_a = np.where(zero, 0.0, np.log(np.where(zero, 1.0, a)))
     out = np.exp(B @ log_a)
     out[(B[:, zero] > 0.0).any(axis=1)] = 0.0
@@ -358,14 +374,18 @@ def matrix_power_scale(alpha, B) -> np.ndarray:
 
 def block_norms(x: ProductVector, norms: NormSpec) -> np.ndarray:
     """Vector of per-block norms (||x_1||_{g_1}, ..., ||x_d||_{g_d})."""
-    if norms.d != x.d:
+    shape = x.shape
+    d = shape.d
+    if norms.d != d:
         raise ValueError("norm spec block count does not match the vector")
-    n = x.shape._uniform
-    if norms._euclidean and n is not None and x.d > 1:
+    if d == 1:
+        return np.array([norms.block_norm(0, x.flat)])
+    n = shape._uniform
+    if norms._euclidean and n is not None:
         # one stacked (1 x n) @ (n x 1) product per block: numpy computes each
         # with the same dot kernel as np.dot, so the norms match the per-block
         # loop to the last bit (a summing reduction would not)
-        X = x.flat.reshape(x.d, n)
+        X = x.flat.reshape(d, n)
         return np.sqrt(np.matmul(X[:, None, :], X[:, :, None]).ravel())
     return np.array([norms.block_norm(i, blk) for i, blk in enumerate(x.blocks)])
 

@@ -30,6 +30,8 @@ from .cones import (
     NormSpec,
     ProductVector,
     ShapeSpec,
+    _power_scale,
+    _shape_of,
     _wrap,
     block_norms,
     matrix_power_scale,
@@ -142,7 +144,7 @@ class VerificationReport:
 
 def evaluate(F: MapInstance, x: ProductVector) -> ProductVector:
     """Apply the map after validating membership in its domain."""
-    if x.shape != F.shape:
+    if x.shape is not F.shape and x.shape != F.shape:
         raise ValueError(f"shape mismatch: map {F.shape.sizes}, vector {x.shape.sizes}")
     if F.domain == "interior":
         if not x.is_pos():
@@ -182,10 +184,11 @@ def linear_map(M) -> MapInstance:
         raise ValueError("zero row: the map would collapse the open cone")
     M.setflags(write=False)
     n = M.shape[0]
+    shape = _shape_of((n,))
     return MapInstance(
-        shape=ShapeSpec((n,)),
+        shape=shape,
         A=[[1.0]],
-        evaluator=lambda x: ProductVector([M @ x.blocks[0]]),
+        evaluator=lambda x: _wrap(M @ x.flat, shape),
         jacobian=lambda x: M.copy(),
         label=f"linear(n={n})",
         edge_oracle=_linear_edges(M),
@@ -235,10 +238,11 @@ def singular_map(M) -> MapInstance:
     """
     M = _check_rect(M)
     m, n = M.shape
+    shape = _shape_of((m, n))
 
     def ev(z):
-        x, y = z.blocks
-        return ProductVector([M @ y, M.T @ x])
+        x, y = z.flat[:m], z.flat[m:]
+        return _wrap(np.concatenate((M @ y, M.T @ x)), shape)
 
     def jac(z):
         J = np.zeros((m + n, m + n))
@@ -247,7 +251,7 @@ def singular_map(M) -> MapInstance:
         return J
 
     return MapInstance(
-        shape=ShapeSpec((m, n)),
+        shape=shape,
         A=[[0.0, 1.0], [1.0, 0.0]],
         evaluator=ev,
         jacobian=jac,
@@ -267,11 +271,12 @@ def pq_singular_map(M, p: float, q: float) -> MapInstance:
         raise ValueError("pq_singular_map needs p > 1 and q > 1")
     M = _check_rect(M)
     m, n = M.shape
+    shape = _shape_of((m, n))
     sp, sq = 1.0 / (p - 1.0), 1.0 / (q - 1.0)
 
     def ev(z):
-        x, y = z.blocks
-        return ProductVector([(M @ y) ** sp, (M.T @ x) ** sq])
+        x, y = z.flat[:m], z.flat[m:]
+        return _wrap(np.concatenate(((M @ y) ** sp, (M.T @ x) ** sq)), shape)
 
     def jac(z):
         x, y = z.blocks
@@ -282,7 +287,7 @@ def pq_singular_map(M, p: float, q: float) -> MapInstance:
         return J
 
     return MapInstance(
-        shape=ShapeSpec((m, n)),
+        shape=shape,
         A=[[0.0, sp], [sq, 0.0]],
         evaluator=ev,
         jacobian=jac,
@@ -326,10 +331,11 @@ def tensor_eigen_map(T, p: float) -> MapInstance:
         if not np.any(T[j] > 0.0):
             raise ValueError(f"degenerate slice {j}: zero image of the positive cone")
     T.setflags(write=False)
+    shape = _shape_of((n,))
     s = 1.0 / (p - 1.0)
 
     def ev(x):
-        return ProductVector([_tensor_contract(T, x.blocks[0]) ** s])
+        return _wrap(_tensor_contract(T, x.flat) ** s, shape)
 
     def jac(x):
         v = x.blocks[0]
@@ -347,7 +353,7 @@ def tensor_eigen_map(T, p: float) -> MapInstance:
         dual_edges.extend(((0, j), (0, r)) for r in everywhere)
 
     return MapInstance(
-        shape=ShapeSpec((n,)),
+        shape=shape,
         A=[[(m - 1) * s]],
         evaluator=ev,
         jacobian=jac,
@@ -674,7 +680,11 @@ def shifted(F: MapInstance, delta: float, norms: NormSpec) -> MapInstance:
     """The delta-shift F(x) + delta * (||x_1||, ..., ||x_d||)^A (x) 1.
 
     Keeps the homogeneity matrix of F, maps K_{+,0} into K_{++}, and reduces
-    to F + delta * 1 on the unit slice S_+.
+    to F + delta * 1 on the unit slice S_+.  A, delta and the norms are
+    checked here, once: A is F's validated nonnegative matrix and block norms
+    are nonnegative, so each evaluation raises the norms to A through the
+    unchecked kernel of ``matrix_power_scale`` (a zero norm still takes its
+    0^0 = 1 branch).
     """
     delta = float(delta)
     if not delta > 0.0:
@@ -685,7 +695,7 @@ def shifted(F: MapInstance, delta: float, norms: NormSpec) -> MapInstance:
 
     def ev(x):
         y = F.evaluator(x)
-        shift = delta * matrix_power_scale(block_norms(x, norms), A)
+        shift = delta * _power_scale(block_norms(x, norms), A)
         return _wrap(y.flat + y.shape._spread(shift), y.shape)
 
     G = MapInstance(

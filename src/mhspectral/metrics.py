@@ -67,6 +67,20 @@ def _weighted_sum(w: np.ndarray, v: np.ndarray):
     return np.add.accumulate((w * v).T)[-1] + 0.0
 
 
+def _log_bracket(y: np.ndarray, x: np.ndarray, shape: ShapeSpec, w: np.ndarray):
+    """(sum_i w_i min_i, sum_i w_i max_i) of log(y) - log(x).
+
+    The log Collatz-Wielandt bracket of one power step, for flat buffers laid
+    out as ``shape``.  The weighted extrema are formed in place and each end
+    is added left to right, so it equals ``_weighted_sum`` of the same
+    extrema to the last bit.
+    """
+    lo, hi = _log_ratio_extrema(y, x, shape)
+    lo *= w
+    hi *= w
+    return np.add.accumulate(lo)[-1] + 0.0, np.add.accumulate(hi)[-1] + 0.0
+
+
 def _hilbert_trace(xs, y: ProductVector, b) -> list[float]:
     """[hilbert_metric(x, y, b) for x in xs] in one 2-D pass over the stacked xs.
 

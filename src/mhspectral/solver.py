@@ -42,16 +42,16 @@ from .cones import (
     NormSpec,
     ProductVector,
     ShapeSpec,
+    _wrap,
     as_weight_vector,
     block_norms,
     normalize,
     ones_vector,
-    scale_blocks,
     weighted_norm_product,
 )
 from .homogeneity import PerronStructureError, is_irreducible, spectral_radius, wielandt_bound
 from .maps import EigenPair, MapInstance, evaluate, has_kink, jacobian_at
-from .metrics import _hilbert_trace, _log_ratio_extrema, _weighted_sum
+from .metrics import _hilbert_trace, _log_bracket
 
 __all__ = [
     "ExpansiveMapError",
@@ -197,12 +197,20 @@ def residual(F: MapInstance, x: ProductVector, lam, norms: NormSpec, floor: floa
     return float(np.max(norms_vec / np.maximum(lam, floor)))
 
 
+def _exp(v: float) -> float:
+    """math.exp, but +inf where the result lies beyond the double range."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
 def cw_bounds(F: MapInstance, x: ProductVector, b) -> tuple[float, float]:
     """Collatz-Wielandt bracket (lower, upper) of r_b at the test vector x.
 
     The lower bound restricts the per-block minima to the support of x and is
     finite on all of K_{+,0}; the upper bound needs x strictly positive and is
-    reported as +inf otherwise.
+    reported as +inf otherwise.  A bound beyond the double range is +inf.
     """
     w = as_weight_vector(b, F.shape.d)
     if not x.is_semipos():
@@ -218,12 +226,12 @@ def cw_bounds(F: MapInstance, x: ProductVector, b) -> tuple[float, float]:
             lo_zero = True
         else:
             log_lo += wi * math.log(m)
-    lower = 0.0 if lo_zero else float(math.exp(log_lo))
+    lower = 0.0 if lo_zero else _exp(log_lo)
     if x.is_pos():
         log_hi = 0.0
         for wi, yb, xb in zip(w, y.blocks, x.blocks):
             log_hi += wi * math.log(float(np.max(yb / xb)))
-        upper = float(math.exp(log_hi))
+        upper = _exp(log_hi)
     else:
         upper = math.inf
     return lower, upper
@@ -262,17 +270,16 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
             messages.append(f"evaluation failed: {exc}")
             break
         iterations += 1
-        if not np.isfinite(y.flat).all():
+        yf = y.flat
+        # finite and strictly positive in one min/max pass; the diagnostics
+        # below run only on failure and keep their order (NaN before zero)
+        if not (np.minimum.reduce(yf) > 0.0 and np.maximum.reduce(yf) < math.inf):
             status = DIVERGED
-            messages.append("non-finite iterate")
+            finite = np.isfinite(yf).all()
+            messages.append("iterate left the open cone" if finite else "non-finite iterate")
             break
-        if not y.is_pos():
-            status = DIVERGED
-            messages.append("iterate left the open cone")
-            break
-        lo_i, hi_i = _log_ratio_extrema(y.flat, x.flat, y.shape)
-        log_lo, log_hi = _weighted_sum(b, lo_i), _weighted_sum(b, hi_i)
-        trace.append((math.exp(log_lo), math.exp(log_hi)))
+        log_lo, log_hi = _log_bracket(yf, x.flat, y.shape, b)
+        trace.append((_exp(log_lo), _exp(log_hi)))
         lam = block_norms(y, norms)
         if log_hi - log_lo < cfg.tol:
             res = _relative_residual_inf(y, lam, x)
@@ -294,7 +301,8 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
                         status, res_val = BRACKET_CONVERGED_CYCLING, res_c
                         messages.append("period-2 cycling averaged out")
                         break
-        x = scale_blocks(1.0 / lam, y)
+        # lam holds one norm per block of y, the length a scaling needs
+        x = _wrap(y.shape._spread(1.0 / lam) * yf, y.shape)
         recent.append(x)
         if cfg.keep_iterates:
             iterates.append(x)

@@ -205,6 +205,39 @@ class TestSolve:
         assert code == 0
         assert "delta_trace" in rep and len(rep["delta_trace"]) >= 10
 
+    def test_bracket_beyond_the_double_range_is_infinity(self):
+        # weight 800 on a 1e10 ratio: exp(800 * ln 1e10) overflows a double
+        doc = {
+            "map": {"family": "linear", "params": {"matrix": [[1, 1], [1, 1]]}},
+            "weights": [800],
+            "solver": {"x0": [[1, 1e-10]]},
+        }
+        code, rep = run_solve(doc)
+        assert code == 0 and rep["status"] == "converged"
+        assert rep["bracket_trace"][0][1] == math.inf
+        text = dump_json(rep)
+        assert "Infinity" in text and json.loads(text)["bracket_trace"][0][1] == math.inf
+
+    def test_bracket_trace_logged_only_when_debug_is_on(self, monkeypatch):
+        import logging
+
+        from mhspectral import cli
+
+        calls = []
+        monkeypatch.setattr(cli.log, "debug", lambda *a: calls.append(a))
+        level = cli.log.level
+        try:
+            cli.log.setLevel(logging.ERROR)
+            assert run_solve(copy.deepcopy(MOTIVATING_DOC))[0] == 0
+            assert calls == []
+            cli.log.setLevel(logging.DEBUG)
+            code, rep = run_solve(copy.deepcopy(MOTIVATING_DOC))
+        finally:
+            cli.log.setLevel(level)
+        assert len(calls) == len(rep["bracket_trace"]) > 0
+        assert calls[0][1:] == (0, *rep["bracket_trace"][0])
+
+
 class TestGraphCommand:
     def test_nonirr_verdicts(self):
         code, rep = run_graph({"map": {"family": "nonirr", "params": {}}})
@@ -307,6 +340,21 @@ class TestMainEntry:
             monkeypatch.setenv("MHSPECTRAL_LOG", level)
             assert main(["analyze", inst]) == 0
             capsys.readouterr()
+
+    def test_float_lists_print_like_single_floats(self):
+        import numpy as np
+
+        vals = [0.1, -0.0, 0.0, 1e-300, 5e-324, 1.7976931348623157e308]
+        vals += [math.inf, -math.inf, math.nan, 2.0**0.5]
+        # plain floats are formatted in place, numpy floats through the
+        # recursive call: both must print the same, in lists and tuples
+        fast = dump_json(vals)
+        assert dump_json([np.float64(v) for v in vals]) == fast
+        assert dump_json(vals + [1]) == fast[: -3] + ",\n  1\n]\n"
+        assert dump_json(tuple(vals)) == fast
+        assert fast.splitlines()[1:4] == ["  0.10000000000000001,", "  -0,", "  0,"]
+        assert fast.splitlines()[7:10] == ["  Infinity,", "  -Infinity,", "  NaN,"]
+        assert dump_json({"t": [[1.5, 2.5]]}) == '{\n  "t": [\n    [\n      1.5,\n      2.5\n    ]\n  ]\n}\n'
 
     def test_17_digit_floats_round_trip(self):
         values = {"a": 2 ** (5 / 16), "b": 0.1 + 0.2, "c": 1.0 / 3.0}

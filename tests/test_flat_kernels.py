@@ -4,7 +4,10 @@ The reference routines below are the library's former implementations, one
 Python loop over the blocks each.  The kernels now run on ``ProductVector.flat``
 with ``np.repeat`` / ``ufunc.reduceat`` and a left-to-right weighted sum, and
 every output must equal the loop's to the last bit, signed zeros included,
-because reports print floats with 17 significant digits.
+because reports print floats with 17 significant digits.  The same holds for
+one step of the power iteration against its former form (checked evaluator
+outputs, a checked ``matrix_power_scale`` per shifted evaluation, two weighted
+sums and a checked rescale).
 """
 
 import copy
@@ -15,17 +18,25 @@ import numpy as np
 import pytest
 
 from mhspectral import (
+    DeltaSchedule,
     NormSpec,
     ProductVector,
     ShapeSpec,
     SolverConfig,
     block_norms,
+    delta_continuation,
     hilbert_metric,
+    linear_map,
+    matrix_power_scale,
     motivating_map,
     power_method,
+    pq_singular_map,
     ratio_extrema,
     residual,
     scale_blocks,
+    shifted,
+    singular_map,
+    tensor_eigen_map,
     thompson_metric,
 )
 from mhspectral import maps, metrics, solver
@@ -142,6 +153,94 @@ def _ref_fd_jacobian(F, u, mode):
                 J[:, col] = (f0 - evaluate(F, perturbed(i, j, -h)).concat()) / h
             col += 1
     return J
+
+
+# the former power-iteration step: constructor-built evaluator outputs, a
+# checked matrix_power_scale per shifted evaluation, two weighted sums and a
+# checked rescale
+
+
+def _former_builtin_evaluator(kind, M, p=None, q=None):
+    if kind == "linear":
+        return lambda x: ProductVector([M @ x.blocks[0]])
+    if kind == "singular":
+        return lambda z: ProductVector([M @ z.blocks[1], M.T @ z.blocks[0]])
+    if kind == "pq_singular":
+        sp, sq = 1.0 / (p - 1.0), 1.0 / (q - 1.0)
+        return lambda z: ProductVector([(M @ z.blocks[1]) ** sp, (M.T @ z.blocks[0]) ** sq])
+    s = 1.0 / (p - 1.0)
+    return lambda x: ProductVector([maps._tensor_contract(M, x.blocks[0]) ** s])
+
+
+def _former_matrix_power_scale(alpha, B):
+    B = np.asarray(B, dtype=float)
+    a = np.atleast_1d(np.asarray(alpha, dtype=float))
+    if np.any(a < 0.0):
+        raise ValueError("scaling entries must be nonnegative")
+    if np.all(a > 0.0):
+        return np.exp(B @ np.log(a))
+    zero = a == 0.0
+    if np.any(B[:, zero] < 0.0):
+        raise ValueError("zero base with negative exponent")
+    log_a = np.where(zero, 0.0, np.log(np.where(zero, 1.0, a)))
+    out = np.exp(B @ log_a)
+    out[(B[:, zero] > 0.0).any(axis=1)] = 0.0
+    return out
+
+
+def _former_map(F, evaluator):
+    """F's structure with the former evaluator."""
+    return MapInstance(shape=F.shape, A=F.A, evaluator=evaluator, label="former", domain=F.domain)
+
+
+def _former_shifted(F, delta, norms):
+    def ev(x):
+        y = F.evaluator(x)
+        shift = delta * _former_matrix_power_scale(_ref_block_norms(x.blocks, norms), F.A)
+        return ProductVector([yb + si for yb, si in zip(y.blocks, shift)])
+
+    return _former_map(F, ev)
+
+
+def _former_normalize(x, norms):
+    return ProductVector(_ref_scale_blocks(1.0 / _ref_block_norms(x.blocks, norms), x.blocks))
+
+
+def _former_step(F, x, b, norms):
+    """(y, log_lo, log_hi, lam, next x) of one iteration as the loop used to do it."""
+    y = evaluate(F, x)
+    lo_i, hi_i = metrics._log_ratio_extrema(y.flat, x.flat, y.shape)
+    log_lo, log_hi = metrics._weighted_sum(b, lo_i), metrics._weighted_sum(b, hi_i)
+    lam = _ref_block_norms(y.blocks, norms)
+    return y, log_lo, log_hi, lam, scale_blocks(1.0 / lam, y)
+
+
+def _former_iterates(F, x0, b, norms, k):
+    xs, trace = [_former_normalize(x0, norms)], []
+    for _ in range(k):
+        _, log_lo, log_hi, _, x = _former_step(F, xs[-1], b, norms)
+        trace.append((math.exp(log_lo), math.exp(log_hi)))
+        xs.append(x)
+    return xs, trace
+
+
+def _former_continuation(F, norms, b, schedule, tol, max_iter):
+    """delta_continuation's path through the former step (no cycle averaging)."""
+    x, delta_trace = ProductVector([np.ones(n) for n in F.shape.sizes]), []
+    for delta in schedule.values():
+        Fd = _former_shifted(F, delta, norms)
+        inner_tol = min(1e-3, max(tol, tol * delta / schedule.floor, 1e-13))
+        x, trace = _former_normalize(x, norms), []
+        for _ in range(max_iter):
+            y, log_lo, log_hi, lam, x_next = _former_step(Fd, x, b, norms)
+            trace.append((math.exp(log_lo), math.exp(log_hi)))
+            if log_hi - log_lo < inner_tol and solver._relative_residual_inf(y, lam, x) < 10.0 * inner_tol:
+                break
+            x = x_next
+        else:
+            raise AssertionError("the reference inner solve did not converge")
+        delta_trace.append((delta, float(np.exp(np.dot(b, np.log(lam))))))
+    return x, lam, trace, delta_trace
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +424,125 @@ class TestBlockwiseKernels:
         u = ProductVector([[1.0, 0.5, 0.3]])
         for mode in ("central", "forward", "backward"):
             assert _same_bits(maps._fd_jacobian(F, u, mode), _ref_fd_jacobian(F, u, mode))
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _step_cases(seed=1805):
+    """(new map, former map, norms, start) with d = 1, 2 and 60, each also delta-shifted."""
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        n, m = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+        M, R = rng.uniform(0.05, 2.0, (n, n)), rng.uniform(0.05, 2.0, (n, m))
+        T, p, q = rng.uniform(0.05, 2.0, (n, n, n)), rng.uniform(1.5, 4.0), rng.uniform(1.5, 4.0)
+        pairs = [
+            (linear_map(M), _former_builtin_evaluator("linear", M)),
+            (tensor_eigen_map(T, p), _former_builtin_evaluator("tensor", T, p)),
+            (singular_map(R), _former_builtin_evaluator("singular", R)),
+            (pq_singular_map(R, p, q), _former_builtin_evaluator("pq_singular", R, p, q)),
+        ]
+        for sizes in ((3,) * 60, tuple(int(k) for k in rng.integers(1, 6, 60))):
+            F = _power_map(ShapeSpec(sizes), a=float(rng.uniform(0.3, 0.9)))
+            pairs.append((F, F.evaluator))
+        for F, former_ev in pairs:
+            G = _former_map(F, former_ev)
+            for norms in (NormSpec.euclidean(F.shape.d), NormSpec(_random_selectors(rng, F.shape))):
+                x0 = _vector(rng, F.shape)
+                yield F, G, norms, x0
+                delta = float(10.0 ** rng.uniform(-6, 0))
+                yield shifted(F, delta, norms), _former_shifted(G, delta, norms), norms, x0
+
+
+class TestLeanIterationStep:
+    """One power_method iteration against the former step, bit for bit."""
+
+    def test_builtin_and_shifted_evaluations(self):
+        for F, G, norms, x0 in _step_cases():
+            x = _former_normalize(x0, norms)
+            got, want = evaluate(F, x), evaluate(G, x)
+            assert got.shape == want.shape and _same_bits(got.flat, want.flat)
+            assert not got.flat.flags.writeable
+
+    def test_log_bracket(self):
+        for shape, rng in _cases():
+            x, y = _vector(rng, shape), _vector(rng, shape)
+            b = rng.uniform(0.01, 1.0, shape.d)
+            want = _ref_log_weighted_ratio_bounds(y.blocks, x.blocks, b)
+            lo_i, hi_i = metrics._log_ratio_extrema(y.flat, x.flat, shape)
+            former = (metrics._weighted_sum(b, lo_i), metrics._weighted_sum(b, hi_i))
+            got = metrics._log_bracket(y.flat, x.flat, shape, b)
+            assert _same_bits(got, want) and _same_bits(got, former)
+        # the loop's 0.0 start: all -0.0 terms sum to 0.0
+        one = ProductVector([[1.0, 1.0], [2.0]])
+        assert _same_bits(metrics._log_bracket(one.flat, one.flat, one.shape, np.ones(2)), [0.0, 0.0])
+
+    def test_power_method_iterates_and_brackets(self):
+        for F, G, norms, x0 in _step_cases():
+            k = 4
+            b = np.linspace(0.5, 1.0, F.shape.d)
+            rep = power_method(F, x0, SolverConfig(norms=norms, tol=1e-300, max_iter=k, weights=b))
+            xs, trace = _former_iterates(G, x0, b, norms, k)
+            assert rep.status == "max_iter" and rep.iterations == k
+            assert _hex(rep.bracket_trace) == _hex(trace)
+            assert len(rep.iterates) == k + 1
+            for got, want in zip(rep.iterates, xs):
+                assert _same_bits(got.flat, want.flat)
+            lam = _ref_block_norms(evaluate(G, xs[-1]).blocks, norms)
+            assert _same_bits(rep.eigenpair.lam, lam)
+
+    def test_shifted_at_a_zero_norm_block(self):
+        rng = np.random.default_rng(4)
+        R = rng.uniform(0.1, 1.0, (2, 3))
+        sing = singular_map(R)
+        norms = NormSpec.euclidean(2)
+        F = shifted(sing, 0.5, norms)
+        G = _former_shifted(_former_map(sing, _former_builtin_evaluator("singular", R)), 0.5, norms)
+        for x in (ProductVector([[0.0, 0.0], [1.0, 2.0, 0.5]]), ProductVector([[0.0, 3.0], [0.0, 0.0, 0.0]])):
+            got = evaluate(F, x)
+            assert _same_bits(got.flat, evaluate(G, x).flat)
+            # 0^0 = 1 on the diagonal, 0^1 = 0 off it: the shift of one block is 0
+            assert (got.flat == evaluate(sing, x).flat).any()
+        M = rng.uniform(0.1, 1.0, (3, 3))
+        lin, norms = linear_map(M), NormSpec.euclidean(1)
+        F = shifted(lin, 0.5, norms)
+        G = _former_shifted(_former_map(lin, _former_builtin_evaluator("linear", M)), 0.5, norms)
+        zero = ProductVector([[0.0, 0.0, 0.0]])
+        got = evaluate(F, zero)
+        assert _same_bits(got.flat, evaluate(G, zero).flat) and _same_bits(got.flat, [0.0, 0.0, 0.0])
+
+    def test_matrix_power_scale(self):
+        rng = np.random.default_rng(9)
+        for d in (1, 2, 5, 60):
+            B = rng.uniform(0.0, 2.0, (d, d)) * (rng.random((d, d)) < 0.6)
+            for _ in range(5):
+                a = rng.uniform(0.0, 3.0, d) * (rng.random(d) < 0.8)
+                assert _same_bits(matrix_power_scale(a, B), _former_matrix_power_scale(a, B))
+        with pytest.raises(ValueError, match="zero base"):
+            matrix_power_scale([0.0, 1.0], [[-1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            matrix_power_scale([-1.0, 1.0], np.eye(2))
+        with pytest.raises(ValueError, match="length 2"):
+            matrix_power_scale([1.0, 1.0, 1.0], np.eye(2))
+        with pytest.raises(ValueError, match="square"):
+            matrix_power_scale([1.0, 1.0], np.ones((2, 3)))
+
+    def test_short_delta_continuation(self):
+        M = np.array([[1.0, 1.0], [0.0, 1.0]])
+        norms = NormSpec.euclidean(1)
+        schedule = DeltaSchedule(1.0, 0.5, 1e-3)
+        cfg = SolverConfig(norms=norms, delta_schedule=schedule)
+        F = linear_map(M)
+        rep = delta_continuation(F, cfg)
+        G = _former_map(F, _former_builtin_evaluator("linear", M))
+        x, lam, trace, delta_trace = _former_continuation(G, norms, rep.weights, schedule, cfg.tol, cfg.max_iter)
+        assert rep.status == "converged" and len(rep.delta_trace) == len(schedule.values())
+        assert _hex(rep.bracket_trace) == _hex(trace)
+        assert _hex(rep.eigenpair.x.flat) == _hex(x.flat)
+        assert _hex(rep.eigenpair.lam) == _hex(lam)
+        assert _hex(rep.delta_trace) == _hex(delta_trace)
+        assert _hex(rep.eigenpair.r_b) == _hex(delta_trace[-1][1])
 
 
 # ---------------------------------------------------------------------------

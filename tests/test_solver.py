@@ -528,3 +528,97 @@ class TestEvaluateCounts:
         assert rep.status == "bracket_converged_cycling" and rep.iterations == 3
         np.testing.assert_allclose(rep.eigenpair.x.blocks[1], [2**-0.5, 2**-0.5])
         assert len(calls) == 4
+
+
+class TestDivergencePaths:
+    """Statuses and messages of an iteration that leaves the open cone."""
+
+    @staticmethod
+    def _map_turning_bad(bad, after=2):
+        """A slowly converging linear map on R^3 whose output turns ``bad`` after ``after`` calls.
+
+        ``bad`` is a list of entries or an exception to raise.
+        """
+        M = np.triu(np.ones((3, 3)))
+        calls = []
+
+        def ev(x):
+            calls.append(1)
+            if len(calls) <= after:
+                return ProductVector([M @ x.flat])
+            if isinstance(bad, Exception):
+                raise bad
+            return ProductVector([bad])
+
+        return MapInstance(shape=ShapeSpec((3,)), A=[[1.0]], evaluator=ev, label="turning-bad")
+
+    def _solve(self, F):
+        return power_method(F, None, _cfg(1, weights=np.array([1.0])))
+
+    def test_evaluation_failed(self):
+        rep = self._solve(self._map_turning_bad(ValueError("boom")))
+        assert rep.status == solver.DIVERGED and rep.eigenpair is None
+        assert rep.iterations == 2 and len(rep.bracket_trace) == 2
+        assert rep.messages == ["evaluation failed: boom"]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([1.0, math.nan, 1.0], "non-finite iterate"),
+            ([1.0, math.inf, 1.0], "non-finite iterate"),
+            ([-math.inf, 1.0, 1.0], "non-finite iterate"),
+            ([1.0, 0.0, 1.0], "iterate left the open cone"),
+            ([1.0, -0.5, 1.0], "iterate left the open cone"),
+            # a NaN and a zero together: the non-finite check runs first
+            ([0.0, math.nan, 1.0], "non-finite iterate"),
+            ([math.nan, 0.0, 1.0], "non-finite iterate"),
+        ],
+    )
+    def test_bad_iterate(self, bad, message):
+        rep = self._solve(self._map_turning_bad(bad))
+        assert rep.status == solver.DIVERGED and rep.eigenpair is None
+        # the bad evaluation counts as an iteration but adds no bracket
+        assert rep.iterations == 3 and len(rep.bracket_trace) == 2
+        assert rep.messages == [message]
+
+    def test_bad_first_iterate(self):
+        rep = self._solve(self._map_turning_bad([1.0, 0.0, 1.0], after=0))
+        assert rep.status == solver.DIVERGED
+        assert rep.iterations == 1 and rep.bracket_trace == []
+
+    def test_evaluate_keeps_its_domain_checks(self):
+        F = linear_map([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            evaluate(F, ProductVector([[1.0], [1.0]]))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            evaluate(F, ProductVector([[1.0, 1.0, 1.0]]))
+        with pytest.raises(ValueError, match="negative input"):
+            evaluate(F, ProductVector([[1.0, -1e-300]]))
+        assert evaluate(F, ProductVector([[0.0, 0.0]])) == ProductVector([[0.0, 0.0]])
+        from mhspectral import dual
+
+        G = dual(F)
+        with pytest.raises(ValueError, match="strictly positive"):
+            evaluate(G, ProductVector([[1.0, 0.0]]))
+        with pytest.raises(ValueError, match="strictly positive"):
+            evaluate(G, ProductVector([[1.0, -1.0]]))
+
+
+class TestBracketOverflow:
+    """An upper bound beyond the double range is +inf, not an OverflowError."""
+
+    F = linear_map([[1.0, 1.0], [1.0, 1.0]])
+    x0 = ProductVector([[1.0, 1e-10]])
+
+    def test_cw_bounds(self):
+        lower, upper = cw_bounds(self.F, self.x0, [800.0])
+        assert upper == math.inf
+        assert lower == math.exp(800.0 * math.log(1.0 + 1e-10))
+
+    def test_power_method_goes_on_and_closes_on_the_log_gap(self):
+        rep = power_method(self.F, self.x0, _cfg(1, weights=np.array([800.0])))
+        assert rep.status == "converged"
+        assert rep.bracket_trace[0][1] == math.inf and math.isfinite(rep.bracket_trace[0][0])
+        assert all(math.isfinite(v) for pair in rep.bracket_trace[1:] for v in pair)
+        np.testing.assert_allclose(rep.eigenpair.lam, [2.0])
+        assert rep.eigenpair.r_b == pytest.approx(2.0**800, rel=1e-12)
