@@ -61,6 +61,10 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# list items of exactly these types (so not bool) skip the recursive call
+_INLINE = {float: _format_float, int: str}
+
+
 def _encode(obj, indent: int, level: int) -> str:
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
@@ -88,10 +92,10 @@ def _encode(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        # plain floats (bracket pairs, say) are formatted in place, not
-        # through one more call each
+        # plain floats (bracket pairs, say) and ints (graph nodes) are
+        # formatted in place, not through one more call each
         items = [
-            pad_in + (_format_float(v) if type(v) is float else _encode(v, indent, level + 1))
+            pad_in + (_INLINE[type(v)](v) if type(v) in _INLINE else _encode(v, indent, level + 1))
             for v in obj
         ]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
@@ -430,11 +434,13 @@ def run_graph(doc: dict, dual: bool = False) -> tuple[int, dict]:
         if dual
         else graphmod.build_graph(inst.map)
     )
+    nodes = g.nodes()
     report = {
         "label": inst.map.label,
         "dual": dual,
-        "mode": next(iter(g.provenance.values()), "oracle"),
-        "edges": [[list(src), list(dst)] for src, dst in sorted(g.edges)],
+        "mode": g.mode,
+        # row-major over block-major node indices: the sorted edge order
+        "edges": [[list(nodes[a]), list(nodes[b])] for a, b in np.argwhere(g.pattern).tolist()],
         "strongly_connected": graphmod.is_strongly_connected(g),
         "existence_condition": graphmod.check_existence_condition(g),
     }

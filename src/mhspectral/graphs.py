@@ -4,8 +4,10 @@ Nodes are the coordinate indices (i, j) of the product space (0-based).  The
 graph has an edge from output coordinate (k, l) to input coordinate (i, j)
 when F_{k,l} blows up along the probe that sends only coordinate (i, j) to
 infinity; the dual graph instead records vanishing limits as the probed
-coordinate goes to zero.  Built-in families carry exact adjacency oracles;
-probe mode estimates a log-log growth slope over a finite grid.
+coordinate goes to zero.  A graph is one boolean pattern over the nodes in
+block-major order, the form ``_digraph`` answers every question on.  Built-in
+families carry exact patterns; probe mode estimates a log-log growth slope
+over a finite grid.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import operator
-from typing import Mapping
 
 import numpy as np
 
@@ -31,30 +32,34 @@ __all__ = [
 ]
 
 Node = tuple[int, int]
-Edge = tuple[Node, Node]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class IndexGraph:
-    """Directed graph on the coordinate index set of a ShapeSpec."""
+    """Directed graph on the coordinate index set of a ShapeSpec.
+
+    ``pattern`` is the boolean N x N adjacency, N = ``shape.total``, over the
+    nodes in block-major order (``shape.nodes()``): entry [src, dst] is the
+    edge src -> dst.  ``mode`` says where it came from, ``"oracle"`` (the
+    map's exact pattern) or ``"probed"`` (growth-slope estimates).
+    """
 
     shape: ShapeSpec
-    edges: frozenset
-    provenance: Mapping[Edge, str]
+    pattern: np.ndarray
+    mode: str
 
     def nodes(self) -> list[Node]:
         return self.shape.nodes()
 
-    def node_index(self) -> dict[Node, int]:
-        return {node: idx for idx, node in enumerate(self.nodes())}
+    @functools.cached_property
+    def edges(self) -> frozenset:
+        """The edges as ((k, l), (i, j)) node pairs."""
+        nodes = self.nodes()
+        return frozenset((nodes[a], nodes[b]) for a, b in np.argwhere(self.pattern).tolist())
 
     def adjacency(self) -> np.ndarray:
-        """Boolean matrix with entry [src, dst] per edge, block-major node order."""
-        idx = self.node_index()
-        adj = np.zeros((self.shape.total, self.shape.total), dtype=bool)
-        for src, dst in self.edges:
-            adj[idx[src], idx[dst]] = True
-        return adj
+        """The pattern: boolean matrix with entry [src, dst] per edge, block-major node order."""
+        return self.pattern
 
     def to_text(self) -> str:
         """Deterministic edge list, one ``k,l -> i,j`` line per edge."""
@@ -74,14 +79,14 @@ def probe_vector(shape: ShapeSpec, node: Node, t: float) -> ProductVector:
     return ProductVector(blocks)
 
 
-def _probe_edges(F: MapInstance, t_grid, slope_tol: float) -> frozenset:
+def _probe_pattern(F: MapInstance, t_grid, slope_tol: float) -> np.ndarray:
+    """Column c holds the outputs that grow along the probe of node c."""
     shape = F.shape
     log_t = np.log(np.asarray(t_grid, dtype=float))
     if log_t.size < 2:
         raise ValueError("need at least two probe points")
-    nodes = shape.nodes()
-    edges = []
-    for target in nodes:
+    P = np.zeros((shape.total, shape.total), dtype=bool)
+    for col, target in enumerate(shape.nodes()):
         logs = []
         for t in t_grid:
             vals = evaluate(F, probe_vector(shape, target, t)).concat()
@@ -94,11 +99,9 @@ def _probe_edges(F: MapInstance, t_grid, slope_tol: float) -> frozenset:
                 )
             logs.append(np.log(vals))
         logs = np.array(logs)  # len(t_grid) x total
-        slopes = np.polyfit(log_t, logs, 1)[0]
-        for row, node in enumerate(nodes):
-            if slopes[row] > slope_tol:
-                edges.append((node, target))
-    return frozenset(edges)
+        P[:, col] = np.polyfit(log_t, logs, 1)[0] > slope_tol
+    P.setflags(write=False)
+    return P
 
 
 def _build(F, mode, t_grid, slope_tol, oracle, kind) -> IndexGraph:
@@ -109,10 +112,8 @@ def _build(F, mode, t_grid, slope_tol, oracle, kind) -> IndexGraph:
     if mode == "oracle":
         if oracle is None:
             raise ValueError(f"{F.label} carries no exact {kind} adjacency oracle")
-        edges = frozenset(oracle)
-        return IndexGraph(F.shape, edges, {e: "oracle" for e in edges})
-    edges = _probe_edges(F, t_grid, slope_tol)
-    return IndexGraph(F.shape, edges, {e: "probed" for e in edges})
+        return IndexGraph(F.shape, oracle, "oracle")
+    return IndexGraph(F.shape, _probe_pattern(F, t_grid, slope_tol), "probed")
 
 
 def build_graph(
@@ -139,7 +140,7 @@ def build_dual_graph(
     return _build(F, mode, t_grid, slope_tol, F.dual_edge_oracle, "dual")
 
 
-def check_existence_condition(g: IndexGraph, shape: ShapeSpec | None = None) -> bool:
+def check_existence_condition(g: IndexGraph) -> bool:
     """Path-existence condition for positive eigenvectors of non-expansive maps.
 
     The quantifier string "for every target and every choice tuple some block
@@ -148,9 +149,7 @@ def check_existence_condition(g: IndexGraph, shape: ShapeSpec | None = None) -> 
     forall-choice) avoids enumerating the product index set: the union over
     blocks of the intersection of the block's reach sets must cover every node.
     """
-    if shape is not None and shape != g.shape:
-        raise ValueError("shape disagrees with the graph's shape")
-    reach = _digraph.reach_sets(g.adjacency())
+    reach = _digraph.reach_sets(g.pattern)
     covered = 0
     for sl in g.shape.block_slices():
         covered |= functools.reduce(operator.and_, reach[sl])
@@ -159,4 +158,4 @@ def check_existence_condition(g: IndexGraph, shape: ShapeSpec | None = None) -> 
 
 def is_strongly_connected(g: IndexGraph) -> bool:
     """Every node reaches every node (reflexive reachability)."""
-    return _digraph.strongly_connected(g.adjacency())
+    return _digraph.strongly_connected(g.pattern)

@@ -7,9 +7,11 @@ multi-homogeneous with exponent matrix A when
 
 for all nonnegative block scalings alpha.  ``MapInstance`` bundles an
 evaluator with its declared A plus optional extras: an analytic Jacobian, the
-exact adjacency of the associated index graph, and a dual adjacency for the
-vanishing-limit graph.  The declared matrix is the source of truth; the
-``verify_*`` helpers audit it against random samples.
+exact index-graph pattern, and the pattern of the vanishing-limit (dual)
+graph.  A pattern is a read-only boolean N x N array over the coordinate
+nodes in block-major order (``ShapeSpec.nodes()``), entry [src, dst] per edge.
+The declared matrix is the source of truth; the ``verify_*`` helpers audit it
+against random samples.
 
 Built-in families cover nonnegative matrices (eigenvectors / singular pairs /
 l^{p,q} singular pairs), l^p tensor eigenvectors, and the small worked maps
@@ -68,9 +70,6 @@ __all__ = [
     "euler_residual",
 ]
 
-Node = tuple[int, int]
-Edge = tuple[Node, Node]
-
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
@@ -94,7 +93,9 @@ class MapInstance:
     ``domain`` is ``"cone"`` for maps defined on all of K_+ and ``"interior"``
     for maps that only make sense on strictly positive vectors (dual maps).
     ``homogeneity_exact`` is False for maps whose declared A only holds under
-    uniform scaling of all blocks.
+    uniform scaling of all blocks.  ``edge_oracle`` and ``dual_edge_oracle``
+    are the exact primal and dual patterns, when known: boolean N x N arrays,
+    N = ``shape.total``, checked here once and stored read-only.
     """
 
     shape: ShapeSpec
@@ -102,8 +103,8 @@ class MapInstance:
     evaluator: Callable[[ProductVector], ProductVector]
     label: str
     jacobian: Optional[Callable[[ProductVector], np.ndarray]] = None
-    edge_oracle: Optional[frozenset] = None
-    dual_edge_oracle: Optional[frozenset] = None
+    edge_oracle: Optional[np.ndarray] = None
+    dual_edge_oracle: Optional[np.ndarray] = None
     differentiable: bool = True
     homogeneity_exact: bool = True
     domain: str = "cone"
@@ -112,6 +113,15 @@ class MapInstance:
         object.__setattr__(self, "A", check_homogeneity_matrix(self.A, self.shape.d))
         if self.domain not in ("cone", "interior"):
             raise ValueError("domain must be 'cone' or 'interior'")
+        n = self.shape.total
+        for name in ("edge_oracle", "dual_edge_oracle"):
+            P = getattr(self, name)
+            if P is None:
+                continue
+            if not isinstance(P, np.ndarray) or P.dtype != bool or P.shape != (n, n):
+                raise ValueError(f"{name} must be a boolean {n}x{n} array")
+            if P.flags.writeable:
+                object.__setattr__(self, name, _frozen(P.copy()))
 
     @functools.cached_property
     def analysis(self) -> HomogeneityAnalysis:
@@ -159,18 +169,27 @@ def evaluate(F: MapInstance, x: ProductVector) -> ProductVector:
 # ---------------------------------------------------------------------------
 
 
-def _linear_edges(M: np.ndarray) -> frozenset:
-    return frozenset(((0, int(k)), (0, int(j))) for k, j in zip(*np.nonzero(M > 0)))
+def _frozen(P: np.ndarray) -> np.ndarray:
+    P.setflags(write=False)
+    return P
 
 
-def _linear_dual_edges(M: np.ndarray) -> frozenset:
-    # F_k(u^{(j)}(t)) -> 0 as t -> 0 only when row k touches coordinate j alone.
-    edges = []
-    for k in range(M.shape[0]):
-        support = np.nonzero(M[k] > 0)[0]
-        if support.size == 1:
-            edges.append(((0, k), (0, int(support[0]))))
-    return frozenset(edges)
+def _pattern(shape: ShapeSpec, edges) -> np.ndarray:
+    """The read-only pattern of an edge list of ((k, l), (i, j)) node pairs."""
+    index = {node: idx for idx, node in enumerate(shape.nodes())}
+    P = np.zeros((shape.total, shape.total), dtype=bool)
+    for src, dst in edges:
+        P[index[src], index[dst]] = True
+    return _frozen(P)
+
+
+def _dual_pattern(P: np.ndarray) -> np.ndarray:
+    """Dual pattern of a map whose every output is a sum of one-variable terms.
+
+    Such an F_k vanishes as coordinate r alone goes to zero only when its one
+    term is in r: the rows of P with a single entry.
+    """
+    return _frozen(P & (P.sum(axis=1) == 1)[:, None])
 
 
 def linear_map(M) -> MapInstance:
@@ -185,35 +204,16 @@ def linear_map(M) -> MapInstance:
     M.setflags(write=False)
     n = M.shape[0]
     shape = _shape_of((n,))
+    P = _frozen(M > 0.0)
     return MapInstance(
         shape=shape,
         A=[[1.0]],
         evaluator=lambda x: _wrap(M @ x.flat, shape),
         jacobian=lambda x: M.copy(),
         label=f"linear(n={n})",
-        edge_oracle=_linear_edges(M),
-        dual_edge_oracle=_linear_dual_edges(M),
+        edge_oracle=P,
+        dual_edge_oracle=_dual_pattern(P),
     )
-
-
-def _bipartite_edges(M: np.ndarray) -> frozenset:
-    rows, cols = np.nonzero(M > 0)
-    fwd = (((0, int(k)), (1, int(j))) for k, j in zip(rows, cols))
-    bwd = (((1, int(j)), (0, int(k))) for k, j in zip(rows, cols))
-    return frozenset(fwd) | frozenset(bwd)
-
-
-def _bipartite_dual_edges(M: np.ndarray) -> frozenset:
-    edges = []
-    for k in range(M.shape[0]):
-        support = np.nonzero(M[k] > 0)[0]
-        if support.size == 1:
-            edges.append(((0, k), (1, int(support[0]))))
-    for j in range(M.shape[1]):
-        support = np.nonzero(M[:, j] > 0)[0]
-        if support.size == 1:
-            edges.append(((1, j), (0, int(support[0]))))
-    return frozenset(edges)
 
 
 def _check_rect(M) -> np.ndarray:
@@ -234,31 +234,12 @@ def singular_map(M) -> MapInstance:
     """(x, y) -> (My, M^T x); eigenvectors are nonnegative singular pairs of M.
 
     Stated with x of length m and y of length n for an m x n matrix, which is
-    the dimensionally consistent reading of the pair map.
+    the dimensionally consistent reading of the pair map.  It is the p = q = 2
+    case of ``pq_singular_map``, whose exponents 1/(p-1) are then exactly 1.
     """
-    M = _check_rect(M)
-    m, n = M.shape
-    shape = _shape_of((m, n))
-
-    def ev(z):
-        x, y = z.flat[:m], z.flat[m:]
-        return _wrap(np.concatenate((M @ y, M.T @ x)), shape)
-
-    def jac(z):
-        J = np.zeros((m + n, m + n))
-        J[:m, m:] = M
-        J[m:, :m] = M.T
-        return J
-
-    return MapInstance(
-        shape=shape,
-        A=[[0.0, 1.0], [1.0, 0.0]],
-        evaluator=ev,
-        jacobian=jac,
-        label=f"singular({m}x{n})",
-        edge_oracle=_bipartite_edges(M),
-        dual_edge_oracle=_bipartite_dual_edges(M),
-    )
+    F = pq_singular_map(M, 2.0, 2.0)
+    m, n = F.shape.sizes
+    return dataclasses.replace(F, label=f"singular({m}x{n})")
 
 
 def pq_singular_map(M, p: float, q: float) -> MapInstance:
@@ -286,14 +267,18 @@ def pq_singular_map(M, p: float, q: float) -> MapInstance:
         J[m:, :m] = sq * (g2 ** (sq - 1.0))[:, None] * M.T
         return J
 
+    # block 0 reads block 1 through M, block 1 reads block 0 through M^T
+    P = np.zeros((m + n, m + n), dtype=bool)
+    P[:m, m:] = M > 0.0
+    P[m:, :m] = P[:m, m:].T
     return MapInstance(
         shape=shape,
         A=[[0.0, sp], [sq, 0.0]],
         evaluator=ev,
         jacobian=jac,
         label=f"pq_singular({m}x{n}, p={p:g}, q={q:g})",
-        edge_oracle=_bipartite_edges(M),
-        dual_edge_oracle=_bipartite_dual_edges(M),
+        edge_oracle=_frozen(P),
+        dual_edge_oracle=_dual_pattern(P),
     )
 
 
@@ -342,15 +327,12 @@ def tensor_eigen_map(T, p: float) -> MapInstance:
         g = _tensor_contract(T, v)
         return s * (g ** (s - 1.0))[:, None] * _tensor_partial(T, v)
 
-    edges, dual_edges = [], []
-    for j in range(n):
-        idx = np.argwhere(T[j] > 0.0)
-        present = set(int(r) for r in idx.ravel())
-        everywhere = set(range(n))
-        for row in idx:
-            everywhere &= set(int(r) for r in row)
-        edges.extend(((0, j), (0, r)) for r in present)
-        dual_edges.extend(((0, j), (0, r)) for r in everywhere)
+    # F_j blows up along r when r occurs in some positive index tuple of
+    # T[j], and vanishes as r -> 0 when r occurs in every one of them
+    idx = np.argwhere(T > 0.0)  # rows (j, r_2, .., r_m), sorted by j
+    occurs = np.zeros((len(idx), n), dtype=bool)
+    occurs[np.arange(len(idx))[:, None], idx[:, 1:]] = True
+    starts = np.flatnonzero(np.diff(idx[:, 0], prepend=-1))  # every slice is nonzero
 
     return MapInstance(
         shape=shape,
@@ -358,8 +340,8 @@ def tensor_eigen_map(T, p: float) -> MapInstance:
         evaluator=ev,
         jacobian=jac,
         label=f"tensor_eigen(order={m}, n={n}, p={p:g})",
-        edge_oracle=frozenset(edges),
-        dual_edge_oracle=frozenset(dual_edges),
+        edge_oracle=_frozen(np.logical_or.reduceat(occurs, starts, axis=0)),
+        dual_edge_oracle=_frozen(np.logical_and.reduceat(occurs, starts, axis=0)),
     )
 
 
@@ -377,20 +359,22 @@ def max_example_map(eps: float) -> MapInstance:
         a, b, c = x.blocks[0]
         return ProductVector([[max(a, b, c), max(eps * a, b), max(eps * b, c)]])
 
-    edges = frozenset(
+    shape = ShapeSpec((3,))
+    edges = _pattern(
+        shape,
         {
             ((0, 0), (0, 0)), ((0, 0), (0, 1)), ((0, 0), (0, 2)),
             ((0, 1), (0, 0)), ((0, 1), (0, 1)),
             ((0, 2), (0, 1)), ((0, 2), (0, 2)),
-        }
+        },
     )
     return MapInstance(
-        shape=ShapeSpec((3,)),
+        shape=shape,
         A=[[1.0]],
         evaluator=ev,
         label=f"max_example(eps={eps:g})",
         edge_oracle=edges,
-        dual_edge_oracle=frozenset(),
+        dual_edge_oracle=_pattern(shape, ()),
         differentiable=False,
     )
 
@@ -413,11 +397,12 @@ def motivating_map() -> MapInstance:
         J[3, 1] = 0.125 * t ** (-0.875)
         return J
 
-    edges = frozenset(
-        {((0, 0), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (0, 0)), ((1, 1), (0, 1))}
+    shape = ShapeSpec((2, 2))
+    edges = _pattern(
+        shape, {((0, 0), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (0, 0)), ((1, 1), (0, 1))}
     )
     return MapInstance(
-        shape=ShapeSpec((2, 2)),
+        shape=shape,
         A=[[0.0, 2.0], [0.125, 0.0]],
         evaluator=ev,
         jacobian=jac,
@@ -441,16 +426,18 @@ def nonirr_map() -> MapInstance:
         u, v = x.blocks[1]
         return ProductVector([[s, t], [max(s, v) ** 0.5, max(t, u) ** 0.5]])
 
-    edges = frozenset(
+    shape = ShapeSpec((2, 2))
+    edges = _pattern(
+        shape,
         {
             ((0, 0), (0, 0)), ((0, 1), (0, 1)),
             ((1, 0), (0, 0)), ((1, 0), (1, 1)),
             ((1, 1), (0, 1)), ((1, 1), (1, 0)),
-        }
+        },
     )
-    dual_edges = frozenset({((0, 0), (0, 0)), ((0, 1), (0, 1))})
+    dual_edges = _pattern(shape, {((0, 0), (0, 0)), ((0, 1), (0, 1))})
     return MapInstance(
-        shape=ShapeSpec((2, 2)),
+        shape=shape,
         A=[[1.0, 0.0], [0.5, 0.5]],
         evaluator=ev,
         label="nonirr",
@@ -486,16 +473,18 @@ def irrex_map() -> MapInstance:
         J[3] = [0.0, 0.0, f[3] / (2 * u), f[3] / (2 * v)]
         return J
 
-    edges = frozenset(
+    shape = ShapeSpec((2, 2))
+    edges = _pattern(
+        shape,
         {
             ((0, 0), (0, 0)), ((0, 0), (0, 1)), ((0, 0), (1, 0)),
             ((0, 1), (0, 0)), ((0, 1), (0, 1)), ((0, 1), (1, 1)),
             ((1, 0), (1, 0)), ((1, 0), (1, 1)),
             ((1, 1), (1, 0)), ((1, 1), (1, 1)),
-        }
+        },
     )
     return MapInstance(
-        shape=ShapeSpec((2, 2)),
+        shape=shape,
         A=[[0.5, 0.5], [0.0, 1.0]],
         evaluator=ev,
         jacobian=jac,
@@ -533,12 +522,15 @@ def tight_map(A, sizes) -> MapInstance:
                 row += 1
         return J
 
-    edges = frozenset(
-        ((i, j), (l, 0))
-        for i, n in enumerate(shape.sizes)
-        for j in range(n)
-        for l in range(shape.d)
-        if A[i, l] > 0.0
+    edges = _pattern(
+        shape,
+        (
+            ((i, j), (l, 0))
+            for i, n in enumerate(shape.sizes)
+            for j in range(n)
+            for l in range(shape.d)
+            if A[i, l] > 0.0
+        ),
     )
     return MapInstance(
         shape=shape,

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -254,6 +255,47 @@ class TestGraphCommand:
         assert rep["strongly_connected"] is True
         assert rep["existence_condition"] is True
 
+    def test_probed_primal_graph_without_edges_says_probed(self):
+        # dual(F) stays bounded as one coordinate grows: F_k(1/x) keeps its
+        # other positive terms
+        base = {"family": "linear", "params": {"matrix": [[1, 2], [3, 4]]}}
+        code, rep = run_graph({"map": {"family": "dual", "params": {"base": base}}})
+        assert code == 0 and rep["edges"] == [] and rep["mode"] == "probed"
+
+    def test_probed_dual_graph_without_edges_says_probed(self):
+        # a positive matrix product never vanishes as one coordinate goes to 0
+        lin = {"family": "linear", "params": {"matrix": [[1, 2], [3, 4]]}}
+        doc = {"map": {"family": "compose", "params": {"outer": lin, "inner": lin}}}
+        code, rep = run_graph(doc, dual=True)
+        assert code == 0 and rep["edges"] == [] and rep["mode"] == "probed"
+
+
+GRAPH_GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "graph_reports.json"
+# The golden reports come from run_graph of the former edge-tuple index graphs,
+# which said "oracle" for a probed graph without edges.  These two reports are
+# such graphs; their mode line is the only one that reads "probed" now.
+_MODE_MENDED = {("compose", "dual"), ("dual", "primal")}
+
+
+class TestGraphGolden:
+    """run_graph reproduces the stored reports of one document per family, byte for byte."""
+
+    def test_every_family_has_a_golden_document(self):
+        from mhspectral.cli import _FAMILIES
+
+        assert list(json.loads(GRAPH_GOLDEN.read_text())) == list(_FAMILIES)
+
+    @pytest.mark.parametrize("kind", ["primal", "dual"])
+    def test_reports_match(self, kind):
+        for family, entry in json.loads(GRAPH_GOLDEN.read_text()).items():
+            want = entry[kind]
+            if (family, kind) in _MODE_MENDED:
+                assert '"edges": []' in want
+                want = want.replace('"mode": "oracle"', '"mode": "probed"')
+                assert want != entry[kind]
+            _, report = run_graph(copy.deepcopy(entry["doc"]), dual=kind == "dual")
+            assert dump_json(report) == want, (family, kind)
+
 class TestCertifyCommand:
     def test_motivating(self):
         _, solve_rep = run_solve(copy.deepcopy(MOTIVATING_DOC))
@@ -355,6 +397,16 @@ class TestMainEntry:
         assert fast.splitlines()[1:4] == ["  0.10000000000000001,", "  -0,", "  0,"]
         assert fast.splitlines()[7:10] == ["  Infinity,", "  -Infinity,", "  NaN,"]
         assert dump_json({"t": [[1.5, 2.5]]}) == '{\n  "t": [\n    [\n      1.5,\n      2.5\n    ]\n  ]\n}\n'
+
+    def test_int_lists_print_like_single_ints(self):
+        import numpy as np
+
+        # plain ints are formatted in place; bools and numpy ints are not
+        # plain ints and take the recursive call
+        assert dump_json([3, -1, 0]) == "[\n  3,\n  -1,\n  0\n]\n"
+        assert dump_json([np.int64(3), np.int32(-1), 0]) == dump_json([3, -1, 0])
+        assert dump_json([True, False, 1]) == "[\n  true,\n  false,\n  1\n]\n"
+        assert dump_json([[0, 1], [2, 3]]) == dump_json([[np.int64(0), 1], (2, np.int8(3))])
 
     def test_17_digit_floats_round_trip(self):
         values = {"a": 2 ** (5 / 16), "b": 0.1 + 0.2, "c": 1.0 / 3.0}

@@ -91,10 +91,7 @@ def _dense_find_dirr(powers, shape):
 
 
 def _graph(L, shape):
-    nodes = shape.nodes()
-    src, dst = np.nonzero(np.asarray(L) > PATTERN_TOL)
-    edges = frozenset((nodes[a], nodes[b]) for a, b in zip(src, dst))
-    return IndexGraph(shape, edges, {e: "oracle" for e in edges})
+    return IndexGraph(shape, np.asarray(L) > PATTERN_TOL, "oracle")
 
 
 def _random_sizes(rng, n):

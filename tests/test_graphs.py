@@ -39,14 +39,17 @@ NONIRR_EDGES = frozenset(
 
 
 def _graph_from_edges(shape, edges):
-    edges = frozenset(edges)
-    return IndexGraph(shape, edges, {e: "oracle" for e in edges})
+    index = {node: idx for idx, node in enumerate(shape.nodes())}
+    pattern = np.zeros((shape.total, shape.total), dtype=bool)
+    for src, dst in edges:
+        pattern[index[src], index[dst]] = True
+    return IndexGraph(shape, pattern, "oracle")
 
 
 def _existence_bruteforce(g):
     """Literal quantifier form: every target, every choice tuple, some block."""
     shape = g.shape
-    idx = g.node_index()
+    idx = {node: k for k, node in enumerate(shape.nodes())}
     adj = g.adjacency()
     n = adj.shape[0]
     reach = adj | np.eye(n, dtype=bool)
@@ -127,7 +130,7 @@ class TestBuildGraph:
     def test_probe_requires_mode_support(self):
         F = motivating_map()
         g = build_graph(F, "probe")
-        assert set(g.provenance.values()) == {"probed"}
+        assert g.mode == "probed"
 
 
 class TestDualGraph:

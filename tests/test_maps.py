@@ -115,6 +115,27 @@ class TestFamilyConstruction:
         z = random_interior(F.shape, rng)
         np.testing.assert_allclose(evaluate(F, z).concat(), evaluate(G, z).concat())
 
+    def test_singular_is_bit_identical_to_the_pair_map(self):
+        # singular_map is pq_singular_map at p = q = 2: the exponents 1/(p-1)
+        # are exactly 1, so its values and Jacobian are those of the closed
+        # forms (My, M^T x) and [[0, M], [M^T, 0]] to the last bit
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            m, n = (int(k) for k in rng.integers(1, 7, 2))
+            M = rng.uniform(0.0, 2.0, (m, n)) * (rng.random((m, n)) < 0.7)
+            M[np.arange(m), rng.integers(0, n, m)] += 0.5
+            M[rng.integers(0, m, n), np.arange(n)] += 0.5
+            F = singular_map(M)
+            z = random_interior(F.shape, rng, 0.0, 3.0)
+            x, y = z.blocks
+            want = np.concatenate((M @ y, M.T @ x))
+            J = np.zeros((m + n, m + n))
+            J[:m, m:], J[m:, :m] = M, M.T
+            assert evaluate(F, z).flat.tobytes() == want.tobytes()
+            assert F.jacobian(z).tobytes() == J.tobytes()
+            assert F.label == f"singular({m}x{n})"
+            assert F.A.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
     def test_tensor_order_two_reduces_to_powered_linear(self):
         rng = np.random.default_rng(2)
         M = rng.uniform(0.2, 2.0, (3, 3))
