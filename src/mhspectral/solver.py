@@ -49,7 +49,13 @@ from .cones import (
     ones_vector,
     weighted_norm_product,
 )
-from .homogeneity import PerronStructureError, is_irreducible, spectral_radius, wielandt_bound
+from .homogeneity import (
+    PerronStructureError,
+    _perron_weights,
+    is_irreducible,
+    spectral_radius,
+    wielandt_bound,
+)
 from .maps import EigenPair, MapInstance, evaluate, has_kink, jacobian_at
 from .metrics import _hilbert_trace, _log_bracket
 
@@ -505,15 +511,57 @@ def find_dirr(L, shape: ShapeSpec, pattern_tol: float = 1e-12):
     return _digraph.first_full_block(P, shape.block_slices(), wielandt_bound(shape.total))
 
 
+# |rho(L) - 1| up to this counts as rho(L) = 1 in the certificates
+_RHO_L_TOL = 1e-6
+
+
+def _cw_enclosure(M: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """(min, max) of (M v) / v, which encloses rho(M) for M >= 0 and v > 0."""
+    q = (M @ v) / v
+    return float(q.min()), float(q.max())
+
+
+def _rho_L(F: MapInstance, u: ProductVector, L_pos: np.ndarray) -> float:
+    """rho(L_pos), from one Collatz-Wielandt matvec whenever that decides rho = 1.
+
+    Euler's identity blockwise, sum_{r in block j} dF_k/dx_r x_r = A_ij F_k(x)
+    for k in block i, gives L (c (x) u) = (A c) (x) u at the eigenpair, where
+    c (x) u scales block j of u by c_j.  With c the right Perron vector of A,
+    v = c (x) u is a positive vector with L v = rho(A) v up to the eigen
+    residual, and for any nonnegative matrix and positive v
+
+        min_k (L_pos v)_k / v_k  <=  rho(L_pos)  <=  max_k (L_pos v)_k / v_k.
+
+    When the whole enclosure lies within the rho = 1 band its midpoint is
+    returned.  Otherwise -- no positive right Perron vector of A, an enclosure
+    straddling a band edge or one outside the band -- the answer is
+    ``spectral_radius(L_pos)``, as if the enclosure had not been tried.
+    """
+    try:
+        c = _perron_weights(F.A.T, F.analysis.rho)
+    except PerronStructureError:
+        return spectral_radius(L_pos)
+    lo, hi = _cw_enclosure(L_pos, F.shape._spread(c) * u.flat)
+    if 1.0 - _RHO_L_TOL <= lo and hi <= 1.0 + _RHO_L_TOL:
+        return 0.5 * (lo + hi)
+    return spectral_radius(L_pos)
+
+
 def certify_uniqueness(F: MapInstance, report: SolveReport, pattern_tol: float = 1e-12) -> Certificate:
     """Strongest certificate backing uniqueness (or maximality) of the eigenpair.
 
     Order of preference: strict contraction (rho(A) < 1, no further checks);
     then, in the non-expansive regime with L = lambda^{-1}-scaled Jacobian at
-    the eigenvector and rho(L) = 1 up to 1e-6: irreducible Jacobian pattern;
+    the eigenvector and rho(L) = 1 up to 1e-6: irreducible pattern of L;
     one-dimensional kernel of I - L (requires A itself irreducible); summed
     powers positivity (maximality only).  Non-differentiable maps at kink
     points yield ``none`` with a reason.
+
+    rho(L) comes from the Collatz-Wielandt enclosure of one matvec with the
+    test vector c (x) u, c the right Perron vector of A: an enclosure inside
+    [1 - 1e-6, 1 + 1e-6] reports its midpoint, and every other case falls
+    back to ``spectral_radius`` of the clipped L (see ``_rho_L``).  The
+    patterns tested are those of the clipped L, free of the scale of F.
     """
     rho_A, regime = F.analysis.rho, F.analysis.regime
     if regime == "strict_contraction":
@@ -531,17 +579,13 @@ def certify_uniqueness(F: MapInstance, report: SolveReport, pattern_tol: float =
         return Certificate(
             "none", {"reason": "map is not differentiable at the eigenvector (kink)"}
         )
-    J = jacobian_at(F, u)
-    L = J.copy()
-    for k, rows in enumerate(F.shape.block_slices()):
-        L[rows] /= lam[k]
-    L_pos = np.clip(L, 0.0, None)
-    rho_L = spectral_radius(L_pos)
+    L_pos = np.clip(jacobian_at(F, u) / F.shape._spread(lam)[:, None], 0.0, None)
+    rho_L = _rho_L(F, u, L_pos)
     data = {"rho_A": rho_A, "rho_L": rho_L}
-    if abs(rho_L - 1.0) > 1e-6:
+    if abs(rho_L - 1.0) > _RHO_L_TOL:
         data["reason"] = "rho(lambda^{-1} DF(u)) is not 1"
         return Certificate("none", data)
-    if is_irreducible(J, pattern_tol):
+    if is_irreducible(L_pos, pattern_tol):
         data["df_irreducible"] = True
         return Certificate("jacobian_irreducible", data)
     data["df_irreducible"] = False

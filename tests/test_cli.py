@@ -296,6 +296,37 @@ class TestGraphGolden:
             _, report = run_graph(copy.deepcopy(entry["doc"]), dual=kind == "dual")
             assert dump_json(report) == want, (family, kind)
 
+
+CERT_GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "certificates.json"
+
+
+class TestCertificateGolden:
+    """Certificate kinds and rho_L of one solve + certify document per family.
+
+    The stored values come from the dense ``spectral_radius`` of L.  Where the
+    Collatz-Wielandt enclosure now decides rho(L) = 1, rho_L is its midpoint,
+    within 1e-9 of the stored value; every kind is unchanged.
+    """
+
+    def test_every_family_has_a_golden_document(self):
+        from mhspectral.cli import _FAMILIES
+
+        assert list(json.loads(CERT_GOLDEN.read_text())) == list(_FAMILIES)
+
+    def test_kinds_and_rho_L_match(self):
+        for family, entry in json.loads(CERT_GOLDEN.read_text()).items():
+            _, solved = run_solve(copy.deepcopy(entry["doc"]))
+            _, certified = run_certify(copy.deepcopy(entry["doc"]), json.loads(dump_json(solved)))
+            for step, report in (("solve", solved), ("certify", certified)):
+                cert, want = report["certificate"], entry[step]
+                assert cert["kind"] == want["kind"], (family, step)
+                rho_L = cert["data"].get("rho_L")
+                if want["rho_L"] is None:
+                    assert rho_L is None, (family, step)
+                else:
+                    assert abs(rho_L - want["rho_L"]) <= 1e-9, (family, step)
+
+
 class TestCertifyCommand:
     def test_motivating(self):
         _, solve_rep = run_solve(copy.deepcopy(MOTIVATING_DOC))

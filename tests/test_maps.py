@@ -370,3 +370,62 @@ class TestEulerIdentity:
         rng = np.random.default_rng(18)
         x = random_interior(F.shape, rng, 0.5, 1.5)
         assert euler_residual(F, x) > 1e-2
+
+
+def _exact_builtins():
+    """One map of every built-in family with ``homogeneity_exact``: all but nonirr."""
+    rng = np.random.default_rng(19)
+    M = rng.uniform(0.3, 2.0, (3, 3))
+    R = rng.uniform(0.3, 2.0, (2, 3))
+    lin, ten = linear_map(M), tensor_eigen_map(rng.uniform(0.2, 1.5, (3, 3, 3)), 4.0)
+    return [
+        lin,
+        singular_map(R),
+        pq_singular_map(R, 3.0, 5.0),
+        ten,
+        max_example_map(0.4),
+        motivating_map(),
+        irrex_map(),
+        tight_map([[0.5, 0.5], [0.25, 0.75]], (2, 2)),
+        compose(lin, ten),
+        hadamard(lin, ten),
+        weighted_sum(lin, ten, [[1.0]], NormSpec.euclidean(1)),
+        shifted(motivating_map(), 0.5, NormSpec.euclidean(2)),
+        dual(pq_singular_map(R, 3.0, 5.0)),
+    ]
+
+
+class TestEulerIdentityProperty:
+    """euler_residual is near 0 at hypothesis-drawn interior points of every exact family."""
+
+    MAPS = _exact_builtins()
+    # max_example is piecewise linear: off its kinks the identity holds.  Its
+    # points come from a grid on which two untied pieces differ by far more
+    # than the difference step, and the tied points are skipped.
+    GRID = [k / 64.0 for k in range(32, 97)]
+
+    def test_every_exact_family_is_drawn(self):
+        from mhspectral.cli import _FAMILIES
+
+        assert not nonirr_map().homogeneity_exact
+        assert all(F.homogeneity_exact for F in self.MAPS)
+        assert {F.label.split("(")[0] for F in self.MAPS} == set(_FAMILIES) - {"nonirr"}
+
+    def test_residual_near_zero(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.sampled_from(range(len(self.MAPS))), st.data())
+        def check(index, data):
+            F = self.MAPS[index]
+            value = st.sampled_from(self.GRID) if not F.differentiable else st.floats(0.5, 1.5)
+            flat = data.draw(st.lists(value, min_size=F.shape.total, max_size=F.shape.total))
+            x = ProductVector.from_flat(np.array(flat), F.shape)
+            if not F.differentiable:
+                hypothesis.assume(not has_kink(F, x))
+            # analytic Jacobians to rounding, central differences to 1e-8
+            tol = 1e-12 if F.jacobian is not None else 1e-8
+            assert euler_residual(F, x) <= tol, F.label
+
+        check()

@@ -7,10 +7,12 @@ import pytest
 
 from mhspectral import (
     DeltaSchedule,
+    EigenPair,
     ExpansiveMapError,
     NormSpec,
     PerronStructureError,
     ProductVector,
+    SolveReport,
     SolverConfig,
     bonsall_estimate,
     certify_uniqueness,
@@ -622,3 +624,112 @@ class TestBracketOverflow:
         assert all(math.isfinite(v) for pair in rep.bracket_trace[1:] for v in pair)
         np.testing.assert_allclose(rep.eigenpair.lam, [2.0])
         assert rep.eigenpair.r_b == pytest.approx(2.0**800, rel=1e-12)
+
+
+def _radius_sizes(monkeypatch):
+    """Wrap spectral_radius in both namespaces that call it; record each operand's size."""
+    sizes = []
+    original = homogeneity.spectral_radius
+
+    def recording(M, *args, **kwargs):
+        sizes.append(np.shape(M)[0])
+        return original(M, *args, **kwargs)
+
+    monkeypatch.setattr(homogeneity, "spectral_radius", recording)
+    monkeypatch.setattr(solver, "spectral_radius", recording)
+    return sizes
+
+
+class TestRhoLEnclosure:
+    """rho(L) from one Collatz-Wielandt matvec, and the spectral_radius fallback."""
+
+    @staticmethod
+    def _assert_encloses(M, v):
+        lo, hi = solver._cw_enclosure(M, v)
+        rho = homogeneity.spectral_radius(M)
+        slack = 1e-10 * (1.0 + rho)
+        assert lo <= rho + slack and rho <= hi + slack, (lo, rho, hi)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_encloses_spectral_radius(self, seed):
+        rng = np.random.default_rng([seed, 20])
+        n = 7
+        dense = rng.uniform(0.1, 2.0, (n, n))
+        sparse = dense * (rng.uniform(size=(n, n)) < 0.25)
+        reducible = np.triu(dense)
+        zero_rows = dense.copy()
+        zero_rows[rng.choice(n, 2, replace=False)] = 0.0
+        for M in (dense, sparse, reducible, zero_rows):
+            for v in (rng.uniform(0.01, 10.0, n), np.exp(rng.normal(0.0, 3.0, n))):
+                self._assert_encloses(M, v)
+
+    def test_encloses_spectral_radius_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+        entry = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+            hnp.arrays(float, (n, n), elements=entry),
+            hnp.arrays(float, n, elements=st.floats(1e-3, 1e3)),
+        )))
+        def check(drawn):
+            self._assert_encloses(*drawn)
+
+        check()
+
+    def test_positive_linear_decides_without_spectral_radius_on_L(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        F = linear_map(rng.uniform(0.5, 2.0, (6, 6)))
+        sizes = _radius_sizes(monkeypatch)
+        rep = power_method(F, None, _cfg(1))
+        cert = certify_uniqueness(F, rep)
+        assert cert.kind == "jacobian_irreducible"
+        assert abs(cert.data["rho_L"] - 1.0) < 1e-9
+        assert sizes == [1]  # rho(A) of the 1 x 1 homogeneity matrix only
+
+    def test_straddling_enclosure_falls_back(self, monkeypatch):
+        # the defective [[1,1],[0,1]] near its boundary eigenvector (1, 0), as
+        # the delta-continuation leaves it: rho(L) = 1/lambda lies outside the
+        # band, yet the enclosure's upper end is within it
+        M = np.array([[1.0, 1.0], [0.0, 1.0]])
+        F = linear_map(M)
+        u = normalize(ProductVector([[1.0, 1e-3]]), NormSpec.euclidean(1))
+        lam = np.array([np.linalg.norm(M @ u.flat)])
+        L_pos = M / lam[0]
+        lo, hi = solver._cw_enclosure(L_pos, u.flat)
+        assert lo < 1.0 - 1e-6 <= hi <= 1.0 + 1e-6
+        report = SolveReport(
+            eigenpair=EigenPair(u, lam, float(lam[0])),
+            status=solver.CONVERGED,
+            iterations=0,
+            bracket_trace=[],
+            weights=np.ones(1),
+        )
+        F.analysis  # measured before the count starts
+        sizes = _radius_sizes(monkeypatch)
+        cert = certify_uniqueness(F, report)
+        assert sizes == [2]
+        assert cert.kind == "none" and cert.data["reason"] == "rho(lambda^{-1} DF(u)) is not 1"
+        assert cert.data["rho_L"] == homogeneity.spectral_radius(L_pos)
+
+    def test_no_positive_right_perron_vector_falls_back(self, monkeypatch):
+        F = tight_map([[1.0, 0.5], [0.0, 0.5]], (2, 3))
+        with pytest.raises(PerronStructureError):
+            homogeneity._perron_weights(F.A.T, F.analysis.rho)
+        rep = power_method(F, None, _cfg(2, weights=np.array([0.5, 0.5])))
+        sizes = _radius_sizes(monkeypatch)
+        cert = certify_uniqueness(F, rep)
+        assert sizes == [5]
+        assert cert.kind == "none" and cert.data["reason"] == "no certificate validated"
+        assert abs(cert.data["rho_L"] - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-13, 1e13])
+    def test_jacobian_irreducible_is_scale_free(self, scale):
+        M = np.random.default_rng(6).uniform(0.5, 2.0, (4, 4))
+        F = linear_map(scale * M)
+        rep = power_method(F, None, _cfg(1))
+        cert = certify_uniqueness(F, rep)
+        assert cert.kind == "jacobian_irreducible"
+        assert cert.data["df_irreducible"] is True
