@@ -65,6 +65,44 @@ def _format_float(x: float) -> str:
 _INLINE = {float: _format_float, int: str}
 
 
+def _zeros_like(x):
+    return [_zeros_like(v) for v in x] if type(x) is list else 0
+
+
+def _encode_int_list(obj: list, indent: int, level: int):
+    """_encode of a non-empty list of equally nested lists of plain ints, else None.
+
+    The ints are gathered level by level, checking that every item has the
+    first item's nesting, and fill one %-template of the first item's layout
+    per item, so the text is made without a call per value.  Any other list
+    (a bool or numpy int, a float, a tuple, or items of unequal shape) returns
+    None and takes the general path.
+    """
+    # a list of float lists (a bracket trace) is turned away at its first leaf
+    leaf = obj
+    while type(leaf) is list and leaf:
+        leaf = leaf[0]
+    if type(leaf) is not int:
+        return None
+    values, first = obj, [obj[0]]
+    while values and type(values[0]) is list:
+        if not all(type(v) is list for v in values):
+            return None
+        if [len(v) for v in values] != [len(v) for v in first] * len(obj):
+            return None
+        values = [x for v in values for x in v]
+        first = [x for v in first for x in v]
+    if not all(type(x) is int for x in values):
+        return None
+    # the first item's layout, with a %s in place of each of its ints
+    template = _encode(_zeros_like(obj[0]), indent, level + 1).replace("0", "%s")
+    pad_in = " " * (indent * (level + 1))
+    return (
+        "[\n" + pad_in + (",\n" + pad_in).join([template] * len(obj))
+        + "\n" + " " * (indent * level) + "]"
+    ) % tuple(values)
+
+
 def _encode(obj, indent: int, level: int) -> str:
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
@@ -92,6 +130,11 @@ def _encode(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        # only a list opening with an int or a list can be an int list
+        if type(obj) is list and type(obj[0]) in (int, list):
+            text = _encode_int_list(obj, indent, level)
+            if text is not None:
+                return text
         # plain floats (bracket pairs, say) and ints (graph nodes) are
         # formatted in place, not through one more call each
         items = [

@@ -9,15 +9,27 @@ which search the digraph of the pattern of A instead of taking its powers.
 map as ``MapInstance.analysis`` and read by the solver, the certificates and
 the CLI: rho(A) below, at or above 1, and the automatic weights for it.
 
-The spectral radius and Perron vector are computed by power iteration that is
-accelerated through repeated squaring: B = A + shift*I is squared in a
-renormalized log scale, so the Collatz-Wielandt style bracket
+The spectral radius and the Perron vectors come from the Collatz-Wielandt
+principle: for a nonnegative A and any positive v,
+
+    min_i (A v)_i / v_i  <=  rho(A)  <=  max_i (A v)_i / v_i.
+
+When the pattern of A is irreducible (strongly connected), Perron-Frobenius
+gives a simple positive Perron vector, and the eigenvector of ``eig`` for the
+eigenvalue of largest real part, taken in absolute value, is a candidate for
+it.  rho(A) is the midpoint of that enclosure once it is ``tol`` narrow, and
+the left Perron vector is the candidate of A^T once it passes the positivity
+and residual checks; a period-2 matrix such as [[0, a], [b, 0]] is answered
+by one O(d^3) step.  Everything else -- reducible or defective A, or a
+candidate that fails its check -- falls back to power iteration accelerated
+by repeated squaring: B = A + shift*I is squared in a renormalized log scale,
+so the bracket
 
     max_i (B^k)_ii ^{1/k}  <=  rho(B)  <=  ||B^k||_inf ^{1/k}
 
-closes geometrically even for reducible or defective matrices, where the
-vanilla iteration stalls.  The diagonal shift is removed exactly at the end
-(the spectrum of a nonnegative matrix translates under +shift*I).
+closes geometrically where the vanilla iteration stalls (slowly, like
+log 2 / k, when A is periodic).  The diagonal shift is removed exactly at the
+end (the spectrum of a nonnegative matrix translates under +shift*I).
 """
 
 from __future__ import annotations
@@ -70,12 +82,49 @@ def _check_nonneg_square(A) -> np.ndarray:
     return A
 
 
+def _cw_enclosure(M: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """(min, max) of (M v) / v, which encloses rho(M) for M >= 0 and v > 0."""
+    q = (M @ v) / v
+    return float(q.min()), float(q.max())
+
+
+def _perron_candidate(M: np.ndarray) -> Optional[np.ndarray]:
+    """|eigenvector| of the eigenvalue of M with the largest real part, or None.
+
+    Only a candidate for the right Perron vector: callers accept it through a
+    check on M itself.
+    """
+    try:
+        w, V = np.linalg.eig(M)
+    except np.linalg.LinAlgError:
+        return None
+    return np.abs(V[:, np.argmax(w.real)])
+
+
 def spectral_radius(A, tol: float = 1e-13, shift: float = 1e-8) -> float:
-    """Spectral radius of a nonnegative matrix to ``tol`` relative accuracy."""
+    """Spectral radius of a nonnegative matrix to ``tol`` relative accuracy.
+
+    Irreducible A (strongly connected pattern of A > 0) has a positive right
+    Perron vector, and for its candidate v the Collatz-Wielandt enclosure
+    [min (Av/v), max (Av/v)] contains rho(A); once it is ``tol`` narrow its
+    midpoint is the answer.  Reducible A, or a candidate that does not close
+    the enclosure, goes to the repeated-squaring bracket.
+    """
     A = _check_nonneg_square(A)
-    d = A.shape[0]
-    if d == 1:
+    if A.shape[0] == 1:
         return float(A[0, 0])
+    if _digraph.strongly_connected(A > 0):
+        v = _perron_candidate(A)
+        if v is not None and v.min() > 0.0:
+            lo, hi = _cw_enclosure(A, v)
+            if hi - lo <= tol * hi:
+                return 0.5 * (lo + hi)
+    return _radius_by_squaring(A, tol, shift)
+
+
+def _radius_by_squaring(A: np.ndarray, tol: float, shift: float) -> float:
+    """rho(A) from the diagonal and row-sum bracket of renormalized powers of A + shift*I."""
+    d = A.shape[0]
     M = A + shift * np.eye(d)
     k, logscale = 1, 0.0  # invariant: B^k = exp(logscale) * M
     log_upper = log_lower = None
@@ -99,12 +148,27 @@ def perron_weights(
 ) -> np.ndarray:
     """Left Perron vector b in the open simplex with A^T b = rho(A) b.
 
-    Raises :class:`PerronStructureError` when the limit vector is not strictly
-    positive (reducible matrices with deficient Perron structure); callers then
-    fall back to :func:`contraction_weights`.
+    Irreducible A takes the Perron candidate of A^T (see :func:`spectral_radius`)
+    when the column sums of A + shift*I are not already uniform; the repeated
+    squaring of (A + shift*I)^T answers reducible A and any candidate that
+    fails the positivity or residual check.  Raises
+    :class:`PerronStructureError` when that answer is not strictly positive
+    (reducible matrices with deficient Perron structure) or leaves a residual
+    above ``tol * max(1, rho)``; callers then fall back to
+    :func:`contraction_weights`.
     """
     A = _check_nonneg_square(A)
     return _perron_weights(A, spectral_radius(A), tol, shift, positivity_ratio)
+
+
+def _perron_defect(A: np.ndarray, b: np.ndarray, rho: float, tol, positivity_ratio) -> Optional[str]:
+    """Why b is not an acceptable left Perron vector of A, or None."""
+    if not b.min() > positivity_ratio * b.max():
+        return "A^T has no strictly positive Perron eigenvector at this accuracy"
+    residual = float(np.max(np.abs(A.T @ b - rho * b)))
+    if not residual <= tol * max(1.0, rho):
+        return f"left Perron residual {residual:.3g} exceeds tolerance {tol:.3g}"
+    return None
 
 
 def _perron_weights(
@@ -114,6 +178,25 @@ def _perron_weights(
     d = A.shape[0]
     if d == 1:
         return np.ones(1)
+    if _digraph.strongly_connected(A > 0):
+        sums = (A + shift * np.eye(d)).T @ np.ones(d)
+        b = sums / sums.sum()
+        # uniform column sums make the squaring's first pass its answer
+        if not np.max(np.abs(b - 1.0 / d)) < 1e-16:
+            v = _perron_candidate(A.T)
+            b = None if v is None else v / v.sum()
+        if b is not None and _perron_defect(A, b, rho, tol, positivity_ratio) is None:
+            return b
+    b = _perron_by_squaring(A, shift)
+    defect = _perron_defect(A, b, rho, tol, positivity_ratio)
+    if defect is not None:
+        raise PerronStructureError(defect)
+    return b
+
+
+def _perron_by_squaring(A: np.ndarray, shift: float) -> np.ndarray:
+    """Normalized (A + shift*I)^T-power image of the ones vector, by repeated squaring."""
+    d = A.shape[0]
     M = (A + shift * np.eye(d)).T
     b = np.full(d, 1.0 / d)
     for _ in range(64):
@@ -128,15 +211,6 @@ def _perron_weights(
         b = v
         scaled = M / np.max(M)
         M = scaled @ scaled
-    if b.min() <= positivity_ratio * b.max():
-        raise PerronStructureError(
-            "A^T has no strictly positive Perron eigenvector at this accuracy"
-        )
-    residual = float(np.max(np.abs(A.T @ b - rho * b)))
-    if residual > tol * max(1.0, rho):
-        raise PerronStructureError(
-            f"left Perron residual {residual:.3g} exceeds tolerance {tol:.3g}"
-        )
     return b
 
 
@@ -146,12 +220,15 @@ def contraction_weights(A, margin_tol: float = 1e-12) -> WeightSearchResult:
     Uses the true left Perron vector when it is strictly positive (r = rho(A),
     exact); otherwise bisects the all-ones rank-one inflation A + t * 11^T down
     to a t with rho still below 1 and takes that matrix's Perron vector.
+    Raises ``ValueError`` unless :func:`analyze_homogeneity` puts A in the
+    strict contraction regime.
     """
-    A = _check_nonneg_square(A)
-    rho = spectral_radius(A)
-    if rho >= 1.0 - 1e-12:
-        raise ValueError(f"contraction weight search needs rho(A) < 1, got {rho:.6g}")
-    return _contraction_weights(A, rho, margin_tol)
+    analysis = analyze_homogeneity(A)
+    if analysis.regime != "strict_contraction":
+        raise ValueError(
+            f"contraction weight search needs rho(A) < 1, got {analysis.rho:.17g} ({analysis.regime})"
+        )
+    return _contraction_weights(analysis.A, analysis.rho, margin_tol)
 
 
 def _contraction_weights(A: np.ndarray, rho: float, margin_tol: float = 1e-12) -> WeightSearchResult:

@@ -51,6 +51,7 @@ from .cones import (
 )
 from .homogeneity import (
     PerronStructureError,
+    _cw_enclosure,
     _perron_weights,
     is_irreducible,
     spectral_radius,
@@ -513,12 +514,6 @@ def find_dirr(L, shape: ShapeSpec, pattern_tol: float = 1e-12):
 
 # |rho(L) - 1| up to this counts as rho(L) = 1 in the certificates
 _RHO_L_TOL = 1e-6
-
-
-def _cw_enclosure(M: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """(min, max) of (M v) / v, which encloses rho(M) for M >= 0 and v > 0."""
-    q = (M @ v) / v
-    return float(q.min()), float(q.max())
 
 
 def _rho_L(F: MapInstance, u: ProductVector, L_pos: np.ndarray) -> float:

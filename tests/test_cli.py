@@ -439,6 +439,58 @@ class TestMainEntry:
         assert dump_json([True, False, 1]) == "[\n  true,\n  false,\n  1\n]\n"
         assert dump_json([[0, 1], [2, 3]]) == dump_json([[np.int64(0), 1], (2, np.int8(3))])
 
+    def test_int_list_fast_path_matches_the_general_path(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        import numpy as np
+
+        from mhspectral import cli
+
+        def general(obj, level):
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_encode_int_list", lambda *args: None)
+                return cli._encode(obj, 2, level)
+
+        def refill(x, rnd):
+            return [refill(v, rnd) for v in x] if isinstance(x, list) else rnd.randint(-(2**70), 2**70)
+
+        def leaf_paths(x, path=()):
+            if not isinstance(x, list):
+                return [path]
+            return [p for i, v in enumerate(x) for p in leaf_paths(v, path + (i,))]
+
+        shapes = st.recursive(st.integers(), lambda ch: st.lists(ch, max_size=4), max_leaves=12)
+        intruders = st.sampled_from([None, True, False, np.int64(7), np.int32(-3), np.uint8(2), 2.5])
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(shapes, st.integers(1, 5), st.randoms(use_true_random=False), intruders,
+                          st.booleans(), st.integers(0, 3))
+        def check(shape, n, rnd, intruder, ragged, level):
+            obj = [refill(shape, rnd) for _ in range(n)]
+            ragged = ragged and n > 1 and isinstance(obj[-1], list)
+            if ragged:
+                obj[-1].append(rnd.randint(-5, 5))
+            paths = leaf_paths(obj)
+            if intruder is not None and paths:
+                path = rnd.choice(paths)
+                target = obj
+                for i in path[:-1]:
+                    target = target[i]
+                target[path[-1]] = intruder
+            else:
+                intruder = None
+            fast = cli._encode_int_list(obj, 2, level)
+            assert cli._encode(obj, 2, level) == general(obj, level)
+            if intruder is not None:
+                assert fast is None  # bools, numpy ints and floats never take it
+            elif fast is not None:
+                assert fast == general(obj, level)
+
+        check()
+        edges = [[[0, k], [1, -k]] for k in range(50)]
+        assert cli._encode_int_list(edges, 2, 1) == general(edges, 1)
+        assert cli._encode_int_list([7, -8, 2**80], 2, 0) == general([7, -8, 2**80], 0)
+
     def test_17_digit_floats_round_trip(self):
         values = {"a": 2 ** (5 / 16), "b": 0.1 + 0.2, "c": 1.0 / 3.0}
         text = dump_json(values)

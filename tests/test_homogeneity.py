@@ -200,3 +200,159 @@ class TestPatterns:
             P = (rng.random((d, d)) < 0.3).astype(float)
             if is_primitive(P):
                 assert is_irreducible(P)
+
+
+def test_contraction_weights_decides_by_the_regime():
+    # rho = 1 - 5e-11 is rho(A) = 1 under the one regime threshold
+    with pytest.raises(ValueError, match="non_expansive"):
+        contraction_weights([[0.0, 1.0 - 1e-10], [1.0, 0.0]])
+    A = np.array([[0.0, 1.0 - 1e-8], [1.0, 0.0]])
+    res = contraction_weights(A)
+    assert res.exact and res.r < 1.0 - 1e-9
+    assert np.all(A.T @ res.b <= res.r * res.b + 1e-12)
+
+
+def _irreducible(rng, d: int, period: int) -> np.ndarray:
+    """Random nonnegative d x d matrix with a strongly connected pattern of the given period."""
+    group = np.arange(d) % period
+    rng.shuffle(group)
+    allowed = group[None, :] == (group[:, None] + 1) % period
+    A = rng.uniform(0.1, 10.0, (d, d)) * allowed * (rng.uniform(size=(d, d)) < 0.6)
+    # every node of a group reaches the next group's first node and is reached
+    # from the previous group's first node: a strongly connected pattern
+    members = [np.flatnonzero(group == g) for g in range(period)]
+    for g in range(period):
+        nxt = members[(g + 1) % period]
+        A[members[g], nxt[0]] += 1.0
+        A[members[g][0], nxt] += 1.0
+    return A
+
+
+def _reducible(rng, d: int, defective: bool) -> np.ndarray:
+    """Random nonnegative block upper triangular d x d matrix, permuted."""
+    k = int(rng.integers(1, d))
+    A = rng.uniform(0.1, 3.0, (d, d)) * (rng.uniform(size=(d, d)) < 0.7)
+    A[k:, :k] = 0.0
+    if defective:  # equal diagonal blocks joined by a positive coupling: a Jordan block
+        A[:k, :k] = A[k:, k:] = 0.0
+        A[:k, :k][np.diag_indices(k)] = A[k:, k:][np.diag_indices(d - k)] = 1.0
+        A[0, k] += 1.0
+    perm = rng.permutation(d)
+    return A[np.ix_(perm, perm)]
+
+
+class TestPerronKernelProperties:
+    """The enclosure path on irreducible A, and the squaring loops on everything else."""
+
+    @staticmethod
+    def _given(check, **draws):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        strategies = {k: st.integers(*v) for k, v in draws.items()}
+        settings = hypothesis.settings(max_examples=120, deadline=None)
+        settings(hypothesis.given(seed=st.integers(0, 2**32 - 1), **strategies)(check))()
+
+    def test_enclosure_contains_rho_of_irreducible_matrices(self):
+        def check(seed, d, period):
+            rng = np.random.default_rng(seed)
+            A = _irreducible(rng, max(d, period), period)
+            exact = float(np.max(np.abs(np.linalg.eigvals(A))))
+            v = homogeneity._perron_candidate(A)
+            lo, hi = homogeneity._cw_enclosure(A, v)
+            slack = 1e-12 * exact
+            assert lo <= exact + slack and exact <= hi + slack, (lo, exact, hi)
+            assert abs(spectral_radius(A) - exact) <= 1e-12 * exact
+
+        self._given(check, d=(2, 12), period=(1, 5))
+
+    def test_reducible_and_defective_take_the_squaring_bit_for_bit(self):
+        def check(seed, d, defective):
+            rng = np.random.default_rng(seed)
+            A = _reducible(rng, d, bool(defective))
+            assert not is_irreducible(A)
+            rho = spectral_radius(A)
+            assert rho == homogeneity._radius_by_squaring(A, 1e-13, 1e-8)
+            try:
+                b = perron_weights(A)
+            except PerronStructureError:
+                return
+            assert np.array_equal(b, homogeneity._perron_by_squaring(A, 1e-8))
+
+        self._given(check, d=(2, 8), defective=(0, 1))
+
+    def test_perron_weights_postconditions(self):
+        def check(seed, d, period):
+            rng = np.random.default_rng(seed)
+            A = _irreducible(rng, max(d, period), period)
+            b = perron_weights(A)
+            rho = spectral_radius(A)
+            assert b.min() > 1e-12 * b.max() and abs(b.sum() - 1.0) < 1e-12
+            assert np.max(np.abs(A.T @ b - rho * b)) <= 1e-10 * max(1.0, rho)
+
+        self._given(check, d=(2, 12), period=(1, 5))
+
+
+def _ulps(x: float, exact: float) -> float:
+    return abs(x - exact) / np.spacing(exact)
+
+
+class TestClosedForms:
+    """rho of the period-2 and ring homogeneity matrices to within 4 ulp of the closed form."""
+
+    def test_singular_and_motivating(self):
+        from mhspectral import motivating_map, singular_map
+
+        M = np.random.default_rng(7).uniform(0.1, 1.0, (3, 5))
+        assert _ulps(singular_map(M).analysis.rho, 1.0) <= 4
+        assert _ulps(motivating_map().analysis.rho, 0.5) <= 4
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("q", [3.0, 4.0, 5.0, 7.5])
+    def test_pq_singular(self, p, q):
+        from mhspectral import pq_singular_map
+
+        F = pq_singular_map(np.ones((2, 3)), p, q)
+        assert _ulps(F.analysis.rho, ((p - 1.0) * (q - 1.0)) ** -0.5) <= 4
+
+    def test_ring(self):
+        d = 60
+        A = np.zeros((d, d))
+        A[np.arange(d), (np.arange(d) + 1) % d] = 0.95
+        assert _ulps(analyze_homogeneity(A).rho, 0.95) <= 4
+
+
+def test_cli_families_skip_the_squaring_for_irreducible_A(monkeypatch):
+    """No squaring loop runs on an irreducible A (or A^T) over analyze, solve and certify."""
+    import copy
+    import json
+    import pathlib
+
+    from mhspectral import cli
+
+    seen = []
+    for name in ("_radius_by_squaring", "_perron_by_squaring"):
+        original = getattr(homogeneity, name)
+
+        def counting(M, *args, _original=original, **kwargs):
+            seen.append(np.array(M))
+            return _original(M, *args, **kwargs)
+
+        monkeypatch.setattr(homogeneity, name, counting)
+    golden = pathlib.Path(__file__).resolve().parent / "data" / "graph_reports.json"
+    irreducible = 0
+    for family, entry in json.loads(golden.read_text()).items():
+        doc = entry["doc"]
+        A = cli.parse_instance(copy.deepcopy(doc)).map.A
+        seen.clear()
+        cli.run_analyze(copy.deepcopy(doc))
+        try:
+            _, solved = cli.run_solve(copy.deepcopy(doc))
+        except cli.InstanceError:
+            solved = None
+        if solved is not None and solved["eigenvector"] is not None:
+            cli.run_certify(copy.deepcopy(doc), json.loads(cli.dump_json(solved)))
+        if A.shape[0] > 1 and is_irreducible(A):
+            irreducible += 1
+            hits = [M for M in seen if M.shape == A.shape and (np.array_equal(M, A) or np.array_equal(M, A.T))]
+            assert not hits, family
+    assert irreducible >= 5

@@ -645,7 +645,7 @@ class TestRhoLEnclosure:
 
     @staticmethod
     def _assert_encloses(M, v):
-        lo, hi = solver._cw_enclosure(M, v)
+        lo, hi = homogeneity._cw_enclosure(M, v)
         rho = homogeneity.spectral_radius(M)
         slack = 1e-10 * (1.0 + rho)
         assert lo <= rho + slack and rho <= hi + slack, (lo, rho, hi)
@@ -698,7 +698,7 @@ class TestRhoLEnclosure:
         u = normalize(ProductVector([[1.0, 1e-3]]), NormSpec.euclidean(1))
         lam = np.array([np.linalg.norm(M @ u.flat)])
         L_pos = M / lam[0]
-        lo, hi = solver._cw_enclosure(L_pos, u.flat)
+        lo, hi = homogeneity._cw_enclosure(L_pos, u.flat)
         assert lo < 1.0 - 1e-6 <= hi <= 1.0 + 1e-6
         report = SolveReport(
             eigenpair=EigenPair(u, lam, float(lam[0])),
