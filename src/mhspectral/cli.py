@@ -64,38 +64,47 @@ def _format_float(x: float) -> str:
 # list items of exactly these types (so not bool) skip the recursive call
 _INLINE = {float: _format_float, int: str}
 
+# the %-format of a leaf of each plain type, for finite floats the same text
+# as _format_float
+_LEAF_FORMAT = {int: "%s", float: "%.17g"}
+
 
 def _zeros_like(x):
     return [_zeros_like(v) for v in x] if type(x) is list else 0
 
 
-def _encode_int_list(obj: list, indent: int, level: int):
-    """_encode of a non-empty list of equally nested lists of plain ints, else None.
+def _encode_plain_list(obj: list, indent: int, level: int):
+    """_encode of a non-empty list of equally nested lists of plain leaves, else None.
 
-    The ints are gathered level by level, checking that every item has the
-    first item's nesting, and fill one %-template of the first item's layout
-    per item, so the text is made without a call per value.  Any other list
-    (a bool or numpy int, a float, a tuple, or items of unequal shape) returns
-    None and takes the general path.
+    The leaves must be all plain ints or all plain finite floats.  They are
+    gathered level by level, checking that every item has the first item's
+    nesting, and fill one %-template of the first item's layout per item, so
+    the text is made without a call per value.  Any other list (a bool or
+    numpy scalar, ints mixed with floats, a NaN or infinity, a tuple, or
+    items of unequal shape) returns None and takes the general path.
     """
-    # a list of float lists (a bracket trace) is turned away at its first leaf
     leaf = obj
     while type(leaf) is list and leaf:
         leaf = leaf[0]
-    if type(leaf) is not int:
+    kind = type(leaf)
+    if kind not in _LEAF_FORMAT:
         return None
     values, first = obj, [obj[0]]
     while values and type(values[0]) is list:
         if not all(type(v) is list for v in values):
             return None
-        if [len(v) for v in values] != [len(v) for v in first] * len(obj):
+        if list(map(len, values)) != list(map(len, first)) * len(obj):
             return None
         values = [x for v in values for x in v]
         first = [x for v in first for x in v]
-    if not all(type(x) is int for x in values):
+    if set(map(type, values)) != {kind}:
         return None
-    # the first item's layout, with a %s in place of each of its ints
-    template = _encode(_zeros_like(obj[0]), indent, level + 1).replace("0", "%s")
+    # a sum is finite only if every term is (an overflow just takes the
+    # general path)
+    if kind is float and not math.isfinite(sum(values)):
+        return None
+    # the first item's layout, with a %-format in place of each of its leaves
+    template = _encode(_zeros_like(obj[0]), indent, level + 1).replace("0", _LEAF_FORMAT[kind])
     pad_in = " " * (indent * (level + 1))
     return (
         "[\n" + pad_in + (",\n" + pad_in).join([template] * len(obj))
@@ -130,9 +139,10 @@ def _encode(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        # only a list opening with an int or a list can be an int list
+        # only a list opening with an int or a list can be a plain list; a
+        # short flat float list is cheaper on the general path
         if type(obj) is list and type(obj[0]) in (int, list):
-            text = _encode_int_list(obj, indent, level)
+            text = _encode_plain_list(obj, indent, level)
             if text is not None:
                 return text
         # plain floats (bracket pairs, say) and ints (graph nodes) are

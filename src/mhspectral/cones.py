@@ -141,18 +141,23 @@ class ProductVector:
     __slots__ = ("flat", "shape", "_blocks")
 
     def __init__(self, blocks: Iterable[Sequence[float]]):
-        parsed = []
-        for blk in blocks:
-            arr = np.asarray(blk, dtype=float)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError("each block must be a nonempty 1-d array")
-            parsed.append(arr)
-        if not parsed:
+        if not isinstance(blocks, (list, tuple)):
+            blocks = list(blocks)
+        if not blocks:
             raise ValueError("a product vector needs at least one block")
-        flat = np.concatenate(parsed)  # always a fresh copy
+        try:
+            # one fresh copy; unsafe casting converts like np.asarray(blk, float)
+            flat = np.concatenate(blocks, dtype=float, casting="unsafe")
+            sizes = tuple(map(len, blocks))
+        except (TypeError, ValueError):
+            flat = sizes = None
+        # concatenating along axis 0 needs blocks of one ndim, so a 1-d result
+        # means every block was 1-d
+        if flat is None or flat.ndim != 1 or 0 in sizes:
+            raise ValueError("each block must be a nonempty 1-d array")
         flat.setflags(write=False)
         object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "shape", _shape_of(tuple(map(len, parsed))))
+        object.__setattr__(self, "shape", _shape_of(sizes))
         object.__setattr__(self, "_blocks", None)
 
     def __setattr__(self, name, value):
@@ -165,8 +170,14 @@ class ProductVector:
     def blocks(self) -> tuple[np.ndarray, ...]:
         blocks = self._blocks
         if blocks is None:  # built on first use; many vectors never need them
-            flat = self.flat
-            blocks = (flat,) if self.shape.d == 1 else tuple(flat[sl] for sl in self.shape._slices)
+            flat, shape = self.flat, self.shape
+            n = shape._uniform
+            if shape.d == 1:
+                blocks = (flat,)
+            elif n is not None:  # the rows of one 2-d view
+                blocks = tuple(flat.reshape(shape.d, n))
+            else:
+                blocks = tuple(flat[sl] for sl in shape._slices)
             object.__setattr__(self, "_blocks", blocks)
         return blocks
 
@@ -283,19 +294,9 @@ class NormSpec:
 
     def block_norm(self, i: int, v: np.ndarray) -> float:
         kind, val = self.selectors[i]
-        if kind == "phi":
-            if val.shape != v.shape:
-                raise ValueError(f"phi weight length mismatch in block {i}")
-            return float(np.dot(np.abs(v), val))
-        p = val
-        if p == 2.0:
-            return float(np.sqrt(np.dot(v, v)))
-        av = np.abs(v)
-        if p == math.inf:
-            return float(av.max())
-        if p == 1.0:
-            return float(av.sum())
-        return float(np.sum(av**p) ** (1.0 / p))
+        if kind == "phi" and val.shape != v.shape:
+            raise ValueError(f"phi weight length mismatch in block {i}")
+        return _selector_norm(kind, val)(v)
 
     def __repr__(self):
         parts = [
@@ -372,22 +373,55 @@ def _power_scale(a: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def block_norms(x: ProductVector, norms: NormSpec) -> np.ndarray:
-    """Vector of per-block norms (||x_1||_{g_1}, ..., ||x_d||_{g_d})."""
-    shape = x.shape
+def _selector_norm(kind: str, val):
+    """The norm of one block under the selector (kind, val), as a function of the block."""
+    if kind == "phi":
+        return lambda v: float(np.dot(np.abs(v), val))
+    if val == 2.0:
+        # sqrt is correctly rounded in both math and numpy
+        return lambda v: math.sqrt(np.dot(v, v))
+    if val == math.inf:
+        return lambda v: float(np.abs(v).max())
+    if val == 1.0:
+        return lambda v: float(np.abs(v).sum())
+    inv = 1.0 / val
+    return lambda v: float(np.sum(np.abs(v) ** val) ** inv)
+
+
+def _norm_kernel(shape: ShapeSpec, norms: NormSpec):
+    """``flat -> block_norms(x, norms)`` for the buffers of vectors laid out as ``shape``.
+
+    The spec is checked against the shape and dispatched here, once, so a
+    loop that takes the norms of many vectors of one shape pays neither per
+    call.
+    """
     d = shape.d
     if norms.d != d:
         raise ValueError("norm spec block count does not match the vector")
-    if d == 1:
-        return np.array([norms.block_norm(0, x.flat)])
     n = shape._uniform
-    if norms._euclidean and n is not None:
+    if d > 1 and norms._euclidean and n is not None:
         # one stacked (1 x n) @ (n x 1) product per block: numpy computes each
         # with the same dot kernel as np.dot, so the norms match the per-block
         # loop to the last bit (a summing reduction would not)
-        X = x.flat.reshape(d, n)
-        return np.sqrt(np.matmul(X[:, None, :], X[:, :, None]).ravel())
-    return np.array([norms.block_norm(i, blk) for i, blk in enumerate(x.blocks)])
+        def stacked(flat):
+            X = flat.reshape(d, n)
+            return np.sqrt(np.matmul(X[:, None, :], X[:, :, None]).ravel())
+
+        return stacked
+    for i, ((kind, val), size) in enumerate(zip(norms.selectors, shape.sizes)):
+        if kind == "phi" and val.shape != (size,):
+            raise ValueError(f"phi weight length mismatch in block {i}")
+    fns = [_selector_norm(kind, val) for kind, val in norms.selectors]
+    if d == 1:
+        norm = fns[0]
+        return lambda flat: np.array([norm(flat)])
+    slices = shape._slices
+    return lambda flat: np.array([norm(flat[sl]) for norm, sl in zip(fns, slices)])
+
+
+def block_norms(x: ProductVector, norms: NormSpec) -> np.ndarray:
+    """Vector of per-block norms (||x_1||_{g_1}, ..., ||x_d||_{g_d})."""
+    return _norm_kernel(x.shape, norms)(x.flat)
 
 
 def normalize(x: ProductVector, norms: NormSpec) -> ProductVector:

@@ -32,6 +32,7 @@ from .cones import (
     NormSpec,
     ProductVector,
     ShapeSpec,
+    _norm_kernel,
     _power_scale,
     _shape_of,
     _wrap,
@@ -673,10 +674,10 @@ def shifted(F: MapInstance, delta: float, norms: NormSpec) -> MapInstance:
 
     Keeps the homogeneity matrix of F, maps K_{+,0} into K_{++}, and reduces
     to F + delta * 1 on the unit slice S_+.  A, delta and the norms are
-    checked here, once: A is F's validated nonnegative matrix and block norms
-    are nonnegative, so each evaluation raises the norms to A through the
-    unchecked kernel of ``matrix_power_scale`` (a zero norm still takes its
-    0^0 = 1 branch).
+    checked here, once, and the block-norm kernel is built here: A is F's
+    validated nonnegative matrix and block norms are nonnegative, so each
+    evaluation raises the norms to A through the unchecked kernel of
+    ``matrix_power_scale`` (a zero norm still takes its 0^0 = 1 branch).
     """
     delta = float(delta)
     if not delta > 0.0:
@@ -684,10 +685,11 @@ def shifted(F: MapInstance, delta: float, norms: NormSpec) -> MapInstance:
     if norms.d != F.shape.d:
         raise ValueError("norm spec does not match the map shape")
     A = F.A
+    norm_of = _norm_kernel(F.shape, norms)
 
     def ev(x):
         y = F.evaluator(x)
-        shift = delta * _power_scale(block_norms(x, norms), A)
+        shift = delta * _power_scale(norm_of(x.flat), A)
         return _wrap(y.flat + y.shape._spread(shift), y.shape)
 
     G = MapInstance(

@@ -73,9 +73,13 @@ def _log_bracket(y: np.ndarray, x: np.ndarray, shape: ShapeSpec, w: np.ndarray):
     The log Collatz-Wielandt bracket of one power step, for flat buffers laid
     out as ``shape``.  The weighted extrema are formed in place and each end
     is added left to right, so it equals ``_weighted_sum`` of the same
-    extrema to the last bit.
+    extrema to the last bit.  One block weights its two extrema as scalars:
+    the same one product plus the loop's 0.0 start, without the array steps.
     """
     lo, hi = _log_ratio_extrema(y, x, shape)
+    if len(lo) == 1:
+        w0 = w.item(0)
+        return w0 * lo.item(0) + 0.0, w0 * hi.item(0) + 0.0
     lo *= w
     hi *= w
     return np.add.accumulate(lo)[-1] + 0.0, np.add.accumulate(hi)[-1] + 0.0

@@ -42,6 +42,7 @@ from .cones import (
     NormSpec,
     ProductVector,
     ShapeSpec,
+    _norm_kernel,
     _wrap,
     as_weight_vector,
     block_norms,
@@ -257,6 +258,8 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
         raise ValueError("norm spec does not match the map shape")
     messages: list[str] = []
     b = _resolve_weights(F, cfg.weights, messages)
+    norm_of = _norm_kernel(F.shape, norms)
+    one_block = F.shape.d == 1
     x = normalize(x0 if x0 is not None else ones_vector(F.shape), norms)
     if not x.is_pos():
         raise ValueError("starting vector must be strictly positive")
@@ -278,16 +281,23 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
             break
         iterations += 1
         yf = y.flat
-        # finite and strictly positive in one min/max pass; the diagnostics
-        # below run only on failure and keep their order (NaN before zero)
-        if not (np.minimum.reduce(yf) > 0.0 and np.maximum.reduce(yf) < math.inf):
+        # y in the open cone: one min pass rules out zeros and NaN; the
+        # diagnostics run only on failure and keep their order (NaN first)
+        y_min = np.minimum.reduce(yf)
+        if not y_min > 0.0:
             status = DIVERGED
             finite = np.isfinite(yf).all()
             messages.append("iterate left the open cone" if finite else "non-finite iterate")
             break
         log_lo, log_hi = _log_bracket(yf, x.flat, y.shape, b)
+        # x is finite and positive, so log_hi is finite whenever y is, and an
+        # infinite entry of y makes it infinite or NaN
+        if not log_hi < math.inf and not np.isfinite(yf).all():
+            status = DIVERGED
+            messages.append("non-finite iterate")
+            break
         trace.append((_exp(log_lo), _exp(log_hi)))
-        lam = block_norms(y, norms)
+        lam = norm_of(yf)
         if log_hi - log_lo < cfg.tol:
             res = _relative_residual_inf(y, lam, x)
             if res < 10.0 * cfg.tol:
@@ -301,22 +311,36 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
                 if dist_cycle < 1e-10 and dist_step > 10.0 * dist_cycle:
                     candidate = _cycle_average(list(recent)[1:], norms)
                     y_c = evaluate(F, candidate)
-                    ylam = block_norms(y_c, norms)
+                    ylam = norm_of(y_c.flat)
                     res_c = _relative_residual_inf(y_c, ylam, candidate)
                     if res_c < 10.0 * cfg.tol:
                         eigenpair = EigenPair(candidate, ylam, _weighted_product(ylam, b))
                         status, res_val = BRACKET_CONVERGED_CYCLING, res_c
                         messages.append("period-2 cycling averaged out")
                         break
-        # lam holds one norm per block of y, the length a scaling needs
-        x = _wrap(y.shape._spread(1.0 / lam) * yf, y.shape)
+        # lam holds one norm per block of y, the length a scaling needs; one
+        # block scales by a scalar, the same product per entry (a numpy one,
+        # so that a norm underflowing to 0 still gives inf, not an exception)
+        if one_block:
+            inv = inv_min = 1.0 / lam[0]
+            x = _wrap(yf * inv, y.shape)
+        else:
+            inv = 1.0 / lam
+            inv_min = np.minimum.reduce(inv)
+            x = _wrap(y.shape._spread(inv) * yf, y.shape)
+        # a rescaled entry can underflow to 0 only if the smallest entry times
+        # the smallest factor does; then the iterate is checked in full
+        if not y_min * inv_min > 0.0 and not x.is_pos():
+            status = DIVERGED
+            messages.append("iterate left the open cone")
+            break
         recent.append(x)
         if cfg.keep_iterates:
             iterates.append(x)
 
     if status == MAX_ITER and trace:
         y = evaluate(F, x)
-        lam = block_norms(y, norms)
+        lam = norm_of(y.flat)
         eigenpair = EigenPair(x, lam, _weighted_product(lam, b))
         res_val = _relative_residual_inf(y, lam, x)
         messages.append("bracket did not close within max_iter")

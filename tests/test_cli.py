@@ -448,11 +448,11 @@ class TestMainEntry:
 
         def general(obj, level):
             with monkeypatch.context() as m:
-                m.setattr(cli, "_encode_int_list", lambda *args: None)
+                m.setattr(cli, "_encode_plain_list", lambda *args: None)
                 return cli._encode(obj, 2, level)
 
-        def refill(x, rnd):
-            return [refill(v, rnd) for v in x] if isinstance(x, list) else rnd.randint(-(2**70), 2**70)
+        def refill(x, leaf):
+            return [refill(v, leaf) for v in x] if isinstance(x, list) else leaf()
 
         def leaf_paths(x, path=()):
             if not isinstance(x, list):
@@ -460,17 +460,27 @@ class TestMainEntry:
             return [p for i, v in enumerate(x) for p in leaf_paths(v, path + (i,))]
 
         shapes = st.recursive(st.integers(), lambda ch: st.lists(ch, max_size=4), max_leaves=12)
-        intruders = st.sampled_from([None, True, False, np.int64(7), np.int32(-3), np.uint8(2), 2.5])
+        intruders = st.sampled_from([
+            None, True, False, np.int64(7), np.int32(-3), np.uint8(2), np.float64(0.5),
+            math.nan, math.inf, -math.inf,
+        ])
 
         @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(shapes, st.integers(1, 5), st.randoms(use_true_random=False), intruders,
-                          st.booleans(), st.integers(0, 3))
-        def check(shape, n, rnd, intruder, ragged, level):
-            obj = [refill(shape, rnd) for _ in range(n)]
+                          st.booleans(), st.booleans(), st.integers(0, 3))
+        def check(shape, n, rnd, intruder, floats, ragged, level):
+            if floats:
+                leaf = lambda: rnd.choice([-0.0, 0.0, 1e-300, 1e300, 5e-324]) * rnd.uniform(-2, 2)
+            else:
+                leaf = lambda: rnd.randint(-(2**70), 2**70)
+            obj = [refill(shape, leaf) for _ in range(n)]
             ragged = ragged and n > 1 and isinstance(obj[-1], list)
             if ragged:
-                obj[-1].append(rnd.randint(-5, 5))
+                obj[-1].append(leaf())
             paths = leaf_paths(obj)
+            if intruder is None and paths and rnd.random() < 0.3:
+                # an int among floats or a float among ints
+                intruder = 3 if floats else 2.5
             if intruder is not None and paths:
                 path = rnd.choice(paths)
                 target = obj
@@ -479,17 +489,24 @@ class TestMainEntry:
                 target[path[-1]] = intruder
             else:
                 intruder = None
-            fast = cli._encode_int_list(obj, 2, level)
+            fast = cli._encode_plain_list(obj, 2, level)
             assert cli._encode(obj, 2, level) == general(obj, level)
-            if intruder is not None:
-                assert fast is None  # bools, numpy ints and floats never take it
+            if intruder is not None and len(paths) > 1:
+                # bools, numpy scalars, non-finite floats and mixed leaves never take it
+                assert fast is None
             elif fast is not None:
                 assert fast == general(obj, level)
 
         check()
         edges = [[[0, k], [1, -k]] for k in range(50)]
-        assert cli._encode_int_list(edges, 2, 1) == general(edges, 1)
-        assert cli._encode_int_list([7, -8, 2**80], 2, 0) == general([7, -8, 2**80], 0)
+        assert cli._encode_plain_list(edges, 2, 1) == general(edges, 1)
+        assert cli._encode_plain_list([7, -8, 2**80], 2, 0) == general([7, -8, 2**80], 0)
+        trace = [[1.0 / (k + 1), -0.0 if k % 2 else 2.0**-1074] for k in range(50)]
+        assert cli._encode_plain_list(trace, 2, 1) == general(trace, 1)
+        for bad in ([[1.0, math.inf]], [[math.nan, 1.0]], [[1.0, 2]]):
+            assert cli._encode_plain_list(bad, 2, 1) is None
+        huge = [[1.5e308, 1.5e308]]  # a sum that overflows takes the general path
+        assert cli._encode(huge, 2, 1) == general(huge, 1)
 
     def test_17_digit_floats_round_trip(self):
         values = {"a": 2 ** (5 / 16), "b": 0.1 + 0.2, "c": 1.0 / 3.0}

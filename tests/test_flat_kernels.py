@@ -39,7 +39,7 @@ from mhspectral import (
     tensor_eigen_map,
     thompson_metric,
 )
-from mhspectral import maps, metrics, solver
+from mhspectral import cones, maps, metrics, solver
 from mhspectral.maps import MapInstance, evaluate
 from mhspectral.metrics import POSITIVITY_FLOOR
 
@@ -448,7 +448,11 @@ def _step_cases(seed=1805):
             pairs.append((F, F.evaluator))
         for F, former_ev in pairs:
             G = _former_map(F, former_ev)
-            for norms in (NormSpec.euclidean(F.shape.d), NormSpec(_random_selectors(rng, F.shape))):
+            choices = [NormSpec.euclidean(F.shape.d), NormSpec(_random_selectors(rng, F.shape))]
+            if F.shape.d == 1:  # one block: every selector kind
+                n = F.shape.total
+                choices[1:] = [NormSpec([p]) for p in (1.0, 3.0, math.inf)] + [NormSpec([rng.uniform(0.2, 3.0, n)])]
+            for norms in choices:
                 x0 = _vector(rng, F.shape)
                 yield F, G, norms, x0
                 delta = float(10.0 ** rng.uniform(-6, 0))
@@ -545,6 +549,55 @@ class TestLeanIterationStep:
         assert _hex(rep.eigenpair.r_b) == _hex(delta_trace[-1][1])
 
 
+class TestOneBlockAndNormKernels:
+    """The one-block bracket and the once-built norm kernel against the former step."""
+
+    def test_norm_kernel_matches_the_loop_under_every_selector(self):
+        rng = np.random.default_rng(23)
+        kinds = [1.0, 2.0, 3.0, math.inf, "phi"]
+        for sizes in ((1,), (5,), (3, 3, 3), (1, 4, 2), (2,) * 60):
+            shape = ShapeSpec(sizes)
+            for kind in kinds:
+                norms = NormSpec([rng.uniform(0.2, 3.0, n) if kind == "phi" else kind for n in sizes])
+                kernel = cones._norm_kernel(shape, norms)
+                for _ in range(5):
+                    x = ProductVector([rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3) for n in sizes])
+                    want = _ref_block_norms(x.blocks, norms)
+                    assert _same_bits(kernel(x.flat), want) and _same_bits(block_norms(x, norms), want)
+
+    def test_norm_kernel_checks_the_spec_once_with_the_same_errors(self):
+        shape = ShapeSpec((2, 3))
+        for norms, message in (
+            (NormSpec.euclidean(3), "block count"),
+            (NormSpec([2.0, [1.0, 1.0]]), "phi weight length mismatch in block 1"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                cones._norm_kernel(shape, norms)
+            with pytest.raises(ValueError, match=message):
+                block_norms(ProductVector([[1.0, 2.0], [3.0, 4.0, 5.0]]), norms)
+        with pytest.raises(ValueError, match="phi weight length mismatch in block 0"):
+            NormSpec([[1.0, 1.0]]).block_norm(0, np.ones(3))
+
+    def test_one_block_bracket(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 7, 160):
+            shape = ShapeSpec((n,))
+            for _ in range(20):
+                x, y = _vector(rng, shape), _vector(rng, shape)
+                b = rng.uniform(0.01, 100.0, 1)
+                lo_i, hi_i = metrics._log_ratio_extrema(y.flat, x.flat, shape)
+                want = (metrics._weighted_sum(b, lo_i), metrics._weighted_sum(b, hi_i))
+                got = metrics._log_bracket(y.flat, x.flat, shape, b)
+                assert _same_bits(got, want)
+                assert _same_bits(got, _ref_log_weighted_ratio_bounds(y.blocks, x.blocks, b))
+        # a product underflowing to -0.0 still ends as the loop's 0.0
+        one = ShapeSpec((2,))
+        x, y = np.array([1.0, 1.0]), np.array([1.0 - 2.0**-53, 1.0])
+        got = metrics._log_bracket(y, x, one, np.array([1e-310]))
+        assert _same_bits(got, [0.0, 0.0])
+        assert _same_bits(got, _ref_log_weighted_ratio_bounds([y], [x], [1e-310]))
+
+
 # ---------------------------------------------------------------------------
 # storage
 # ---------------------------------------------------------------------------
@@ -600,6 +653,45 @@ class TestFlatStorage:
         x, y = ProductVector([[0.0, 1.0]]), ProductVector([[-0.0, 1.0]])
         assert x == y and hash(x) == hash(y) and len({x, y}) == 1
         assert ProductVector([[1.0], [2.0]]) != ProductVector([[1.0, 2.0]])
+
+
+class TestConstructor:
+    """One concatenate, then one validation: the former per-block checks and messages."""
+
+    @pytest.mark.parametrize("blocks", [
+        [[1.0], []],
+        [[1.0, 2.0], [[3.0]]],
+        [[[1.0, 2.0]], [[3.0, 4.0]]],
+        [1.0, 2.0],
+        [[1.0], 2.0],
+        [np.float64(1.0)],
+        [[1.0], [[2.0], [3.0, 4.0]]],
+        [{"a": 1.0}],
+    ])
+    def test_bad_blocks(self, blocks):
+        with pytest.raises(ValueError, match="^each block must be a nonempty 1-d array$"):
+            ProductVector(blocks)
+
+    @pytest.mark.parametrize("blocks", [[], (), iter([])])
+    def test_no_blocks(self, blocks):
+        with pytest.raises(ValueError, match="^a product vector needs at least one block$"):
+            ProductVector(blocks)
+
+    def test_inputs_convert_like_asarray(self):
+        from fractions import Fraction
+
+        x = ProductVector(iter([(1, 2), np.array([True]), [Fraction(1, 4)], np.arange(2, dtype=np.float32)]))
+        assert x.shape.sizes == (2, 1, 1, 2) and x.flat.dtype == np.float64
+        assert _same_bits(x.flat, [1.0, 2.0, 1.0, 0.25, 0.0, 1.0])
+        assert ProductVector(np.ones((3, 2))) == ProductVector([[1.0, 1.0]] * 3)
+
+    def test_uniform_blocks_are_row_views(self):
+        for sizes in ((3,) * 60, (1, 1), (4, 4, 4)):
+            x = ProductVector([np.arange(n, dtype=float) + 10.0 * i for i, n in enumerate(sizes)])
+            rows = x.flat.reshape(len(sizes), sizes[0])
+            assert len(x.blocks) == len(sizes) and x.blocks is x.blocks
+            for blk, row in zip(x.blocks, rows):
+                assert blk.base is x.flat and not blk.flags.writeable and _same_bits(blk, row)
 
 
 class TestKernelProperties:

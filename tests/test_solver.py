@@ -1,6 +1,7 @@
 """Power method, Collatz-Wielandt bounds, continuation, and certificates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -733,3 +734,135 @@ class TestRhoLEnclosure:
         cert = certify_uniqueness(F, rep)
         assert cert.kind == "jacobian_irreducible"
         assert cert.data["df_irreducible"] is True
+
+
+class TestRescaleUnderflow:
+    """A rescaled iterate with an entry rounded to zero ends the loop at once."""
+
+    @staticmethod
+    def _map_turning(out, after=2, sizes=(3,)):
+        """A linear map on R^3 whose output is the fixed ``out`` after ``after`` calls."""
+        M = np.triu(np.ones((3, 3)))
+        calls = []
+
+        def ev(x):
+            calls.append(1)
+            if len(calls) <= after:
+                return ProductVector([M @ x.flat])
+            return ProductVector(out)
+
+        return MapInstance(shape=ShapeSpec(sizes), A=np.eye(len(sizes)), evaluator=ev, label="turning")
+
+    def test_underflow_to_zero_diverges_before_the_next_log(self):
+        # y is positive and finite, but 1e-180 / ||y|| is below the subnormal range
+        F = self._map_turning([[1e150, 1e-180, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = power_method(F, None, _cfg(1, weights=np.array([1.0])))
+        assert rep.status == solver.DIVERGED and rep.eigenpair is None
+        assert rep.messages == ["iterate left the open cone"]
+        # the underflowing step keeps its (finite) bracket but not its iterate
+        assert rep.iterations == 3 and len(rep.bracket_trace) == 3
+        assert all(math.isfinite(v) for pair in rep.bracket_trace for v in pair)
+        assert len(rep.iterates) == 3 and all(x.is_pos() for x in rep.iterates)
+
+    def test_a_small_product_of_extremes_alone_does_not_diverge(self):
+        # y_min * min(1/lam) underflows at the first step, yet every entry
+        # rescales to about 1/3 or 2/3; the second step converges
+        F = self._map_turning([[1e-200, 2e-200], [1e200, 2e200]], after=0, sizes=(2, 2))
+        cfg = SolverConfig(norms=NormSpec.lp(1.0, 2), weights=np.array([1.0, 1.0]))
+        rep = power_method(F, None, cfg)
+        assert rep.status == "converged" and rep.iterations == 2
+        np.testing.assert_allclose(rep.eigenpair.x.flat, [1 / 3, 2 / 3, 1 / 3, 2 / 3], rtol=1e-15)
+        np.testing.assert_allclose(rep.eigenpair.lam, [3e-200, 3e200], rtol=1e-15)
+
+    def test_pq_singular_graph_report_document(self):
+        import json
+        import pathlib
+
+        from mhspectral import cli
+
+        golden = pathlib.Path(__file__).resolve().parent / "data" / "graph_reports.json"
+        doc = json.loads(golden.read_text())["pq_singular"]["doc"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = cli.run_solve(doc)
+        text = cli.dump_json(report)
+        assert code == 4 and report["status"] == "diverged"
+        assert report["messages"] == ["iterate left the open cone"]
+        assert report["iterations"] == 1355 and len(report["bracket_trace"]) == 1355
+        assert "Infinity" not in text and "NaN" not in text
+
+
+def _ring_map(shape, mats, a):
+    """F_i(x) = (M_i x_{i+1 mod d}) ** a with positive M_i; A = a * cyclic shift."""
+    d = shape.d
+    A = np.zeros((d, d))
+    A[np.arange(d), (np.arange(d) + 1) % d] = a
+
+    def ev(x):
+        blocks = x.blocks
+        return ProductVector([(mats[i] @ blocks[(i + 1) % d]) ** a for i in range(d)])
+
+    return MapInstance(shape=shape, A=A, evaluator=ev, label="ring")
+
+
+class TestBracketInvariants:
+    """The loop's Collatz-Wielandt invariants on hypothesis-drawn maps, norms and starts."""
+
+    @staticmethod
+    def _draw_case(st, data):
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), "sizes")
+        shape = ShapeSpec(tuple(sizes))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        mats = [rng.uniform(0.05, 2.0, (n, sizes[(i + 1) % len(sizes)])) for i, n in enumerate(sizes)]
+        a = data.draw(st.floats(0.3, 0.9), "a")
+        selectors = []
+        for n in sizes:
+            kind = data.draw(st.sampled_from([1.0, 2.0, 3.0, math.inf, "phi"]))
+            selectors.append(rng.uniform(0.2, 3.0, n) if kind == "phi" else kind)
+        x0 = ProductVector([rng.uniform(0.05, 3.0, n) * 10.0 ** rng.uniform(-3, 3) for n in sizes])
+        return _ring_map(shape, mats, a), NormSpec(selectors), x0, a, rng
+
+    def test_cw_bounds_sandwich_and_trace(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=30, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            F, norms, x0, _, rng = self._draw_case(st, data)
+            rep = power_method(F, x0, SolverConfig(norms=norms))
+            assert rep.status == "converged"
+            r_b, b = rep.eigenpair.r_b, rep.weights
+            lo, hi = cw_bounds(F, rep.eigenpair.x, b)
+            assert lo <= r_b * (1.0 + 1e-12) and hi >= r_b * (1.0 - 1e-12)
+            for _ in range(5):
+                lo, hi = cw_bounds(F, normalize(random_interior(F.shape, rng, 0.05, 2.0), norms), b)
+                assert lo <= r_b * (1.0 + 1e-12) and hi >= r_b * (1.0 - 1e-12)
+            # bracket k is the CW bracket of the k-th iterate
+            for x, pair in zip(rep.iterates, rep.bracket_trace):
+                np.testing.assert_allclose(pair, cw_bounds(F, x, b), rtol=1e-12, atol=0.0)
+
+        check()
+
+    def test_brackets_are_monotone_under_weights_with_At_b_le_b(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=30, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            F, norms, x0, a, _ = self._draw_case(st, data)
+            d = F.shape.d
+            # entries in [a, 1] give (A^T b)_j = a b_{j-1} <= a <= b_j
+            b = np.array(data.draw(st.lists(st.floats(a, 1.0), min_size=d, max_size=d), "b"))
+            assert np.all(F.A.T @ b <= b)
+            rep = power_method(F, x0, SolverConfig(norms=norms, weights=b))
+            assert rep.status == "converged" and rep.messages == []
+            lo = np.array([pair[0] for pair in rep.bracket_trace])
+            hi = np.array([pair[1] for pair in rep.bracket_trace])
+            assert np.all(lo[1:] >= lo[:-1] * (1.0 - 1e-12))
+            assert np.all(hi[1:] <= hi[:-1] * (1.0 + 1e-12))
+
+        check()
