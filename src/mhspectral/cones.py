@@ -129,6 +129,13 @@ def _wrap(flat: np.ndarray, shape: ShapeSpec, cls=None) -> "ProductVector":
     return vec
 
 
+def _float_block(blk) -> np.ndarray:
+    arr = np.asarray(blk, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("each block must be a nonempty 1-d array")
+    return arr
+
+
 class ProductVector:
     """Immutable point of R^{n_1} x ... x R^{n_d}.
 
@@ -146,14 +153,17 @@ class ProductVector:
         if not blocks:
             raise ValueError("a product vector needs at least one block")
         try:
-            # one fresh copy; unsafe casting converts like np.asarray(blk, float)
-            flat = np.concatenate(blocks, dtype=float, casting="unsafe")
+            # one fresh copy; same_kind casting takes bools, ints and floats
+            flat = np.concatenate(blocks, dtype=float, casting="same_kind")
             sizes = tuple(map(len, blocks))
-        except (TypeError, ValueError):
-            flat = sizes = None
+        except (TypeError, ValueError, OverflowError):
+            # what it turns away (blocks of unequal ndim, complex numbers,
+            # strings, huge ints) is converted, or refused, block by block
+            parsed = [_float_block(blk) for blk in blocks]
+            flat, sizes = np.concatenate(parsed), tuple(map(len, parsed))
         # concatenating along axis 0 needs blocks of one ndim, so a 1-d result
         # means every block was 1-d
-        if flat is None or flat.ndim != 1 or 0 in sizes:
+        if flat.ndim != 1 or 0 in sizes:
             raise ValueError("each block must be a nonempty 1-d array")
         flat.setflags(write=False)
         object.__setattr__(self, "flat", flat)

@@ -36,7 +36,6 @@ from .cones import (
     _power_scale,
     _shape_of,
     _wrap,
-    block_norms,
     matrix_power_scale,
     random_interior,
     scale_blocks,
@@ -643,7 +642,8 @@ def weighted_sum(F: MapInstance, G: MapInstance, D, norms: NormSpec, xi=None) ->
     if np.any(D < F.A - 1e-15) or np.any(D < G.A - 1e-15):
         raise ValueError("D must dominate both homogeneity matrices entrywise")
     if xi is None:
-        functionals = lambda x: block_norms(x, norms)
+        norm_of = _norm_kernel(F.shape, norms)
+        functionals = lambda x: norm_of(x.flat)
     else:
         xi = list(xi)
         if len(xi) != d:

@@ -319,11 +319,12 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
                         messages.append("period-2 cycling averaged out")
                         break
         # lam holds one norm per block of y, the length a scaling needs; one
-        # block scales by a scalar, the same product per entry (a numpy one,
-        # so that a norm underflowing to 0 still gives inf, not an exception)
+        # block scales by one numpy scalar, the same product per entry without
+        # the array division and the min pass over the factors (a numpy
+        # scalar, so that a norm underflowing to 0 still gives inf)
         if one_block:
-            inv = inv_min = 1.0 / lam[0]
-            x = _wrap(yf * inv, y.shape)
+            inv_min = 1.0 / lam[0]
+            x = _wrap(yf * inv_min, y.shape)
         else:
             inv = 1.0 / lam
             inv_min = np.minimum.reduce(inv)

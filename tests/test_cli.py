@@ -491,7 +491,11 @@ class TestMainEntry:
                 intruder = None
             fast = cli._encode_plain_list(obj, 2, level)
             assert cli._encode(obj, 2, level) == general(obj, level)
-            if intruder is not None and len(paths) > 1:
+            # a plain finite float or int as the only leaf makes a valid plain list
+            lone_plain = (
+                len(paths) == 1 and type(intruder) in (int, float) and math.isfinite(intruder)
+            )
+            if intruder is not None and not lone_plain:
                 # bools, numpy scalars, non-finite floats and mixed leaves never take it
                 assert fast is None
             elif fast is not None:

@@ -665,12 +665,31 @@ class TestConstructor:
         [1.0, 2.0],
         [[1.0], 2.0],
         [np.float64(1.0)],
-        [[1.0], [[2.0], [3.0, 4.0]]],
-        [{"a": 1.0}],
     ])
     def test_bad_blocks(self, blocks):
         with pytest.raises(ValueError, match="^each block must be a nonempty 1-d array$"):
             ProductVector(blocks)
+
+    @pytest.mark.parametrize("blocks", [
+        [[1 + 2j]],
+        [[1.0], [2j]],
+        [{"a": 1.0}],
+        [[1.0], [[2.0], [3.0, 4.0]]],
+        [["1.5", "2"]],
+        [["ab"]],
+        [[2**70], [1.0]],
+        [[1.0, None]],
+    ])
+    def test_odd_blocks_convert_or_fail_as_asarray_does(self, blocks):
+        # the former constructor: np.asarray(blk, dtype=float) per block
+        try:
+            want = np.concatenate([np.asarray(blk, dtype=float) for blk in blocks])
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
+                ProductVector(blocks)
+            assert str(got.value) == str(exc)
+        else:
+            assert _same_bits(ProductVector(blocks).flat, want)
 
     @pytest.mark.parametrize("blocks", [[], (), iter([])])
     def test_no_blocks(self, blocks):

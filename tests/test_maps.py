@@ -10,6 +10,7 @@ from mhspectral import (
     NormSpec,
     ProductVector,
     ShapeSpec,
+    block_norms,
     compose,
     dual,
     euler_residual,
@@ -18,6 +19,7 @@ from mhspectral import (
     has_kink,
     irrex_map,
     linear_map,
+    matrix_power_scale,
     max_example_map,
     motivating_map,
     nonirr_map,
@@ -25,6 +27,7 @@ from mhspectral import (
     ones_vector,
     pq_singular_map,
     random_interior,
+    scale_blocks,
     shifted,
     singular_map,
     tensor_eigen_map,
@@ -250,6 +253,22 @@ class TestAlgebra:
             evaluate(F, x).concat() + evaluate(G, x).concat(),
             rtol=1e-12,
         )
+
+    def test_weighted_sum_default_functionals_are_the_block_norms(self):
+        F, G = motivating_map(), irrex_map()
+        D = np.maximum(F.A, G.A) + 0.3
+        norms = NormSpec([3.0, [1.0, 2.0]])
+        H = weighted_sum(F, G, D, norms)
+        x = random_interior(F.shape, np.random.default_rng(4))
+        N = block_norms(x, norms)
+        want = scale_blocks(matrix_power_scale(N, D - F.A), evaluate(F, x)) + scale_blocks(
+            matrix_power_scale(N, D - G.A), evaluate(G, x)
+        )
+        assert evaluate(H, x).flat.tobytes() == want.flat.tobytes()
+        # a spec that does not fit the shape is refused when the map is built
+        for bad, msg in ((NormSpec.euclidean(1), "block count"), (NormSpec([2.0, [1.0]]), "phi weight")):
+            with pytest.raises(ValueError, match=msg):
+                weighted_sum(F, G, D, bad)
 
     def test_weighted_sum_user_functionals(self):
         F, G = motivating_map(), irrex_map()
