@@ -4,7 +4,7 @@ After a solve, the eigenpair can carry one of four certificates:
 
   contraction            rho(A) < 1, uniqueness for free
   jacobian_irreducible   irreducible DF(u) in the non-expansive regime
-  kernel_dim_one         dim ker(I - lambda^{-1} DF(u)) = 1 with A irreducible
+  kernel_dim_one         one final class of DF(u)'s pattern, A irreducible
   dirr                   summed powers of DF(u) fill one block: maximality
 
 When no positive eigenvector exists, the delta-shift F + delta * 1 always has

@@ -11,6 +11,8 @@ walks in that digraph, answered here without matrix powers:
   node (Denardo 1977); primitivity is strong connectivity with period 1;
 - reflexive reach sets: Tarjan's (1972) strongly connected components, then
   one pass over the condensation in topological order;
+- final classes: the strongly connected components that no edge leaves, from
+  the same components;
 - summed-powers positivity: one layered sweep over all walk lengths at once.
 
 The searches and the condensation pass read each pattern entry O(1) times,
@@ -30,7 +32,10 @@ def _row_sets(P: np.ndarray) -> list[int]:
 
 
 def _successors(P: np.ndarray) -> list[list[int]]:
-    dst = np.nonzero(P)[1].tolist()
+    # the flat indices of the edges, row by row: one pass, where np.nonzero
+    # of a 2-d pattern builds both index arrays
+    n = P.shape[1]
+    dst = (np.flatnonzero(P) % n).tolist() if n else []
     ends = np.cumsum(P.sum(axis=1)).tolist()
     return [dst[a:b] for a, b in zip([0, *ends], ends)]
 
@@ -86,6 +91,7 @@ def _strong_components(succ: list[list[int]]) -> list[list[int]]:
     n = len(succ)
     index, low = [-1] * n, [0] * n
     on_stack = [False] * n
+    at = [0] * n  # position on the stack, fixed while the node is on it
     stack: list[int] = []
     components: list[list[int]] = []
     counter = 0
@@ -94,6 +100,7 @@ def _strong_components(succ: list[list[int]]) -> list[list[int]]:
             continue
         index[root] = low[root] = counter
         counter += 1
+        at[root] = len(stack)
         stack.append(root)
         on_stack[root] = True
         work = [(root, iter(succ[root]))]
@@ -103,25 +110,25 @@ def _strong_components(succ: list[list[int]]) -> list[list[int]]:
                 if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
+                    at[w] = len(stack)
                     stack.append(w)
                     on_stack[w] = True
                     work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             else:
                 work.pop()
+                low_v = low[v]
                 if work:
                     parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
+                    if low_v < low[parent]:
+                        low[parent] = low_v
+                if low_v == index[v]:
+                    component = stack[at[v]:]
+                    del stack[at[v]:]
+                    for w in component:
                         on_stack[w] = False
-                        component.append(w)
-                        if w == v:
-                            break
                     components.append(component)
     return components
 
@@ -142,6 +149,19 @@ def reach_sets(P: np.ndarray) -> list[int]:
                     reach |= component_reach[component_of[w]]
         component_reach.append(reach)
     return [component_reach[c] for c in component_of]
+
+
+def final_classes(P: np.ndarray) -> int:
+    """Number of final classes: strongly connected components no edge leaves.
+
+    A node without successors is a final class of its own.
+    """
+    succ = _successors(P)
+    count = 0
+    for component in _strong_components(succ):
+        members = set(component)
+        count += all(members.issuperset(succ[v]) for v in component)
+    return count
 
 
 def first_full_block(P: np.ndarray, blocks, max_tau: int):

@@ -318,17 +318,25 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
                         status, res_val = BRACKET_CONVERGED_CYCLING, res_c
                         messages.append("period-2 cycling averaged out")
                         break
+        # a block norm can underflow to 0, or so near 0 that its reciprocal
+        # overflows, while every entry is positive; that block has no finite
+        # scale, so the iterate leaves the open cone here, before a division
+        # by it.  The d norms as floats serve this test and the smallest
+        # factor 1 / max(lam) at less than two numpy reductions.
+        lam_list = lam.tolist()
+        lam_min = min(lam_list)
+        if not (lam_min > 0.0 and 1.0 / lam_min < math.inf):
+            status = DIVERGED
+            messages.append("iterate left the open cone")
+            break
+        inv_min = 1.0 / max(lam_list)
         # lam holds one norm per block of y, the length a scaling needs; one
-        # block scales by one numpy scalar, the same product per entry without
-        # the array division and the min pass over the factors (a numpy
-        # scalar, so that a norm underflowing to 0 still gives inf)
+        # block scales by one float, the same product per entry without the
+        # array division
         if one_block:
-            inv_min = 1.0 / lam[0]
             x = _wrap(yf * inv_min, y.shape)
         else:
-            inv = 1.0 / lam
-            inv_min = np.minimum.reduce(inv)
-            x = _wrap(y.shape._spread(inv) * yf, y.shape)
+            x = _wrap(y.shape._spread(1.0 / lam) * yf, y.shape)
         # a rescaled entry can underflow to 0 only if the smallest entry times
         # the smallest factor does; then the iterate is checked in full
         if not y_min * inv_min > 0.0 and not x.is_pos():
@@ -541,7 +549,7 @@ def find_dirr(L, shape: ShapeSpec, pattern_tol: float = 1e-12):
 _RHO_L_TOL = 1e-6
 
 
-def _rho_L(F: MapInstance, u: ProductVector, L_pos: np.ndarray) -> float:
+def _rho_L(F: MapInstance, u: ProductVector, L_pos: np.ndarray) -> tuple[float, bool]:
     """rho(L_pos), from one Collatz-Wielandt matvec whenever that decides rho = 1.
 
     Euler's identity blockwise, sum_{r in block j} dF_k/dx_r x_r = A_ij F_k(x)
@@ -553,18 +561,19 @@ def _rho_L(F: MapInstance, u: ProductVector, L_pos: np.ndarray) -> float:
         min_k (L_pos v)_k / v_k  <=  rho(L_pos)  <=  max_k (L_pos v)_k / v_k.
 
     When the whole enclosure lies within the rho = 1 band its midpoint is
-    returned.  Otherwise -- no positive right Perron vector of A, an enclosure
-    straddling a band edge or one outside the band -- the answer is
-    ``spectral_radius(L_pos)``, as if the enclosure had not been tried.
+    returned, with True: v is a positive witness of L_pos v = v.  Otherwise --
+    no positive right Perron vector of A, an enclosure straddling a band edge
+    or one outside the band -- the answer is ``spectral_radius(L_pos)``, as if
+    the enclosure had not been tried, with False.
     """
     try:
         c = _perron_weights(F.A.T, F.analysis.rho)
     except PerronStructureError:
-        return spectral_radius(L_pos)
+        return spectral_radius(L_pos), False
     lo, hi = _cw_enclosure(L_pos, F.shape._spread(c) * u.flat)
     if 1.0 - _RHO_L_TOL <= lo and hi <= 1.0 + _RHO_L_TOL:
-        return 0.5 * (lo + hi)
-    return spectral_radius(L_pos)
+        return 0.5 * (lo + hi), True
+    return spectral_radius(L_pos), False
 
 
 def certify_uniqueness(F: MapInstance, report: SolveReport, pattern_tol: float = 1e-12) -> Certificate:
@@ -582,6 +591,14 @@ def certify_uniqueness(F: MapInstance, report: SolveReport, pattern_tol: float =
     [1 - 1e-6, 1 + 1e-6] reports its midpoint, and every other case falls
     back to ``spectral_radius`` of the clipped L (see ``_rho_L``).  The
     patterns tested are those of the clipped L, free of the scale of F.
+
+    The kernel test is a graph count and needs the enclosure's positive
+    witness v, L v = v: then diag(v)^{-1} L diag(v) is row-stochastic, and the
+    eigenvalue 1 of a stochastic matrix is semisimple with multiplicity the
+    number of final classes of its digraph (Berman & Plemmons 1994, ch. 2, 8).
+    So dim ker(I - L) = 1 iff the pattern of L has one final class, counted in
+    O(nnz).  Without the witness (rho(L) from ``spectral_radius``) the kernel
+    test does not certify, and the search goes on to summed powers.
     """
     rho_A, regime = F.analysis.rho, F.analysis.regime
     if regime == "strict_contraction":
@@ -600,7 +617,7 @@ def certify_uniqueness(F: MapInstance, report: SolveReport, pattern_tol: float =
             "none", {"reason": "map is not differentiable at the eigenvector (kink)"}
         )
     L_pos = np.clip(jacobian_at(F, u) / F.shape._spread(lam)[:, None], 0.0, None)
-    rho_L = _rho_L(F, u, L_pos)
+    rho_L, witnessed = _rho_L(F, u, L_pos)
     data = {"rho_A": rho_A, "rho_L": rho_L}
     if abs(rho_L - 1.0) > _RHO_L_TOL:
         data["reason"] = "rho(lambda^{-1} DF(u)) is not 1"
@@ -609,13 +626,13 @@ def certify_uniqueness(F: MapInstance, report: SolveReport, pattern_tol: float =
         data["df_irreducible"] = True
         return Certificate("jacobian_irreducible", data)
     data["df_irreducible"] = False
-    N = F.shape.total
-    if N >= 2 and is_irreducible(F.A, pattern_tol):
-        sv = np.linalg.svd(np.eye(N) - L_pos, compute_uv=False)
-        gap = float(sv[-2] / max(sv[-1], 1e-300))
-        data["sv_gap_ratio"] = gap
-        if gap > 1e6:
-            return Certificate("kernel_dim_one", data)
+    if is_irreducible(F.A, pattern_tol):
+        if witnessed:
+            data["final_classes"] = _digraph.final_classes(L_pos > pattern_tol)
+            if data["final_classes"] == 1:
+                return Certificate("kernel_dim_one", data)
+        else:
+            data["kernel_test"] = "no positive witness of L v = v"
     hit = find_dirr(L_pos, F.shape, pattern_tol)
     if hit is not None:
         data["block"] = hit[0]

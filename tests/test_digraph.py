@@ -261,3 +261,64 @@ class TestLongWalks:
         L[np.arange(1, n), np.r_[np.arange(2, n), 1]] = 1.0
         assert find_dirr(L, ShapeSpec((1, n - 1))) is None
         assert not is_irreducible(L)
+
+
+def _brute_final_classes(P):
+    """Classes that contain every node reachable from them, counted once each."""
+    reach = _digraph.reach_sets(P)
+    n = len(reach)
+    finals = set()
+    for u in range(n):
+        cls = sum(1 << v for v in range(n) if reach[u] >> v & 1 and reach[v] >> u & 1)
+        if reach[u] == cls:
+            finals.add(cls)
+    return len(finals)
+
+
+class TestFinalClasses:
+    """Strongly connected components that no edge leaves."""
+
+    @pytest.mark.parametrize(
+        "edges, n, expected",
+        [
+            ([(0, 1), (1, 2)], 3, 1),  # a chain ends in its last node
+            ([(0, 1), (0, 2)], 3, 2),  # two sinks
+            ([(0, 1), (1, 0)], 3, 2),  # a 2-cycle and an isolated node
+            ([(0, 1), (1, 0), (1, 2), (2, 2)], 3, 1),  # a class leaking into a self-loop
+            ([], 1, 1),  # a lone node without edges
+        ],
+    )
+    def test_hand_cases(self, edges, n, expected):
+        P = np.zeros((n, n), dtype=bool)
+        for u, v in edges:
+            P[u, v] = True
+        assert _digraph.final_classes(P) == expected == _brute_final_classes(P)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_self_loops_only(self, n):
+        assert _digraph.final_classes(np.eye(n, dtype=bool)) == n
+
+    def test_empty_pattern(self):
+        assert _digraph.final_classes(np.zeros((0, 0), dtype=bool)) == 0
+
+    def test_block_diagonal(self):
+        B = np.random.default_rng(3).uniform(0.1, 1.0, (4, 4))
+        P = np.kron(np.eye(4), B) > PATTERN_TOL
+        assert _digraph.final_classes(P) == 4 == _brute_final_classes(P)
+
+    def test_seeded_patterns(self):
+        for _, L, _ in _random_matrices():
+            P = L > PATTERN_TOL
+            assert _digraph.final_classes(P) == _brute_final_classes(P)
+
+    def test_random_patterns_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(st.integers(0, 12).flatmap(lambda n: hnp.arrays(bool, (n, n))))
+        def check(P):
+            assert _digraph.final_classes(P) == _brute_final_classes(P)
+
+        check()

@@ -24,6 +24,7 @@ from mhspectral import (
     find_dirr,
     hilbert_metric,
     irrex_map,
+    jacobian_at,
     linear_map,
     max_example_map,
     motivating_map,
@@ -404,9 +405,9 @@ class TestCertificates:
     def test_kernel_dim_one_with_reducible_jacobian(self):
         # one-homogeneous map with irreducible A but block-triangular Jacobian
         # pattern: x -> (x1, (x1 x2)^{1/2}) on a single 2-entry block has
-        # DF(1) = [[1,0],[1/2,1/2]]; kernel of I - L is spanned by (the Perron
-        # direction), so the rank-gap certificate applies where irreducibility
-        # of DF fails.
+        # DF(1) = [[1,0],[1/2,1/2]]; its pattern has one final class, {x1}, so
+        # the kernel of I - L is the Perron direction alone and the kernel
+        # certificate applies where irreducibility of DF fails.
         from mhspectral import MapInstance
 
         def ev(x):
@@ -417,7 +418,118 @@ class TestCertificates:
         rep = power_method(F, None, _cfg(1))
         cert = certify_uniqueness(F, rep)
         assert cert.kind == "kernel_dim_one"
-        assert cert.data["sv_gap_ratio"] > 1e6
+        assert cert.data["final_classes"] == 1
+        # the singular-value gap of I - L, the test the class count replaced
+        u, lam = rep.eigenpair.x, rep.eigenpair.lam
+        L = np.clip(jacobian_at(F, u) / lam[0], 0.0, None)
+        sv = np.linalg.svd(np.eye(2) - L, compute_uv=False)
+        assert sv[-2] / max(sv[-1], 1e-300) > 1e6
+
+    @staticmethod
+    def _stochastic_similar(rng, final, transient):
+        """L = D S D^{-1}, S row-stochastic and block-triangular, with its classes.
+
+        The classes are dense positive blocks; the ``transient`` ones come first
+        and send 0.05-0.9 of each row's mass to nodes of later classes, and the
+        ``final`` ones keep all of it.  So S has exactly ``final`` final classes,
+        and L (D 1) = D 1 with D 1 > 0.
+        """
+        sizes = rng.integers(1, 5, transient + final)
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        n = int(starts[-1])
+        S = np.zeros((n, n))
+        for k in range(transient + final):
+            rows = slice(starts[k], starts[k + 1])
+            inner = rng.uniform(0.1, 1.0, (sizes[k], sizes[k]))
+            S[rows, rows] = inner / inner.sum(axis=1, keepdims=True)
+            if k < transient:
+                later = n - starts[k + 1]
+                out = rng.uniform(0.1, 1.0, (sizes[k], later)) * (rng.uniform(size=(sizes[k], later)) < 0.5)
+                out[np.arange(sizes[k]), rng.integers(0, later, sizes[k])] += 1.0
+                leak = rng.uniform(0.05, 0.9, (sizes[k], 1))
+                S[rows, rows] *= 1.0 - leak
+                S[rows, starts[k + 1]:] = leak * out / out.sum(axis=1, keepdims=True)
+        D = rng.uniform(0.5, 2.0, n)
+        return D[:, None] * S / D[None, :], D
+
+    @staticmethod
+    def _report_at(u):
+        """A converged one-block report with eigenvector u and eigenvalue 1."""
+        return SolveReport(
+            eigenpair=EigenPair(u, np.array([1.0]), 1.0),
+            status=solver.CONVERGED,
+            iterations=0,
+            bracket_trace=[],
+            weights=np.ones(1),
+        )
+
+    def test_final_class_count_agrees_with_the_singular_value_gap(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(
+            seed=st.integers(0, 2**32 - 1), final=st.integers(1, 3), transient=st.integers(1, 3)
+        )
+        def check(seed, final, transient):
+            L, D = self._stochastic_similar(np.random.default_rng(seed), final, transient)
+            F = linear_map(L)
+            u = normalize(ProductVector([D]), NormSpec.euclidean(1))
+            cert = certify_uniqueness(F, self._report_at(u))
+            assert cert.data["df_irreducible"] is False
+            assert cert.data["final_classes"] == final
+            sv = np.linalg.svd(np.eye(L.shape[0]) - L, compute_uv=False)
+            # the smallest singular value floored at rounding level, not at the
+            # former 1e-300: a final class of one node makes a row of I - L
+            # exactly 0, and sv[-1] = 0 next to a rounding-size sv[-2] would
+            # read as a huge gap with two or three final classes
+            gap = sv[-2] / max(sv[-1], np.finfo(float).eps * sv[0])
+            assert (cert.kind == "kernel_dim_one") == (gap > 1e6), (final, gap)
+
+        check()
+
+    def test_kernel_test_needs_a_positive_witness(self):
+        # one final class, but u is 1e-3 off the eigenvector: the enclosure
+        # leaves the band, spectral_radius decides rho(L) = 1, and without a
+        # witness v the class count does not certify
+        L, D = self._stochastic_similar(np.random.default_rng(7), 1, 2)
+        F = linear_map(L)
+        u = normalize(ProductVector([D * (1.0 + 1e-3 * np.arange(D.size))]), NormSpec.euclidean(1))
+        lo, hi = homogeneity._cw_enclosure(L, u.flat)
+        assert not (1.0 - 1e-6 <= lo and hi <= 1.0 + 1e-6)
+        cert = certify_uniqueness(F, self._report_at(u))
+        assert abs(cert.data["rho_L"] - 1.0) < 1e-6
+        assert "final_classes" not in cert.data
+        assert cert.data["kernel_test"] == "no positive witness of L v = v"
+        assert cert.kind == "none" and cert.data["reason"] == "no certificate validated"
+
+    def test_kernel_dim_one_at_n160_takes_no_svd(self, monkeypatch):
+        # [[B1, C], [0, B2]] with rho(B2) = 1.5 rho(B1): a reducible pattern
+        # whose one final class is B2's, as the large sparse benchmark builds it
+        rng = np.random.default_rng(160)
+        h = 80
+
+        def block():
+            B = rng.uniform(0.5, 1.5, (h, h)) * (rng.uniform(size=(h, h)) < 0.05)
+            perm = rng.permutation(h)
+            B[perm, np.roll(perm, -1)] += rng.uniform(0.5, 1.5, h)
+            B[np.arange(h), np.arange(h)] += 0.5
+            return B
+
+        B1, B2 = block(), block()
+        B2 *= 1.5 * np.max(np.abs(np.linalg.eigvals(B1))) / np.max(np.abs(np.linalg.eigvals(B2)))
+        C = rng.uniform(0.5, 1.5, (h, h)) * (rng.uniform(size=(h, h)) < 0.025)
+        C[0, 0] += 1.0
+        F = linear_map(np.block([[B1, C], [np.zeros((h, h)), B2]]))
+        rep = power_method(F, None, _cfg(1))
+        assert rep.status == "converged"
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        cert = certify_uniqueness(F, rep)
+        assert cert.kind == "kernel_dim_one" and cert.data["final_classes"] == 1
 
 class TestCheckDirr:
     IRREX_L = np.array(
@@ -765,6 +877,24 @@ class TestRescaleUnderflow:
         assert rep.iterations == 3 and len(rep.bracket_trace) == 3
         assert all(math.isfinite(v) for pair in rep.bracket_trace for v in pair)
         assert len(rep.iterates) == 3 and all(x.is_pos() for x in rep.iterates)
+
+    @pytest.mark.parametrize("sizes", [(2,), (2, 2)])
+    @pytest.mark.parametrize("p, tiny", [(2.0, 1e-170), (math.inf, 1e-320)])
+    def test_zero_block_norm_diverges_at_once(self, sizes, p, tiny):
+        # every entry of the last output block is positive, yet its norm
+        # underflows to 0 (Euclidean) or to a subnormal whose reciprocal
+        # overflows (max norm): the solve ends there, with no division by it
+        def ev(x):
+            *head, last = x.blocks
+            return ProductVector([2.0 * b + b[::-1] for b in head] + [np.array([tiny, 2 * tiny]) * last.sum()])
+
+        F = MapInstance(shape=ShapeSpec(sizes), A=np.eye(len(sizes)), evaluator=ev, label="tiny")
+        cfg = SolverConfig(norms=NormSpec([p] * len(sizes)), weights=np.ones(len(sizes)))
+        rep = power_method(F, None, cfg)
+        assert rep.status == solver.DIVERGED and rep.eigenpair is None
+        assert rep.messages == ["iterate left the open cone"]
+        assert rep.iterations == 1 and len(rep.bracket_trace) == 1
+        assert all(math.isfinite(v) for v in rep.bracket_trace[0])
 
     def test_a_small_product_of_extremes_alone_does_not_diverge(self):
         # y_min * min(1/lam) underflows at the first step, yet every entry

@@ -1,0 +1,119 @@
+"""Digest of every report the benchmark workloads make, to compare two checkouts.
+
+Usage, from the repository root:
+
+    python3 tools/report_digests.py OUT.json
+
+For the four workloads of ``perfbench/workloads.py`` at seeds 1 and 2, every
+item runs its solve, certify and third (analyze or graph) step the way the
+benchmark does, through ``workloads.Runner``, and OUT.json maps
+``workload/seed/item/step`` to ``"<exit code> <sha1 of the report text>"``.
+The ``many_blocks`` items are library calls; their report text is every
+float of the eigenpair, bracket trace, residual and certificate data in
+``float.hex``, so the digest sees the last bit.  Every step runs even after
+a non-zero exit, and a step that raises is recorded by its exception.
+
+``mhspectral`` is imported from ``PYTHONPATH`` when that holds it, else from
+this checkout's ``src/``; stderr names the one used.  To list the reports a
+change moves, run the script once against each side and diff the files:
+
+    git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
+    PYTHONPATH=/tmp/parent/src python3 tools/report_digests.py parent.json
+    python3 tools/report_digests.py change.json
+    diff parent.json change.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as the benchmark pins it
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.append(str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+import mhspectral  # noqa: E402
+import mhspectral.cli  # noqa: E402  (workloads.Runner reads lib.cli)
+import workloads  # noqa: E402
+
+SEEDS = (1, 2)
+
+
+def _hex(values) -> str:
+    return " ".join(float(v).hex() for v in np.ravel(np.asarray(values, dtype=float)))
+
+
+def _value(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return float(v).hex()
+    return repr(v)
+
+
+def _certificate_text(cert) -> str:
+    data = " ".join(f"{k}={_value(v)}" for k, v in cert.data.items())
+    return f"certificate {cert.kind} {data}"
+
+
+def _library_text(step: str, result) -> str:
+    """The library outputs of one ``many_blocks`` step as text, floats in hex."""
+    if step == "certify":
+        cert, res = result
+        return f"{_certificate_text(cert)}\nresidual {_value(res)}\n"
+    rep, cert = result
+    lines = [f"status {rep.status}", f"iterations {rep.iterations}", f"messages {rep.messages!r}",
+             f"residual {_value(rep.residual)}", f"bracket_trace {_hex(rep.bracket_trace)}"]
+    if rep.eigenpair is not None:
+        ep = rep.eigenpair
+        lines += [f"x {_hex(ep.x.flat)}", f"lam {_hex(ep.lam)}", f"r_b {_value(ep.r_b)}"]
+    lines.append(_certificate_text(cert))
+    return "\n".join(lines) + "\n"
+
+
+def item_digests(runner, item) -> dict:
+    docs = [runner.prepare(item) for _ in range(3)]
+    out, solved = {}, None
+    for step in ("solve", "certify", item.third):
+        if step is None:
+            continue
+        try:
+            if step == "solve":
+                code, result, _ = runner.solve(item, docs[0])
+                solved = result
+            elif step == "certify":
+                code, result, _ = runner.certify(item, docs[1], solved)
+            else:
+                code, result, _ = runner.third_step(item, docs[2])
+        except Exception as exc:  # recorded, so a raise shows up in the diff
+            out[step] = f"raised {type(exc).__name__}: {exc}"
+            continue
+        text = result if isinstance(result, str) else _library_text(step, result)
+        out[step] = f"{code} {hashlib.sha1(text.encode()).hexdigest()}"
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    print(f"mhspectral from {Path(mhspectral.__file__).parent}", file=sys.stderr)
+    digests = {}
+    for workload in workloads.GENERATORS:
+        for seed in SEEDS:
+            runner = workloads.Runner(mhspectral)
+            for item in workloads.generate(workload, seed):
+                for step, digest in item_digests(runner, item).items():
+                    digests[f"{workload}/{seed}/{item.name}/{step}"] = digest
+    Path(argv[0]).write_text(json.dumps(digests, indent=0) + "\n")
+    print(f"{len(digests)} reports -> {argv[0]}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
