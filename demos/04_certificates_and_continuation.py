@@ -11,7 +11,10 @@ When no positive eigenvector exists, the delta-shift F + delta * 1 always has
 one, and driving delta -> 0 walks to a maximal *nonnegative* eigenpair.  The
 defective matrix [[1,1],[0,1]] is the classic case: its only eigenvector
 (1, 0) sits on the boundary, and the shifted eigenvectors approach it with
-eigenvalue products decreasing strictly as delta shrinks.
+eigenvalue products decreasing strictly as delta shrinks.  Its inner solves
+slow down like delta^(-1/2); with the default schedule (down to 1e-8) the
+continuation stops before a shift whose predicted iteration count exceeds
+max_iter / 2, and says so in a message.
 """
 
 import numpy as np
@@ -63,3 +66,11 @@ for delta, r in rep.delta_trace[::4]:
     print(f"{delta:12.3e} {r:18.12f}")
 print("final eigenvector:", rep.eigenpair.x.blocks[0], " (approaching (1, 0))")
 print("extrapolated r   :", rep.r_extrapolated, " (the true spectral radius is 1)")
+
+print("\n=== the same matrix with the default schedule (floor 1e-8) ===")
+rep = delta_continuation(F, SolverConfig(norms=NormSpec.euclidean(1)))
+print("status           :", rep.status, f"after {rep.iterations} iterations")
+print("last delta       :", f"{rep.delta_trace[-1][0]:.3e}")
+for message in rep.messages:
+    print("message          :", message)
+print("extrapolated r   :", rep.r_extrapolated)

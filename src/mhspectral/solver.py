@@ -434,15 +434,49 @@ def _aitken(values: list[float]) -> float:
     return float(extrap)
 
 
+def _geometric_guess(x: ProductVector, x_prev: Optional[ProductVector]) -> ProductVector:
+    """Warm start x * (x / x_prev), entrywise, for the next shift of a schedule.
+
+    A log-linear extrapolation of the eigenvector along the geometric
+    schedule: exact for entries that scale like a power of delta.  Without a
+    previous vector, or where an entry of the guess is 0, inf or NaN, the
+    start is x itself; bit-identical x and x_prev give back x bit for bit.
+    """
+    if x_prev is None:
+        return x
+    with np.errstate(all="ignore"):  # a guess out of range falls back below
+        guess = x.flat * (x.flat / x_prev.flat)
+    if not (np.minimum.reduce(guess) > 0.0 and np.maximum.reduce(guess) < math.inf):
+        return x
+    return _wrap(guess, x.shape)
+
+
 def delta_continuation(F: MapInstance, cfg: SolverConfig) -> SolveReport:
     """Solve the shifted maps F^{(delta)} down a geometric schedule.
 
     Each shifted map has a strictly positive eigenpair; the weighted
-    eigenvalue products decrease strictly with delta, and the warm-started
-    sequence approaches a maximal eigenpair of F itself.  Inner tolerances
-    tighten proportionally to delta (floored at 1e-13, below which doubles
-    cannot resolve the log bracket gap).  Reports the last eigenpair, the
-    (delta, r_b) trace, and an extrapolated limit of the r_b sequence.
+    eigenvalue products decrease strictly with delta, and the sequence
+    approaches a maximal eigenpair of F itself.  The first shift starts from
+    all-ones (``cfg`` has no start vector, so a caller's x0 is not used); the
+    second from the first eigenvector; every later one from the geometric
+    guess x_k * (x_k / x_{k-1}) of the last two eigenvectors (see
+    ``_geometric_guess``).  Inner tolerances tighten proportionally to delta
+    (floored at 1e-13, below which doubles cannot resolve the log bracket
+    gap).
+
+    Budget stop: with n_{k-1}, n_k the inner iteration counts of the last two
+    shifts, the next shift is predicted to take n_k^2 / n_{k-1}.  A shift
+    whose prediction exceeds max_iter / 2 is not started; the solve ends
+    ``converged`` at the last pair, with a message naming the delta not tried
+    and its predicted count.  Counts that stay flat below max_iter / 2 never
+    trigger it.
+
+    An inner solve that still fails returns the last converged pair (if any),
+    its residual and bracket trace, and the extrapolation of the converged
+    prefix, under the inner status and a "partial results" message.
+
+    Reports the last eigenpair, the (delta, r_b) trace, and an Aitken
+    extrapolation of the r_b sequence.
     """
     from .maps import shifted  # local import keeps module load order simple
 
@@ -450,39 +484,53 @@ def delta_continuation(F: MapInstance, cfg: SolverConfig) -> SolveReport:
     b = _resolve_weights(F, cfg.weights, messages)
     schedule = cfg.delta_schedule.values()
     floor = cfg.delta_schedule.floor
-    x = ones_vector(F.shape)
     delta_trace: list[tuple[float, float]] = []
-    pairs: list[EigenPair] = []
+    counts: list[int] = []  # inner iterations of the converged shifts
     total_iters = 0
-    last_report = None
+    # the reports of the last converged shift and the eigenvector before it
+    status, last, x_prev = CONVERGED, None, None
 
     for delta in schedule:
+        if len(counts) >= 2:
+            predicted = counts[-1] ** 2 / counts[-2]
+            if predicted > cfg.max_iter / 2:
+                messages.append(
+                    f"stopped before delta={delta:g}: its inner solve was predicted "
+                    f"to take {predicted:.0f} iterations, more than max_iter/2 "
+                    f"= {cfg.max_iter / 2:g}"
+                )
+                break
+        x0 = ones_vector(F.shape) if last is None else _geometric_guess(last.eigenpair.x, x_prev)
         Fd = shifted(F, delta, cfg.norms)
         inner_tol = min(1e-3, max(cfg.tol, cfg.tol * delta / floor, 1e-13))
         inner = dataclasses.replace(
             cfg, tol=inner_tol, weights=b, keep_iterates=False
         )
-        rep = power_method(Fd, x, inner)
+        rep = power_method(Fd, x0, inner)
         total_iters += rep.iterations
-        last_report = rep
         if rep.status not in (CONVERGED, BRACKET_CONVERGED_CYCLING):
             messages.append(
                 f"inner solve failed to close its bracket at delta={delta:g} "
                 f"(status {rep.status}); returning partial results"
             )
-            return SolveReport(
-                eigenpair=rep.eigenpair,
-                status=rep.status,
-                iterations=total_iters,
-                bracket_trace=rep.bracket_trace,
-                weights=b,
-                residual=rep.residual,
-                messages=messages + rep.messages,
-                delta_trace=delta_trace,
-            )
+            if last is None:
+                return SolveReport(
+                    eigenpair=rep.eigenpair,
+                    status=rep.status,
+                    iterations=total_iters,
+                    bracket_trace=rep.bracket_trace,
+                    weights=b,
+                    residual=rep.residual,
+                    messages=messages + rep.messages,
+                    delta_trace=delta_trace,
+                )
+            status = rep.status
+            messages += rep.messages
+            break
         delta_trace.append((delta, rep.eigenpair.r_b))
-        pairs.append(rep.eigenpair)
-        x = rep.eigenpair.x
+        counts.append(rep.iterations)
+        x_prev = None if last is None else last.eigenpair.x
+        last = rep
 
     r_values = [r for _, r in delta_trace]
     if any(r_values[i] <= r_values[i + 1] for i in range(len(r_values) - 1)):
@@ -491,12 +539,12 @@ def delta_continuation(F: MapInstance, cfg: SolverConfig) -> SolveReport:
             "descending schedule"
         )
     return SolveReport(
-        eigenpair=pairs[-1],
-        status=CONVERGED,
+        eigenpair=last.eigenpair,
+        status=status,
         iterations=total_iters,
-        bracket_trace=last_report.bracket_trace,
+        bracket_trace=last.bracket_trace,
         weights=b,
-        residual=last_report.residual,
+        residual=last.residual,
         messages=messages,
         delta_trace=delta_trace,
         r_extrapolated=_aitken(r_values),

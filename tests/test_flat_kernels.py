@@ -225,11 +225,20 @@ def _former_iterates(F, x0, b, norms, k):
 
 
 def _former_continuation(F, norms, b, schedule, tol, max_iter):
-    """delta_continuation's path through the former step (no cycle averaging)."""
-    x, delta_trace = ProductVector([np.ones(n) for n in F.shape.sizes]), []
+    """delta_continuation's path through the former step (no cycle averaging).
+
+    Each shift after the second starts from the geometric guess
+    x_k * (x_k / x_{k-1}), block by block, or from x_k where the guess has an
+    entry that is 0, inf or NaN.
+    """
+    x, converged, delta_trace = ProductVector([np.ones(n) for n in F.shape.sizes]), [], []
     for delta in schedule.values():
         Fd = _former_shifted(F, delta, norms)
         inner_tol = min(1e-3, max(tol, tol * delta / schedule.floor, 1e-13))
+        if len(converged) >= 2:
+            guess = [xb * (xb / pb) for xb, pb in zip(converged[-1].blocks, converged[-2].blocks)]
+            if all(np.all((g > 0.0) & np.isfinite(g)) for g in guess):
+                x = ProductVector(guess)
         x, trace = _former_normalize(x, norms), []
         for _ in range(max_iter):
             y, log_lo, log_hi, lam, x_next = _former_step(Fd, x, b, norms)
@@ -239,6 +248,7 @@ def _former_continuation(F, norms, b, schedule, tol, max_iter):
             x = x_next
         else:
             raise AssertionError("the reference inner solve did not converge")
+        converged.append(x)
         delta_trace.append((delta, float(np.exp(np.dot(b, np.log(lam))))))
     return x, lam, trace, delta_trace
 

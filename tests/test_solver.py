@@ -371,6 +371,81 @@ class TestDeltaContinuation:
         assert any("partial results" in m for m in rep.messages)
         assert rep.delta_trace is not None
 
+    def test_stalled_shift_returns_the_last_converged_pair(self):
+        # default schedule: delta = 1 (inner tol 1e-3) converges within 5
+        # iterations, delta = 1/2 does not
+        F = linear_map([[1.0, 1.0], [0.0, 1.0]])
+        cfg = SolverConfig(norms=NormSpec.euclidean(1), max_iter=5)
+        rep = delta_continuation(F, cfg)
+        first = power_method(
+            shifted(F, 1.0, cfg.norms), None,
+            SolverConfig(norms=cfg.norms, tol=1e-3, max_iter=5, weights=rep.weights, keep_iterates=False),
+        )
+        assert first.status == "converged"
+        assert rep.status == "max_iter"
+        assert any("delta=0.5" in m and "partial results" in m for m in rep.messages)
+        assert rep.delta_trace == [(1.0, first.eigenpair.r_b)]
+        assert rep.eigenpair.x.flat.tobytes() == first.eigenpair.x.flat.tobytes()
+        assert rep.residual == first.residual and rep.bracket_trace == first.bracket_trace
+        assert rep.r_extrapolated == first.eigenpair.r_b
+        assert rep.iterations == first.iterations + 5
+        from mhspectral.cli import run_solve
+
+        code, doc = run_solve({
+            "map": {"family": "linear", "params": {"matrix": [[1.0, 1.0], [0.0, 1.0]]}},
+            "solver": {"method": "continuation", "max_iter": 5},
+        })
+        assert code == 3 and doc["status"] == "max_iter" and doc["r_extrapolated"] == rep.r_extrapolated
+
+    def test_default_schedule_stops_before_a_shift_that_cannot_converge(self):
+        F = linear_map([[1.0, 1.0], [0.0, 1.0]])
+        cfg = SolverConfig(norms=NormSpec.euclidean(1), keep_iterates=False)
+        rep = delta_continuation(F, cfg)
+        assert rep.status == "converged"
+        stops = [m for m in rep.messages if m.startswith("stopped before delta=")]
+        assert len(stops) == 1 and "predicted" in stops[0] and "max_iter/2" in stops[0]
+        assert rep.delta_trace[-1][0] > cfg.delta_schedule.floor
+        assert abs(rep.r_extrapolated - 1.0) < 1e-3
+        assert rep.residual <= 10.0 * cfg.tol
+        assert rep.iterations < 20_000
+
+    def test_seeded_irreducible_linear_maps_extrapolate_to_the_spectral_radius(self):
+        rng = np.random.default_rng(11)
+        primitive = imprimitive = 0
+        while primitive + imprimitive < 40:
+            n = int(rng.integers(1, 8))
+            M = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < rng.uniform(0.3, 1.0))
+            if not (M.sum(axis=1).all() and homogeneity.is_irreducible(M)):
+                continue
+            rho = float(np.max(np.abs(np.linalg.eigvals(M))))
+            rep = delta_continuation(linear_map(M), SolverConfig(norms=NormSpec.euclidean(1), keep_iterates=False))
+            assert rep.status == "converged"
+            stopped = any(m.startswith("stopped before delta=") for m in rep.messages)
+            err = abs(rep.r_extrapolated - rho) / rho
+            if homogeneity.is_primitive(M):
+                primitive += 1
+                assert not stopped and err <= 1e-8, (M, rep.messages, err)
+            else:
+                # a period-2 M: the shifted solves slow down like 1/delta, the
+                # budget stop ends the schedule near delta = 1e-4, and the
+                # extrapolation is only as good as the inner tolerance there
+                imprimitive += 1
+                assert stopped and err <= 1e-4, (M, rep.messages, err)
+        assert imprimitive == 2
+
+    def test_geometric_guess(self):
+        x_prev, x = ProductVector([[0.5, 0.25]]), ProductVector([[0.25, 0.0625]])
+        # entries that scale like a power of delta are predicted exactly
+        assert solver._geometric_guess(x, x_prev).flat.tolist() == [0.125, 0.015625]
+        assert solver._geometric_guess(x, None) is x
+        same = solver._geometric_guess(x, ProductVector([[0.25, 0.0625]]))
+        assert same.flat.tobytes() == x.flat.tobytes()
+        # a guess that underflows to 0, or overflows to inf, falls back to x
+        x_small = ProductVector([[1e-200, 1.0]])
+        assert solver._geometric_guess(x_small, ProductVector([[1e200, 1.0]])) is x_small
+        x_large = ProductVector([[1e200, 1.0]])
+        assert solver._geometric_guess(x_large, ProductVector([[1e-200, 1.0]])) is x_large
+
 class TestCertificates:
     def test_motivating_contraction(self):
         F = motivating_map()

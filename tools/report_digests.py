@@ -3,6 +3,7 @@
 Usage, from the repository root:
 
     python3 tools/report_digests.py OUT.json
+    python3 tools/report_digests.py --diff PARENT.json CHANGE.json
 
 For the four workloads of ``perfbench/workloads.py`` at seeds 1 and 2, every
 item runs its solve, certify and third (analyze or graph) step the way the
@@ -15,12 +16,16 @@ a non-zero exit, and a step that raises is recorded by its exception.
 
 ``mhspectral`` is imported from ``PYTHONPATH`` when that holds it, else from
 this checkout's ``src/``; stderr names the one used.  To list the reports a
-change moves, run the script once against each side and diff the files:
+change moves, run the script once against each side and compare the files:
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
     PYTHONPATH=/tmp/parent/src python3 tools/report_digests.py parent.json
     python3 tools/report_digests.py change.json
-    diff parent.json change.json
+    python3 tools/report_digests.py --diff parent.json change.json
+
+``--diff`` prints one line per key whose digest differs, or that only one
+file has, with the exit code on each side (``raised`` for a step that raised,
+``-`` for a missing key), and exits 1 when it printed any line, else 0.
 """
 
 from __future__ import annotations
@@ -98,9 +103,30 @@ def item_digests(runner, item) -> dict:
     return out
 
 
+def _exit_code(digest) -> str:
+    if digest is None:
+        return "-"
+    return "raised" if digest.startswith("raised ") else digest.split(" ", 1)[0]
+
+
+def diff(parent: dict, change: dict) -> list[str]:
+    """``key: parent exit -> change exit`` for every key whose digest differs."""
+    return [
+        f"{key}: {_exit_code(parent.get(key))} -> {_exit_code(change.get(key))}"
+        for key in sorted(parent.keys() | change.keys())
+        if parent.get(key) != change.get(key)
+    ]
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+    if len(argv) == 3 and argv[0] == "--diff":
+        lines = diff(*(json.loads(Path(p).read_text()) for p in argv[1:]))
+        for line in lines:
+            print(line)
+        print(f"{len(lines)} reports differ", file=sys.stderr)
+        return 1 if lines else 0
+    if len(argv) != 1 or argv[0].startswith("--"):
+        print("\n".join(line.strip() for line in __doc__.strip().splitlines()[4:6]), file=sys.stderr)
         return 2
     print(f"mhspectral from {Path(mhspectral.__file__).parent}", file=sys.stderr)
     digests = {}
