@@ -25,7 +25,7 @@ from . import graphs as graphmod
 from . import maps as mapmod
 from . import solver as solvermod
 from .cones import NormSpec, ProductVector, ShapeSpec, normalize, ones_vector, random_interior
-from .homogeneity import PerronStructureError, is_irreducible, is_primitive, lipschitz_bound
+from .homogeneity import PerronStructureError, lipschitz_bound
 
 __all__ = ["main", "parse_instance", "canonical_instance", "dump_json", "InstanceError"]
 
@@ -268,17 +268,32 @@ def _build_norms(raw, shape: ShapeSpec, path: str) -> NormSpec:
     for i, sel in enumerate(raw):
         if not isinstance(sel, dict):
             _fail(f"{path}[{i}]", "selector must be an object with 'p' or 'phi'")
-        if "p" in sel:
-            pval = sel["p"]
-            selectors.append(math.inf if pval in ("inf", "Infinity") else float(pval))
-        elif "phi" in sel:
-            selectors.append(np.array(sel["phi"], dtype=float))
-        else:
+        if "p" not in sel and "phi" not in sel:
             _fail(f"{path}[{i}]", "selector needs 'p' or 'phi'")
+        try:
+            if "p" in sel:
+                pval = sel["p"]
+                selectors.append(math.inf if pval in ("inf", "Infinity") else float(pval))
+            else:
+                selectors.append(np.array(sel["phi"], dtype=float))
+        except (TypeError, ValueError) as exc:
+            _fail(f"{path}[{i}]", f"selector is not numeric ({exc})")
     try:
         return NormSpec(selectors)
     except ValueError as exc:
         _fail(path, str(exc))
+
+
+def _setting(doc, key: str, path: str, default, kind):
+    """A finite int or float solver setting; any other value fails at its JSON path."""
+    raw = _get(doc, key, path, default=default)
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        _fail(f"{path}.{key}", f"expected a finite number, got {raw!r}")
+    if kind is float and not math.isfinite(value):
+        _fail(f"{path}.{key}", f"expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_instance(doc: dict) -> Instance:
@@ -288,7 +303,13 @@ def parse_instance(doc: dict) -> Instance:
     F = _build_map(_get(doc, "map", "$", required=True), "$.map", raw_norms)
     shape_doc = _get(doc, "shape", "$")
     if shape_doc is not None:
-        sizes = tuple(int(n) for n in _get(shape_doc, "sizes", "$.shape", required=True))
+        if not isinstance(shape_doc, dict):
+            _fail("$.shape", "shape must be an object")
+        raw_sizes = _get(shape_doc, "sizes", "$.shape", required=True)
+        try:
+            sizes = tuple(int(n) for n in raw_sizes)
+        except (TypeError, ValueError, OverflowError):
+            _fail("$.shape.sizes", f"expected a list of integers, got {raw_sizes!r}")
         if sizes != F.shape.sizes:
             _fail("$.shape", f"declared sizes {sizes} disagree with the map's {F.shape.sizes}")
     norms = _build_norms(raw_norms, F.shape, "$.norms")
@@ -297,14 +318,21 @@ def parse_instance(doc: dict) -> Instance:
     if raw_w == "auto":
         weights = None
     else:
-        weights = np.array(raw_w, dtype=float)
-        if weights.shape != (F.shape.d,) or np.any(weights <= 0.0):
-            _fail("$.weights", "explicit weights must be a strictly positive d-vector")
+        try:
+            weights = np.array(raw_w, dtype=float)
+        except (TypeError, ValueError):
+            _fail("$.weights", "explicit weights must be a numeric d-vector")
+        if weights.shape != (F.shape.d,) or not np.all((weights > 0.0) & np.isfinite(weights)):
+            _fail("$.weights", "explicit weights must be finite and strictly positive, one per block")
 
     sol = _get(doc, "solver", "$", default={})
-    tol = float(_get(sol, "tol", "$.solver", default=1e-10))
-    max_iter = int(_get(sol, "max_iter", "$.solver", default=10_000))
-    seed = int(_get(sol, "seed", "$.solver", default=0))
+    if not isinstance(sol, dict):
+        _fail("$.solver", "solver settings must be an object")
+    tol = _setting(sol, "tol", "$.solver", 1e-10, float)
+    max_iter = _setting(sol, "max_iter", "$.solver", 10_000, int)
+    seed = _setting(sol, "seed", "$.solver", 0, int)
+    if seed < 0:
+        _fail("$.solver.seed", f"seed must be nonnegative, got {seed}")
     method = _get(sol, "method", "$.solver", default="power")
     if method not in ("power", "continuation"):
         _fail("$.solver.method", "method must be 'power' or 'continuation'")
@@ -313,10 +341,12 @@ def parse_instance(doc: dict) -> Instance:
         if x0_spec not in ("uniform", "random"):
             _fail("$.solver.x0", "x0 must be 'uniform', 'random', or explicit blocks")
     sched_doc = _get(sol, "delta_schedule", "$.solver", default={})
+    if not isinstance(sched_doc, dict):
+        _fail("$.solver.delta_schedule", "delta schedule must be an object")
     schedule = solvermod.DeltaSchedule(
-        delta0=float(_get(sched_doc, "delta0", "$.solver.delta_schedule", default=1.0)),
-        factor=float(_get(sched_doc, "factor", "$.solver.delta_schedule", default=0.5)),
-        floor=float(_get(sched_doc, "floor", "$.solver.delta_schedule", default=1e-8)),
+        delta0=_setting(sched_doc, "delta0", "$.solver.delta_schedule", 1.0, float),
+        factor=_setting(sched_doc, "factor", "$.solver.delta_schedule", 0.5, float),
+        floor=_setting(sched_doc, "floor", "$.solver.delta_schedule", 1e-8, float),
     )
     if tol <= 0 or max_iter < 1:
         _fail("$.solver", "tol must be positive and max_iter >= 1")
@@ -412,8 +442,8 @@ def run_analyze(doc: dict) -> tuple[int, dict]:
         "regime": analysis.regime,
         "weights": None if weights is None else list(weights),
         "lipschitz_bound": None if weights is None else lipschitz_bound(A, weights),
-        "A_irreducible": is_irreducible(A),
-        "A_primitive": is_primitive(A),
+        "A_irreducible": analysis.irreducible,
+        "A_primitive": analysis.primitive,
         "notes": notes,
     }
     return 0, report

@@ -269,8 +269,8 @@ class NormSpec:
                 parsed.append(("p", p))
             else:
                 phi = np.array(sel, dtype=float)
-                if phi.ndim != 1 or phi.size == 0 or np.any(phi <= 0.0):
-                    raise ValueError("weighted-l1 weights must be strictly positive")
+                if phi.ndim != 1 or phi.size == 0 or not np.all((phi > 0.0) & np.isfinite(phi)):
+                    raise ValueError("weighted-l1 weights must be finite and strictly positive")
                 phi.setflags(write=False)
                 parsed.append(("phi", phi))
         if not parsed:

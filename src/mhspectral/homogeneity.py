@@ -9,6 +9,21 @@ which search the digraph of the pattern of A instead of taking its powers.
 map as ``MapInstance.analysis`` and read by the solver, the certificates and
 the CLI: rho(A) below, at or above 1, and the automatic weights for it.
 
+Each distinct A of at most 64 x 64 that :func:`analyze_homogeneity` sees is
+analysed once per process.  A bounded memo keeps one record per such A --
+rho(A), the left and right Perron vectors, the contraction weights, and the
+pattern irreducibility and primitivity, each computed on first use from a
+private read-only copy of A -- and :func:`spectral_radius`,
+:func:`perron_weights` and the weight search answer from it at their default
+tolerances, bit for bit what they would compute.  The memo holds at most 128
+records and drops the oldest first; the record of a 64 x 64 A takes about
+35 KB, so the memo never exceeds about 4.5 MB.  It lives in the process, so
+each ``--jobs`` worker of the CLI has its own: a single-document CLI run
+gains nothing, while a batch file or a library loop that analyses the same A
+again reads its record.  Matrices that were never analysed -- the inflations
+A + t of the weight search, the Jacobians of the certificates -- and anything
+larger than 64 x 64 are computed afresh every time and never stored.
+
 The spectral radius and the Perron vectors come from the Collatz-Wielandt
 principle: for a nonnegative A and any positive v,
 
@@ -36,6 +51,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import threading
 from typing import Optional
 
 import numpy as np
@@ -58,6 +74,14 @@ __all__ = [
 
 # |rho(A) - 1| up to this counts as rho(A) = 1, the non-expansive regime
 _REGIME_TOL = 1e-9
+
+# the default tolerances, the only ones the memo serves
+_RADIUS_TOL = 1e-13
+_SHIFT = 1e-8
+_PERRON_TOL = 1e-10
+_POSITIVITY_RATIO = 1e-12
+_MARGIN_TOL = 1e-12
+_PATTERN_TOL = 1e-12
 
 
 class PerronStructureError(ValueError):
@@ -101,7 +125,127 @@ def _perron_candidate(M: np.ndarray) -> Optional[np.ndarray]:
     return np.abs(V[:, np.argmax(w.real)])
 
 
-def spectral_radius(A, tol: float = 1e-13, shift: float = 1e-8) -> float:
+# ---------------------------------------------------------------------------
+# the per-A memo
+# ---------------------------------------------------------------------------
+
+_MEMO_MAX_D = 64
+_MEMO_SIZE = 128
+
+
+class _Facts:
+    """Facts about one checked A at the default tolerances, each computed on first use.
+
+    ``left`` and ``right`` hold the read-only Perron vector of A^T and of A,
+    or the :class:`PerronStructureError` that computing it raised.
+    """
+
+    def __init__(self, A: np.ndarray, rho: Optional[float] = None):
+        self.A = A
+        if rho is not None:
+            self.rho = rho
+
+    @functools.cached_property
+    def connected(self) -> bool:
+        """Strong connectivity of the pattern A > 0, which picks the Perron candidate path."""
+        return _digraph.strongly_connected(self.A > 0.0)
+
+    @functools.cached_property
+    def rho(self) -> float:
+        return _radius(self.A, _RADIUS_TOL, _SHIFT, self.connected)
+
+    @functools.cached_property
+    def left(self):
+        return _perron_or_error(self.A, self.rho, self.connected)
+
+    @functools.cached_property
+    def right(self):
+        # A^T > 0 is strongly connected exactly when A > 0 is
+        return _perron_or_error(self.A.T, self.rho, self.connected)
+
+    @functools.cached_property
+    def contraction(self) -> WeightSearchResult:
+        # read only in the strict contraction regime, rho(A) < 1
+        res = _search_contraction(self, _MARGIN_TOL)
+        res.b.setflags(write=False)
+        return res
+
+    @functools.cached_property
+    def irreducible(self) -> bool:
+        P = self.A > _PATTERN_TOL
+        # the pattern of A > 0 unless an entry lies in (0, _PATTERN_TOL]
+        if np.array_equal(P, self.A > 0.0):
+            return self.connected
+        return _digraph.strongly_connected(P)
+
+    @functools.cached_property
+    def primitive(self) -> bool:
+        if not self.A.shape[0]:
+            return True
+        return self.irreducible and _digraph.period(self.A > _PATTERN_TOL) == 1
+
+
+def _perron_or_error(M: np.ndarray, rho: float, connected: bool):
+    """Read-only left Perron vector of M at the default tolerances, or the error it raised."""
+    try:
+        b = _left_perron(M, rho, _PERRON_TOL, _SHIFT, _POSITIVITY_RATIO, connected)
+    except PerronStructureError as exc:
+        return exc
+    b.setflags(write=False)
+    return b
+
+
+def _unless_error(value):
+    """A cached Perron vector, or a fresh raise of the error cached in its place."""
+    if isinstance(value, PerronStructureError):
+        raise PerronStructureError(*value.args)
+    return value
+
+
+# (d, the bytes of the C-ordered float64 A) -> the record of A, oldest first;
+# at most _MEMO_SIZE records of d <= _MEMO_MAX_D.  A record keeps A once (its
+# array shares the key's bytes, 32 KiB at d = 64), three d-vectors and three
+# flags: about 35 KB, and the memo at most about 4.5 MB.
+_MEMO: dict[tuple[int, bytes], _Facts] = {}
+_MEMO_LOCK = threading.Lock()
+
+
+def _recall(A: np.ndarray) -> Optional[_Facts]:
+    """The memo's record of a checked A, or None."""
+    d = A.shape[0]
+    if d > _MEMO_MAX_D:
+        return None
+    return _MEMO.get((d, A.tobytes()))
+
+
+def _remember(A: np.ndarray) -> Optional[_Facts]:
+    """The memo's record of a checked A, made on first sight; None above the size cap.
+
+    The record computes on its own read-only C-ordered copy of A, so equal
+    matrices get identical answers whatever their type, dtype or layout, and
+    a later change to the caller's array changes none of them.
+    """
+    d = A.shape[0]
+    if d > _MEMO_MAX_D:
+        return None
+    key = (d, A.tobytes())
+    facts = _MEMO.get(key)
+    if facts is None:
+        with _MEMO_LOCK:  # threads may share the memo: one record per key, the bound kept
+            facts = _MEMO.get(key)
+            if facts is None:
+                if len(_MEMO) >= _MEMO_SIZE:
+                    del _MEMO[next(iter(_MEMO))]
+                facts = _MEMO[key] = _Facts(np.frombuffer(key[1]).reshape(d, d))
+    return facts
+
+
+# ---------------------------------------------------------------------------
+# spectral radius and Perron vectors
+# ---------------------------------------------------------------------------
+
+
+def spectral_radius(A, tol: float = _RADIUS_TOL, shift: float = _SHIFT) -> float:
     """Spectral radius of a nonnegative matrix to ``tol`` relative accuracy.
 
     Irreducible A (strongly connected pattern of A > 0) has a positive right
@@ -109,11 +253,28 @@ def spectral_radius(A, tol: float = 1e-13, shift: float = 1e-8) -> float:
     [min (Av/v), max (Av/v)] contains rho(A); once it is ``tol`` narrow its
     midpoint is the answer.  Reducible A, or a candidate that does not close
     the enclosure, goes to the repeated-squaring bracket.
+
+    At the default ``tol`` and ``shift``, a matrix that
+    :func:`analyze_homogeneity` has seen in this process is answered from its
+    memo record, bit for bit the value computed afresh.  The memo is bounded,
+    one per process (each ``--jobs`` worker has its own) and only for
+    d <= 64: a single-document CLI run gains nothing from it, a batch file
+    does (see the module docstring).
     """
     A = _check_nonneg_square(A)
+    facts = _recall(A) if tol == _RADIUS_TOL and shift == _SHIFT else None
+    if facts is not None:
+        return facts.rho
+    return _radius(A, tol, shift)
+
+
+def _radius(A: np.ndarray, tol: float, shift: float, connected: Optional[bool] = None) -> float:
+    """:func:`spectral_radius` of a checked A; ``connected`` is that of A > 0 when known."""
     if A.shape[0] == 1:
         return float(A[0, 0])
-    if _digraph.strongly_connected(A > 0):
+    if connected is None:
+        connected = _digraph.strongly_connected(A > 0.0)
+    if connected:
         v = _perron_candidate(A)
         if v is not None and v.min() > 0.0:
             lo, hi = _cw_enclosure(A, v)
@@ -144,7 +305,10 @@ def _radius_by_squaring(A: np.ndarray, tol: float, shift: float) -> float:
 
 
 def perron_weights(
-    A, tol: float = 1e-10, shift: float = 1e-8, positivity_ratio: float = 1e-12
+    A,
+    tol: float = _PERRON_TOL,
+    shift: float = _SHIFT,
+    positivity_ratio: float = _POSITIVITY_RATIO,
 ) -> np.ndarray:
     """Left Perron vector b in the open simplex with A^T b = rho(A) b.
 
@@ -156,9 +320,14 @@ def perron_weights(
     (reducible matrices with deficient Perron structure) or leaves a residual
     above ``tol * max(1, rho)``; callers then fall back to
     :func:`contraction_weights`.
+
+    At the default tolerances, a matrix that :func:`analyze_homogeneity` has
+    seen in this process is answered from its memo record (d <= 64, bounded,
+    one per process: see :func:`spectral_radius`); the result is a fresh copy
+    either way.
     """
     A = _check_nonneg_square(A)
-    return _perron_weights(A, spectral_radius(A), tol, shift, positivity_ratio)
+    return np.array(_perron_weights(A, spectral_radius(A), tol, shift, positivity_ratio))
 
 
 def _perron_defect(A: np.ndarray, b: np.ndarray, rho: float, tol, positivity_ratio) -> Optional[str]:
@@ -172,13 +341,33 @@ def _perron_defect(A: np.ndarray, b: np.ndarray, rho: float, tol, positivity_rat
 
 
 def _perron_weights(
-    A: np.ndarray, rho: float, tol=1e-10, shift=1e-8, positivity_ratio=1e-12
+    A: np.ndarray,
+    rho: float,
+    tol=_PERRON_TOL,
+    shift=_SHIFT,
+    positivity_ratio=_POSITIVITY_RATIO,
 ) -> np.ndarray:
-    """:func:`perron_weights` of a checked A whose spectral radius is ``rho``."""
+    """:func:`perron_weights` of a checked A whose spectral radius is ``rho``.
+
+    Read-only when it comes from the memo record of A.
+    """
+    defaults = tol == _PERRON_TOL and shift == _SHIFT and positivity_ratio == _POSITIVITY_RATIO
+    facts = _recall(A) if defaults else None
+    if facts is not None and facts.rho == rho:
+        return _unless_error(facts.left)
+    return _left_perron(A, rho, tol, shift, positivity_ratio)
+
+
+def _left_perron(
+    A: np.ndarray, rho: float, tol, shift, positivity_ratio, connected: Optional[bool] = None
+) -> np.ndarray:
+    """The left Perron vector computed afresh; ``connected`` is that of A > 0 when known."""
     d = A.shape[0]
     if d == 1:
         return np.ones(1)
-    if _digraph.strongly_connected(A > 0):
+    if connected is None:
+        connected = _digraph.strongly_connected(A > 0.0)
+    if connected:
         sums = (A + shift * np.eye(d)).T @ np.ones(d)
         b = sums / sums.sum()
         # uniform column sums make the squaring's first pass its answer
@@ -214,31 +403,41 @@ def _perron_by_squaring(A: np.ndarray, shift: float) -> np.ndarray:
     return b
 
 
-def contraction_weights(A, margin_tol: float = 1e-12) -> WeightSearchResult:
+def contraction_weights(A, margin_tol: float = _MARGIN_TOL) -> WeightSearchResult:
     """Positive weights b and r in [rho(A), 1) with A^T b <= r b, for rho(A) < 1.
 
     Uses the true left Perron vector when it is strictly positive (r = rho(A),
     exact); otherwise bisects the all-ones rank-one inflation A + t * 11^T down
     to a t with rho still below 1 and takes that matrix's Perron vector.
     Raises ``ValueError`` unless :func:`analyze_homogeneity` puts A in the
-    strict contraction regime.
+    strict contraction regime.  ``b`` is a fresh copy.
     """
     analysis = analyze_homogeneity(A)
     if analysis.regime != "strict_contraction":
         raise ValueError(
             f"contraction weight search needs rho(A) < 1, got {analysis.rho:.17g} ({analysis.regime})"
         )
-    return _contraction_weights(analysis.A, analysis.rho, margin_tol)
+    res = _contraction_weights(analysis.A, analysis.rho, margin_tol)
+    return dataclasses.replace(res, b=np.array(res.b))
 
 
-def _contraction_weights(A: np.ndarray, rho: float, margin_tol: float = 1e-12) -> WeightSearchResult:
-    """:func:`contraction_weights` of a checked A whose spectral radius is ``rho`` < 1."""
-    try:
-        b = _perron_weights(A, rho)
-        if np.all(A.T @ b <= rho * b + margin_tol):
-            return WeightSearchResult(b, rho, True)
-    except PerronStructureError:
-        pass
+def _contraction_weights(A: np.ndarray, rho: float, margin_tol: float = _MARGIN_TOL) -> WeightSearchResult:
+    """:func:`contraction_weights` of a checked A whose spectral radius is ``rho`` < 1.
+
+    ``b`` is read-only when the result comes from the memo record of A.
+    """
+    facts = _recall(A) if margin_tol == _MARGIN_TOL else None
+    if facts is not None and facts.rho == rho:
+        return facts.contraction
+    return _search_contraction(_Facts(A, rho), margin_tol)
+
+
+def _search_contraction(facts: _Facts, margin_tol: float) -> WeightSearchResult:
+    """The weight search on the A and rho of a record; the inflations are never recorded."""
+    A, rho = facts.A, facts.rho
+    b = facts.left
+    if not isinstance(b, PerronStructureError) and np.all(A.T @ b <= rho * b + margin_tol):
+        return WeightSearchResult(b, rho, True)
     target = 0.5 * (1.0 + rho)
     t = (1.0 - rho) / (2.0 * A.shape[0])
     for _ in range(200):
@@ -262,11 +461,14 @@ class HomogeneityAnalysis:
     contraction weights (strict contraction) or the left Perron vector
     (non-expansive), ``(None, reason)`` when no strictly positive b with
     A^T b <= b exists, and ``(None, None)`` in the expansive regime.
+    ``irreducible``, ``primitive`` and ``right_perron`` are facts of A read
+    from its record, each computed once.
     """
 
     A: np.ndarray = dataclasses.field(repr=False, compare=False)
     rho: float
     regime: str
+    _facts: _Facts = dataclasses.field(repr=False, compare=False)
 
     @functools.cached_property
     def auto_weights(self) -> tuple[Optional[np.ndarray], Optional[str]]:
@@ -282,18 +484,50 @@ class HomogeneityAnalysis:
         b.setflags(write=False)
         return b, None
 
+    @property
+    def irreducible(self) -> bool:
+        """:func:`is_irreducible` of A at its default pattern tolerance."""
+        return self._facts.irreducible
+
+    @property
+    def primitive(self) -> bool:
+        """:func:`is_primitive` of A at its default pattern tolerance."""
+        return self._facts.primitive
+
+    @property
+    def right_perron(self) -> Optional[np.ndarray]:
+        """Read-only right Perron vector of A in the open simplex, or None when none is positive."""
+        c = self._facts.right
+        return None if isinstance(c, PerronStructureError) else c
+
 
 def analyze_homogeneity(A) -> HomogeneityAnalysis:
-    """rho(A) and its regime; the only place the rho(A) = 1 tolerance is applied."""
+    """rho(A) and its regime; the only place the rho(A) = 1 tolerance is applied.
+
+    A d x d matrix with d <= 64 gets (or finds) its record in the memo, so a
+    second analysis of an equal matrix -- the same homogeneity matrix parsed
+    again by another document of a batch file, say -- reuses rho(A), the
+    weights and the pattern facts.  The memo is bounded and one per process,
+    so each ``--jobs`` worker has its own, and a single-document CLI run gains
+    nothing from it (see the module docstring).  rho(A) is read through
+    :func:`spectral_radius` either way; a larger A gets a one-off record.
+    """
     A = _check_nonneg_square(A)
-    rho = spectral_radius(A)
+    facts = _remember(A)
+    if facts is not None:
+        rho = spectral_radius(facts.A)
+    else:  # above the memo's size cap: a one-off record of a private copy
+        A = np.array(A)
+        A.setflags(write=False)
+        rho = spectral_radius(A)
+        facts = _Facts(A, rho)
     if rho < 1.0 - _REGIME_TOL:
         regime = "strict_contraction"
     elif rho <= 1.0 + _REGIME_TOL:
         regime = "non_expansive"
     else:
         regime = "expansive"
-    return HomogeneityAnalysis(A, rho, regime)
+    return HomogeneityAnalysis(facts.A, rho, regime, facts)
 
 
 def lipschitz_bound(A, b) -> float:
@@ -309,7 +543,7 @@ def _pattern(A, pattern_tol: float) -> np.ndarray:
     return np.asarray(A, dtype=float) > pattern_tol
 
 
-def is_irreducible(A, pattern_tol: float = 1e-12) -> bool:
+def is_irreducible(A, pattern_tol: float = _PATTERN_TOL) -> bool:
     """Pattern irreducibility, equivalently (I + A)^{n-1} entrywise positive.
 
     Decided as strong connectivity of the pattern digraph: a forward and a
@@ -324,7 +558,7 @@ def wielandt_bound(n: int) -> int:
     return (n - 1) ** 2 + 1
 
 
-def is_primitive(A, pattern_tol: float = 1e-12) -> bool:
+def is_primitive(A, pattern_tol: float = _PATTERN_TOL) -> bool:
     """Pattern primitivity, equivalently some power up to the Wielandt bound is all-positive.
 
     Decided as irreducibility plus period 1, the period being the gcd of

@@ -169,6 +169,11 @@ def evaluate(F: MapInstance, x: ProductVector) -> ProductVector:
 # ---------------------------------------------------------------------------
 
 
+def _finite_nonneg(M: np.ndarray) -> bool:
+    """Every entry is finite and nonnegative; a NaN fails.  Two passes, no temporaries."""
+    return M.min(initial=0.0) >= 0.0 and M.max(initial=0.0) < np.inf
+
+
 def _frozen(P: np.ndarray) -> np.ndarray:
     P.setflags(write=False)
     return P
@@ -197,8 +202,8 @@ def linear_map(M) -> MapInstance:
     M = np.array(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("linear_map needs a square matrix")
-    if np.any(M < 0.0):
-        raise ValueError("matrix entries must be nonnegative")
+    if not _finite_nonneg(M):
+        raise ValueError("matrix entries must be finite and nonnegative")
     if not np.all((M > 0.0).any(axis=1)):
         raise ValueError("zero row: the map would collapse the open cone")
     M.setflags(write=False)
@@ -220,8 +225,8 @@ def _check_rect(M) -> np.ndarray:
     M = np.array(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("need a matrix")
-    if np.any(M < 0.0):
-        raise ValueError("matrix entries must be nonnegative")
+    if not _finite_nonneg(M):
+        raise ValueError("matrix entries must be finite and nonnegative")
     if not np.all((M > 0.0).any(axis=1)):
         raise ValueError("zero row")
     if not np.all((M > 0.0).any(axis=0)):
@@ -307,8 +312,8 @@ def tensor_eigen_map(T, p: float) -> MapInstance:
     T = np.array(T, dtype=float)
     if T.ndim < 2 or len(set(T.shape)) != 1:
         raise ValueError("tensor must be cubical of order >= 2")
-    if np.any(T < 0.0):
-        raise ValueError("tensor entries must be nonnegative")
+    if not _finite_nonneg(T):
+        raise ValueError("tensor entries must be finite and nonnegative")
     if not (p > 1.0):
         raise ValueError("tensor_eigen_map needs p > 1")
     m, n = T.ndim, T.shape[0]
@@ -701,7 +706,9 @@ def shifted(F: MapInstance, delta: float, norms: NormSpec) -> MapInstance:
         homogeneity_exact=F.homogeneity_exact,
         domain=F.domain,
     )
-    # same A, so the same analysis: a schedule of shifts measures rho(A) once
+    # same A, so the same analysis: a schedule of shifts measures rho(A) once,
+    # also above the d <= 64 cap of the homogeneity memo, and skips a memo
+    # lookup per shift
     object.__setattr__(G, "analysis", F.analysis)
     return G
 

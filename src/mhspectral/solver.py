@@ -51,9 +51,9 @@ from .cones import (
     weighted_norm_product,
 )
 from .homogeneity import (
+    _PATTERN_TOL,
     PerronStructureError,
     _cw_enclosure,
-    _perron_weights,
     is_irreducible,
     spectral_radius,
     wielandt_bound,
@@ -100,8 +100,8 @@ class DeltaSchedule:
     floor: float = 1e-8
 
     def values(self) -> list[float]:
-        if not (self.delta0 > 0.0 and self.floor > 0.0 and 0.0 < self.factor < 1.0):
-            raise ValueError("need delta0, floor > 0 and factor in (0, 1)")
+        if not (math.inf > self.delta0 > 0.0 and self.floor > 0.0 and 0.0 < self.factor < 1.0):
+            raise ValueError("need finite delta0, floor > 0 and factor in (0, 1)")
         if self.floor > self.delta0:
             raise ValueError("floor exceeds delta0")
         out, delta = [], self.delta0
@@ -614,9 +614,8 @@ def _rho_L(F: MapInstance, u: ProductVector, L_pos: np.ndarray) -> tuple[float, 
     or one outside the band -- the answer is ``spectral_radius(L_pos)``, as if
     the enclosure had not been tried, with False.
     """
-    try:
-        c = _perron_weights(F.A.T, F.analysis.rho)
-    except PerronStructureError:
+    c = F.analysis.right_perron
+    if c is None:
         return spectral_radius(L_pos), False
     lo, hi = _cw_enclosure(L_pos, F.shape._spread(c) * u.flat)
     if 1.0 - _RHO_L_TOL <= lo and hi <= 1.0 + _RHO_L_TOL:
@@ -674,7 +673,10 @@ def certify_uniqueness(F: MapInstance, report: SolveReport, pattern_tol: float =
         data["df_irreducible"] = True
         return Certificate("jacobian_irreducible", data)
     data["df_irreducible"] = False
-    if is_irreducible(F.A, pattern_tol):
+    A_irreducible = (
+        F.analysis.irreducible if pattern_tol == _PATTERN_TOL else is_irreducible(F.A, pattern_tol)
+    )
+    if A_irreducible:
         if witnessed:
             data["final_classes"] = _digraph.final_classes(L_pos > pattern_tol)
             if data["final_classes"] == 1:

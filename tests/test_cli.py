@@ -7,6 +7,7 @@ import pathlib
 
 import pytest
 
+from mhspectral import homogeneity
 from mhspectral.cli import (
     InstanceError,
     canonical_instance,
@@ -177,6 +178,19 @@ class TestSolve:
         t1 = dump_json(run_solve(copy.deepcopy(doc))[1])
         t2 = dump_json(run_solve(copy.deepcopy(doc))[1])
         assert t1 == t2
+        # a report made with the per-A memo cold equals one made with it warm
+        doc["weights"] = "auto"
+        singular = {"map": {"family": "singular", "params": {"matrix": [[1, 2, 0], [0, 1, 3]]}}}
+        for case in (doc, singular):
+            for run in (run_analyze, run_solve):
+                homogeneity._MEMO.clear()
+                cold = dump_json(run(copy.deepcopy(case))[1])
+                assert homogeneity._MEMO
+                assert dump_json(run(copy.deepcopy(case))[1]) == cold
+            solved = json.loads(cold)
+            homogeneity._MEMO.clear()
+            cold = dump_json(run_certify(copy.deepcopy(case), solved)[1])
+            assert dump_json(run_certify(copy.deepcopy(case), solved)[1]) == cold
 
     def test_max_iter_exit_code(self):
         doc = {
@@ -388,6 +402,66 @@ class TestMainEntry:
     def test_parse_failure_exit_two(self, tmp_path, capsys):
         inst = _write(tmp_path, "bad.json", {"map": {"family": "nope"}})
         assert main(["solve", inst]) == 2
+
+    @staticmethod
+    def _exits_two_everywhere(tmp_path, capsys, doc, path: str):
+        """Every command exits 2 on doc with one error line that names path."""
+        inst = _write(tmp_path, "bad.json", doc)
+        report = _write(tmp_path, "report.json", {})
+        for argv in (["analyze", inst], ["solve", inst], ["graph", inst], ["certify", inst, report]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        return err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("tol", "abc"),
+            ("tol", math.nan),
+            ("max_iter", math.nan),
+            ("max_iter", "many"),
+            ("seed", "x"),
+            ("seed", -1),
+            ("delta_schedule.delta0", math.inf),
+            ("delta_schedule.factor", "half"),
+            ("delta_schedule.floor", math.nan),
+        ],
+    )
+    def test_malformed_solver_setting_exits_two(self, tmp_path, capsys, key, value):
+        doc = copy.deepcopy(MOTIVATING_DOC)
+        *outer, last = key.split(".")
+        settings = doc["solver"]
+        for name in outer:
+            settings = settings.setdefault(name, {})
+        settings[last] = value
+        self._exits_two_everywhere(tmp_path, capsys, doc, f"$.solver.{key}")
+
+    @pytest.mark.parametrize("sizes", [["a", 2], 5, [2, None]])
+    def test_malformed_shape_sizes_exit_two(self, tmp_path, capsys, sizes):
+        doc = {"map": {"family": "motivating"}, "shape": {"sizes": sizes}}
+        self._exits_two_everywhere(tmp_path, capsys, doc, "$.shape.sizes")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "where, build",
+        [
+            ("$.map.params", lambda v: {"map": {"family": "linear", "params": {"matrix": [[v, 1], [1, 1]]}}}),
+            ("$.map.params", lambda v: {"map": {"family": "singular", "params": {"matrix": [[1, 1], [v, 1]]}}}),
+            (
+                "$.map.params",
+                lambda v: {"map": {"family": "pq_singular", "params": {"matrix": [[1, v]], "p": 3, "q": 3}}},
+            ),
+            (
+                "$.map.params",
+                lambda v: {"map": {"family": "tensor_eigen", "params": {"tensor": [[1, 1], [1, v]], "p": 2}}},
+            ),
+            ("$.norms", lambda v: {"map": {"family": "motivating"}, "norms": [{"phi": [1, v]}, {"p": 2}]}),
+            ("$.weights", lambda v: {"map": {"family": "motivating"}, "weights": [v, 1.0]}),
+        ],
+    )
+    def test_non_finite_map_parameter_exits_two(self, tmp_path, capsys, where, build, bad):
+        assert "must be finite" in self._exits_two_everywhere(tmp_path, capsys, build(bad), where)
 
     def test_batch_with_jobs(self, tmp_path, capsys):
         docs = [copy.deepcopy(MOTIVATING_DOC), {"map": {"family": "irrex", "params": {}}, "weights": [0.5, 0.5]}]

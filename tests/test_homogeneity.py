@@ -1,5 +1,7 @@
 """Spectral radius, Perron / contraction weights, and pattern tests."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,13 @@ def _count_radius_calls(monkeypatch) -> list:
     return keys
 
 
+@pytest.fixture
+def cold_memo():
+    """An empty per-A memo, so that a count sees every computation again."""
+    homogeneity._MEMO.clear()
+
+
+@pytest.mark.usefixtures("cold_memo")
 class TestContractionWeightsRadiusCalls:
     def test_exact_path_one_radius(self, monkeypatch):
         keys = _count_radius_calls(monkeypatch)
@@ -241,16 +250,19 @@ def _reducible(rng, d: int, defective: bool) -> np.ndarray:
     return A[np.ix_(perm, perm)]
 
 
+def _given(check, max_examples: int, **draws):
+    """Run check on a drawn rng seed and drawn integers in the given (low, high) ranges."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    strategies = {k: st.integers(*v) for k, v in draws.items()}
+    settings = hypothesis.settings(max_examples=max_examples, deadline=None)
+    settings(hypothesis.given(seed=st.integers(0, 2**32 - 1), **strategies)(check))()
+
+
 class TestPerronKernelProperties:
     """The enclosure path on irreducible A, and the squaring loops on everything else."""
 
-    @staticmethod
-    def _given(check, **draws):
-        hypothesis = pytest.importorskip("hypothesis")
-        st = pytest.importorskip("hypothesis.strategies")
-        strategies = {k: st.integers(*v) for k, v in draws.items()}
-        settings = hypothesis.settings(max_examples=120, deadline=None)
-        settings(hypothesis.given(seed=st.integers(0, 2**32 - 1), **strategies)(check))()
+    _given = staticmethod(functools.partial(_given, max_examples=120))
 
     def test_enclosure_contains_rho_of_irreducible_matrices(self):
         def check(seed, d, period):
@@ -321,6 +333,7 @@ class TestClosedForms:
         assert _ulps(analyze_homogeneity(A).rho, 0.95) <= 4
 
 
+@pytest.mark.usefixtures("cold_memo")
 def test_cli_families_skip_the_squaring_for_irreducible_A(monkeypatch):
     """No squaring loop runs on an irreducible A (or A^T) over analyze, solve and certify."""
     import copy
@@ -356,3 +369,208 @@ def test_cli_families_skip_the_squaring_for_irreducible_A(monkeypatch):
             hits = [M for M in seen if M.shape == A.shape and (np.array_equal(M, A) or np.array_equal(M, A.T))]
             assert not hits, family
     assert irreducible >= 5
+
+
+def _drawn(rng, d: int, kind: int) -> np.ndarray:
+    """A nonnegative d x d matrix: sparse random, irreducible of period 2, or reducible."""
+    if kind == 0 or d == 1:
+        return rng.uniform(0.0, 2.0, (d, d)) * (rng.uniform(size=(d, d)) < 0.6)
+    if kind == 1:
+        return _irreducible(rng, d, 2)
+    return _reducible(rng, d, defective=kind == 3)
+
+
+def _facts_of(A) -> dict:
+    """Every memoized answer about A through the public interface, errors as their text."""
+    analysis = analyze_homogeneity(A)
+    out = {
+        "rho": analysis.rho,
+        "radius": spectral_radius(A),
+        "auto_weights": analysis.auto_weights,
+        "irreducible": analysis.irreducible,
+        "primitive": analysis.primitive,
+        "right_perron": analysis.right_perron,
+    }
+    try:
+        out["perron"] = perron_weights(A)
+    except PerronStructureError as exc:
+        out["perron"] = str(exc)
+    if analysis.regime == "strict_contraction":
+        res = contraction_weights(A)
+        out["contraction"] = (res.b, res.r, res.exact)
+    return out
+
+
+def _assert_identical(x, y):
+    """x and y agree bit for bit, through dicts, tuples and lists."""
+    if isinstance(x, dict):
+        assert x.keys() == y.keys()
+        for key in x:
+            _assert_identical(x[key], y[key])
+    elif isinstance(x, (tuple, list)):
+        assert len(x) == len(y)
+        for a, b in zip(x, y):
+            _assert_identical(a, b)
+    elif isinstance(x, np.ndarray):
+        assert isinstance(y, np.ndarray) and (x.dtype, x.shape) == (y.dtype, y.shape)
+        assert x.tobytes() == y.tobytes()
+    elif isinstance(x, float):
+        assert type(y) is float and x.hex() == y.hex()
+    else:
+        assert type(x) is type(y) and x == y
+
+
+class TestMemo:
+    """One record per distinct analysed A: the same answers, bit for bit, as without it."""
+
+    _given = staticmethod(functools.partial(_given, max_examples=40))
+
+    def test_cached_answers_equal_the_fresh_ones(self):
+        def check(seed, d, kind):
+            A = _drawn(np.random.default_rng(seed), d, kind)
+            homogeneity._MEMO.clear()
+            rho = spectral_radius(A)
+            fresh = {
+                "radius": rho,
+                "irreducible": is_irreducible(A),
+                "primitive": is_primitive(A),
+            }
+            try:
+                fresh["perron"] = perron_weights(A)
+            except PerronStructureError as exc:
+                fresh["perron"] = str(exc)
+            try:
+                fresh["right_perron"] = homogeneity._perron_weights(A.T, rho)
+            except PerronStructureError:
+                fresh["right_perron"] = None
+            assert not homogeneity._MEMO  # no analysis yet, so no record
+            cold = _facts_of(A)  # fills the record
+            assert len(homogeneity._MEMO) == 1
+            warm = _facts_of(A)  # reads it
+            for key, value in fresh.items():
+                _assert_identical(cold[key], value)
+            _assert_identical(cold, warm)
+            homogeneity._MEMO.clear()
+            _assert_identical(_facts_of(A), warm)
+
+        self._given(check, d=(1, 6), kind=(0, 3))
+
+    def test_mutating_the_callers_array_changes_no_answer(self):
+        def check(seed, d, kind):
+            A = _drawn(np.random.default_rng(seed), d, kind)
+            homogeneity._MEMO.clear()
+            mine = A.copy()
+            analysis = analyze_homogeneity(mine)
+            before = _facts_of(A)
+            mine += 1.0
+            mine[0, 0] = 0.0
+            _assert_identical(_facts_of(A), before)
+            assert analysis.A is not mine and np.array_equal(analysis.A, A)
+            assert analysis.auto_weights is not None and not analysis.A.flags.writeable
+
+        self._given(check, d=(1, 6), kind=(0, 3))
+
+    def test_equal_matrices_in_any_form_get_identical_answers(self):
+        def check(seed, d):
+            A = np.random.default_rng(seed).integers(0, 4, (d, d)).astype(float)
+            forms = [A.tolist(), A.astype(int), np.asfortranarray(A), np.ascontiguousarray(A.T).T]
+            homogeneity._MEMO.clear()
+            expected = _facts_of(A)
+            for form in forms:
+                _assert_identical(_facts_of(form), expected)
+                homogeneity._MEMO.clear()
+                _assert_identical(_facts_of(form), expected)
+
+        self._given(check, d=(1, 6))
+
+    def test_a_record_answers_only_for_its_own_rho(self):
+        homogeneity._MEMO.clear()
+        rho = analyze_homogeneity(MOTIVATING_A).rho
+        with pytest.raises(PerronStructureError, match="residual"):
+            homogeneity._perron_weights(MOTIVATING_A, 2.0 * rho)
+        assert not homogeneity._contraction_weights(MOTIVATING_A, 0.75).exact
+
+    def test_cached_arrays_are_read_only_or_copies(self):
+        homogeneity._MEMO.clear()
+        analysis = analyze_homogeneity(MOTIVATING_A)
+        for b in (analysis.auto_weights[0], analysis.right_perron, analysis.A):
+            assert not b.flags.writeable
+        fresh = perron_weights(MOTIVATING_A)
+        fresh[0] = 7.0
+        assert perron_weights(MOTIVATING_A)[0] != 7.0
+        res = contraction_weights(MOTIVATING_A)
+        res.b[0] = 7.0
+        assert contraction_weights(MOTIVATING_A).b[0] != 7.0
+
+    def test_pattern_facts_use_the_pattern_tolerance(self):
+        homogeneity._MEMO.clear()
+        for A in ([[0.0, 1e-13], [1.0, 0.0]], [[1e-13, 1.0], [1.0, 0.0]], [[0.5, 1e-13], [0.0, 0.5]]):
+            analysis = analyze_homogeneity(A)
+            assert analysis.irreducible == is_irreducible(A)
+            assert analysis.primitive == is_primitive(A)
+        assert not analyze_homogeneity([[0.0, 1e-13], [1.0, 0.0]]).irreducible
+
+    def test_large_and_throwaway_matrices_add_no_record(self):
+        from mhspectral import certify_uniqueness, linear_map, power_method, tight_map
+        from mhspectral.cones import NormSpec
+        from mhspectral.solver import SolverConfig
+
+        homogeneity._MEMO.clear()
+        ring = np.roll(np.eye(65), 1, axis=1) * 0.5
+        assert analyze_homogeneity(ring).auto_weights[0] is not None
+        assert abs(spectral_radius(ring) - 0.5) < 1e-12 and not homogeneity._MEMO
+
+        A = np.array([[0.5, 1.0], [0.0, 0.5]])  # no positive Perron vector: the bisection
+        assert not contraction_weights(A).exact
+        assert list(homogeneity._MEMO) == [(2, A.tobytes())]
+
+        for F, weights in (
+            (linear_map(np.random.default_rng(5).uniform(0.5, 2.0, (4, 4))), None),
+            # no positive right Perron vector: rho of the 5 x 5 L_pos itself
+            (tight_map([[1.0, 0.5], [0.0, 0.5]], (2, 3)), np.array([0.5, 0.5])),
+        ):
+            homogeneity._MEMO.clear()
+            cfg = SolverConfig(norms=NormSpec.euclidean(F.shape.d), weights=weights)
+            rep = power_method(F, None, cfg)
+            cert = certify_uniqueness(F, rep)
+            assert "rho_L" in cert.data
+            assert list(homogeneity._MEMO) == [(F.shape.d, F.A.tobytes())]
+
+    def test_the_memo_is_bounded(self):
+        homogeneity._MEMO.clear()
+        for k in range(homogeneity._MEMO_SIZE + 5):
+            analyze_homogeneity([[0.5 + k / 1000.0]])
+        assert len(homogeneity._MEMO) == homogeneity._MEMO_SIZE
+        assert (1, np.array([[0.5]]).tobytes()) not in homogeneity._MEMO
+
+    def test_threads_share_the_memo_without_losing_a_record(self):
+        import sys
+        import threading
+
+        matrices = [np.array([[0.0, 0.5 + k / 1000.0], [0.5, 0.1]]) for k in range(homogeneity._MEMO_SIZE + 40)]
+        homogeneity._MEMO.clear()
+        expected = [analyze_homogeneity(A).auto_weights[0] for A in matrices]
+        homogeneity._MEMO.clear()
+        wrong = []
+
+        def work(offset):
+            for k in range(len(matrices)):
+                j = (k + offset) % len(matrices)
+                analysis = analyze_homogeneity(matrices[j])
+                if not np.array_equal(analysis.auto_weights[0], expected[j]):
+                    wrong.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(17 * i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        assert len(homogeneity._MEMO) == homogeneity._MEMO_SIZE
+        assert all(k == (f.A.shape[0], f.A.tobytes()) for k, f in homogeneity._MEMO.items())

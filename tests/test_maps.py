@@ -111,6 +111,19 @@ class TestFamilyConstruction:
         with pytest.raises(ValueError, match=">= 2"):
             tight_map([[1.0]], (1,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_are_refused_when_built(self, bad):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            linear_map([[bad, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            singular_map([[1.0, bad], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            pq_singular_map([[1.0], [bad]], 3.0, 3.0)
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            tensor_eigen_map(np.array([[1.0, bad], [1.0, 1.0]]), 2.0)
+        with pytest.raises(ValueError, match="must be finite and strictly positive"):
+            NormSpec([[1.0, bad], 2.0])
+
     def test_pq_two_two_reduces_to_singular(self):
         rng = np.random.default_rng(1)
         M = rng.uniform(0.2, 2.0, (3, 2))
