@@ -11,8 +11,9 @@ walks in that digraph, answered here without matrix powers:
   node (Denardo 1977); primitivity is strong connectivity with period 1;
 - reflexive reach sets: Tarjan's (1972) strongly connected components, then
   one pass over the condensation in topological order;
-- final classes: the strongly connected components that no edge leaves, from
-  the same components;
+- class counts: the number of strongly connected components, one exactly
+  when the pattern is strongly connected, and of final classes, the
+  components that no edge leaves, from one pass of the same components;
 - summed-powers positivity: one layered sweep over all walk lengths at once.
 
 The searches and the condensation pass read each pattern entry O(1) times,
@@ -33,10 +34,14 @@ def _row_sets(P: np.ndarray) -> list[int]:
 
 def _successors(P: np.ndarray) -> list[list[int]]:
     # the flat indices of the edges, row by row: one pass, where np.nonzero
-    # of a 2-d pattern builds both index arrays
-    n = P.shape[1]
-    dst = (np.flatnonzero(P) % n).tolist() if n else []
-    ends = np.cumsum(P.sum(axis=1)).tolist()
+    # of a 2-d pattern builds both index arrays; row u's edges end where the
+    # flat indices reach (u + 1) n, found by one binary search per row
+    m, n = P.shape
+    if not n:
+        return [[] for _ in range(m)]
+    flat = np.flatnonzero(P)
+    dst = (flat % n).tolist()
+    ends = np.searchsorted(flat, np.arange(n, (m + 1) * n, n)).tolist()
     return [dst[a:b] for a, b in zip([0, *ends], ends)]
 
 
@@ -151,17 +156,20 @@ def reach_sets(P: np.ndarray) -> list[int]:
     return [component_reach[c] for c in component_of]
 
 
-def final_classes(P: np.ndarray) -> int:
-    """Number of final classes: strongly connected components no edge leaves.
+def class_counts(P: np.ndarray) -> tuple[int, int]:
+    """Numbers of classes (strongly connected components) and of final classes.
 
-    A node without successors is a final class of its own.
+    A final class is a class that no edge leaves; a node without successors
+    is a final class of its own.  A non-empty pattern is strongly connected
+    exactly when it has one class.
     """
     succ = _successors(P)
-    count = 0
-    for component in _strong_components(succ):
+    components = _strong_components(succ)
+    final = 0
+    for component in components:
         members = set(component)
-        count += all(members.issuperset(succ[v]) for v in component)
-    return count
+        final += all(members.issuperset(succ[v]) for v in component)
+    return len(components), final
 
 
 def first_full_block(P: np.ndarray, blocks, max_tau: int):

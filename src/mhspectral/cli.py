@@ -69,11 +69,15 @@ _INLINE = {float: _format_float, int: str}
 _LEAF_FORMAT = {int: "%s", float: "%.17g"}
 
 
+# one level of nesting in a report
+_INDENT = "  "
+
+
 def _zeros_like(x):
     return [_zeros_like(v) for v in x] if type(x) is list else 0
 
 
-def _encode_plain_list(obj: list, indent: int, level: int):
+def _encode_plain_list(obj: list, level: int):
     """_encode of a non-empty list of equally nested lists of plain leaves, else None.
 
     The leaves must be all plain ints or all plain finite floats.  They are
@@ -104,17 +108,17 @@ def _encode_plain_list(obj: list, indent: int, level: int):
     if kind is float and not math.isfinite(sum(values)):
         return None
     # the first item's layout, with a %-format in place of each of its leaves
-    template = _encode(_zeros_like(obj[0]), indent, level + 1).replace("0", _LEAF_FORMAT[kind])
-    pad_in = " " * (indent * (level + 1))
+    template = _encode(_zeros_like(obj[0]), level + 1).replace("0", _LEAF_FORMAT[kind])
+    pad_in = _INDENT * (level + 1)
     return (
         "[\n" + pad_in + (",\n" + pad_in).join([template] * len(obj))
-        + "\n" + " " * (indent * level) + "]"
+        + "\n" + _INDENT * level + "]"
     ) % tuple(values)
 
 
-def _encode(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _encode(obj, level: int) -> str:
+    pad = _INDENT * level
+    pad_in = _INDENT * (level + 1)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -133,7 +137,7 @@ def _encode(obj, indent: int, level: int) -> str:
         if not obj:
             return "{}"
         items = [
-            f'{pad_in}"{k}": {_encode(v, indent, level + 1)}' for k, v in obj.items()
+            f'{pad_in}"{k}": {_encode(v, level + 1)}' for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
@@ -142,22 +146,25 @@ def _encode(obj, indent: int, level: int) -> str:
         # only a list opening with an int or a list can be a plain list; a
         # short flat float list is cheaper on the general path
         if type(obj) is list and type(obj[0]) in (int, list):
-            text = _encode_plain_list(obj, indent, level)
+            text = _encode_plain_list(obj, level)
             if text is not None:
                 return text
         # plain floats (bracket pairs, say) and ints (graph nodes) are
         # formatted in place, not through one more call each
         items = [
-            pad_in + (_INLINE[type(v)](v) if type(v) in _INLINE else _encode(v, indent, level + 1))
+            pad_in + (_INLINE[type(v)](v) if type(v) in _INLINE else _encode(v, level + 1))
             for v in obj
         ]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def dump_json(obj, indent: int = 2) -> str:
-    """Deterministic JSON text: insertion-ordered keys, 17-significant-digit floats."""
-    return _encode(obj, indent, 0) + "\n"
+def dump_json(obj) -> str:
+    """Deterministic JSON text: insertion-ordered keys, 17-significant-digit floats.
+
+    Each level of nesting is indented by two spaces.
+    """
+    return _encode(obj, 0) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +413,14 @@ def _start_vector(inst: Instance) -> ProductVector:
         raise InstanceError(f"$.solver.x0: {exc}") from exc
 
 
-def _solver_config(inst: Instance, keep_iterates: bool = False) -> solvermod.SolverConfig:
+def _solver_config(inst: Instance) -> solvermod.SolverConfig:
     return solvermod.SolverConfig(
         norms=inst.norms,
         tol=inst.tol,
         max_iter=inst.max_iter,
         weights=inst.weights,
         delta_schedule=inst.delta_schedule,
-        keep_iterates=keep_iterates,
+        keep_iterates=False,
     )
 
 
@@ -530,18 +537,53 @@ def run_graph(doc: dict, dual: bool = False) -> tuple[int, dict]:
     return 0, report
 
 
-def run_certify(doc: dict, solve_report: dict) -> tuple[int, dict]:
-    inst = parse_instance(doc)
-    ev = solve_report.get("eigenvector")
-    lam = solve_report.get("lambda")
+def _finite_nonneg(v: np.ndarray) -> bool:
+    # a NaN fails the comparison; on the short vectors of a report this
+    # Python pass is cheaper than two numpy reductions
+    return all(0.0 <= t < math.inf for t in v.tolist())
+
+
+def _report_vector(raw, n: int, path: str) -> np.ndarray:
+    """n finite nonnegative numbers of a solve report; anything else fails at its JSON path."""
+    try:
+        v = np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        v = None
+    if v is None or v.shape != (n,) or not _finite_nonneg(v):
+        _fail(path, f"expected a list of {n} finite nonnegative numbers")
+    return v
+
+
+def _parse_report(report, F: mapmod.MapInstance):
+    """Eigenvector, eigenvalues and weights of a solve report, checked against the map F."""
+    if not isinstance(report, dict):
+        _fail("$report", "solve report must be a JSON object")
+    ev, lam = report.get("eigenvector"), report.get("lambda")
     if ev is None or lam is None:
-        raise InstanceError("$report: solve report carries no eigenpair")
-    x = ProductVector(ev)
-    lam = np.array(lam, dtype=float)
-    raw_w = solve_report.get("weights")
+        _fail("$report", "solve report carries no eigenpair")
+    sizes = F.shape.sizes
+    try:
+        x = ProductVector(ev) if isinstance(ev, list) else None
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if x is None or x.shape.sizes != sizes or not _finite_nonneg(x.flat):
+        _fail("$report.eigenvector", f"expected blocks of {list(sizes)} finite nonnegative numbers")
+    if F.domain == "interior" and not x.is_pos():
+        _fail("$report.eigenvector", f"{F.label} is only defined on strictly positive vectors")
+    d = len(sizes)
+    lam = _report_vector(lam, d, "$report.lambda")
+    raw_w = report.get("weights")
     if raw_w is None:
-        raw_w = np.full(inst.map.shape.d, 1.0 / inst.map.shape.d)
-    b = np.array(raw_w, dtype=float)
+        return x, lam, np.full(d, 1.0 / d)
+    b = _report_vector(raw_w, d, "$report.weights")
+    if not min(b.tolist()) > 0.0:
+        _fail("$report.weights", "weights must be strictly positive")
+    return x, lam, b
+
+
+def run_certify(doc: dict, solve_report) -> tuple[int, dict]:
+    inst = parse_instance(doc)
+    x, lam, b = _parse_report(solve_report, inst.map)
     r_b = float(np.exp(np.dot(b, np.log(np.maximum(lam, 1e-300)))))
     pair = mapmod.EigenPair(x, lam, r_b)
     pseudo = solvermod.SolveReport(
@@ -610,12 +652,14 @@ def main(argv=None) -> int:
         sp.add_argument("instance", help="instance JSON file (or batch list)")
         sp.add_argument("--out", default=None, help="write the JSON report here")
         sp.add_argument("--seed", type=int, default=None, help="override the instance seed")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel workers for batch files")
+        sp.add_argument("--jobs", type=int, default=1, help="parallel workers for batch files (at least 1)")
         if name == "graph":
             sp.add_argument("--dual", action="store_true", help="build the vanishing-limit graph")
         if name == "certify":
             sp.add_argument("report", help="solve report JSON produced by 'solve --out'")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
 
     level = {"error": logging.ERROR, "info": logging.INFO, "trace": logging.DEBUG}.get(
         os.environ.get("MHSPECTRAL_LOG", "error"), logging.ERROR
@@ -634,8 +678,10 @@ def main(argv=None) -> int:
             code, report = run_certify(doc, _load_json(args.report))
         elif isinstance(doc, list):
             tasks = [(args.command, d, getattr(args, "dual", False)) for d in doc]
-            if args.jobs > 1:
-                with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # the pool starts all its workers at once, so no more than there are documents
+            workers = min(args.jobs, len(tasks))
+            if workers > 1:
+                with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                     results = list(pool.map(_run_one, tasks))
             else:
                 results = [_run_one(t) for t in tasks]

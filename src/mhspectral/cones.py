@@ -219,13 +219,13 @@ class ProductVector:
     def is_pos(self) -> bool:
         return bool(np.minimum.reduce(self.flat) > 0.0)
 
-    def approx_pos(self, floor: float = APPROX_POS_FLOOR) -> bool:
-        """Diagnostic predicate: every entry exceeds ``floor``.
+    def approx_pos(self) -> bool:
+        """Diagnostic predicate: every entry exceeds ``APPROX_POS_FLOOR``.
 
         Membership tests use exact zero; this looser check is for reporting
         near-boundary iterates only.
         """
-        return bool(np.minimum.reduce(self.flat) > floor)
+        return bool(np.minimum.reduce(self.flat) > APPROX_POS_FLOOR)
 
     # -- convenience arithmetic ---------------------------------------------
 
@@ -328,15 +328,13 @@ def _as_scaling(alpha, d: int) -> np.ndarray:
     return a
 
 
-def as_weight_vector(b, d: int, normalized: bool = False) -> np.ndarray:
-    """Validate a strictly positive weight vector, optionally on the simplex."""
+def as_weight_vector(b, d: int) -> np.ndarray:
+    """Validate a strictly positive weight vector."""
     w = np.atleast_1d(np.asarray(b, dtype=float))
     if w.shape != (d,):
         raise ValueError(f"weight vector must have length {d}, got shape {w.shape}")
     if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be strictly positive and finite")
-    if normalized and abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must sum to 1")
     return w
 
 

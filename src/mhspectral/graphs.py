@@ -7,7 +7,7 @@ infinity; the dual graph instead records vanishing limits as the probed
 coordinate goes to zero.  A graph is one boolean pattern over the nodes in
 block-major order, the form ``_digraph`` answers every question on.  Built-in
 families carry exact patterns; probe mode estimates a log-log growth slope
-over a finite grid.
+over a fixed grid of three probe values.
 """
 
 from __future__ import annotations
@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 Node = tuple[int, int]
+
+# the probe values of each graph, three decades apart toward its limit
+_T_GRIDS = {"primal": (1e2, 1e4, 1e6), "dual": (1e-2, 1e-4, 1e-6)}
+# a fitted log-log slope above this makes an edge
+_SLOPE_TOL = 0.01
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -79,12 +84,10 @@ def probe_vector(shape: ShapeSpec, node: Node, t: float) -> ProductVector:
     return ProductVector(blocks)
 
 
-def _probe_pattern(F: MapInstance, t_grid, slope_tol: float) -> np.ndarray:
+def _probe_pattern(F: MapInstance, t_grid) -> np.ndarray:
     """Column c holds the outputs that grow along the probe of node c."""
     shape = F.shape
-    log_t = np.log(np.asarray(t_grid, dtype=float))
-    if log_t.size < 2:
-        raise ValueError("need at least two probe points")
+    log_t = np.log(t_grid)
     P = np.zeros((shape.total, shape.total), dtype=bool)
     for col, target in enumerate(shape.nodes()):
         logs = []
@@ -99,12 +102,12 @@ def _probe_pattern(F: MapInstance, t_grid, slope_tol: float) -> np.ndarray:
                 )
             logs.append(np.log(vals))
         logs = np.array(logs)  # len(t_grid) x total
-        P[:, col] = np.polyfit(log_t, logs, 1)[0] > slope_tol
+        P[:, col] = np.polyfit(log_t, logs, 1)[0] > _SLOPE_TOL
     P.setflags(write=False)
     return P
 
 
-def _build(F, mode, t_grid, slope_tol, oracle, kind) -> IndexGraph:
+def _build(F, mode, oracle, kind) -> IndexGraph:
     if mode not in ("auto", "oracle", "probe"):
         raise ValueError("mode must be 'auto', 'oracle', or 'probe'")
     if mode == "auto":
@@ -113,31 +116,26 @@ def _build(F, mode, t_grid, slope_tol, oracle, kind) -> IndexGraph:
         if oracle is None:
             raise ValueError(f"{F.label} carries no exact {kind} adjacency oracle")
         return IndexGraph(F.shape, oracle, "oracle")
-    return IndexGraph(F.shape, _probe_pattern(F, t_grid, slope_tol), "probed")
+    return IndexGraph(F.shape, _probe_pattern(F, _T_GRIDS[kind]), "probed")
 
 
-def build_graph(
-    F: MapInstance,
-    mode: str = "auto",
-    t_grid=(1e2, 1e4, 1e6),
-    slope_tol: float = 0.01,
-) -> IndexGraph:
+def build_graph(F: MapInstance, mode: str = "auto") -> IndexGraph:
     """Edge (k,l) -> (i,j) iff F_{k,l} diverges along the (i,j) probe as t -> inf.
 
-    Probe mode fits the log-log slope of F_{k,l} over ``t_grid`` and declares
-    divergence above ``slope_tol``; the family oracle wins when present.
+    Probe mode fits the log-log slope of F_{k,l} over t = 1e2, 1e4, 1e6 and
+    declares divergence above slope 0.01; the family oracle wins when present.
     """
-    return _build(F, mode, t_grid, slope_tol, F.edge_oracle, "primal")
+    return _build(F, mode, F.edge_oracle, "primal")
 
 
-def build_dual_graph(
-    F: MapInstance,
-    mode: str = "auto",
-    t_grid=(1e-2, 1e-4, 1e-6),
-    slope_tol: float = 0.01,
-) -> IndexGraph:
-    """Edge (k,l) -> (i,j) iff F_{k,l} vanishes along the (i,j) probe as t -> 0."""
-    return _build(F, mode, t_grid, slope_tol, F.dual_edge_oracle, "dual")
+def build_dual_graph(F: MapInstance, mode: str = "auto") -> IndexGraph:
+    """Edge (k,l) -> (i,j) iff F_{k,l} vanishes along the (i,j) probe as t -> 0.
+
+    Probe mode fits the log-log slope of F_{k,l} over t = 1e-2, 1e-4, 1e-6
+    and declares vanishing above slope 0.01; the family oracle wins when
+    present.
+    """
+    return _build(F, mode, F.dual_edge_oracle, "dual")
 
 
 def check_existence_condition(g: IndexGraph) -> bool:

@@ -14,10 +14,10 @@ analysed once per process.  A bounded memo keeps one record per such A --
 rho(A), the left and right Perron vectors, the contraction weights, and the
 pattern irreducibility and primitivity, each computed on first use from a
 private read-only copy of A -- and :func:`spectral_radius`,
-:func:`perron_weights` and the weight search answer from it at their default
-tolerances, bit for bit what they would compute.  The memo holds at most 128
-records and drops the oldest first; the record of a 64 x 64 A takes about
-35 KB, so the memo never exceeds about 4.5 MB.  It lives in the process, so
+:func:`perron_weights` and :func:`contraction_weights` answer from it, bit
+for bit what they would compute.  The memo holds at most 128 records and
+drops the oldest first; the record of a 64 x 64 A takes about 35 KB, so the
+memo never exceeds about 4.5 MB.  It lives in the process, so
 each ``--jobs`` worker of the CLI has its own: a single-document CLI run
 gains nothing, while a batch file or a library loop that analyses the same A
 again reads its record.  Matrices that were never analysed -- the inflations
@@ -32,19 +32,19 @@ principle: for a nonnegative A and any positive v,
 When the pattern of A is irreducible (strongly connected), Perron-Frobenius
 gives a simple positive Perron vector, and the eigenvector of ``eig`` for the
 eigenvalue of largest real part, taken in absolute value, is a candidate for
-it.  rho(A) is the midpoint of that enclosure once it is ``tol`` narrow, and
+it.  rho(A) is the midpoint of that enclosure once it is 1e-13 narrow, and
 the left Perron vector is the candidate of A^T once it passes the positivity
 and residual checks; a period-2 matrix such as [[0, a], [b, 0]] is answered
 by one O(d^3) step.  Everything else -- reducible or defective A, or a
 candidate that fails its check -- falls back to power iteration accelerated
-by repeated squaring: B = A + shift*I is squared in a renormalized log scale,
+by repeated squaring: B = A + 1e-8 I is squared in a renormalized log scale,
 so the bracket
 
     max_i (B^k)_ii ^{1/k}  <=  rho(B)  <=  ||B^k||_inf ^{1/k}
 
 closes geometrically where the vanilla iteration stalls (slowly, like
 log 2 / k, when A is periodic).  The diagonal shift is removed exactly at the
-end (the spectrum of a nonnegative matrix translates under +shift*I).
+end (the spectrum of a nonnegative matrix translates under the shift).
 """
 
 from __future__ import annotations
@@ -74,13 +74,17 @@ __all__ = [
 
 # |rho(A) - 1| up to this counts as rho(A) = 1, the non-expansive regime
 _REGIME_TOL = 1e-9
-
-# the default tolerances, the only ones the memo serves
+# relative width at which a rho(A) bracket is closed
 _RADIUS_TOL = 1e-13
+# the diagonal shift of the squaring loops
 _SHIFT = 1e-8
+# largest Perron residual |A^T b - rho b|, relative to max(1, rho)
 _PERRON_TOL = 1e-10
+# a Perron vector whose min/max ratio is at most this is not positive
 _POSITIVITY_RATIO = 1e-12
+# slack allowed in A^T b <= r b
 _MARGIN_TOL = 1e-12
+# entries up to this are zeros of a pattern
 _PATTERN_TOL = 1e-12
 
 
@@ -134,7 +138,7 @@ _MEMO_SIZE = 128
 
 
 class _Facts:
-    """Facts about one checked A at the default tolerances, each computed on first use.
+    """Facts about one checked A, each computed on first use.
 
     ``left`` and ``right`` hold the read-only Perron vector of A^T and of A,
     or the :class:`PerronStructureError` that computing it raised.
@@ -152,7 +156,7 @@ class _Facts:
 
     @functools.cached_property
     def rho(self) -> float:
-        return _radius(self.A, _RADIUS_TOL, _SHIFT, self.connected)
+        return _radius(self.A, self.connected)
 
     @functools.cached_property
     def left(self):
@@ -165,10 +169,28 @@ class _Facts:
 
     @functools.cached_property
     def contraction(self) -> WeightSearchResult:
-        # read only in the strict contraction regime, rho(A) < 1
-        res = _search_contraction(self, _MARGIN_TOL)
-        res.b.setflags(write=False)
-        return res
+        """:func:`contraction_weights`, read only when rho(A) < 1; ``b`` is read-only.
+
+        The inflations A + t of the bisection are never recorded.
+        """
+        A, rho = self.A, self.rho
+        b = self.left
+        if not isinstance(b, PerronStructureError) and np.all(A.T @ b <= rho * b + _MARGIN_TOL):
+            return WeightSearchResult(b, rho, True)
+        target = 0.5 * (1.0 + rho)
+        t = (1.0 - rho) / (2.0 * A.shape[0])
+        for _ in range(200):
+            r = spectral_radius(A + t)
+            if r < target:
+                break
+            t *= 0.5
+        else:  # pragma: no cover - continuity of rho guarantees termination
+            raise RuntimeError("inflation bisection failed to find rho(A + t) < 1")
+        b = _left_perron(A + t, r)
+        if not np.all(A.T @ b <= r * b + _MARGIN_TOL):  # pragma: no cover - self check
+            raise RuntimeError("contraction weight postcondition A^T b <= r b failed")
+        b.setflags(write=False)
+        return WeightSearchResult(b, r, False)
 
     @functools.cached_property
     def irreducible(self) -> bool:
@@ -186,9 +208,9 @@ class _Facts:
 
 
 def _perron_or_error(M: np.ndarray, rho: float, connected: bool):
-    """Read-only left Perron vector of M at the default tolerances, or the error it raised."""
+    """Read-only left Perron vector of M, or the error it raised."""
     try:
-        b = _left_perron(M, rho, _PERRON_TOL, _SHIFT, _POSITIVITY_RATIO, connected)
+        b = _left_perron(M, rho, connected)
     except PerronStructureError as exc:
         return exc
     b.setflags(write=False)
@@ -245,30 +267,29 @@ def _remember(A: np.ndarray) -> Optional[_Facts]:
 # ---------------------------------------------------------------------------
 
 
-def spectral_radius(A, tol: float = _RADIUS_TOL, shift: float = _SHIFT) -> float:
-    """Spectral radius of a nonnegative matrix to ``tol`` relative accuracy.
+def spectral_radius(A) -> float:
+    """Spectral radius of a nonnegative matrix to 1e-13 relative accuracy.
 
     Irreducible A (strongly connected pattern of A > 0) has a positive right
     Perron vector, and for its candidate v the Collatz-Wielandt enclosure
-    [min (Av/v), max (Av/v)] contains rho(A); once it is ``tol`` narrow its
+    [min (Av/v), max (Av/v)] contains rho(A); once it is 1e-13 narrow its
     midpoint is the answer.  Reducible A, or a candidate that does not close
     the enclosure, goes to the repeated-squaring bracket.
 
-    At the default ``tol`` and ``shift``, a matrix that
-    :func:`analyze_homogeneity` has seen in this process is answered from its
-    memo record, bit for bit the value computed afresh.  The memo is bounded,
-    one per process (each ``--jobs`` worker has its own) and only for
-    d <= 64: a single-document CLI run gains nothing from it, a batch file
-    does (see the module docstring).
+    A matrix that :func:`analyze_homogeneity` has seen in this process is
+    answered from its memo record, bit for bit the value computed afresh.
+    The memo is bounded, one per process (each ``--jobs`` worker has its own)
+    and only for d <= 64: a single-document CLI run gains nothing from it, a
+    batch file does (see the module docstring).
     """
     A = _check_nonneg_square(A)
-    facts = _recall(A) if tol == _RADIUS_TOL and shift == _SHIFT else None
+    facts = _recall(A)
     if facts is not None:
         return facts.rho
-    return _radius(A, tol, shift)
+    return _radius(A)
 
 
-def _radius(A: np.ndarray, tol: float, shift: float, connected: Optional[bool] = None) -> float:
+def _radius(A: np.ndarray, connected: Optional[bool] = None) -> float:
     """:func:`spectral_radius` of a checked A; ``connected`` is that of A > 0 when known."""
     if A.shape[0] == 1:
         return float(A[0, 0])
@@ -278,15 +299,15 @@ def _radius(A: np.ndarray, tol: float, shift: float, connected: Optional[bool] =
         v = _perron_candidate(A)
         if v is not None and v.min() > 0.0:
             lo, hi = _cw_enclosure(A, v)
-            if hi - lo <= tol * hi:
+            if hi - lo <= _RADIUS_TOL * hi:
                 return 0.5 * (lo + hi)
-    return _radius_by_squaring(A, tol, shift)
+    return _radius_by_squaring(A)
 
 
-def _radius_by_squaring(A: np.ndarray, tol: float, shift: float) -> float:
-    """rho(A) from the diagonal and row-sum bracket of renormalized powers of A + shift*I."""
+def _radius_by_squaring(A: np.ndarray) -> float:
+    """rho(A) from the diagonal and row-sum bracket of renormalized powers of A + 1e-8 I."""
     d = A.shape[0]
-    M = A + shift * np.eye(d)
+    M = A + _SHIFT * np.eye(d)
     k, logscale = 1, 0.0  # invariant: B^k = exp(logscale) * M
     log_upper = log_lower = None
     for _ in range(64):
@@ -294,99 +315,77 @@ def _radius_by_squaring(A: np.ndarray, tol: float, shift: float) -> float:
         diagmax = float(np.max(np.diagonal(M)))
         log_upper = (logscale + np.log(rowmax)) / k
         log_lower = (logscale + np.log(diagmax)) / k if diagmax > 0.0 else -np.inf
-        if log_upper - log_lower <= tol:
-            return max(float(np.exp(0.5 * (log_upper + log_lower))) - shift, 0.0)
+        if log_upper - log_lower <= _RADIUS_TOL:
+            return max(float(np.exp(0.5 * (log_upper + log_lower))) - _SHIFT, 0.0)
         scaled = M / rowmax
         M = scaled @ scaled
         logscale = 2.0 * (logscale + np.log(rowmax))
         k *= 2
     mid = log_upper if not np.isfinite(log_lower) else 0.5 * (log_upper + log_lower)
-    return max(float(np.exp(mid)) - shift, 0.0)
+    return max(float(np.exp(mid)) - _SHIFT, 0.0)
 
 
-def perron_weights(
-    A,
-    tol: float = _PERRON_TOL,
-    shift: float = _SHIFT,
-    positivity_ratio: float = _POSITIVITY_RATIO,
-) -> np.ndarray:
+def perron_weights(A) -> np.ndarray:
     """Left Perron vector b in the open simplex with A^T b = rho(A) b.
 
     Irreducible A takes the Perron candidate of A^T (see :func:`spectral_radius`)
-    when the column sums of A + shift*I are not already uniform; the repeated
-    squaring of (A + shift*I)^T answers reducible A and any candidate that
+    when the column sums of A + 1e-8 I are not already uniform; the repeated
+    squaring of (A + 1e-8 I)^T answers reducible A and any candidate that
     fails the positivity or residual check.  Raises
     :class:`PerronStructureError` when that answer is not strictly positive
-    (reducible matrices with deficient Perron structure) or leaves a residual
-    above ``tol * max(1, rho)``; callers then fall back to
-    :func:`contraction_weights`.
+    (its smallest entry at most 1e-12 times its largest: reducible matrices
+    with deficient Perron structure) or leaves a residual above
+    1e-10 * max(1, rho); callers then fall back to :func:`contraction_weights`.
 
-    At the default tolerances, a matrix that :func:`analyze_homogeneity` has
-    seen in this process is answered from its memo record (d <= 64, bounded,
-    one per process: see :func:`spectral_radius`); the result is a fresh copy
-    either way.
+    A matrix that :func:`analyze_homogeneity` has seen in this process is
+    answered from its memo record (d <= 64, bounded, one per process: see
+    :func:`spectral_radius`); the result is a fresh copy either way.
     """
     A = _check_nonneg_square(A)
-    return np.array(_perron_weights(A, spectral_radius(A), tol, shift, positivity_ratio))
+    facts = _recall(A) or _Facts(A)
+    return np.array(_unless_error(facts.left))
 
 
-def _perron_defect(A: np.ndarray, b: np.ndarray, rho: float, tol, positivity_ratio) -> Optional[str]:
+def _perron_defect(A: np.ndarray, b: np.ndarray, rho: float) -> Optional[str]:
     """Why b is not an acceptable left Perron vector of A, or None."""
-    if not b.min() > positivity_ratio * b.max():
+    if not b.min() > _POSITIVITY_RATIO * b.max():
         return "A^T has no strictly positive Perron eigenvector at this accuracy"
     residual = float(np.max(np.abs(A.T @ b - rho * b)))
-    if not residual <= tol * max(1.0, rho):
-        return f"left Perron residual {residual:.3g} exceeds tolerance {tol:.3g}"
+    if not residual <= _PERRON_TOL * max(1.0, rho):
+        return f"left Perron residual {residual:.3g} exceeds tolerance {_PERRON_TOL:.3g}"
     return None
 
 
-def _perron_weights(
-    A: np.ndarray,
-    rho: float,
-    tol=_PERRON_TOL,
-    shift=_SHIFT,
-    positivity_ratio=_POSITIVITY_RATIO,
-) -> np.ndarray:
-    """:func:`perron_weights` of a checked A whose spectral radius is ``rho``.
+def _left_perron(A: np.ndarray, rho: float, connected: Optional[bool] = None) -> np.ndarray:
+    """The left Perron vector of a checked A whose spectral radius is ``rho``, computed afresh.
 
-    Read-only when it comes from the memo record of A.
+    ``connected`` is the strong connectivity of A > 0 when known.
     """
-    defaults = tol == _PERRON_TOL and shift == _SHIFT and positivity_ratio == _POSITIVITY_RATIO
-    facts = _recall(A) if defaults else None
-    if facts is not None and facts.rho == rho:
-        return _unless_error(facts.left)
-    return _left_perron(A, rho, tol, shift, positivity_ratio)
-
-
-def _left_perron(
-    A: np.ndarray, rho: float, tol, shift, positivity_ratio, connected: Optional[bool] = None
-) -> np.ndarray:
-    """The left Perron vector computed afresh; ``connected`` is that of A > 0 when known."""
     d = A.shape[0]
     if d == 1:
         return np.ones(1)
     if connected is None:
         connected = _digraph.strongly_connected(A > 0.0)
     if connected:
-        sums = (A + shift * np.eye(d)).T @ np.ones(d)
+        sums = (A + _SHIFT * np.eye(d)).T @ np.ones(d)
         b = sums / sums.sum()
         # uniform column sums make the squaring's first pass its answer
         if not np.max(np.abs(b - 1.0 / d)) < 1e-16:
             v = _perron_candidate(A.T)
             b = None if v is None else v / v.sum()
-        if b is not None and _perron_defect(A, b, rho, tol, positivity_ratio) is None:
+        if b is not None and _perron_defect(A, b, rho) is None:
             return b
-    b = _perron_by_squaring(A, shift)
-    defect = _perron_defect(A, b, rho, tol, positivity_ratio)
+    b = _perron_by_squaring(A)
+    defect = _perron_defect(A, b, rho)
     if defect is not None:
         raise PerronStructureError(defect)
     return b
 
 
-def _perron_by_squaring(A: np.ndarray, shift: float) -> np.ndarray:
-    """Normalized (A + shift*I)^T-power image of the ones vector, by repeated squaring."""
+def _perron_by_squaring(A: np.ndarray) -> np.ndarray:
+    """Normalized (A + 1e-8 I)^T-power image of the ones vector, by repeated squaring."""
     d = A.shape[0]
-    M = (A + shift * np.eye(d)).T
+    M = (A + _SHIFT * np.eye(d)).T
     b = np.full(d, 1.0 / d)
     for _ in range(64):
         v = M @ np.ones(d)
@@ -403,7 +402,7 @@ def _perron_by_squaring(A: np.ndarray, shift: float) -> np.ndarray:
     return b
 
 
-def contraction_weights(A, margin_tol: float = _MARGIN_TOL) -> WeightSearchResult:
+def contraction_weights(A) -> WeightSearchResult:
     """Positive weights b and r in [rho(A), 1) with A^T b <= r b, for rho(A) < 1.
 
     Uses the true left Perron vector when it is strictly positive (r = rho(A),
@@ -417,40 +416,8 @@ def contraction_weights(A, margin_tol: float = _MARGIN_TOL) -> WeightSearchResul
         raise ValueError(
             f"contraction weight search needs rho(A) < 1, got {analysis.rho:.17g} ({analysis.regime})"
         )
-    res = _contraction_weights(analysis.A, analysis.rho, margin_tol)
+    res = analysis._facts.contraction
     return dataclasses.replace(res, b=np.array(res.b))
-
-
-def _contraction_weights(A: np.ndarray, rho: float, margin_tol: float = _MARGIN_TOL) -> WeightSearchResult:
-    """:func:`contraction_weights` of a checked A whose spectral radius is ``rho`` < 1.
-
-    ``b`` is read-only when the result comes from the memo record of A.
-    """
-    facts = _recall(A) if margin_tol == _MARGIN_TOL else None
-    if facts is not None and facts.rho == rho:
-        return facts.contraction
-    return _search_contraction(_Facts(A, rho), margin_tol)
-
-
-def _search_contraction(facts: _Facts, margin_tol: float) -> WeightSearchResult:
-    """The weight search on the A and rho of a record; the inflations are never recorded."""
-    A, rho = facts.A, facts.rho
-    b = facts.left
-    if not isinstance(b, PerronStructureError) and np.all(A.T @ b <= rho * b + margin_tol):
-        return WeightSearchResult(b, rho, True)
-    target = 0.5 * (1.0 + rho)
-    t = (1.0 - rho) / (2.0 * A.shape[0])
-    for _ in range(200):
-        r = spectral_radius(A + t)
-        if r < target:
-            break
-        t *= 0.5
-    else:  # pragma: no cover - continuity of rho guarantees termination
-        raise RuntimeError("inflation bisection failed to find rho(A + t) < 1")
-    b = _perron_weights(A + t, r)
-    if not np.all(A.T @ b <= r * b + margin_tol):  # pragma: no cover - self check
-        raise RuntimeError("contraction weight postcondition A^T b <= r b failed")
-    return WeightSearchResult(b, r, False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -476,22 +443,21 @@ class HomogeneityAnalysis:
             return None, None
         try:
             if self.regime == "strict_contraction":
-                b = _contraction_weights(self.A, self.rho).b
+                b = self._facts.contraction.b
             else:
-                b = _perron_weights(self.A, self.rho)
+                b = _unless_error(self._facts.left)
         except PerronStructureError as exc:
             return None, f"no positive weights with A^T b <= b ({exc})"
-        b.setflags(write=False)
         return b, None
 
     @property
     def irreducible(self) -> bool:
-        """:func:`is_irreducible` of A at its default pattern tolerance."""
+        """:func:`is_irreducible` of A."""
         return self._facts.irreducible
 
     @property
     def primitive(self) -> bool:
-        """:func:`is_primitive` of A at its default pattern tolerance."""
+        """:func:`is_primitive` of A."""
         return self._facts.primitive
 
     @property
@@ -539,18 +505,15 @@ def lipschitz_bound(A, b) -> float:
     return float(np.max(A.T @ b / b))
 
 
-def _pattern(A, pattern_tol: float) -> np.ndarray:
-    return np.asarray(A, dtype=float) > pattern_tol
-
-
-def is_irreducible(A, pattern_tol: float = _PATTERN_TOL) -> bool:
+def is_irreducible(A) -> bool:
     """Pattern irreducibility, equivalently (I + A)^{n-1} entrywise positive.
 
-    Decided as strong connectivity of the pattern digraph: a forward and a
-    reverse breadth-first search from one node, O(n^2) on the dense pattern.
+    The pattern holds the entries above 1e-12.  Decided as strong
+    connectivity of the pattern digraph: a forward and a reverse
+    breadth-first search from one node, O(n^2) on the dense pattern.
     """
     A = _check_nonneg_square(A)
-    return _digraph.strongly_connected(_pattern(A, pattern_tol))
+    return _digraph.strongly_connected(A > _PATTERN_TOL)
 
 
 def wielandt_bound(n: int) -> int:
@@ -558,13 +521,14 @@ def wielandt_bound(n: int) -> int:
     return (n - 1) ** 2 + 1
 
 
-def is_primitive(A, pattern_tol: float = _PATTERN_TOL) -> bool:
+def is_primitive(A) -> bool:
     """Pattern primitivity, equivalently some power up to the Wielandt bound is all-positive.
 
-    Decided as irreducibility plus period 1, the period being the gcd of
+    The pattern holds the entries above 1e-12.  Decided as irreducibility
+    plus period 1, the period being the gcd of
     level(u) + 1 - level(v) over the edges for breadth-first levels from one
     node: three searches and one pass over the edges, O(n^2).  A 1 x 1 zero
     pattern is irreducible but not primitive.
     """
     A = _check_nonneg_square(A)
-    return _digraph.primitive(_pattern(A, pattern_tol))
+    return _digraph.primitive(A > _PATTERN_TOL)

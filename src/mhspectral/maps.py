@@ -839,12 +839,15 @@ def jacobian_at(F: MapInstance, u: ProductVector) -> np.ndarray:
     return numeric_jacobian(F, u)
 
 
-def has_kink(F: MapInstance, u: ProductVector, tol: float = 1e-3) -> bool:
-    """Forward/backward difference mismatch test for non-smooth points."""
+def has_kink(F: MapInstance, u: ProductVector) -> bool:
+    """Forward/backward difference mismatch test for non-smooth points.
+
+    A kink is a relative mismatch above 1e-3 in some Jacobian entry.
+    """
     Jf = _fd_jacobian(F, u, "forward")
     Jb = _fd_jacobian(F, u, "backward")
     rel = np.abs(Jf - Jb) / np.maximum(1.0, np.maximum(np.abs(Jf), np.abs(Jb)))
-    return bool(np.any(rel > tol))
+    return bool(np.any(rel > 1e-3))
 
 
 def euler_residual(F: MapInstance, x: ProductVector) -> float:

@@ -54,7 +54,6 @@ from .homogeneity import (
     _PATTERN_TOL,
     PerronStructureError,
     _cw_enclosure,
-    is_irreducible,
     spectral_radius,
     wielandt_bound,
 )
@@ -85,6 +84,11 @@ CONVERGED = "converged"
 BRACKET_CONVERGED_CYCLING = "bracket_converged_cycling"
 MAX_ITER = "max_iter"
 DIVERGED = "diverged"
+
+# the period power_method looks for once the bracket has closed: an iterate
+# within 1e-10 of the one this many steps back, but not near the last one,
+# is cycling, and the iterates of the cycle are averaged
+_CYCLE_WINDOW = 2
 
 
 class ExpansiveMapError(ValueError):
@@ -117,7 +121,6 @@ class SolverConfig:
     tol: float = 1e-10
     max_iter: int = 10_000
     weights: Optional[np.ndarray] = None  # None selects weights from A
-    cycle_window: int = 2
     delta_schedule: DeltaSchedule = dataclasses.field(default_factory=DeltaSchedule)
     keep_iterates: bool = True
 
@@ -126,8 +129,6 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.cycle_window < 1:
-            raise ValueError("cycle_window must be >= 1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -196,13 +197,13 @@ def _relative_residual_inf(y: ProductVector, lam: np.ndarray, x: ProductVector) 
     return float(np.fmax.reduce(per_block, initial=0.0))
 
 
-def residual(F: MapInstance, x: ProductVector, lam, norms: NormSpec, floor: float = 1e-15) -> float:
-    """Eigen-equation defect max_i ||F_i(x) - lam_i x_i|| / max(lam_i, floor)."""
+def residual(F: MapInstance, x: ProductVector, lam, norms: NormSpec) -> float:
+    """Eigen-equation defect max_i ||F_i(x) - lam_i x_i|| / max(lam_i, 1e-15)."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     y = evaluate(F, x)
     defect = ProductVector.from_flat(y.flat - x.shape._spread(lam) * x.flat, x.shape)
     norms_vec = block_norms(defect, norms)
-    return float(np.max(norms_vec / np.maximum(lam, floor)))
+    return float(np.max(norms_vec / np.maximum(lam, 1e-15)))
 
 
 def _exp(v: float) -> float:
@@ -268,7 +269,7 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
     rate_bound = analysis.rho if analysis.regime == "strict_contraction" else None
     trace: list[tuple[float, float]] = []
     iterates = [x] if cfg.keep_iterates else None
-    recent = collections.deque([x], maxlen=cfg.cycle_window + 1)
+    recent = collections.deque([x], maxlen=_CYCLE_WINDOW + 1)
     status, eigenpair, res_val = MAX_ITER, None, None
     iterations = 0
 
@@ -304,7 +305,7 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
                 eigenpair = EigenPair(x, lam, _weighted_product(lam, b))
                 status, res_val = CONVERGED, res
                 break
-            if len(recent) > cfg.cycle_window:
+            if len(recent) > _CYCLE_WINDOW:
                 past = recent[0]
                 dist_cycle = _inf_dist(x, past)
                 dist_step = _inf_dist(x, recent[-2]) if len(recent) >= 2 else math.inf
@@ -556,19 +557,20 @@ def delta_continuation(F: MapInstance, cfg: SolverConfig) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def _dirr_pattern(L, shape: ShapeSpec, pattern_tol: float) -> np.ndarray:
+def _dirr_pattern(L, shape: ShapeSpec) -> np.ndarray:
     L = np.asarray(L, dtype=float)
     if L.shape != (shape.total, shape.total):
         raise ValueError("L does not match the shape's total dimension")
-    return L > pattern_tol
+    return L > _PATTERN_TOL
 
 
-def check_dirr(L, i: int, tau: int, shape: ShapeSpec, pattern_tol: float = 1e-12) -> bool:
+def check_dirr(L, i: int, tau: int, shape: ShapeSpec) -> bool:
     """Summed-powers positivity: block i of sum_{k<=tau} L^k w > 0 for all w >= 0.
 
-    Exact at pattern level: with P the boolean pattern of L, the condition
-    holds iff rows of block i in P or P^2 or ... or P^tau are all ones, i.e.
-    every node of block i reaches every node by a walk of length 1..tau.
+    Exact at pattern level: with P the boolean pattern of L (its entries
+    above 1e-12), the condition holds iff rows of block i in P or P^2 or ...
+    or P^tau are all ones, i.e. every node of block i reaches every node by a
+    walk of length 1..tau.
     Decided by a layered search over walk lengths that stops once the reach
     sets stop growing: at most min(tau, n + 1) layers of O(nnz) set unions.
     """
@@ -577,19 +579,19 @@ def check_dirr(L, i: int, tau: int, shape: ShapeSpec, pattern_tol: float = 1e-12
         raise ValueError("tau must be >= 1")
     if not (0 <= i < shape.d):
         raise ValueError(f"block index {i} out of range")
-    P = _dirr_pattern(L, shape, pattern_tol)
+    P = _dirr_pattern(L, shape)
     # the summed powers only grow with tau, so block i is full at tau iff it
     # is full at some tau' <= tau
     return _digraph.first_full_block(P, [shape.block_slices()[i]], tau) is not None
 
 
-def find_dirr(L, shape: ShapeSpec, pattern_tol: float = 1e-12):
+def find_dirr(L, shape: ShapeSpec):
     """Smallest tau, then lowest block, satisfying check_dirr, as (block, tau).
 
     Returns None when no block qualifies within the Wielandt bound.  One
     layered search serves every tau and every block (see check_dirr).
     """
-    P = _dirr_pattern(L, shape, pattern_tol)
+    P = _dirr_pattern(L, shape)
     return _digraph.first_full_block(P, shape.block_slices(), wielandt_bound(shape.total))
 
 
@@ -623,7 +625,7 @@ def _rho_L(F: MapInstance, u: ProductVector, L_pos: np.ndarray) -> tuple[float, 
     return spectral_radius(L_pos), False
 
 
-def certify_uniqueness(F: MapInstance, report: SolveReport, pattern_tol: float = 1e-12) -> Certificate:
+def certify_uniqueness(F: MapInstance, report: SolveReport) -> Certificate:
     """Strongest certificate backing uniqueness (or maximality) of the eigenpair.
 
     Order of preference: strict contraction (rho(A) < 1, no further checks);
@@ -637,7 +639,10 @@ def certify_uniqueness(F: MapInstance, report: SolveReport, pattern_tol: float =
     test vector c (x) u, c the right Perron vector of A: an enclosure inside
     [1 - 1e-6, 1 + 1e-6] reports its midpoint, and every other case falls
     back to ``spectral_radius`` of the clipped L (see ``_rho_L``).  The
-    patterns tested are those of the clipped L, free of the scale of F.
+    patterns tested are those of the clipped L, free of the scale of F: its
+    entries above 1e-12.  One pass over the strong components of that pattern
+    answers both of its questions: L is irreducible when it has one
+    component, and the kernel test counts its final classes.
 
     The kernel test is a graph count and needs the enclosure's positive
     witness v, L v = v: then diag(v)^{-1} L diag(v) is row-stochastic, and the
@@ -669,21 +674,19 @@ def certify_uniqueness(F: MapInstance, report: SolveReport, pattern_tol: float =
     if abs(rho_L - 1.0) > _RHO_L_TOL:
         data["reason"] = "rho(lambda^{-1} DF(u)) is not 1"
         return Certificate("none", data)
-    if is_irreducible(L_pos, pattern_tol):
+    components, final_classes = _digraph.class_counts(L_pos > _PATTERN_TOL)
+    if components == 1:
         data["df_irreducible"] = True
         return Certificate("jacobian_irreducible", data)
     data["df_irreducible"] = False
-    A_irreducible = (
-        F.analysis.irreducible if pattern_tol == _PATTERN_TOL else is_irreducible(F.A, pattern_tol)
-    )
-    if A_irreducible:
+    if F.analysis.irreducible:
         if witnessed:
-            data["final_classes"] = _digraph.final_classes(L_pos > pattern_tol)
-            if data["final_classes"] == 1:
+            data["final_classes"] = final_classes
+            if final_classes == 1:
                 return Certificate("kernel_dim_one", data)
         else:
             data["kernel_test"] = "no positive witness of L v = v"
-    hit = find_dirr(L_pos, F.shape, pattern_tol)
+    hit = find_dirr(L_pos, F.shape)
     if hit is not None:
         data["block"] = hit[0]
         data["tau"] = hit[1]

@@ -381,6 +381,112 @@ class TestCertifyCommand:
         assert "maximality" in rep
         assert "interior_product" in rep["maximality"]
 
+def _set(report, key, value):
+    report[key] = value
+    return report
+
+
+def _set_entry(report, key, index, value):
+    report[key][index] = value
+    return report
+
+
+def _set_block_entry(report, value):
+    report["eigenvector"][1][0] = value
+    return report
+
+
+class TestMalformedSolveReport:
+    """certify exits 2 with one error line naming the report path at fault."""
+
+    @pytest.mark.parametrize(
+        "path, mutate",
+        [
+            ("$report", lambda rep: [rep]),
+            ("$report.lambda", lambda rep: _set_entry(rep, "lambda", 0, "big")),
+            ("$report.eigenvector", lambda rep: _set_block_entry(rep, "x")),
+            ("$report.eigenvector", lambda rep: _set(rep, "eigenvector", rep["eigenvector"][:1])),
+            ("$report.eigenvector", lambda rep: _set_entry(rep, "eigenvector", 0, [1.0])),
+            ("$report.lambda", lambda rep: _set(rep, "lambda", rep["lambda"] + [1.0])),
+            ("$report.weights", lambda rep: _set(rep, "weights", [1.0])),
+            ("$report.eigenvector", lambda rep: _set_block_entry(rep, -0.5)),
+            ("$report.lambda", lambda rep: _set_entry(rep, "lambda", 1, math.nan)),
+            ("$report.weights", lambda rep: _set(rep, "weights", [-0.25, 1.0])),
+        ],
+        ids=[
+            "list",
+            "non-numeric-lambda",
+            "non-numeric-eigenvector",
+            "eigenvector-blocks",
+            "eigenvector-block-length",
+            "lambda-length",
+            "weights-length",
+            "negative-eigenvector",
+            "nan-lambda",
+            "negative-weights",
+        ],
+    )
+    def test_exits_two(self, tmp_path, capsys, path, mutate):
+        _, report = run_solve(copy.deepcopy(MOTIVATING_DOC))
+        report = mutate(json.loads(dump_json(report)))
+        inst = _write(tmp_path, "inst.json", MOTIVATING_DOC)
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(report))
+        assert main(["certify", inst, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+    def test_boundary_eigenvector_of_an_interior_map(self, tmp_path, capsys):
+        doc = {"map": {"family": "dual", "params": {"base": {"family": "motivating"}}}}
+        report = {"eigenvector": [[1.0, 0.0], [1.0, 1.0]], "lambda": [1.0, 1.0]}
+        inst = _write(tmp_path, "inst.json", doc)
+        assert main(["certify", inst, _write(tmp_path, "report.json", report)]) == 2
+        assert capsys.readouterr().err.startswith("error: $report.eigenvector: ")
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the tasks in this process."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+class TestJobs:
+    @pytest.fixture
+    def made(self, monkeypatch):
+        import concurrent.futures
+
+        made = []
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(made, max_workers)
+        )
+        return made
+
+    @pytest.mark.parametrize("docs, jobs, workers", [(2, "64", [2]), (3, "2", [2]), (1, "8", []), (2, "1", [])])
+    def test_at_most_one_worker_per_document(self, tmp_path, capsys, made, docs, jobs, workers):
+        inst = _write(tmp_path, "batch.json", [MOTIVATING_DOC] * docs)
+        assert main(["analyze", inst, "--jobs", jobs]) == 0
+        assert made == workers
+        assert capsys.readouterr().out.count('"regime"') == docs
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_fewer_than_one_job_exits_two(self, tmp_path, capsys, made, jobs):
+        inst = _write(tmp_path, "batch.json", [MOTIVATING_DOC] * 2)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", inst, "--jobs", jobs])
+        assert exc.value.code == 2 and not made
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
 class TestMainEntry:
     def test_end_to_end_solve_and_out_file(self, tmp_path, capsys):
         inst = _write(tmp_path, "inst.json", MOTIVATING_DOC)
@@ -523,7 +629,7 @@ class TestMainEntry:
         def general(obj, level):
             with monkeypatch.context() as m:
                 m.setattr(cli, "_encode_plain_list", lambda *args: None)
-                return cli._encode(obj, 2, level)
+                return cli._encode(obj, level)
 
         def refill(x, leaf):
             return [refill(v, leaf) for v in x] if isinstance(x, list) else leaf()
@@ -563,8 +669,8 @@ class TestMainEntry:
                 target[path[-1]] = intruder
             else:
                 intruder = None
-            fast = cli._encode_plain_list(obj, 2, level)
-            assert cli._encode(obj, 2, level) == general(obj, level)
+            fast = cli._encode_plain_list(obj, level)
+            assert cli._encode(obj, level) == general(obj, level)
             # a plain finite float or int as the only leaf makes a valid plain list
             lone_plain = (
                 len(paths) == 1 and type(intruder) in (int, float) and math.isfinite(intruder)
@@ -577,14 +683,14 @@ class TestMainEntry:
 
         check()
         edges = [[[0, k], [1, -k]] for k in range(50)]
-        assert cli._encode_plain_list(edges, 2, 1) == general(edges, 1)
-        assert cli._encode_plain_list([7, -8, 2**80], 2, 0) == general([7, -8, 2**80], 0)
+        assert cli._encode_plain_list(edges, 1) == general(edges, 1)
+        assert cli._encode_plain_list([7, -8, 2**80], 0) == general([7, -8, 2**80], 0)
         trace = [[1.0 / (k + 1), -0.0 if k % 2 else 2.0**-1074] for k in range(50)]
-        assert cli._encode_plain_list(trace, 2, 1) == general(trace, 1)
+        assert cli._encode_plain_list(trace, 1) == general(trace, 1)
         for bad in ([[1.0, math.inf]], [[math.nan, 1.0]], [[1.0, 2]]):
-            assert cli._encode_plain_list(bad, 2, 1) is None
+            assert cli._encode_plain_list(bad, 1) is None
         huge = [[1.5e308, 1.5e308]]  # a sum that overflows takes the general path
-        assert cli._encode(huge, 2, 1) == general(huge, 1)
+        assert cli._encode(huge, 1) == general(huge, 1)
 
     def test_17_digit_floats_round_trip(self):
         values = {"a": 2 ** (5 / 16), "b": 0.1 + 0.2, "c": 1.0 / 3.0}

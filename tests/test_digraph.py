@@ -263,16 +263,21 @@ class TestLongWalks:
         assert not is_irreducible(L)
 
 
-def _brute_final_classes(P):
-    """Classes that contain every node reachable from them, counted once each."""
+def _brute_classes(P):
+    """The classes of P as bitsets, and those that contain every node reachable from them."""
     reach = _digraph.reach_sets(P)
     n = len(reach)
-    finals = set()
+    classes, finals = set(), set()
     for u in range(n):
         cls = sum(1 << v for v in range(n) if reach[u] >> v & 1 and reach[v] >> u & 1)
+        classes.add(cls)
         if reach[u] == cls:
             finals.add(cls)
-    return len(finals)
+    return classes, finals
+
+
+def _brute_final_classes(P):
+    return len(_brute_classes(P)[1])
 
 
 class TestFinalClasses:
@@ -292,24 +297,24 @@ class TestFinalClasses:
         P = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             P[u, v] = True
-        assert _digraph.final_classes(P) == expected == _brute_final_classes(P)
+        assert _digraph.class_counts(P)[1] == expected == _brute_final_classes(P)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_self_loops_only(self, n):
-        assert _digraph.final_classes(np.eye(n, dtype=bool)) == n
+        assert _digraph.class_counts(np.eye(n, dtype=bool))[1] == n
 
     def test_empty_pattern(self):
-        assert _digraph.final_classes(np.zeros((0, 0), dtype=bool)) == 0
+        assert _digraph.class_counts(np.zeros((0, 0), dtype=bool))[1] == 0
 
     def test_block_diagonal(self):
         B = np.random.default_rng(3).uniform(0.1, 1.0, (4, 4))
         P = np.kron(np.eye(4), B) > PATTERN_TOL
-        assert _digraph.final_classes(P) == 4 == _brute_final_classes(P)
+        assert _digraph.class_counts(P)[1] == 4 == _brute_final_classes(P)
 
     def test_seeded_patterns(self):
         for _, L, _ in _random_matrices():
             P = L > PATTERN_TOL
-            assert _digraph.final_classes(P) == _brute_final_classes(P)
+            assert _digraph.class_counts(P)[1] == _brute_final_classes(P)
 
     def test_random_patterns_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -319,6 +324,9 @@ class TestFinalClasses:
         @hypothesis.settings(max_examples=100, deadline=None)
         @hypothesis.given(st.integers(0, 12).flatmap(lambda n: hnp.arrays(bool, (n, n))))
         def check(P):
-            assert _digraph.final_classes(P) == _brute_final_classes(P)
+            classes, finals = _brute_classes(P)
+            assert _digraph.class_counts(P) == (len(classes), len(finals))
+            if len(P):
+                assert (len(classes) == 1) == _digraph.strongly_connected(P)
 
         check()

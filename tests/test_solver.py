@@ -674,8 +674,8 @@ class TestHomogeneityAnalysisReuse:
         def forbidden(*args, **kwargs):
             raise AssertionError("weight search ran for explicit weights")
 
-        monkeypatch.setattr(homogeneity, "_contraction_weights", forbidden)
-        monkeypatch.setattr(homogeneity, "_perron_weights", forbidden)
+        homogeneity._MEMO.clear()  # no weights recorded from an earlier test
+        monkeypatch.setattr(homogeneity, "_left_perron", forbidden)
         F = motivating_map()
         seen = self._count_radius_of(monkeypatch, F.A)
         rep = power_method(F, None, _cfg(2, weights=np.array([0.25, 1.0])))
@@ -905,7 +905,7 @@ class TestRhoLEnclosure:
     def test_no_positive_right_perron_vector_falls_back(self, monkeypatch):
         F = tight_map([[1.0, 0.5], [0.0, 0.5]], (2, 3))
         with pytest.raises(PerronStructureError):
-            homogeneity._perron_weights(F.A.T, F.analysis.rho)
+            homogeneity._left_perron(F.A.T, F.analysis.rho)
         rep = power_method(F, None, _cfg(2, weights=np.array([0.5, 0.5])))
         sizes = _radius_sizes(monkeypatch)
         cert = certify_uniqueness(F, rep)
