@@ -2,21 +2,19 @@
 
 A square boolean pattern ``P`` is the digraph with an edge u -> v iff
 ``P[u, v]``.  Every pattern condition the library checks is a question about
-walks in that digraph, answered here without matrix powers:
+walks in that digraph, answered here without matrix powers, from one search:
+Tarjan's (1972) strongly connected components over the successor lists.
 
-- strong connectivity (pattern irreducibility): a forward and a reverse
-  breadth-first search from node 0;
+- strong connectivity (pattern irreducibility): at most one component;
 - the period of a strongly connected pattern: the gcd of
-  level(u) + 1 - level(v) over its edges, for breadth-first levels from one
-  node (Denardo 1977); primitivity is strong connectivity with period 1;
-- reflexive reach sets: Tarjan's (1972) strongly connected components, then
-  one pass over the condensation in topological order;
-- class counts: the number of strongly connected components, one exactly
-  when the pattern is strongly connected, and of final classes, the
-  components that no edge leaves, from one pass of the same components;
+  depth(u) + 1 - depth(v) over its edges, for the depths of the search tree
+  (Denardo 1977); primitivity is strong connectivity with period 1;
+- reflexive reach sets: one pass over the condensation in topological order;
+- class counts: the number of components, and of final classes, the
+  components that no edge leaves;
 - summed-powers positivity: one layered sweep over all walk lengths at once.
 
-The searches and the condensation pass read each pattern entry O(1) times,
+The search and the condensation pass read each pattern entry O(1) times,
 O(n^2) for an n x n pattern; the sweep takes at most n + 1 layers.  Node sets
 are Python ints used as bitsets, bit v for node v.
 """
@@ -24,12 +22,6 @@ are Python ints used as bitsets, bit v for node v.
 from __future__ import annotations
 
 import numpy as np
-
-
-def _row_sets(P: np.ndarray) -> list[int]:
-    """Row u of P as the bitset of its columns: the successors of u."""
-    packed = np.packbits(P, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _successors(P: np.ndarray) -> list[list[int]]:
@@ -45,56 +37,16 @@ def _successors(P: np.ndarray) -> list[list[int]]:
     return [dst[a:b] for a, b in zip([0, *ends], ends)]
 
 
-def _bfs_levels(P: np.ndarray) -> list[int]:
-    """Breadth-first distance from node 0 along the edges of P; -1 if unreached."""
-    succ = _row_sets(P)
-    level = [-1] * len(succ)
-    frontier = seen = 1
-    depth = 0
-    while frontier:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            v = low.bit_length() - 1
-            level[v] = depth
-            step |= succ[v]
-            frontier ^= low
-        frontier = step & ~seen
-        seen |= frontier
-        depth += 1
-    return level
-
-
-def strongly_connected(P: np.ndarray) -> bool:
-    """Every node reaches every node by a walk of length >= 0."""
-    if P.shape[0] == 0:
-        return True
-    return -1 not in _bfs_levels(P) and -1 not in _bfs_levels(P.T)
-
-
-def period(P: np.ndarray) -> int:
-    """Gcd of the cycle lengths of a strongly connected pattern; 0 without edges."""
-    level = np.array(_bfs_levels(P))
-    src, dst = np.nonzero(P)
-    return int(np.gcd.reduce(level[src] + 1 - level[dst]))
-
-
-def primitive(P: np.ndarray) -> bool:
-    """Some power of P is all-positive: strongly connected with period 1.
-
-    The empty 0 x 0 pattern is primitive vacuously.
-    """
-    return P.shape[0] == 0 or (strongly_connected(P) and period(P) == 1)
-
-
-def _strong_components(succ: list[list[int]]) -> list[list[int]]:
-    """Tarjan's strongly connected components, sinks first.
+def _strong_components(succ: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Tarjan's strongly connected components, sinks first, and each node's depth.
 
     Iterative, so deep graphs do not hit the recursion limit.  Each component
-    comes after every component it reaches (reverse topological order).
+    comes after every component it reaches (reverse topological order).  The
+    depth of a node is its distance from the root of its tree in the search
+    forest, whose roots are tried in node order.
     """
     n = len(succ)
-    index, low = [-1] * n, [0] * n
+    index, low, depth = [-1] * n, [0] * n, [0] * n
     on_stack = [False] * n
     at = [0] * n  # position on the stack, fixed while the node is on it
     stack: list[int] = []
@@ -115,6 +67,7 @@ def _strong_components(succ: list[list[int]]) -> list[list[int]]:
                 if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
+                    depth[w] = len(work)
                     at[w] = len(stack)
                     stack.append(w)
                     on_stack[w] = True
@@ -135,7 +88,33 @@ def _strong_components(succ: list[list[int]]) -> list[list[int]]:
                     for w in component:
                         on_stack[w] = False
                     components.append(component)
-    return components
+    return components, depth
+
+
+def strongly_connected(P: np.ndarray) -> bool:
+    """Every node reaches every node by a walk of length >= 0."""
+    return len(_strong_components(_successors(P))[0]) <= 1
+
+
+def period(P: np.ndarray) -> int:
+    """Gcd of the cycle lengths of a strongly connected pattern; 0 without edges."""
+    # the search from node 0 spans P, and for any spanning tree rooted at r,
+    # depth(u) + 1 - depth(v) of an edge u -> v is the length of the closed
+    # walk r ~> u -> v ~> r less that of r ~> v ~> r (tree paths out of r, one
+    # path v ~> r back): a difference of closed-walk lengths through r, so a
+    # multiple of the period.  Along any cycle the terms sum to its length, so
+    # their gcd also divides every cycle length: it is the period
+    depth = np.array(_strong_components(_successors(P))[1])
+    src, dst = np.nonzero(P)
+    return int(np.gcd.reduce(depth[src] + 1 - depth[dst]))
+
+
+def primitive(P: np.ndarray) -> bool:
+    """Some power of P is all-positive: strongly connected with period 1.
+
+    The empty 0 x 0 pattern is primitive vacuously.
+    """
+    return P.shape[0] == 0 or (strongly_connected(P) and period(P) == 1)
 
 
 def reach_sets(P: np.ndarray) -> list[int]:
@@ -143,7 +122,7 @@ def reach_sets(P: np.ndarray) -> list[int]:
     succ = _successors(P)
     component_of = [-1] * len(succ)
     component_reach: list[int] = []
-    for c, component in enumerate(_strong_components(succ)):
+    for c, component in enumerate(_strong_components(succ)[0]):
         for v in component:
             component_of[v] = c
         reach = 0
@@ -164,7 +143,7 @@ def class_counts(P: np.ndarray) -> tuple[int, int]:
     exactly when it has one class.
     """
     succ = _successors(P)
-    components = _strong_components(succ)
+    components = _strong_components(succ)[0]
     final = 0
     for component in components:
         members = set(component)
@@ -177,30 +156,31 @@ def first_full_block(P: np.ndarray, blocks, max_tau: int):
 
     Returns the smallest tau <= ``max_tau`` at which some block of rows (each
     a slice of the node indices) is full, with the lowest such block index, or
-    None.  The ends R_t(u) of the walks of length 1..t from u start at
-    R_1(u) = succ(u), and with R_0(u) empty
+    None.  The ends R_t(u) of the walks of length 1..t from u, and the ends
+    N_t(u) = R_t(u) - R_{t-1}(u) new at t, start at R_0(u) empty and
+    N_0(u) = {u}, the end of the walk of length 0, and
 
-        R_{t+1}(u) = R_t(u) | union of (R_t(v) - R_{t-1}(v)) over v in succ(u),
+        R_{t+1}(u) = R_t(u) | union of N_t(v) over v in succ(u),
 
     so one layered sweep over t serves every block, and each layer passes only
-    the nodes new at v back along the edges into v.  The sets only grow, and a
-    layer in which none grows is a fixed point, reached by t = n; the sweep
-    stops there.
+    the nodes new at v back along the edges into v; the first layer builds the
+    successor sets themselves.  The sets only grow, are fixed from t = n on,
+    and the sweep stops at the first layer in which none grows.
     """
     full = (1 << P.shape[0]) - 1
     pred = _successors(P.T)
-    reach = new = _row_sets(P)
+    reach, new = [0] * P.shape[0], [1 << u for u in range(P.shape[0])]
     for tau in range(1, max_tau + 1):
-        for i, rows in enumerate(blocks):
-            if all(r == full for r in reach[rows]):
-                return i, tau
         grown = reach[:]
         for v, fresh in enumerate(new):
             if fresh:
                 for u in pred[v]:
                     grown[u] |= fresh
         new = [g ^ r for g, r in zip(grown, reach)]
+        reach = grown
+        for i, rows in enumerate(blocks):
+            if all(r == full for r in reach[rows]):
+                return i, tau
         if not any(new):
             return None
-        reach = grown
     return None

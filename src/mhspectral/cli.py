@@ -347,6 +347,19 @@ def parse_instance(doc: dict) -> Instance:
     if isinstance(x0_spec, str):
         if x0_spec not in ("uniform", "random"):
             _fail("$.solver.x0", "x0 must be 'uniform', 'random', or explicit blocks")
+    else:
+        try:
+            x0 = ProductVector(x0_spec)
+        except (TypeError, ValueError, OverflowError):
+            _fail("$.solver.x0", "x0 must be 'uniform', 'random', or explicit blocks of numbers")
+        if x0.shape.sizes != F.shape.sizes:
+            _fail("$.solver.x0", f"block sizes {x0.shape.sizes} disagree with the map's {F.shape.sizes}")
+        if not np.isfinite(x0.flat).all():
+            _fail("$.solver.x0", "explicit x0 entries must be finite")
+        try:
+            normalize(x0, norms)
+        except ValueError as exc:
+            _fail("$.solver.x0", str(exc))
     sched_doc = _get(sol, "delta_schedule", "$.solver", default={})
     if not isinstance(sched_doc, dict):
         _fail("$.solver.delta_schedule", "delta schedule must be an object")
@@ -407,10 +420,7 @@ def _start_vector(inst: Instance) -> ProductVector:
             return normalize(ones_vector(inst.map.shape), inst.norms)
         rng = np.random.default_rng(inst.seed)
         return normalize(random_interior(inst.map.shape, rng), inst.norms)
-    try:
-        return normalize(ProductVector(inst.x0_spec), inst.norms)
-    except ValueError as exc:
-        raise InstanceError(f"$.solver.x0: {exc}") from exc
+    return normalize(ProductVector(inst.x0_spec), inst.norms)
 
 
 def _solver_config(inst: Instance) -> solvermod.SolverConfig:
@@ -671,7 +681,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             docs = doc if isinstance(doc, list) else [doc]
             for d in docs:
-                d.setdefault("solver", {})["seed"] = args.seed
+                # a malformed document is left for parse_instance to refuse
+                sol = d.setdefault("solver", {}) if isinstance(d, dict) else None
+                if isinstance(sol, dict):
+                    sol["seed"] = args.seed
         if args.command == "certify":
             if isinstance(doc, list):
                 raise InstanceError("certify does not accept batch instance files")
@@ -685,7 +698,7 @@ def main(argv=None) -> int:
                     results = list(pool.map(_run_one, tasks))
             else:
                 results = [_run_one(t) for t in tasks]
-            code = max(c for c, _ in results)
+            code = max((c for c, _ in results), default=0)
             report = [r for _, r in results]
         else:
             code, report = _run_one((args.command, doc, getattr(args, "dual", False)))

@@ -194,11 +194,7 @@ class _Facts:
 
     @functools.cached_property
     def irreducible(self) -> bool:
-        P = self.A > _PATTERN_TOL
-        # the pattern of A > 0 unless an entry lies in (0, _PATTERN_TOL]
-        if np.array_equal(P, self.A > 0.0):
-            return self.connected
-        return _digraph.strongly_connected(P)
+        return _digraph.strongly_connected(self.A > _PATTERN_TOL)
 
     @functools.cached_property
     def primitive(self) -> bool:
@@ -509,8 +505,8 @@ def is_irreducible(A) -> bool:
     """Pattern irreducibility, equivalently (I + A)^{n-1} entrywise positive.
 
     The pattern holds the entries above 1e-12.  Decided as strong
-    connectivity of the pattern digraph: a forward and a reverse
-    breadth-first search from one node, O(n^2) on the dense pattern.
+    connectivity of the pattern digraph: one component in Tarjan's search,
+    O(n^2) on the dense pattern.
     """
     A = _check_nonneg_square(A)
     return _digraph.strongly_connected(A > _PATTERN_TOL)
@@ -525,10 +521,10 @@ def is_primitive(A) -> bool:
     """Pattern primitivity, equivalently some power up to the Wielandt bound is all-positive.
 
     The pattern holds the entries above 1e-12.  Decided as irreducibility
-    plus period 1, the period being the gcd of
-    level(u) + 1 - level(v) over the edges for breadth-first levels from one
-    node: three searches and one pass over the edges, O(n^2).  A 1 x 1 zero
-    pattern is irreducible but not primitive.
+    plus period 1, the period being the gcd of depth(u) + 1 - depth(v) over
+    the edges for the depths of the search tree: two searches and one pass
+    over the edges, O(n^2).  A 1 x 1 zero pattern is irreducible but not
+    primitive.
     """
     A = _check_nonneg_square(A)
     return _digraph.primitive(A > _PATTERN_TOL)

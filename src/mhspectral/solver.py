@@ -246,6 +246,9 @@ def cw_bounds(F: MapInstance, x: ProductVector, b) -> tuple[float, float]:
     return lower, upper
 
 
+# an overflow in F(x) or in a block norm ends the solve as diverged, with a
+# message, so numpy need not warn of it
+@np.errstate(over="ignore")
 def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig) -> SolveReport:
     """Run the normalized iteration from x0 (all-ones start when None).
 
@@ -299,6 +302,18 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
             break
         trace.append((_exp(log_lo), _exp(log_hi)))
         lam = norm_of(yf)
+        # a block norm can overflow though every entry is finite, or underflow
+        # to 0, or so near 0 that its reciprocal overflows, though every entry
+        # is positive; that block has no finite scale, so the solve stops
+        # here, before the convergence test reads lam or a division by it.
+        # The d norms as floats serve this test and the smallest factor
+        # 1 / max(lam) at less than two numpy reductions.
+        lam_list = lam.tolist()
+        lam_min, lam_max = min(lam_list), max(lam_list)
+        if not (lam_min > 0.0 and 1.0 / lam_min < math.inf and lam_max < math.inf):
+            status = DIVERGED
+            messages.append("iterate left the open cone" if lam_max < math.inf else "block norm overflowed")
+            break
         if log_hi - log_lo < cfg.tol:
             res = _relative_residual_inf(y, lam, x)
             if res < 10.0 * cfg.tol:
@@ -319,18 +334,7 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
                         status, res_val = BRACKET_CONVERGED_CYCLING, res_c
                         messages.append("period-2 cycling averaged out")
                         break
-        # a block norm can underflow to 0, or so near 0 that its reciprocal
-        # overflows, while every entry is positive; that block has no finite
-        # scale, so the iterate leaves the open cone here, before a division
-        # by it.  The d norms as floats serve this test and the smallest
-        # factor 1 / max(lam) at less than two numpy reductions.
-        lam_list = lam.tolist()
-        lam_min = min(lam_list)
-        if not (lam_min > 0.0 and 1.0 / lam_min < math.inf):
-            status = DIVERGED
-            messages.append("iterate left the open cone")
-            break
-        inv_min = 1.0 / max(lam_list)
+        inv_min = 1.0 / lam_max
         # lam holds one norm per block of y, the length a scaling needs; one
         # block scales by one float, the same product per entry without the
         # array division

@@ -532,6 +532,12 @@ class TestMainEntry:
             ("delta_schedule.delta0", math.inf),
             ("delta_schedule.factor", "half"),
             ("delta_schedule.floor", math.nan),
+            ("x0", 5),
+            ("x0", [[1, 2], ["a", 3]]),
+            ("x0", [[1, 2], [3]]),
+            ("x0", [[1, 2, 3]]),
+            ("x0", [[1, math.inf], [3, 1]]),
+            ("x0", [[0, 0], [3, 1]]),
         ],
     )
     def test_malformed_solver_setting_exits_two(self, tmp_path, capsys, key, value):
@@ -586,6 +592,35 @@ class TestMainEntry:
         main(["solve", inst, "--seed", "1"])
         out2 = capsys.readouterr().out
         assert out1 == out2
+
+    @pytest.mark.parametrize("argv", [[], ["--seed", "3"]])
+    def test_empty_batch_prints_an_empty_list(self, tmp_path, capsys, argv):
+        inst = _write(tmp_path, "empty.json", [])
+        for command in ("analyze", "solve", "graph"):
+            assert main([command, inst, *argv]) == 0
+            assert capsys.readouterr().out == "[]\n"
+
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            ([{"map": {"family": "motivating"}}, 7], "$: instance must be a JSON object"),
+            ({"map": {"family": "motivating"}, "solver": 5}, "$.solver: solver settings must be an object"),
+            ([{"map": {"family": "motivating"}, "solver": [1]}], "$.solver: solver settings must be an object"),
+        ],
+    )
+    def test_seed_override_leaves_malformed_documents_to_the_parser(self, tmp_path, capsys, doc, error):
+        inst = _write(tmp_path, "bad.json", doc)
+        for argv in (["solve", inst], ["solve", inst, "--seed", "3"]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_overflowing_block_norm_exits_four(self, tmp_path, capsys):
+        doc = {"map": {"family": "linear", "params": {"matrix": [[1e308, 1e308], [1e308, 1e308]]}}}
+        inst = _write(tmp_path, "huge.json", doc)
+        assert main(["solve", inst]) == 4
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "diverged" and report["lambda"] is None
+        assert report["messages"] == ["block norm overflowed"]
 
     def test_log_env_levels(self, tmp_path, capsys, monkeypatch):
         inst = _write(tmp_path, "inst.json", MOTIVATING_DOC)

@@ -330,3 +330,32 @@ class TestFinalClasses:
                 assert (len(classes) == 1) == _digraph.strongly_connected(P)
 
         check()
+
+
+class TestPeriod:
+    def test_layered_patterns_property(self):
+        """Strongly connected patterns of a known period k, as in
+        ``tests/test_homogeneity.py::_irreducible``: k node groups in a cycle,
+        random edges from group g to group g + 1, and the first-node spokes."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            k = data.draw(st.integers(1, 4))
+            n = data.draw(st.integers(k, 12))
+            group = np.array(data.draw(st.permutations([v % k for v in range(n)])))
+            P = data.draw(hnp.arrays(bool, (n, n))) & (group[None, :] == (group[:, None] + 1) % k)
+            # every node of a group reaches the next group's first node and is
+            # reached from the previous group's first node
+            first = [int(np.flatnonzero(group == g)[0]) for g in range(k)]
+            for g in range(k):
+                P[group == g, first[(g + 1) % k]] = True
+                P[first[g], group == (g + 1) % k] = True
+            assert _digraph.strongly_connected(P)
+            assert _digraph.period(P) == k
+            assert _digraph.primitive(P) == _dense_is_primitive(P) == (k == 1)
+
+        check()

@@ -981,6 +981,20 @@ class TestRescaleUnderflow:
         np.testing.assert_allclose(rep.eigenpair.x.flat, [1 / 3, 2 / 3, 1 / 3, 2 / 3], rtol=1e-15)
         np.testing.assert_allclose(rep.eigenpair.lam, [3e-200, 3e200], rtol=1e-15)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_overflowing_block_norm_diverges_before_the_convergence_test(self, p):
+        # every entry of F(x) is finite (1e308 from the 1-norm start, 1.4e308
+        # from the 2-norm one) but the block norm overflows; the bracket has
+        # closed, so only the norm check keeps the step from reading as
+        # converged with lambda = inf
+        F = linear_map([[1e308, 1e308], [1e308, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = power_method(F, None, SolverConfig(norms=NormSpec.lp(p, 1)))
+        assert rep.status == solver.DIVERGED and rep.eigenpair is None
+        assert rep.messages == ["block norm overflowed"] and rep.residual is None
+        assert rep.iterations == 1 and len(rep.bracket_trace) == 1
+
     def test_pq_singular_graph_report_document(self):
         import json
         import pathlib
