@@ -10,8 +10,8 @@ Tarjan's (1972) strongly connected components over the successor lists.
   depth(u) + 1 - depth(v) over its edges, for the depths of the search tree
   (Denardo 1977); primitivity is strong connectivity with period 1;
 - reflexive reach sets: one pass over the condensation in topological order;
-- class counts: the number of components, and of final classes, the
-  components that no edge leaves;
+- classes and class counts: the components, their number, and the number
+  of final classes, the components that no edge leaves;
 - summed-powers positivity: one layered sweep over all walk lengths at once.
 
 The search and the condensation pass read each pattern entry O(1) times,
@@ -89,6 +89,14 @@ def _strong_components(succ: list[list[int]]) -> tuple[list[list[int]], list[int
                         on_stack[w] = False
                     components.append(component)
     return components, depth
+
+
+def classes(P: np.ndarray) -> list[list[int]]:
+    """The classes (strongly connected components) of P, each after every class it reaches.
+
+    The nodes of a class are in increasing order.
+    """
+    return [sorted(c) for c in _strong_components(_successors(P))[0]]
 
 
 def strongly_connected(P: np.ndarray) -> bool:

@@ -381,13 +381,27 @@ def _power_scale(a: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def _euclidean_norm(v: np.ndarray) -> float:
+    """||v||_2, finite whenever the norm itself is a finite double.
+
+    vdot is the dot kernel of np.dot, bit for bit, without its overflow
+    warning, and sqrt is correctly rounded in both math and numpy.  Only a
+    sum of squares that overflows is taken again on v / max |v|.
+    """
+    norm = math.sqrt(np.vdot(v, v))
+    if norm == math.inf:
+        m = float(np.abs(v).max())
+        if m < math.inf:
+            norm = m * math.sqrt(np.vdot(v / m, v / m))
+    return norm
+
+
 def _selector_norm(kind: str, val):
     """The norm of one block under the selector (kind, val), as a function of the block."""
     if kind == "phi":
         return lambda v: float(np.dot(np.abs(v), val))
     if val == 2.0:
-        # sqrt is correctly rounded in both math and numpy
-        return lambda v: math.sqrt(np.dot(v, v))
+        return _euclidean_norm
     if val == math.inf:
         return lambda v: float(np.abs(v).max())
     if val == 1.0:
@@ -413,7 +427,11 @@ def _norm_kernel(shape: ShapeSpec, norms: NormSpec):
         # loop to the last bit (a summing reduction would not)
         def stacked(flat):
             X = flat.reshape(d, n)
-            return np.sqrt(np.matmul(X[:, None, :], X[:, :, None]).ravel())
+            try:
+                with np.errstate(over="raise"):
+                    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None]).ravel())
+            except FloatingPointError:  # some sum of squares overflowed
+                return np.array([_euclidean_norm(x) for x in X])
 
         return stacked
     for i, ((kind, val), size) in enumerate(zip(norms.selectors, shape.sizes)):

@@ -10,8 +10,9 @@ map as ``MapInstance.analysis`` and read by the solver, the certificates and
 the CLI: rho(A) below, at or above 1, and the automatic weights for it.
 
 Each distinct A of at most 64 x 64 that :func:`analyze_homogeneity` sees is
-analysed once per process.  A bounded memo keeps one record per such A --
-rho(A), the left and right Perron vectors, the contraction weights, and the
+analysed once per process.  A bounded memo keeps its
+:class:`HomogeneityAnalysis`, the one read-only record of A -- rho(A), the
+regime, the left and right Perron vectors, the contraction weights, and the
 pattern irreducibility and primitivity, each computed on first use from a
 private read-only copy of A -- and :func:`spectral_radius`,
 :func:`perron_weights` and :func:`contraction_weights` answer from it, bit
@@ -20,31 +21,42 @@ drops the oldest first; the record of a 64 x 64 A takes about 35 KB, so the
 memo never exceeds about 4.5 MB.  It lives in the process, so
 each ``--jobs`` worker of the CLI has its own: a single-document CLI run
 gains nothing, while a batch file or a library loop that analyses the same A
-again reads its record.  Matrices that were never analysed -- the inflations
+again finds its record.  Matrices that were never analysed -- the inflations
 A + t of the weight search, the Jacobians of the certificates -- and anything
 larger than 64 x 64 are computed afresh every time and never stored.
 
-The spectral radius and the Perron vectors come from the Collatz-Wielandt
-principle: for a nonnegative A and any positive v,
+One kernel gives the spectral radius of a nonnegative M and its right Perron
+vector (the left one of A is the right one of A^T).  rho(M) is the first of
 
-    min_i (A v)_i / v_i  <=  rho(A)  <=  max_i (A v)_i / v_i.
+- the common row sum c, when M 1 = c 1: the positive vector 1 forces
+  c = rho(M);
+- the largest radius of the diagonal blocks of the classes (the strongly
+  connected components of the pattern M > 0), when there are several: M is
+  block triangular under a permutation (Berman & Plemmons, *Nonnegative
+  Matrices in the Mathematical Sciences*, ch. 2), and a 1 x 1 class is its
+  own entry;
+- for irreducible M, the midpoint of the Collatz-Wielandt enclosure
 
-When the pattern of A is irreducible (strongly connected), Perron-Frobenius
-gives a simple positive Perron vector, and the eigenvector of ``eig`` for the
-eigenvalue of largest real part, taken in absolute value, is a candidate for
-it.  rho(A) is the midpoint of that enclosure once it is 1e-13 narrow, and
-the left Perron vector is the candidate of A^T once it passes the positivity
-and residual checks; a period-2 matrix such as [[0, a], [b, 0]] is answered
-by one O(d^3) step.  Everything else -- reducible or defective A, or a
-candidate that fails its check -- falls back to power iteration accelerated
-by repeated squaring: B = A + 1e-8 I is squared in a renormalized log scale,
-so the bracket
+      min_i (M v)_i / v_i  <=  rho(M)  <=  max_i (M v)_i / v_i
 
-    max_i (B^k)_ii ^{1/k}  <=  rho(B)  <=  ||B^k||_inf ^{1/k}
+  of the candidate v, the absolute eigenvector of ``eig`` for the eigenvalue
+  of largest real part, once it is 1e-13 narrow; a period-2 matrix such as
+  [[0, a], [b, 0]] is answered by one O(d^3) step;
+- else power iteration accelerated by repeated squaring: B = M / s + 1e-8 I,
+  s the largest row sum of M, is squared in a renormalized log scale, so the
+  bracket
 
-closes geometrically where the vanilla iteration stalls (slowly, like
-log 2 / k, when A is periodic).  The diagonal shift is removed exactly at the
-end (the spectrum of a nonnegative matrix translates under the shift).
+      max_i (B^k)_ii ^{1/k}  <=  rho(B)  <=  ||B^k||_inf ^{1/k}
+
+  closes geometrically where the vanilla iteration stalls (slowly, like
+  log 2 / k, when M is periodic).  The shift is relative to s, so the answer
+  scales with M, and it is removed exactly at the end (the spectrum of a
+  nonnegative matrix translates under the shift).
+
+The Perron vector is the first of the uniform vector (uniform row sums), the
+normalized candidate of an irreducible M, and the normalized row sums of the
+squaring's power once they stop changing, that is strictly positive and
+leaves a residual |M v - rho v| of at most 1e-10 * max(1, rho).
 """
 
 from __future__ import annotations
@@ -76,7 +88,7 @@ __all__ = [
 _REGIME_TOL = 1e-9
 # relative width at which a rho(A) bracket is closed
 _RADIUS_TOL = 1e-13
-# the diagonal shift of the squaring loops
+# the diagonal shift of the squaring, relative to the largest row sum
 _SHIFT = 1e-8
 # largest Perron residual |A^T b - rho b|, relative to max(1, rho)
 _PERRON_TOL = 1e-10
@@ -101,13 +113,27 @@ class WeightSearchResult:
     exact: bool
 
 
-def _check_nonneg_square(A) -> np.ndarray:
+def _check_pattern_source(A) -> np.ndarray:
+    """A as a float array, refused unless square, nonnegative and finite."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")
     if np.any(A < 0.0) or not np.all(np.isfinite(A)):
         raise ValueError("matrix must be nonnegative and finite")
     return A
+
+
+def _check_nonneg_square(A) -> np.ndarray:
+    """:func:`_check_pattern_source`, also refusing the 0 x 0 matrix, which has no spectral radius."""
+    A = _check_pattern_source(A)
+    if not A.size:
+        raise ValueError("need a nonempty matrix: a 0 x 0 matrix has no spectral radius")
+    return A
+
+
+# ---------------------------------------------------------------------------
+# the Perron kernel
+# ---------------------------------------------------------------------------
 
 
 def _cw_enclosure(M: np.ndarray, v: np.ndarray) -> tuple[float, float]:
@@ -129,52 +155,175 @@ def _perron_candidate(M: np.ndarray) -> Optional[np.ndarray]:
     return np.abs(V[:, np.argmax(w.real)])
 
 
+def _radius(M: np.ndarray) -> float:
+    """:func:`spectral_radius` of a checked M, computed afresh."""
+    sums = M.sum(axis=1)
+    if sums.min() == sums.max():  # M 1 = c 1 with 1 > 0 forces c = rho(M)
+        return float(sums[0])
+    classes = _digraph.classes(M > 0.0)
+    if len(classes) > 1:  # block triangular up to a permutation
+        return max(float(M[c[0], c[0]]) if len(c) == 1 else _radius(M[np.ix_(c, c)]) for c in classes)
+    v = _perron_candidate(M)
+    if v is not None and v.min() > 0.0:
+        lo, hi = _cw_enclosure(M, v)
+        if hi - lo <= _RADIUS_TOL * hi:
+            return 0.5 * (lo + hi)
+    return _by_squaring(M)[0]
+
+
+def _perron_vector(M: np.ndarray, rho: float):
+    """Read-only right Perron vector of a checked M in the open simplex, or the error that refuses it."""
+    d = M.shape[0]
+    sums = M.sum(axis=1)
+    v = None
+    if sums.min() == sums.max():
+        v = np.full(d, 1.0 / d)
+    elif _digraph.strongly_connected(M > 0.0):
+        v = _perron_candidate(M)
+        if v is not None:
+            v = v / v.sum()
+    if v is None or _perron_defect(M, v, rho) is not None:
+        v = _by_squaring(M)[1]
+        defect = _perron_defect(M, v, rho)
+        if defect is not None:
+            return PerronStructureError(defect)
+    v.setflags(write=False)
+    return v
+
+
+def _perron_defect(M: np.ndarray, v: np.ndarray, rho: float) -> Optional[str]:
+    """Why v is not an acceptable right Perron vector of M, or None."""
+    if not v.min() > _POSITIVITY_RATIO * v.max():
+        return "A^T has no strictly positive Perron eigenvector at this accuracy"
+    residual = float(np.max(np.abs(M @ v - rho * v)))
+    if not residual <= _PERRON_TOL * max(1.0, rho):
+        return f"left Perron residual {residual:.3g} exceeds tolerance {_PERRON_TOL:.3g}"
+    return None
+
+
+def _by_squaring(M: np.ndarray) -> tuple[float, np.ndarray]:
+    """rho(M), and the normalized row sums of powers of M / s + 1e-8 I, by repeated squaring.
+
+    s is the largest row sum of M, which must be positive.  rho comes from
+    the first bracket that is 1e-13 narrow (or from the last one), the vector
+    once it changes by less than 1e-16.
+    """
+    s = float(M.sum(axis=1).max())
+    B = M / s + _SHIFT * np.eye(M.shape[0])
+    k, logscale = 1, 0.0  # invariant: (M / s + 1e-8 I)^k = exp(logscale) * B
+    log_rho = v = None
+    for _ in range(64):
+        rows = B.sum(axis=1)
+        rowmax = float(rows.max())
+        if log_rho is None:
+            diagmax = float(np.max(np.diagonal(B)))
+            log_upper = (logscale + np.log(rowmax)) / k
+            log_lower = (logscale + np.log(diagmax)) / k if diagmax > 0.0 else -np.inf
+            if log_upper - log_lower <= _RADIUS_TOL:
+                log_rho = 0.5 * (log_upper + log_lower)
+        w = rows / rows.sum()
+        settled = v is not None and np.max(np.abs(w - v)) < 1e-16
+        v = w
+        if settled and log_rho is not None:
+            break
+        scaled = B / rowmax
+        B = scaled @ scaled
+        logscale = 2.0 * (logscale + np.log(rowmax))
+        k *= 2
+    if log_rho is None:
+        log_rho = log_upper if not np.isfinite(log_lower) else 0.5 * (log_upper + log_lower)
+    return s * max(float(np.exp(log_rho)) - _SHIFT, 0.0), v
+
+
 # ---------------------------------------------------------------------------
-# the per-A memo
+# the record of A and the per-A memo
 # ---------------------------------------------------------------------------
 
-_MEMO_MAX_D = 64
-_MEMO_SIZE = 128
 
+class HomogeneityAnalysis:
+    """The read-only record of one A: rho(A), its regime, the solver weights and the pattern facts.
 
-class _Facts:
-    """Facts about one checked A, each computed on first use.
-
-    ``left`` and ``right`` hold the read-only Perron vector of A^T and of A,
-    or the :class:`PerronStructureError` that computing it raised.
+    ``A`` is the record's private read-only copy, and every other fact is
+    computed from it on first use.  ``auto_weights`` is ``(b, None)`` with
+    the contraction weights (strict contraction) or the left Perron vector
+    (non-expansive), ``(None, reason)`` when no strictly positive b with
+    A^T b <= b exists, and ``(None, None)`` in the expansive regime.
+    ``irreducible`` and ``primitive`` are :func:`is_irreducible` and
+    :func:`is_primitive` of A.  Setting an attribute raises
+    ``AttributeError``.
     """
 
     def __init__(self, A: np.ndarray, rho: Optional[float] = None):
-        self.A = A
+        self.__dict__["A"] = A
         if rho is not None:
-            self.rho = rho
+            self.__dict__["rho"] = rho
 
-    @functools.cached_property
-    def connected(self) -> bool:
-        """Strong connectivity of the pattern A > 0, which picks the Perron candidate path."""
-        return _digraph.strongly_connected(self.A > 0.0)
+    def __setattr__(self, name, value):
+        raise AttributeError("HomogeneityAnalysis is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError("HomogeneityAnalysis is read-only")
+
+    def __repr__(self):
+        return f"HomogeneityAnalysis(d={self.A.shape[0]}, rho={self.rho!r}, regime={self.regime!r})"
 
     @functools.cached_property
     def rho(self) -> float:
-        return _radius(self.A, self.connected)
+        return _radius(self.A)
 
     @functools.cached_property
-    def left(self):
-        return _perron_or_error(self.A, self.rho, self.connected)
+    def regime(self) -> str:
+        """``strict_contraction``, ``non_expansive`` or ``expansive``: rho(A) below, at or above 1."""
+        if self.rho < 1.0 - _REGIME_TOL:
+            return "strict_contraction"
+        if self.rho <= 1.0 + _REGIME_TOL:
+            return "non_expansive"
+        return "expansive"
 
     @functools.cached_property
-    def right(self):
-        # A^T > 0 is strongly connected exactly when A > 0 is
-        return _perron_or_error(self.A.T, self.rho, self.connected)
+    def auto_weights(self) -> tuple[Optional[np.ndarray], Optional[str]]:
+        if self.regime == "expansive":
+            return None, None
+        try:
+            if self.regime == "strict_contraction":
+                b = self._contraction.b
+            else:
+                b = _unless_error(self._left)
+        except PerronStructureError as exc:
+            return None, f"no positive weights with A^T b <= b ({exc})"
+        return b, None
 
     @functools.cached_property
-    def contraction(self) -> WeightSearchResult:
+    def irreducible(self) -> bool:
+        return _digraph.strongly_connected(self.A > _PATTERN_TOL)
+
+    @functools.cached_property
+    def primitive(self) -> bool:
+        return self.irreducible and _digraph.period(self.A > _PATTERN_TOL) == 1
+
+    @property
+    def right_perron(self) -> Optional[np.ndarray]:
+        """Read-only right Perron vector of A in the open simplex, or None when none is positive."""
+        c = self._right
+        return None if isinstance(c, PerronStructureError) else c
+
+    @functools.cached_property
+    def _left(self):
+        """The read-only left Perron vector of A, or the error that refused it."""
+        return _perron_vector(self.A.T, self.rho)
+
+    @functools.cached_property
+    def _right(self):
+        return _perron_vector(self.A, self.rho)
+
+    @functools.cached_property
+    def _contraction(self) -> WeightSearchResult:
         """:func:`contraction_weights`, read only when rho(A) < 1; ``b`` is read-only.
 
         The inflations A + t of the bisection are never recorded.
         """
         A, rho = self.A, self.rho
-        b = self.left
+        b = self._left
         if not isinstance(b, PerronStructureError) and np.all(A.T @ b <= rho * b + _MARGIN_TOL):
             return WeightSearchResult(b, rho, True)
         target = 0.5 * (1.0 + rho)
@@ -186,31 +335,10 @@ class _Facts:
             t *= 0.5
         else:  # pragma: no cover - continuity of rho guarantees termination
             raise RuntimeError("inflation bisection failed to find rho(A + t) < 1")
-        b = _left_perron(A + t, r)
+        b = _unless_error(_perron_vector((A + t).T, r))
         if not np.all(A.T @ b <= r * b + _MARGIN_TOL):  # pragma: no cover - self check
             raise RuntimeError("contraction weight postcondition A^T b <= r b failed")
-        b.setflags(write=False)
         return WeightSearchResult(b, r, False)
-
-    @functools.cached_property
-    def irreducible(self) -> bool:
-        return _digraph.strongly_connected(self.A > _PATTERN_TOL)
-
-    @functools.cached_property
-    def primitive(self) -> bool:
-        if not self.A.shape[0]:
-            return True
-        return self.irreducible and _digraph.period(self.A > _PATTERN_TOL) == 1
-
-
-def _perron_or_error(M: np.ndarray, rho: float, connected: bool):
-    """Read-only left Perron vector of M, or the error it raised."""
-    try:
-        b = _left_perron(M, rho, connected)
-    except PerronStructureError as exc:
-        return exc
-    b.setflags(write=False)
-    return b
 
 
 def _unless_error(value):
@@ -220,15 +348,18 @@ def _unless_error(value):
     return value
 
 
+_MEMO_MAX_D = 64
+_MEMO_SIZE = 128
+
 # (d, the bytes of the C-ordered float64 A) -> the record of A, oldest first;
 # at most _MEMO_SIZE records of d <= _MEMO_MAX_D.  A record keeps A once (its
 # array shares the key's bytes, 32 KiB at d = 64), three d-vectors and three
 # flags: about 35 KB, and the memo at most about 4.5 MB.
-_MEMO: dict[tuple[int, bytes], _Facts] = {}
+_MEMO: dict[tuple[int, bytes], HomogeneityAnalysis] = {}
 _MEMO_LOCK = threading.Lock()
 
 
-def _recall(A: np.ndarray) -> Optional[_Facts]:
+def _recall(A: np.ndarray) -> Optional[HomogeneityAnalysis]:
     """The memo's record of a checked A, or None."""
     d = A.shape[0]
     if d > _MEMO_MAX_D:
@@ -236,7 +367,7 @@ def _recall(A: np.ndarray) -> Optional[_Facts]:
     return _MEMO.get((d, A.tobytes()))
 
 
-def _remember(A: np.ndarray) -> Optional[_Facts]:
+def _remember(A: np.ndarray) -> Optional[HomogeneityAnalysis]:
     """The memo's record of a checked A, made on first sight; None above the size cap.
 
     The record computes on its own read-only C-ordered copy of A, so equal
@@ -247,30 +378,32 @@ def _remember(A: np.ndarray) -> Optional[_Facts]:
     if d > _MEMO_MAX_D:
         return None
     key = (d, A.tobytes())
-    facts = _MEMO.get(key)
-    if facts is None:
+    record = _MEMO.get(key)
+    if record is None:
         with _MEMO_LOCK:  # threads may share the memo: one record per key, the bound kept
-            facts = _MEMO.get(key)
-            if facts is None:
+            record = _MEMO.get(key)
+            if record is None:
                 if len(_MEMO) >= _MEMO_SIZE:
                     del _MEMO[next(iter(_MEMO))]
-                facts = _MEMO[key] = _Facts(np.frombuffer(key[1]).reshape(d, d))
-    return facts
+                record = _MEMO[key] = HomogeneityAnalysis(np.frombuffer(key[1]).reshape(d, d))
+    return record
 
 
 # ---------------------------------------------------------------------------
-# spectral radius and Perron vectors
+# the public interface
 # ---------------------------------------------------------------------------
 
 
 def spectral_radius(A) -> float:
     """Spectral radius of a nonnegative matrix to 1e-13 relative accuracy.
 
-    Irreducible A (strongly connected pattern of A > 0) has a positive right
-    Perron vector, and for its candidate v the Collatz-Wielandt enclosure
-    [min (Av/v), max (Av/v)] contains rho(A); once it is 1e-13 narrow its
-    midpoint is the answer.  Reducible A, or a candidate that does not close
-    the enclosure, goes to the repeated-squaring bracket.
+    The common row sum when all row sums are equal; the largest radius of
+    the diagonal blocks of the classes of A > 0 when there are several; for
+    irreducible A the midpoint of the Collatz-Wielandt enclosure
+    [min (Av/v), max (Av/v)] of the ``eig`` candidate v, once it is 1e-13
+    narrow; else the repeated-squaring bracket of A / s + 1e-8 I, s the
+    largest row sum (see the module docstring).  A 0 x 0 matrix raises
+    ``ValueError``.
 
     A matrix that :func:`analyze_homogeneity` has seen in this process is
     answered from its memo record, bit for bit the value computed afresh.
@@ -279,123 +412,30 @@ def spectral_radius(A) -> float:
     batch file does (see the module docstring).
     """
     A = _check_nonneg_square(A)
-    facts = _recall(A)
-    if facts is not None:
-        return facts.rho
-    return _radius(A)
-
-
-def _radius(A: np.ndarray, connected: Optional[bool] = None) -> float:
-    """:func:`spectral_radius` of a checked A; ``connected`` is that of A > 0 when known."""
-    if A.shape[0] == 1:
-        return float(A[0, 0])
-    if connected is None:
-        connected = _digraph.strongly_connected(A > 0.0)
-    if connected:
-        v = _perron_candidate(A)
-        if v is not None and v.min() > 0.0:
-            lo, hi = _cw_enclosure(A, v)
-            if hi - lo <= _RADIUS_TOL * hi:
-                return 0.5 * (lo + hi)
-    return _radius_by_squaring(A)
-
-
-def _radius_by_squaring(A: np.ndarray) -> float:
-    """rho(A) from the diagonal and row-sum bracket of renormalized powers of A + 1e-8 I."""
-    d = A.shape[0]
-    M = A + _SHIFT * np.eye(d)
-    k, logscale = 1, 0.0  # invariant: B^k = exp(logscale) * M
-    log_upper = log_lower = None
-    for _ in range(64):
-        rowmax = float(np.max(M.sum(axis=1)))
-        diagmax = float(np.max(np.diagonal(M)))
-        log_upper = (logscale + np.log(rowmax)) / k
-        log_lower = (logscale + np.log(diagmax)) / k if diagmax > 0.0 else -np.inf
-        if log_upper - log_lower <= _RADIUS_TOL:
-            return max(float(np.exp(0.5 * (log_upper + log_lower))) - _SHIFT, 0.0)
-        scaled = M / rowmax
-        M = scaled @ scaled
-        logscale = 2.0 * (logscale + np.log(rowmax))
-        k *= 2
-    mid = log_upper if not np.isfinite(log_lower) else 0.5 * (log_upper + log_lower)
-    return max(float(np.exp(mid)) - _SHIFT, 0.0)
+    record = _recall(A)
+    return _radius(A) if record is None else record.rho
 
 
 def perron_weights(A) -> np.ndarray:
     """Left Perron vector b in the open simplex with A^T b = rho(A) b.
 
-    Irreducible A takes the Perron candidate of A^T (see :func:`spectral_radius`)
-    when the column sums of A + 1e-8 I are not already uniform; the repeated
-    squaring of (A + 1e-8 I)^T answers reducible A and any candidate that
-    fails the positivity or residual check.  Raises
-    :class:`PerronStructureError` when that answer is not strictly positive
+    The uniform vector when the column sums of A are equal; for irreducible
+    A the normalized ``eig`` candidate of A^T (see :func:`spectral_radius`);
+    else, or when that candidate fails the check, the normalized row sums of
+    a high power of A^T / s + 1e-8 I, by the same repeated squaring.  Raises
+    :class:`PerronStructureError` when no such answer is strictly positive
     (its smallest entry at most 1e-12 times its largest: reducible matrices
-    with deficient Perron structure) or leaves a residual above
-    1e-10 * max(1, rho); callers then fall back to :func:`contraction_weights`.
+    with deficient Perron structure) with a residual |A^T b - rho b| of at
+    most 1e-10 * max(1, rho); callers then fall back to
+    :func:`contraction_weights`.
 
     A matrix that :func:`analyze_homogeneity` has seen in this process is
     answered from its memo record (d <= 64, bounded, one per process: see
     :func:`spectral_radius`); the result is a fresh copy either way.
     """
     A = _check_nonneg_square(A)
-    facts = _recall(A) or _Facts(A)
-    return np.array(_unless_error(facts.left))
-
-
-def _perron_defect(A: np.ndarray, b: np.ndarray, rho: float) -> Optional[str]:
-    """Why b is not an acceptable left Perron vector of A, or None."""
-    if not b.min() > _POSITIVITY_RATIO * b.max():
-        return "A^T has no strictly positive Perron eigenvector at this accuracy"
-    residual = float(np.max(np.abs(A.T @ b - rho * b)))
-    if not residual <= _PERRON_TOL * max(1.0, rho):
-        return f"left Perron residual {residual:.3g} exceeds tolerance {_PERRON_TOL:.3g}"
-    return None
-
-
-def _left_perron(A: np.ndarray, rho: float, connected: Optional[bool] = None) -> np.ndarray:
-    """The left Perron vector of a checked A whose spectral radius is ``rho``, computed afresh.
-
-    ``connected`` is the strong connectivity of A > 0 when known.
-    """
-    d = A.shape[0]
-    if d == 1:
-        return np.ones(1)
-    if connected is None:
-        connected = _digraph.strongly_connected(A > 0.0)
-    if connected:
-        sums = (A + _SHIFT * np.eye(d)).T @ np.ones(d)
-        b = sums / sums.sum()
-        # uniform column sums make the squaring's first pass its answer
-        if not np.max(np.abs(b - 1.0 / d)) < 1e-16:
-            v = _perron_candidate(A.T)
-            b = None if v is None else v / v.sum()
-        if b is not None and _perron_defect(A, b, rho) is None:
-            return b
-    b = _perron_by_squaring(A)
-    defect = _perron_defect(A, b, rho)
-    if defect is not None:
-        raise PerronStructureError(defect)
-    return b
-
-
-def _perron_by_squaring(A: np.ndarray) -> np.ndarray:
-    """Normalized (A + 1e-8 I)^T-power image of the ones vector, by repeated squaring."""
-    d = A.shape[0]
-    M = (A + _SHIFT * np.eye(d)).T
-    b = np.full(d, 1.0 / d)
-    for _ in range(64):
-        v = M @ np.ones(d)
-        v_sum = v.sum()
-        if not np.isfinite(v_sum) or v_sum <= 0.0:
-            break
-        v = v / v_sum
-        if np.max(np.abs(v - b)) < 1e-16:
-            b = v
-            break
-        b = v
-        scaled = M / np.max(M)
-        M = scaled @ scaled
-    return b
+    record = _recall(A) or HomogeneityAnalysis(A)
+    return np.array(_unless_error(record._left))
 
 
 def contraction_weights(A) -> WeightSearchResult:
@@ -412,91 +452,40 @@ def contraction_weights(A) -> WeightSearchResult:
         raise ValueError(
             f"contraction weight search needs rho(A) < 1, got {analysis.rho:.17g} ({analysis.regime})"
         )
-    res = analysis._facts.contraction
+    res = analysis._contraction
     return dataclasses.replace(res, b=np.array(res.b))
 
 
-@dataclasses.dataclass(frozen=True)
-class HomogeneityAnalysis:
-    """rho(A), its regime, and the automatic solver weights for that regime.
-
-    ``auto_weights`` is computed on first access: ``(b, None)`` with the
-    contraction weights (strict contraction) or the left Perron vector
-    (non-expansive), ``(None, reason)`` when no strictly positive b with
-    A^T b <= b exists, and ``(None, None)`` in the expansive regime.
-    ``irreducible``, ``primitive`` and ``right_perron`` are facts of A read
-    from its record, each computed once.
-    """
-
-    A: np.ndarray = dataclasses.field(repr=False, compare=False)
-    rho: float
-    regime: str
-    _facts: _Facts = dataclasses.field(repr=False, compare=False)
-
-    @functools.cached_property
-    def auto_weights(self) -> tuple[Optional[np.ndarray], Optional[str]]:
-        if self.regime == "expansive":
-            return None, None
-        try:
-            if self.regime == "strict_contraction":
-                b = self._facts.contraction.b
-            else:
-                b = _unless_error(self._facts.left)
-        except PerronStructureError as exc:
-            return None, f"no positive weights with A^T b <= b ({exc})"
-        return b, None
-
-    @property
-    def irreducible(self) -> bool:
-        """:func:`is_irreducible` of A."""
-        return self._facts.irreducible
-
-    @property
-    def primitive(self) -> bool:
-        """:func:`is_primitive` of A."""
-        return self._facts.primitive
-
-    @property
-    def right_perron(self) -> Optional[np.ndarray]:
-        """Read-only right Perron vector of A in the open simplex, or None when none is positive."""
-        c = self._facts.right
-        return None if isinstance(c, PerronStructureError) else c
-
-
 def analyze_homogeneity(A) -> HomogeneityAnalysis:
-    """rho(A) and its regime; the only place the rho(A) = 1 tolerance is applied.
+    """The record of A: rho(A), its regime and the automatic weights.
+
+    The record's ``regime`` is the only place the rho(A) = 1 tolerance is
+    applied.
 
     A d x d matrix with d <= 64 gets (or finds) its record in the memo, so a
     second analysis of an equal matrix -- the same homogeneity matrix parsed
-    again by another document of a batch file, say -- reuses rho(A), the
-    weights and the pattern facts.  The memo is bounded and one per process,
-    so each ``--jobs`` worker has its own, and a single-document CLI run gains
-    nothing from it (see the module docstring).  rho(A) is read through
-    :func:`spectral_radius` either way; a larger A gets a one-off record.
+    again by another document of a batch file, say -- returns the same
+    record, with rho(A), the weights and the pattern facts.  The memo is
+    bounded and one per process, so each ``--jobs`` worker has its own, and a
+    single-document CLI run gains nothing from it (see the module docstring).
+    rho(A) is read through :func:`spectral_radius` either way; a larger A
+    gets a one-off record.
     """
     A = _check_nonneg_square(A)
-    facts = _remember(A)
-    if facts is not None:
-        rho = spectral_radius(facts.A)
-    else:  # above the memo's size cap: a one-off record of a private copy
+    record = _remember(A)
+    if record is None:  # above the memo's size cap: a one-off record of a private copy
         A = np.array(A)
         A.setflags(write=False)
-        rho = spectral_radius(A)
-        facts = _Facts(A, rho)
-    if rho < 1.0 - _REGIME_TOL:
-        regime = "strict_contraction"
-    elif rho <= 1.0 + _REGIME_TOL:
-        regime = "non_expansive"
-    else:
-        regime = "expansive"
-    return HomogeneityAnalysis(facts.A, rho, regime, facts)
+        return HomogeneityAnalysis(A, spectral_radius(A))
+    spectral_radius(record.A)  # computes the record's rho, or reads it
+    return record
 
 
 def lipschitz_bound(A, b) -> float:
     """Metric Lipschitz constant C = max_i (A^T b)_i / b_i; always >= rho(A)."""
     A = _check_nonneg_square(A)
     b = np.asarray(b, dtype=float)
-    if b.shape != (A.shape[0],) or np.any(b <= 0.0):
+    if b.shape != (A.shape[0],) or not np.all((0.0 < b) & (b < np.inf)):
         raise ValueError("b must be a strictly positive vector matching A")
     return float(np.max(A.T @ b / b))
 
@@ -506,9 +495,10 @@ def is_irreducible(A) -> bool:
 
     The pattern holds the entries above 1e-12.  Decided as strong
     connectivity of the pattern digraph: one component in Tarjan's search,
-    O(n^2) on the dense pattern.
+    O(n^2) on the dense pattern.  The 0 x 0 pattern is irreducible
+    vacuously.
     """
-    A = _check_nonneg_square(A)
+    A = _check_pattern_source(A)
     return _digraph.strongly_connected(A > _PATTERN_TOL)
 
 
@@ -524,7 +514,7 @@ def is_primitive(A) -> bool:
     plus period 1, the period being the gcd of depth(u) + 1 - depth(v) over
     the edges for the depths of the search tree: two searches and one pass
     over the edges, O(n^2).  A 1 x 1 zero pattern is irreducible but not
-    primitive.
+    primitive; the 0 x 0 pattern is primitive vacuously.
     """
-    A = _check_nonneg_square(A)
+    A = _check_pattern_source(A)
     return _digraph.primitive(A > _PATTERN_TOL)

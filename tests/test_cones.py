@@ -147,6 +147,23 @@ class TestBlockNorms:
         x = ProductVector([[1, 2]])
         np.testing.assert_allclose(block_norms(x, NormSpec([[2.0, 0.5]])), [3.0])
 
+    @pytest.mark.parametrize("blocks", [[[1e200, 1e200]], [[1e200, 1e200], [3.0, 4.0]], [[1e300, 1.0, 1e300]]])
+    def test_euclidean_norm_does_not_overflow_when_it_fits(self, blocks):
+        # the sum of squares overflows; the norm is a finite double.  Two
+        # blocks of one size take the stacked path, the others the per-block one
+        ns = block_norms(ProductVector(blocks), NormSpec.euclidean(len(blocks)))
+        expected = [max(b) * math.sqrt(sum((v / max(b)) ** 2 for v in b)) for b in blocks]
+        np.testing.assert_allclose(ns, expected, rtol=1e-15)
+        assert block_norms(ProductVector([[1.5e308, 1.5e308]]), NormSpec.euclidean(1))[0] == math.inf
+
+    @pytest.mark.parametrize("sizes", [(5,), (3, 3, 3), (2, 4)])
+    def test_finite_euclidean_norms_keep_their_bits(self, sizes):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            blocks = [rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-150.0, 150.0) for n in sizes]
+            ns = block_norms(ProductVector(blocks), NormSpec.euclidean(len(sizes)))
+            assert ns.tolist() == [math.sqrt(np.dot(b, b)) for b in blocks]
+
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
             NormSpec([0.5])
@@ -166,6 +183,10 @@ class TestNormalize:
         out = normalize(ProductVector([[3, 4], [0, 2]]), NormSpec([2, 2]))
         np.testing.assert_allclose(out.blocks[0], [0.6, 0.8])
         np.testing.assert_allclose(out.blocks[1], [0.0, 1.0])
+
+    def test_huge_entries_normalize(self):
+        out = normalize(ProductVector([[1e300, 1e300], [3.0, 4.0]]), NormSpec([2, 2]))
+        np.testing.assert_allclose(out.flat, [0.5**0.5, 0.5**0.5, 0.6, 0.8], rtol=1e-15)
 
     def test_zero_block_rejected(self):
         with pytest.raises(ValueError, match="zero"):

@@ -250,6 +250,15 @@ def _reducible(rng, d: int, defective: bool) -> np.ndarray:
     return A[np.ix_(perm, perm)]
 
 
+def _classes(A) -> list[list[int]]:
+    """Classes of the pattern A > 0 from a dense transitive closure, not from a graph search."""
+    d = A.shape[0]
+    R = (A > 0.0) | np.eye(d, dtype=bool)
+    for _ in range(d):
+        R |= (R.astype(int) @ R.astype(int)) > 0
+    return [list(c) for c in {tuple(np.flatnonzero(row)) for row in R & R.T}]
+
+
 def _given(check, max_examples: int, **draws):
     """Run check on a drawn rng seed and drawn integers in the given (low, high) ranges."""
     hypothesis = pytest.importorskip("hypothesis")
@@ -278,17 +287,23 @@ class TestPerronKernelProperties:
         self._given(check, d=(2, 12), period=(1, 5))
 
     def test_reducible_and_defective_take_the_squaring_bit_for_bit(self):
+        # rho of a reducible A is that of its classes; its Perron vectors are
+        # the uniform one or the squaring's, never the candidate's
         def check(seed, d, defective):
             rng = np.random.default_rng(seed)
             A = _reducible(rng, d, bool(defective))
             assert not is_irreducible(A)
             rho = spectral_radius(A)
-            assert rho == homogeneity._radius_by_squaring(A)
+            assert rho == max(spectral_radius(A[np.ix_(c, c)]) for c in _classes(A))
             try:
                 b = perron_weights(A)
             except PerronStructureError:
                 return
-            assert np.array_equal(b, homogeneity._perron_by_squaring(A))
+            sums = A.sum(axis=0)
+            if sums.min() == sums.max():
+                assert np.array_equal(b, np.full(d, 1.0 / d))
+            else:
+                assert np.array_equal(b, homogeneity._by_squaring(A.T)[1])
 
         self._given(check, d=(2, 8), defective=(0, 1))
 
@@ -302,6 +317,112 @@ class TestPerronKernelProperties:
             assert np.max(np.abs(A.T @ b - rho * b)) <= 1e-10 * max(1.0, rho)
 
         self._given(check, d=(2, 12), period=(1, 5))
+
+
+class TestRadiusByStructure:
+    """Row sums, the class structure and the relative shift: scale-free radii."""
+
+    _given = staticmethod(functools.partial(_given, max_examples=60))
+
+    def test_reducible_radius_is_the_largest_class_radius(self):
+        def check(seed, d, defective, scale):
+            rng = np.random.default_rng(seed)
+            s = (1e-300, 1.0, 1e300)[scale]
+            A = _reducible(rng, d, bool(defective)) * s
+            classes = _classes(A)
+            rho = spectral_radius(A)
+            if all(len(c) == 1 for c in classes):
+                assert rho == np.diagonal(A).max()
+            else:
+                radii = [float(np.max(np.abs(np.linalg.eigvals(A[np.ix_(c, c)] / s)))) * s for c in classes]
+                assert abs(rho - max(radii)) <= 1e-12 * max(radii), (rho, radii)
+            if s == 1.0:  # eigvals of a Jordan block err by about sqrt(eps)
+                exact = float(np.max(np.abs(np.linalg.eigvals(A))))
+                assert abs(rho - exact) <= (1e-7 if defective else 1e-11) * exact
+
+        self._given(check, d=(2, 8), defective=(0, 1), scale=(0, 2))
+
+    def test_spread_irreducible_matrices_at_any_scale(self):
+        # entries over 10^-8 .. 10^8: the eig candidate often misses its
+        # enclosure, and the squaring answers
+        def check(seed, d, period, exponent):
+            rng = np.random.default_rng(seed)
+            n = max(d, period)
+            A = _irreducible(rng, n, period) * 10.0 ** rng.uniform(-8.0, 8.0, (n, n)) * 10.0**exponent
+            exact = float(np.max(np.abs(np.linalg.eigvals(A))))
+            assert abs(spectral_radius(A) - exact) <= 1e-10 * exact
+
+        self._given(check, d=(2, 8), period=(1, 4), exponent=(-100, 100))
+
+    def test_reducible_extremes_are_exact(self):
+        for A, rho in (
+            ([[1e-300, 1e-300], [0.0, 1e-300]], 1e-300),
+            ([[1e-10, 1.0], [0.0, 2e-10]], 2e-10),
+            ([[1e300, 1e300], [0.0, 1e300]], 1e300),
+        ):
+            assert spectral_radius(A) == rho
+
+    def test_a_failed_candidate_scales(self):
+        A = np.array([[0.0, 1.0, 1e4], [1e-5, 0.0, 1e-7], [1e4, 1e-7, 0.0]])
+        lo, hi = homogeneity._cw_enclosure(A, homogeneity._perron_candidate(A))
+        assert hi - lo > 1e-13 * hi  # the squaring answers
+        rho = spectral_radius(A)
+        assert abs(rho - float(np.max(np.abs(np.linalg.eigvals(A))))) <= 1e-13 * rho
+        for e in range(-250, 251, 25):
+            assert abs(spectral_radius(A * 10.0**e) - rho * 10.0**e) <= 1e-13 * rho * 10.0**e, e
+
+    def test_uniform_row_sums_give_the_row_sum_and_the_uniform_vector(self):
+        A = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 3.0, 1.0]])
+        homogeneity._MEMO.clear()
+        assert spectral_radius(A) == 6.0
+        assert np.array_equal(perron_weights(A), np.full(3, 1.0 / 3.0))
+        analysis = analyze_homogeneity(A)
+        assert analysis.rho == 6.0 and np.array_equal(analysis.right_perron, np.full(3, 1.0 / 3.0))
+        # reducible, with uniform row sums but not column sums: the right
+        # vector is uniform, and no left one is positive
+        B = np.array([[1.0, 1.0], [0.0, 2.0]])
+        assert spectral_radius(B) == 2.0
+        assert np.array_equal(analyze_homogeneity(B).right_perron, [0.5, 0.5])
+        with pytest.raises(PerronStructureError):
+            perron_weights(B)
+
+
+class TestRecord:
+    def test_one_record_per_matrix(self):
+        homogeneity._MEMO.clear()
+        assert analyze_homogeneity(MOTIVATING_A) is analyze_homogeneity(MOTIVATING_A.tolist())
+        ring = np.roll(np.eye(65), 1, axis=1) * 0.5  # above the memo's size cap
+        assert analyze_homogeneity(ring) is not analyze_homogeneity(ring)
+
+    def test_read_only(self):
+        analysis = analyze_homogeneity(MOTIVATING_A)
+        for name in ("A", "rho", "regime", "auto_weights", "irreducible", "primitive", "right_perron", "other"):
+            with pytest.raises(AttributeError):
+                setattr(analysis, name, None)
+        analysis.auto_weights
+        with pytest.raises(AttributeError):
+            del analysis.auto_weights
+        assert analysis.rho == 0.5 and analysis.auto_weights[0] is not None
+
+    def test_repr(self):
+        assert repr(analyze_homogeneity(MOTIVATING_A)) == (
+            "HomogeneityAnalysis(d=2, rho=0.5, regime='strict_contraction')"
+        )
+
+
+def test_empty_matrices_are_refused():
+    Z = np.zeros((0, 0))
+    for f in (spectral_radius, perron_weights, contraction_weights, analyze_homogeneity):
+        with pytest.raises(ValueError, match="nonempty"):
+            f(Z)
+    with pytest.raises(ValueError, match="nonempty"):
+        lipschitz_bound(Z, np.ones(0))
+
+
+@pytest.mark.parametrize("b", [[float("nan")], [float("inf")], [-float("inf")], [0.0]])
+def test_lipschitz_bound_refuses_weights_that_are_not_finite_and_positive(b):
+    with pytest.raises(ValueError, match="strictly positive vector"):
+        lipschitz_bound([[1.0]], b)
 
 
 def _ulps(x: float, exact: float) -> float:
@@ -343,14 +464,13 @@ def test_cli_families_skip_the_squaring_for_irreducible_A(monkeypatch):
     from mhspectral import cli
 
     seen = []
-    for name in ("_radius_by_squaring", "_perron_by_squaring"):
-        original = getattr(homogeneity, name)
+    original = homogeneity._by_squaring
 
-        def counting(M, *args, _original=original, **kwargs):
-            seen.append(np.array(M))
-            return _original(M, *args, **kwargs)
+    def counting(M):
+        seen.append(np.array(M))
+        return original(M)
 
-        monkeypatch.setattr(homogeneity, name, counting)
+    monkeypatch.setattr(homogeneity, "_by_squaring", counting)
     golden = pathlib.Path(__file__).resolve().parent / "data" / "graph_reports.json"
     irreducible = 0
     for family, entry in json.loads(golden.read_text()).items():
@@ -439,10 +559,8 @@ class TestMemo:
                 fresh["perron"] = perron_weights(A)
             except PerronStructureError as exc:
                 fresh["perron"] = str(exc)
-            try:
-                fresh["right_perron"] = homogeneity._left_perron(A.T, rho)
-            except PerronStructureError:
-                fresh["right_perron"] = None
+            right = homogeneity._perron_vector(A, rho)
+            fresh["right_perron"] = None if isinstance(right, PerronStructureError) else right
             assert not homogeneity._MEMO  # no analysis yet, so no record
             cold = _facts_of(A)  # fills the record
             assert len(homogeneity._MEMO) == 1

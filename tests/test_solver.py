@@ -675,7 +675,7 @@ class TestHomogeneityAnalysisReuse:
             raise AssertionError("weight search ran for explicit weights")
 
         homogeneity._MEMO.clear()  # no weights recorded from an earlier test
-        monkeypatch.setattr(homogeneity, "_left_perron", forbidden)
+        monkeypatch.setattr(homogeneity, "_perron_vector", forbidden)
         F = motivating_map()
         seen = self._count_radius_of(monkeypatch, F.A)
         rep = power_method(F, None, _cfg(2, weights=np.array([0.25, 1.0])))
@@ -904,8 +904,8 @@ class TestRhoLEnclosure:
 
     def test_no_positive_right_perron_vector_falls_back(self, monkeypatch):
         F = tight_map([[1.0, 0.5], [0.0, 0.5]], (2, 3))
-        with pytest.raises(PerronStructureError):
-            homogeneity._left_perron(F.A.T, F.analysis.rho)
+        assert isinstance(homogeneity._perron_vector(F.A, F.analysis.rho), PerronStructureError)
+        assert F.analysis.right_perron is None
         rep = power_method(F, None, _cfg(2, weights=np.array([0.5, 0.5])))
         sizes = _radius_sizes(monkeypatch)
         cert = certify_uniqueness(F, rep)
@@ -994,6 +994,17 @@ class TestRescaleUnderflow:
         assert rep.status == solver.DIVERGED and rep.eigenpair is None
         assert rep.messages == ["block norm overflowed"] and rep.residual is None
         assert rep.iterations == 1 and len(rep.bracket_trace) == 1
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_block_norms_that_fit_converge(self, p):
+        # F(x) has entries near 1.4e200, whose squares overflow, yet every
+        # norm fits: each norm converges to lambda = 2e200
+        F = linear_map([[1e200, 1e200], [1e200, 1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = power_method(F, None, SolverConfig(norms=NormSpec.lp(p, 1)))
+        assert rep.status == solver.CONVERGED
+        np.testing.assert_allclose(rep.eigenpair.lam, [2e200], rtol=1e-14)
 
     def test_pq_singular_graph_report_document(self):
         import json
