@@ -430,7 +430,6 @@ def _solver_config(inst: Instance) -> solvermod.SolverConfig:
         max_iter=inst.max_iter,
         weights=inst.weights,
         delta_schedule=inst.delta_schedule,
-        keep_iterates=False,
     )
 
 

@@ -85,20 +85,6 @@ def _log_bracket(y: np.ndarray, x: np.ndarray, shape: ShapeSpec, w: np.ndarray):
     return np.add.accumulate(lo)[-1] + 0.0, np.add.accumulate(hi)[-1] + 0.0
 
 
-def _hilbert_trace(xs, y: ProductVector, b) -> list[float]:
-    """[hilbert_metric(x, y, b) for x in xs] in one 2-D pass over the stacked xs.
-
-    Every x must have the shape of y.
-    """
-    X = np.stack([x.flat for x in xs])
-    _require_interior(X[0], "x")
-    _require_interior(y.flat, "y")
-    _require_interior(X, "x")
-    w = as_weight_vector(b, y.d)
-    lo, hi = _log_ratio_extrema(X, y.flat, y.shape)
-    return _weighted_sum(w, hi - lo).tolist()
-
-
 def ratio_extrema(x: ProductVector, y: ProductVector) -> RatioExtrema:
     """Blockwise max and min of x/y; y must be strictly positive, x nonnegative.
 
@@ -122,7 +108,11 @@ def hilbert_metric(x: ProductVector, y: ProductVector, b) -> float:
     argument.
     """
     _check_same_shape(x, y)
-    return _hilbert_trace([x], y, b)[0]
+    _require_interior(x.flat, "x")
+    _require_interior(y.flat, "y")
+    w = as_weight_vector(b, x.d)
+    lo, hi = _log_ratio_extrema(x.flat, y.flat, x.shape)
+    return float(_weighted_sum(w, hi - lo))
 
 
 def thompson_metric(x: ProductVector, y: ProductVector, b) -> float:

@@ -20,8 +20,14 @@ and convergence additionally needs a primitive Jacobian pattern at the
 eigenvector.  For rho(A) > 1 no guarantee from the underlying theory applies
 and auto-solving refuses.  (The cited convergence-rate statement is phrased
 with "A b < b" where the bracket statements use "A^T b <= b"; the solver
-follows the transpose form throughout and attaches the rate envelope exactly
-when rho(A) < 1.)
+follows the transpose form throughout.)
+
+The convergence theorem makes F a C-contraction in the weighted Hilbert
+metric mu_b, with C = max_i (A^T b)_i / b_i, whenever C < 1.  The log bracket
+gap of one step, log(upper_k / lower_k), is mu_b(x^k, x^{k+1}), so a
+converged solve with C < 1 checks the contraction gap_{k+1} <= C gap_k from
+its bracket trace alone and bounds mu_b(x, u*) <= gap_K / (1 - C) at the
+returned x (Banach).
 
 Also here: the raw Collatz-Wielandt bound functions, an orbit-growth estimate
 of the Bonsall radius, a warm-started delta-continuation toward maximal
@@ -58,7 +64,7 @@ from .homogeneity import (
     wielandt_bound,
 )
 from .maps import EigenPair, MapInstance, evaluate, has_kink, jacobian_at
-from .metrics import _hilbert_trace, _log_bracket
+from .metrics import _log_bracket
 
 __all__ = [
     "ExpansiveMapError",
@@ -90,6 +96,13 @@ DIVERGED = "diverged"
 # is cycling, and the iterates of the cycle are averaged
 _CYCLE_WINDOW = 2
 
+# slack of the contraction check gap_{k+1} <= C gap_k on the bracket trace:
+# the log of a ratio of two rounded bracket ends is off by a few ulps
+_CONTRACTION_SLACK = 1e-12
+
+# the most shifts a delta schedule may ask for; the default one has 27
+_MAX_SHIFTS = 10_000
+
 
 class ExpansiveMapError(ValueError):
     """Auto-solving refused: rho(A) > 1 lies outside the contractive theory."""
@@ -108,6 +121,9 @@ class DeltaSchedule:
             raise ValueError("need finite delta0, floor > 0 and factor in (0, 1)")
         if self.floor > self.delta0:
             raise ValueError("floor exceeds delta0")
+        count = (math.log(self.floor) - math.log(self.delta0)) / math.log(self.factor) + 1.0
+        if count > _MAX_SHIFTS:
+            raise ValueError(f"the schedule asks for about {count:.3g} shifts, more than {_MAX_SHIFTS}")
         out, delta = [], self.delta0
         while delta >= self.floor * (1.0 - 1e-12):
             out.append(delta)
@@ -122,7 +138,6 @@ class SolverConfig:
     max_iter: int = 10_000
     weights: Optional[np.ndarray] = None  # None selects weights from A
     delta_schedule: DeltaSchedule = dataclasses.field(default_factory=DeltaSchedule)
-    keep_iterates: bool = True
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -154,9 +169,8 @@ class SolveReport:
     residual: Optional[float] = None
     rate_bound: Optional[float] = None
     certificate: Optional[Certificate] = None
-    iterates: Optional[list] = None
-    metric_trace: Optional[list] = None
     envelope_ok: Optional[bool] = None
+    error_radius: Optional[float] = None
     messages: list = dataclasses.field(default_factory=list)
     delta_trace: Optional[list] = None
     r_extrapolated: Optional[float] = None
@@ -253,9 +267,12 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
     """Run the normalized iteration from x0 (all-ones start when None).
 
     Returns the eigenpair with lambda_i = ||F_i(x)|| at the normalized fixed
-    point, the full bracket trace, and, in the strict-contraction regime, the
-    a-priori convergence envelope checked a posteriori against the converged
-    eigenvector.
+    point and the full bracket trace.  A converged solve whose weights give
+    C = max_i (A^T b)_i / b_i < 1 also reads its log bracket gaps
+    gap_k = mu_b(x^k, x^{k+1}) off the trace: ``envelope_ok`` tells whether
+    every step contracted, gap_{k+1} <= C gap_k (up to 1e-12), and
+    ``error_radius`` = gap_K / (1 - C) bounds mu_b(x, u*) from the returned x
+    to the fixed point.  Otherwise both are None.
     """
     norms = cfg.norms
     if norms.d != F.shape.d:
@@ -271,7 +288,6 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
     analysis = F.analysis
     rate_bound = analysis.rho if analysis.regime == "strict_contraction" else None
     trace: list[tuple[float, float]] = []
-    iterates = [x] if cfg.keep_iterates else None
     recent = collections.deque([x], maxlen=_CYCLE_WINDOW + 1)
     status, eigenpair, res_val = MAX_ITER, None, None
     iterations = 0
@@ -349,8 +365,6 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
             messages.append("iterate left the open cone")
             break
         recent.append(x)
-        if cfg.keep_iterates:
-            iterates.append(x)
 
     if status == MAX_ITER and trace:
         y = evaluate(F, x)
@@ -367,22 +381,17 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
         weights=b,
         residual=res_val,
         rate_bound=rate_bound,
-        iterates=iterates,
         messages=messages,
     )
-    if (
-        status == CONVERGED
-        and rate_bound is not None
-        and cfg.keep_iterates
-        and eigenpair is not None
-        and eigenpair.x.is_pos()
-    ):
-        mu = _hilbert_trace(iterates, eigenpair.x, b)
-        report.metric_trace = mu
-        bound0 = mu[0] / (1.0 - rate_bound)
-        report.envelope_ok = all(
-            mu_k <= rate_bound**k * bound0 + 1e-9 for k, mu_k in enumerate(mu)
-        )
+    if status == CONVERGED:
+        C = float(np.max(F.A.T @ b / b))
+        if C < 1.0:
+            # a bracket end beyond the double range leaves its gap unknown: +inf
+            gaps = [math.log(hi / lo) if lo > 0.0 and hi < math.inf else math.inf for lo, hi in trace]
+            report.envelope_ok = all(
+                g1 <= C * g0 + _CONTRACTION_SLACK for g0, g1 in zip(gaps, gaps[1:])
+            )
+            report.error_radius = gaps[-1] / (1.0 - C)
     return report
 
 
@@ -508,9 +517,7 @@ def delta_continuation(F: MapInstance, cfg: SolverConfig) -> SolveReport:
         x0 = ones_vector(F.shape) if last is None else _geometric_guess(last.eigenpair.x, x_prev)
         Fd = shifted(F, delta, cfg.norms)
         inner_tol = min(1e-3, max(cfg.tol, cfg.tol * delta / floor, 1e-13))
-        inner = dataclasses.replace(
-            cfg, tol=inner_tol, weights=b, keep_iterates=False
-        )
+        inner = dataclasses.replace(cfg, tol=inner_tol, weights=b)
         rep = power_method(Fd, x0, inner)
         total_iters += rep.iterations
         if rep.status not in (CONVERGED, BRACKET_CONVERGED_CYCLING):

@@ -622,6 +622,15 @@ class TestMainEntry:
         assert report["status"] == "diverged" and report["lambda"] is None
         assert report["messages"] == ["block norm overflowed"]
 
+    def test_a_schedule_of_too_many_shifts_exits_two(self, tmp_path, capsys):
+        doc = {
+            "map": {"family": "linear", "params": {"matrix": [[1.0, 1.0], [0.0, 1.0]]}},
+            "solver": {"method": "continuation", "delta_schedule": {"factor": 1.0 - 1e-12}},
+        }
+        inst = _write(tmp_path, "long.json", doc)
+        assert main(["solve", inst]) == 2
+        assert "shifts, more than 10000" in capsys.readouterr().err
+
     def test_log_env_levels(self, tmp_path, capsys, monkeypatch):
         inst = _write(tmp_path, "inst.json", MOTIVATING_DOC)
         for level in ("error", "info", "trace"):

@@ -50,6 +50,7 @@ REMOVED = {
         motivating_map(), ones_vector(motivating_map().shape), [1.0, 1.0], NormSpec.euclidean(2), floor=1e-15
     ),
     "SolverConfig-cycle_window": lambda: SolverConfig(norms=NormSpec.euclidean(2), cycle_window=2),
+    "SolverConfig-keep_iterates": lambda: SolverConfig(norms=NormSpec.euclidean(2), keep_iterates=False),
     "build_graph-t_grid": lambda: build_graph(motivating_map(), t_grid=(1e2, 1e4, 1e6)),
     "build_graph-slope_tol": lambda: build_graph(motivating_map(), slope_tol=0.01),
     "build_dual_graph-t_grid": lambda: build_dual_graph(motivating_map(), t_grid=(1e-2, 1e-4, 1e-6)),

@@ -29,6 +29,7 @@ from mhspectral import (
     linear_map,
     matrix_power_scale,
     motivating_map,
+    normalize,
     power_method,
     pq_singular_map,
     ratio_extrema,
@@ -395,32 +396,48 @@ class TestBlockwiseKernels:
             assert _same_bits(solver._cycle_average(vs, norms).flat, want)
 
     def test_envelope_trace(self):
-        for shape, rng in _cases():
-            xs = [_vector(rng, shape) for _ in range(int(rng.integers(1, 6)))]
-            u = _vector(rng, shape)
-            b = rng.uniform(0.01, 1.0, shape.d)
-            want = [_ref_metric(x.blocks, u.blocks, b, False) for x in xs]
-            got = metrics._hilbert_trace(xs, u, b)
-            assert all(type(v) is float for v in got)
-            assert _same_bits(got, want)
+        # the log gap of bracket k is the Hilbert distance of x_k to x_{k+1}
+        for F, G, norms, x0 in _step_cases():
+            b = np.linspace(0.5, 1.0, F.shape.d)
+            rep = power_method(F, x0, SolverConfig(norms=norms, tol=1e-300, max_iter=4, weights=b))
+            xs, _ = _former_iterates(G, x0, b, norms, 4)
+            for (lo, hi), x, y in zip(rep.bracket_trace, xs, xs[1:]):
+                mu = hilbert_metric(x, y, b)
+                assert abs(math.log(hi / lo) - mu) <= 1e-13 * max(1.0, mu)
 
     def test_envelope_trace_of_a_solve(self):
         F = motivating_map()
-        rep = power_method(F, None, SolverConfig(norms=NormSpec.euclidean(2)))
-        assert rep.envelope_ok
-        u, b = rep.eigenpair.x, rep.weights
-        assert _same_bits(rep.metric_trace, [_ref_metric(x.blocks, u.blocks, b, False) for x in rep.iterates])
+        norms = NormSpec.euclidean(2)
+        # all-ones is the fixed point; this start takes 35 steps
+        x0 = normalize(ProductVector([[1.0, 2.0], [3.0, 1.0]]), norms)
+        rep = power_method(F, x0, SolverConfig(norms=norms))
+        b = rep.weights
+        C = float(np.max(F.A.T @ b / b))
+        gaps = [math.log(hi / lo) for lo, hi in rep.bracket_trace]
+        assert rep.envelope_ok and all(g1 <= C * g0 + 1e-12 for g0, g1 in zip(gaps, gaps[1:]))
+        assert _same_bits(rep.error_radius, gaps[-1] / (1.0 - C))
+        # x_j ends the solve cut at j steps, and x_K is one step past the
+        # converged x_{K-1}; each gap is mu_b(x_j, x_{j+1})
+        xs = [normalize(x0, norms)] + [
+            power_method(F, x0, SolverConfig(norms=norms, max_iter=j)).eigenpair.x
+            for j in range(1, rep.iterations)
+        ]
+        xs.append(normalize(evaluate(F, rep.eigenpair.x), norms))
+        assert len(xs) == len(gaps) + 1
+        for gap, x, y in zip(gaps, xs, xs[1:]):
+            mu = _ref_metric(x.blocks, y.blocks, b, False)
+            assert abs(gap - mu) <= 1e-13 * max(1.0, mu)
 
     def test_envelope_trace_checks_interior_in_call_order(self):
-        # the same first error as one hilbert_metric(x, u, b) call per iterate
+        # hilbert_metric checks x before y
         good = ProductVector([[1.0, 2.0], [1.0]])
         tiny = ProductVector([[1.0, POSITIVITY_FLOOR], [1.0]])
         with pytest.raises(ValueError, match="^x must"):
-            metrics._hilbert_trace([tiny, good], tiny, [1.0, 1.0])
+            hilbert_metric(tiny, tiny, [1.0, 1.0])
         with pytest.raises(ValueError, match="^y must"):
-            metrics._hilbert_trace([good, tiny], tiny, [1.0, 1.0])
+            hilbert_metric(good, tiny, [1.0, 1.0])
         with pytest.raises(ValueError, match="^x must"):
-            metrics._hilbert_trace([good, tiny], good, [1.0, 1.0])
+            hilbert_metric(tiny, good, [1.0, 1.0])
 
     def test_finite_difference_jacobians(self):
         rng = np.random.default_rng(11)
@@ -500,9 +517,11 @@ class TestLeanIterationStep:
             xs, trace = _former_iterates(G, x0, b, norms, k)
             assert rep.status == "max_iter" and rep.iterations == k
             assert _hex(rep.bracket_trace) == _hex(trace)
-            assert len(rep.iterates) == k + 1
-            for got, want in zip(rep.iterates, xs):
-                assert _same_bits(got.flat, want.flat)
+            # x_j ends the solve cut at j steps
+            for j in range(1, k + 1):
+                cut = power_method(F, x0, SolverConfig(norms=norms, tol=1e-300, max_iter=j, weights=b))
+                assert _same_bits(cut.eigenpair.x.flat, xs[j].flat)
+            assert _same_bits(rep.eigenpair.x.flat, xs[k].flat)
             lam = _ref_block_norms(evaluate(G, xs[-1]).blocks, norms)
             assert _same_bits(rep.eigenpair.lam, lam)
 
@@ -657,7 +676,8 @@ class TestFlatStorage:
             assert _same_bits(block_norms(ProductVector([[3.0, 4.0], [1.0, 1.0], [2.0]]), clone), [5.0, 2.0, 2.0])
         rep = power_method(motivating_map(), None, SolverConfig(norms=NormSpec.euclidean(2)))
         again = pickle.loads(pickle.dumps(rep))
-        assert again.eigenpair.x == rep.eigenpair.x and again.iterates == rep.iterates
+        assert again.eigenpair.x == rep.eigenpair.x and again.bracket_trace == rep.bracket_trace
+        assert again.envelope_ok and again.error_radius == rep.error_radius
 
     def test_equal_vectors_hash_equal(self):
         x, y = ProductVector([[0.0, 1.0]]), ProductVector([[-0.0, 1.0]])
@@ -755,8 +775,6 @@ class TestKernelProperties:
             assert _same_bits(
                 solver._relative_residual_inf(y, b, x), _ref_relative_residual_inf(y.blocks, b, x.blocks)
             )
-            assert _same_bits(metrics._hilbert_trace([x, y], y, b), [
-                _ref_metric(x.blocks, y.blocks, b, False), _ref_metric(y.blocks, y.blocks, b, False)
-            ])
+            assert _same_bits(hilbert_metric(y, y, b), _ref_metric(y.blocks, y.blocks, b, False))
 
         check()

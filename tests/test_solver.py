@@ -152,7 +152,13 @@ class TestPowerMethod:
         u = rep.eigenpair.x
         for _ in range(8):
             u = normalize(evaluate(F, u), norms)
-        mu = [hilbert_metric(xk, u, b) for xk in rep.iterates]
+        assert hilbert_metric(rep.eigenpair.x, u, b) <= rep.error_radius + 1e-12
+        # the solver's iterates x_0 .. x_{K-1}: x_j ends a solve cut at j steps
+        xs = [normalize(x0, norms)] + [
+            power_method(F, x0, _cfg(2, weights=b, tol=1e-13, max_iter=j)).eigenpair.x
+            for j in range(1, rep.iterations)
+        ]
+        mu = [hilbert_metric(xk, u, b) for xk in xs]
         for k in range(len(mu) - 1):
             assert mu[k + 1] <= 0.5 * mu[k] + 1e-12
 
@@ -379,7 +385,7 @@ class TestDeltaContinuation:
         rep = delta_continuation(F, cfg)
         first = power_method(
             shifted(F, 1.0, cfg.norms), None,
-            SolverConfig(norms=cfg.norms, tol=1e-3, max_iter=5, weights=rep.weights, keep_iterates=False),
+            SolverConfig(norms=cfg.norms, tol=1e-3, max_iter=5, weights=rep.weights),
         )
         assert first.status == "converged"
         assert rep.status == "max_iter"
@@ -399,7 +405,7 @@ class TestDeltaContinuation:
 
     def test_default_schedule_stops_before_a_shift_that_cannot_converge(self):
         F = linear_map([[1.0, 1.0], [0.0, 1.0]])
-        cfg = SolverConfig(norms=NormSpec.euclidean(1), keep_iterates=False)
+        cfg = SolverConfig(norms=NormSpec.euclidean(1))
         rep = delta_continuation(F, cfg)
         assert rep.status == "converged"
         stops = [m for m in rep.messages if m.startswith("stopped before delta=")]
@@ -418,7 +424,7 @@ class TestDeltaContinuation:
             if not (M.sum(axis=1).all() and homogeneity.is_irreducible(M)):
                 continue
             rho = float(np.max(np.abs(np.linalg.eigvals(M))))
-            rep = delta_continuation(linear_map(M), SolverConfig(norms=NormSpec.euclidean(1), keep_iterates=False))
+            rep = delta_continuation(linear_map(M), SolverConfig(norms=NormSpec.euclidean(1)))
             assert rep.status == "converged"
             stopped = any(m.startswith("stopped before delta=") for m in rep.messages)
             err = abs(rep.r_extrapolated - rho) / rho
@@ -432,6 +438,15 @@ class TestDeltaContinuation:
                 imprimitive += 1
                 assert stopped and err <= 1e-4, (M, rep.messages, err)
         assert imprimitive == 2
+
+    def test_a_schedule_of_too_many_shifts_is_refused(self):
+        # about 1.8e13 and 184 198 shifts: refused from the closed-form
+        # count, before any list is built
+        for factor in (1.0 - 1e-12, 0.9999):
+            with pytest.raises(ValueError, match="shifts, more than 10000"):
+                DeltaSchedule(1.0, factor, 1e-8).values()
+        assert len(DeltaSchedule().values()) == 27
+        assert 9000 < len(DeltaSchedule(1.0, 0.998, 1e-8).values()) < 10_000
 
     def test_geometric_guess(self):
         x_prev, x = ProductVector([[0.5, 0.25]]), ProductVector([[0.25, 0.0625]])
@@ -813,6 +828,14 @@ class TestBracketOverflow:
         np.testing.assert_allclose(rep.eigenpair.lam, [2.0])
         assert rep.eigenpair.r_b == pytest.approx(2.0**800, rel=1e-12)
 
+    def test_a_gap_beyond_the_double_range_leaves_the_contraction_check_standing(self):
+        # A = [[1/2]], so C = 1/2 whatever the weight; the lower end of the
+        # first bracket underflows to 0, and its gap is unknown
+        F = _ring_map(ShapeSpec((2,)), [np.array([[1.0, 1.0], [1e-40, 1e-40]])], 0.5)
+        rep = power_method(F, None, _cfg(1, weights=np.array([800.0])))
+        assert rep.status == "converged" and rep.bracket_trace[0][0] == 0.0
+        assert rep.envelope_ok and 0.0 <= rep.error_radius < 1e-9
+
 
 def _radius_sizes(monkeypatch):
     """Wrap spectral_radius in both namespaces that call it; record each operand's size."""
@@ -951,7 +974,11 @@ class TestRescaleUnderflow:
         # the underflowing step keeps its (finite) bracket but not its iterate
         assert rep.iterations == 3 and len(rep.bracket_trace) == 3
         assert all(math.isfinite(v) for pair in rep.bracket_trace for v in pair)
-        assert len(rep.iterates) == 3 and all(x.is_pos() for x in rep.iterates)
+        # the iterates before it, x_1 and x_2, end the solves cut there
+        for j in (1, 2):
+            F = self._map_turning([[1e150, 1e-180, 1.0]])
+            cut = power_method(F, None, _cfg(1, weights=np.array([1.0]), max_iter=j))
+            assert cut.status == solver.MAX_ITER and cut.eigenpair.x.is_pos()
 
     @pytest.mark.parametrize("sizes", [(2,), (2, 2)])
     @pytest.mark.parametrize("p, tiny", [(2.0, 1e-170), (math.inf, 1e-320)])
@@ -1071,10 +1098,44 @@ class TestBracketInvariants:
                 lo, hi = cw_bounds(F, normalize(random_interior(F.shape, rng, 0.05, 2.0), norms), b)
                 assert lo <= r_b * (1.0 + 1e-12) and hi >= r_b * (1.0 - 1e-12)
             # bracket k is the CW bracket of the k-th iterate
-            for x, pair in zip(rep.iterates, rep.bracket_trace):
+            x = normalize(x0, norms)
+            for pair in rep.bracket_trace:
                 np.testing.assert_allclose(pair, cw_bounds(F, x, b), rtol=1e-12, atol=0.0)
+                x = normalize(evaluate(F, x), norms)
 
         check()
+
+    def test_bracket_gaps_bound_the_distance_to_the_fixed_point(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=20, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            # rho(A) = a < 1: the auto weights give C < 1
+            F, norms, x0, _, _ = self._draw_case(st, data)
+            rep = power_method(F, x0, SolverConfig(norms=norms))
+            assert rep.status == "converged" and rep.envelope_ok
+            b = rep.weights
+            fixed = power_method(F, rep.eigenpair.x, SolverConfig(norms=norms, tol=1e-14, weights=b))
+            assert fixed.status == "converged"
+            assert hilbert_metric(rep.eigenpair.x, fixed.eigenpair.x, b) <= rep.error_radius + 1e-12
+
+        check()
+
+    @pytest.mark.parametrize(
+        "F, weights",
+        [
+            # C = max_i (A^T b)_i / b_i = 2 for A = [[0, 2], [1/8, 0]]
+            (motivating_map(), np.array([1.0, 1.0])),
+            # auto Perron weights of a 1-homogeneous map: C = 1
+            (linear_map([[0.5, 0.5], [0.5, 0.5]]), None),
+        ],
+    )
+    def test_no_envelope_without_a_contraction(self, F, weights):
+        rep = power_method(F, None, SolverConfig(norms=NormSpec.euclidean(F.shape.d), weights=weights))
+        assert rep.status == "converged"
+        assert rep.envelope_ok is None and rep.error_radius is None
 
     def test_brackets_are_monotone_under_weights_with_At_b_le_b(self):
         hypothesis = pytest.importorskip("hypothesis")
