@@ -24,7 +24,15 @@ import numpy as np
 from . import graphs as graphmod
 from . import maps as mapmod
 from . import solver as solvermod
-from .cones import NormSpec, ProductVector, ShapeSpec, normalize, ones_vector, random_interior
+from .cones import (
+    NormSpec,
+    ProductVector,
+    ShapeSpec,
+    _weighted_product,
+    normalize,
+    ones_vector,
+    random_interior,
+)
 from .homogeneity import PerronStructureError, lipschitz_bound
 
 __all__ = ["main", "parse_instance", "canonical_instance", "dump_json", "InstanceError"]
@@ -468,10 +476,7 @@ def run_analyze(doc: dict) -> tuple[int, dict]:
 def _certificate_doc(cert: solvermod.Certificate | None) -> dict | None:
     if cert is None:
         return None
-    data = {}
-    for k, v in cert.data.items():
-        data[k] = float(v) if isinstance(v, (np.floating,)) else v
-    return {"kind": cert.kind, "data": data}
+    return {"kind": cert.kind, "data": dict(cert.data)}
 
 
 def _status_exit(status: str) -> int:
@@ -593,7 +598,7 @@ def _parse_report(report, F: mapmod.MapInstance):
 def run_certify(doc: dict, solve_report) -> tuple[int, dict]:
     inst = parse_instance(doc)
     x, lam, b = _parse_report(solve_report, inst.map)
-    r_b = float(np.exp(np.dot(b, np.log(np.maximum(lam, 1e-300)))))
+    r_b = _weighted_product(lam, b)
     pair = mapmod.EigenPair(x, lam, r_b)
     pseudo = solvermod.SolveReport(
         eigenpair=pair,

@@ -469,10 +469,14 @@ def weighted_norm_product(x: ProductVector, b, norms: NormSpec) -> float:
     blockwise scaling.
     """
     w = as_weight_vector(b, x.d)
-    ns = block_norms(x, norms)
-    if np.any(ns == 0.0):
+    return _weighted_product(block_norms(x, norms), w)
+
+
+def _weighted_product(v: np.ndarray, b: np.ndarray) -> float:
+    """r_b = prod_i v_i^{b_i}, or 0.0 when some v_i <= 0 (fmin skips a NaN entry)."""
+    if np.fmin.reduce(v) <= 0.0:
         return 0.0
-    return float(np.exp(np.dot(w, np.log(ns))))
+    return float(np.exp(np.dot(b, np.log(v))))
 
 
 def partial_order_compare(x: ProductVector, y: ProductVector) -> str:

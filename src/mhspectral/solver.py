@@ -49,12 +49,11 @@ from .cones import (
     ProductVector,
     ShapeSpec,
     _norm_kernel,
+    _weighted_product,
     _wrap,
     as_weight_vector,
-    block_norms,
     normalize,
     ones_vector,
-    weighted_norm_product,
 )
 from .homogeneity import (
     _PATTERN_TOL,
@@ -64,7 +63,7 @@ from .homogeneity import (
     wielandt_bound,
 )
 from .maps import EigenPair, MapInstance, evaluate, has_kink, jacobian_at
-from .metrics import _log_bracket
+from .metrics import _log_bracket, _log_ratio_extrema, _weighted_sum
 
 __all__ = [
     "ExpansiveMapError",
@@ -168,7 +167,6 @@ class SolveReport:
     weights: np.ndarray
     residual: Optional[float] = None
     rate_bound: Optional[float] = None
-    certificate: Optional[Certificate] = None
     envelope_ok: Optional[bool] = None
     error_radius: Optional[float] = None
     messages: list = dataclasses.field(default_factory=list)
@@ -215,8 +213,7 @@ def residual(F: MapInstance, x: ProductVector, lam, norms: NormSpec) -> float:
     """Eigen-equation defect max_i ||F_i(x) - lam_i x_i|| / max(lam_i, 1e-15)."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     y = evaluate(F, x)
-    defect = ProductVector.from_flat(y.flat - x.shape._spread(lam) * x.flat, x.shape)
-    norms_vec = block_norms(defect, norms)
+    norms_vec = _norm_kernel(x.shape, norms)(y.flat - x.shape._spread(lam) * x.flat)
     return float(np.max(norms_vec / np.maximum(lam, 1e-15)))
 
 
@@ -231,33 +228,25 @@ def _exp(v: float) -> float:
 def cw_bounds(F: MapInstance, x: ProductVector, b) -> tuple[float, float]:
     """Collatz-Wielandt bracket (lower, upper) of r_b at the test vector x.
 
-    The lower bound restricts the per-block minima to the support of x and is
-    finite on all of K_{+,0}; the upper bound needs x strictly positive and is
-    reported as +inf otherwise.  A bound beyond the double range is +inf.
+    At a strictly positive x this is the power step's bracket, bit for bit:
+    ``power_method`` appends ``cw_bounds(F, x_k, b)`` to its trace at every
+    iterate x_k.  The lower bound restricts the per-block minima to the
+    support of x and is finite on all of K_{+,0}; the upper bound needs x
+    strictly positive and is reported as +inf otherwise.  A bound beyond the
+    double range is +inf, and a zero block of F(x) makes it 0.
     """
     w = as_weight_vector(b, F.shape.d)
     if not x.is_semipos():
         raise ValueError("x must have a nonzero block-wise nonnegative part")
     y = evaluate(F, x)
-    log_lo = 0.0
-    lo_zero = False
-    for wi, yb, xb in zip(w, y.blocks, x.blocks):
-        mask = xb > 0.0
-        ratios = yb[mask] / xb[mask]
-        m = float(ratios.min())
-        if m == 0.0:
-            lo_zero = True
-        else:
-            log_lo += wi * math.log(m)
-    lower = 0.0 if lo_zero else _exp(log_lo)
-    if x.is_pos():
-        log_hi = 0.0
-        for wi, yb, xb in zip(w, y.blocks, x.blocks):
-            log_hi += wi * math.log(float(np.max(yb / xb)))
-        upper = _exp(log_hi)
-    else:
-        upper = math.inf
-    return lower, upper
+    with np.errstate(divide="ignore"):
+        if x.is_pos():
+            log_lo, log_hi = _log_bracket(y.flat, x.flat, x.shape, w)
+            return _exp(log_lo), _exp(log_hi)
+        # off the support of x the ratio is +inf, which no block minimum takes
+        off = x.flat == 0.0
+        lo, _ = _log_ratio_extrema(np.where(off, math.inf, y.flat), np.where(off, 1.0, x.flat), x.shape)
+    return _exp(_weighted_sum(w, lo)), math.inf
 
 
 # an overflow in F(x) or in a block norm ends the solve as diverged, with a
@@ -395,12 +384,6 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
     return report
 
 
-def _weighted_product(lam: np.ndarray, b: np.ndarray) -> float:
-    if np.any(lam <= 0.0):
-        return 0.0
-    return float(np.exp(np.dot(b, np.log(lam))))
-
-
 def _inf_dist(x: ProductVector, y: ProductVector) -> float:
     return float(np.maximum.reduce(np.abs(x.flat - y.flat)))
 
@@ -423,17 +406,20 @@ def bonsall_estimate(F: MapInstance, x: ProductVector, b, m: int, norms: NormSpe
     w = as_weight_vector(b, F.shape.d)
     if not x.is_pos():
         raise ValueError("x must be strictly positive")
+    norm_of = _norm_kernel(F.shape, norms)
     acc = 0.0
     cur = x
     for _ in range(m):
         y = evaluate(F, cur)
         if not np.all(np.isfinite(y.flat)):
             raise ValueError("overflow despite renormalization")
-        growth = weighted_norm_product(y, w, norms)
+        # one set of block norms gives the growth factor and the rescale
+        ns = norm_of(y.flat)
+        growth = _weighted_product(ns, w)
         if growth <= 0.0:
             raise ValueError("orbit hit the cone boundary")
         acc += math.log(growth)
-        cur = normalize(y, norms)
+        cur = _wrap(y.shape._spread(1.0 / ns) * y.flat, y.shape)
     return float(math.exp(acc / m))
 
 

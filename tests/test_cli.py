@@ -67,6 +67,61 @@ class TestParsing:
         c2 = dump_json(canonical_instance(parse_instance(json.loads(c1))))
         assert c1 == c2
 
+    def test_round_trip_over_drawn_documents(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        positive = st.floats(0.05, 3.0)
+
+        def block(k):
+            return st.lists(positive, min_size=k, max_size=k)
+
+        def maybe(data, key, strategy, out):
+            if data.draw(st.booleans(), f"has {key}"):
+                out[key] = data.draw(strategy, key)
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 3), "n")
+            matrix = st.lists(block(n), min_size=n, max_size=n)
+            family = data.draw(st.sampled_from(["linear", "pq_singular", "max_example", "motivating"]))
+            params = {
+                "linear": st.fixed_dictionaries({"matrix": matrix}),
+                "pq_singular": st.fixed_dictionaries(
+                    {"matrix": matrix, "p": st.floats(1.5, 5.0), "q": st.floats(1.5, 5.0)}
+                ),
+                "max_example": st.fixed_dictionaries({"eps": st.floats(0.01, 0.99)}),
+                "motivating": st.just({}),
+            }[family]
+            map_doc = {"family": family, "params": data.draw(params, "params")}
+            sizes = parse_instance({"map": map_doc}).map.shape.sizes
+            doc = {"map": map_doc}
+            if data.draw(st.booleans(), "shape"):
+                doc["shape"] = {"sizes": list(sizes)}
+            selectors = [
+                st.sampled_from([{"p": "inf"}, {"p": 1}, {"p": 2}]),
+                st.fixed_dictionaries({"p": st.floats(1.0, 6.0)}),
+            ]
+            doc["norms"] = [data.draw(st.one_of(*selectors, st.fixed_dictionaries({"phi": block(k)}))) for k in sizes]
+            maybe(data, "weights", block(len(sizes)), doc)
+            solver = {}
+            maybe(data, "tol", st.floats(1e-14, 1e-3), solver)
+            maybe(data, "max_iter", st.integers(1, 10**6), solver)
+            maybe(data, "seed", st.integers(0, 2**31), solver)
+            maybe(data, "method", st.sampled_from(["power", "continuation"]), solver)
+            x0 = st.tuples(*map(block, sizes)).map(list)
+            maybe(data, "x0", st.one_of(st.sampled_from(["uniform", "random"]), x0), solver)
+            schedule = st.fixed_dictionaries(
+                {}, optional={"delta0": positive, "factor": st.floats(0.1, 0.9), "floor": st.floats(1e-10, 1e-3)}
+            )
+            maybe(data, "delta_schedule", schedule, solver)
+            doc["solver"] = solver
+            c1 = dump_json(canonical_instance(parse_instance(copy.deepcopy(doc))))
+            c2 = dump_json(canonical_instance(parse_instance(json.loads(c1))))
+            assert c1 == c2
+
+        check()
+
 _MOTIVATING = {"family": "motivating"}
 _FULL_PARAMS = {
     "linear": {"matrix": [[1, 2], [3, 4]]},
@@ -380,6 +435,13 @@ class TestCertifyCommand:
         _, rep = run_certify(copy.deepcopy(doc), fake_report)
         assert "maximality" in rep
         assert "interior_product" in rep["maximality"]
+
+    def test_zero_eigenvalue_gives_zero_boundary_product(self):
+        doc = {"map": {"family": "linear", "params": {"matrix": [[0, 1], [0, 1]]}}}
+        report = {"eigenvector": [[1, 0]], "lambda": [0], "weights": [1]}
+        _, rep = run_certify(copy.deepcopy(doc), report)
+        assert rep["maximality"]["boundary_product"] == 0.0
+        assert '"boundary_product": 0,' in dump_json(rep)
 
 def _set(report, key, value):
     report[key] = value

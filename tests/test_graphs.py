@@ -1,5 +1,6 @@
 """Index graphs, probe/oracle agreement, and the path existence condition."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -126,6 +127,15 @@ class TestBuildGraph:
             assert (
                 build_dual_graph(F, "oracle").edges == build_dual_graph(F, "probe").edges
             ), F.label
+
+    def test_probe_build_evaluates_the_map_twice_per_node(self):
+        F = nonirr_map()
+        calls = []
+        counted = dataclasses.replace(F, evaluator=lambda x: calls.append(x) or F.evaluator(x))
+        for build in (build_graph, build_dual_graph):
+            calls.clear()
+            assert build(counted, "probe").edges == build(F, "oracle").edges
+            assert len(calls) == 2 * F.shape.total
 
     def test_probe_requires_mode_support(self):
         F = motivating_map()

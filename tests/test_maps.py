@@ -1,6 +1,7 @@
 """Map families, closure algebra, and structure verification."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mhspectral import (
     NormSpec,
     ProductVector,
     ShapeSpec,
+    SolverConfig,
     block_norms,
     compose,
     dual,
@@ -19,18 +21,22 @@ from mhspectral import (
     has_kink,
     irrex_map,
     linear_map,
+    lipschitz_bound,
     matrix_power_scale,
     max_example_map,
     motivating_map,
     nonirr_map,
     numeric_jacobian,
     ones_vector,
+    power_method,
     pq_singular_map,
     random_interior,
     scale_blocks,
     shifted,
     singular_map,
     tensor_eigen_map,
+    thompson_metric,
+    tight_equality_pair,
     tight_map,
     verify_multihomogeneous,
     verify_order_preserving,
@@ -459,5 +465,98 @@ class TestEulerIdentityProperty:
             # analytic Jacobians to rounding, central differences to 1e-8
             tol = 1e-12 if F.jacobian is not None else 1e-8
             assert euler_residual(F, x) <= tol, F.label
+
+        check()
+
+
+class TestTheoremProperties:
+    """The Lipschitz bound, dual eigenvalues and closure homogeneity on drawn maps."""
+
+    def test_tight_map_attains_the_lipschitz_bound(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=30, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            sizes = data.draw(st.lists(st.integers(2, 3), min_size=1, max_size=3), "sizes")
+            d = len(sizes)
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+            # some zero exponents, none on the diagonal (every row needs one)
+            A = rng.uniform(0.05, 1.5, (d, d)) * (rng.random((d, d)) < 0.7)
+            A[np.diag_indices(d)] = rng.uniform(0.05, 1.5, d)
+            b = rng.uniform(0.1, 2.0, d)
+            F = tight_map(A, sizes)
+            C = lipschitz_bound(A, b)
+            x, y, _ = tight_equality_pair(A, b, sizes, ratio=data.draw(st.floats(1.5, 4.0), "ratio"))
+            lhs = thompson_metric(evaluate(F, x), evaluate(F, y), b)
+            assert lhs == pytest.approx(C * thompson_metric(x, y, b), rel=1e-12, abs=1e-15)
+            # and C bounds every other pair
+            for _ in range(3):
+                u, v = random_interior(F.shape, rng), random_interior(F.shape, rng)
+                lhs = thompson_metric(evaluate(F, u), evaluate(F, v), b)
+                assert lhs <= C * thompson_metric(u, v, b) * (1.0 + 1e-12) + 1e-15
+
+        check()
+
+    def test_dual_inverts_the_eigenvalues(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=20, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+            m, n = data.draw(st.integers(1, 4), "m"), data.draw(st.integers(1, 4), "n")
+            if data.draw(st.booleans(), "linear"):
+                F = linear_map(rng.uniform(0.05, 2.0, (n, n)))
+            else:
+                p, q = data.draw(st.floats(2.0, 4.0), "p"), data.draw(st.floats(2.0, 4.0), "q")
+                F = pq_singular_map(rng.uniform(0.05, 2.0, (m, n)), p, q)
+            norms = NormSpec([data.draw(st.sampled_from([1.0, 2.0, math.inf])) for _ in F.shape.sizes])
+            rep = power_method(F, None, SolverConfig(norms=norms))
+            assert rep.status == "converged"
+            u, lam = rep.eigenpair.x, rep.eigenpair.lam
+            # tau(u) is an eigenvector of the dual with eigenvalues 1 / lam
+            v = ProductVector.from_flat(1.0 / u.flat, u.shape)
+            np.testing.assert_allclose(
+                evaluate(dual(F), v).flat, scale_blocks(1.0 / lam, v).flat, rtol=1e-7
+            )
+            if F.shape.d == 1:
+                # one block: the eigenvalue does not depend on the scale of u
+                rep_dual = power_method(dual(F), None, SolverConfig(norms=norms))
+                assert rep_dual.status == "converged"
+                assert rep_dual.eigenpair.lam[0] * lam[0] == pytest.approx(1.0, rel=1e-8)
+
+        check()
+
+    def test_closures_are_multihomogeneous(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def draw_map(data, sizes, rng):
+            if data.draw(st.booleans(), "tight"):
+                return tight_map(rng.uniform(0.05, 1.5, (2, 2)), sizes)
+            p, q = data.draw(st.floats(1.5, 5.0), "p"), data.draw(st.floats(1.5, 5.0), "q")
+            return pq_singular_map(rng.uniform(0.05, 2.0, sizes), p, q)
+
+        @hypothesis.settings(max_examples=30, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            sizes = (data.draw(st.integers(2, 3), "m"), data.draw(st.integers(2, 3), "n"))
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+            F, G = draw_map(data, sizes, rng), draw_map(data, sizes, rng)
+            norms = NormSpec([data.draw(st.sampled_from([1.0, 2.0, 3.0, math.inf])) for _ in sizes])
+            kind = data.draw(st.sampled_from(["compose", "hadamard", "weighted_sum", "shifted"]), "kind")
+            if kind == "compose":
+                H = compose(F, G)
+            elif kind == "hadamard":
+                H = hadamard(F, G)
+            elif kind == "weighted_sum":
+                H = weighted_sum(F, G, np.maximum(F.A, G.A) + rng.uniform(0.0, 1.0, (2, 2)), norms)
+            else:
+                H = shifted(F, data.draw(st.floats(1e-3, 10.0), "delta"), norms)
+            report = verify_multihomogeneous(H, samples=20, seed=data.draw(st.integers(0, 2**16), "audit"))
+            assert report.passed, (H.label, report.max_deviation)
 
         check()

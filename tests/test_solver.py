@@ -84,6 +84,17 @@ class TestCwBounds:
         with pytest.raises(ValueError):
             cw_bounds(F, ProductVector([[0.0, 0.0], [1.0, 1.0]]), [0.25, 1.0])
 
+    def test_zero_output_block_gives_zero_bounds(self):
+        # the second block of F(x) is identically 0: every ratio product is 0
+        F = MapInstance(
+            shape=ShapeSpec((2, 1)),
+            A=np.eye(2),
+            evaluator=lambda x: ProductVector([x.blocks[0], [0.0]]),
+            label="zero block",
+        )
+        assert cw_bounds(F, ProductVector([[1.0, 2.0], [1.0]]), [0.5, 0.5]) == (0.0, 0.0)
+        assert cw_bounds(F, ProductVector([[1.0, 0.0], [1.0]]), [0.5, 0.5]) == (0.0, math.inf)
+
 class TestPowerMethod:
     def test_motivating_hand_fixed_point(self):
         F = motivating_map()
@@ -1097,11 +1108,44 @@ class TestBracketInvariants:
             for _ in range(5):
                 lo, hi = cw_bounds(F, normalize(random_interior(F.shape, rng, 0.05, 2.0), norms), b)
                 assert lo <= r_b * (1.0 + 1e-12) and hi >= r_b * (1.0 - 1e-12)
-            # bracket k is the CW bracket of the k-th iterate
+            # bracket k is the CW bracket of the k-th iterate, bit for bit
             x = normalize(x0, norms)
             for pair in rep.bracket_trace:
-                np.testing.assert_allclose(pair, cw_bounds(F, x, b), rtol=1e-12, atol=0.0)
+                assert pair == cw_bounds(F, x, b)
                 x = normalize(evaluate(F, x), norms)
+
+        check()
+
+    def test_bracket_trace_is_cw_bounds_of_the_iterates(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            family = data.draw(st.sampled_from(["linear", "singular", "pq_singular", "tensor_eigen"]))
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+            m, n = data.draw(st.integers(1, 4), "m"), data.draw(st.integers(1, 4), "n")
+            # p, q >= 2 and p >= 3 keep rho(A) <= 1, so the solver picks the weights
+            if family == "linear":
+                F = linear_map(rng.uniform(0.05, 2.0, (n, n)))
+            elif family == "singular":
+                F = singular_map(rng.uniform(0.05, 2.0, (m, n)))
+            elif family == "pq_singular":
+                p, q = data.draw(st.floats(2.0, 4.0), "p"), data.draw(st.floats(2.0, 4.0), "q")
+                F = pq_singular_map(rng.uniform(0.05, 2.0, (m, n)), p, q)
+            else:
+                F = tensor_eigen_map(rng.uniform(0.05, 2.0, (n, n, n)), data.draw(st.floats(3.0, 5.0), "p"))
+            norms = NormSpec([data.draw(st.sampled_from([1.0, 2.0, 3.0, math.inf])) for _ in F.shape.sizes])
+            x0 = ProductVector([rng.uniform(0.05, 3.0, k) for k in F.shape.sizes])
+            rep = power_method(F, x0, SolverConfig(norms=norms, max_iter=20))
+            b = rep.weights
+            # x_k is the iterate a solve cut after k steps returns
+            x = normalize(x0, norms)
+            for k, pair in enumerate(rep.bracket_trace):
+                if k > 0:
+                    x = power_method(F, x0, SolverConfig(norms=norms, max_iter=k)).eigenpair.x
+                assert pair == cw_bounds(F, x, b)
 
         check()
 

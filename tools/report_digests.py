@@ -13,6 +13,10 @@ The ``many_blocks`` items are library calls; their report text is every
 float of the eigenpair, bracket trace, residual and certificate data in
 ``float.hex``, so the digest sees the last bit.  Every step runs even after
 a non-zero exit, and a step that raises is recorded by its exception.
+OUT.json also maps ``demos/<stem>`` to ``"<exit code> <sha1 of its stdout>"``
+for every ``demos/*.py``, each run in a subprocess with this interpreter and
+a ``PYTHONPATH`` that puts the ``mhspectral`` used above first, so ``--diff``
+also checks that a change leaves the demo output as it was.
 
 ``mhspectral`` is imported from ``PYTHONPATH`` when that holds it, else from
 this checkout's ``src/``; stderr names the one used.  To list the reports a
@@ -33,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -103,6 +108,17 @@ def item_digests(runner, item) -> dict:
     return out
 
 
+def demo_digests() -> dict:
+    """``demos/<stem>`` -> ``"<exit code> <sha1 of stdout>"`` for every demo script."""
+    paths = [str(Path(mhspectral.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    out = {}
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        proc = subprocess.run([sys.executable, str(path)], capture_output=True, env=env, cwd=ROOT)
+        out[f"demos/{path.stem}"] = f"{proc.returncode} {hashlib.sha1(proc.stdout).hexdigest()}"
+    return out
+
+
 def _exit_code(digest) -> str:
     if digest is None:
         return "-"
@@ -136,6 +152,7 @@ def main(argv: list[str]) -> int:
             for item in workloads.generate(workload, seed):
                 for step, digest in item_digests(runner, item).items():
                     digests[f"{workload}/{seed}/{item.name}/{step}"] = digest
+    digests.update(demo_digests())
     Path(argv[0]).write_text(json.dumps(digests, indent=0) + "\n")
     print(f"{len(digests)} reports -> {argv[0]}", file=sys.stderr)
     return 0
