@@ -123,9 +123,9 @@ def _wrap(flat: np.ndarray, shape: ShapeSpec, cls=None) -> "ProductVector":
     """
     flat.setflags(write=False)
     vec = object.__new__(cls or ProductVector)
-    object.__setattr__(vec, "flat", flat)
-    object.__setattr__(vec, "shape", shape)
-    object.__setattr__(vec, "_blocks", None)
+    _set_flat(vec, flat)
+    _set_shape(vec, shape)
+    _set_blocks(vec, None)
     return vec
 
 
@@ -166,9 +166,9 @@ class ProductVector:
         if flat.ndim != 1 or 0 in sizes:
             raise ValueError("each block must be a nonempty 1-d array")
         flat.setflags(write=False)
-        object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "shape", _shape_of(sizes))
-        object.__setattr__(self, "_blocks", None)
+        _set_flat(self, flat)
+        _set_shape(self, _shape_of(sizes))
+        _set_blocks(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProductVector is immutable")
@@ -188,7 +188,7 @@ class ProductVector:
                 blocks = tuple(flat.reshape(shape.d, n))
             else:
                 blocks = tuple(flat[sl] for sl in shape._slices)
-            object.__setattr__(self, "_blocks", blocks)
+            _set_blocks(self, blocks)
         return blocks
 
     @property
@@ -245,6 +245,11 @@ class ProductVector:
     def __repr__(self):
         inner = ", ".join(np.array2string(b, precision=6) for b in self.blocks)
         return f"ProductVector({inner})"
+
+
+# the slot writers of ProductVector, past its refusing __setattr__: a slot's
+# own descriptor, without object.__setattr__'s lookup by name
+_set_flat, _set_shape, _set_blocks = (ProductVector.__dict__[name].__set__ for name in ProductVector.__slots__)
 
 
 class NormSpec:

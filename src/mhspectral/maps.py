@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +35,7 @@ from .cones import (
     ShapeSpec,
     _norm_kernel,
     _power_scale,
+    _selector_norm,
     _shape_of,
     _wrap,
     matrix_power_scale,
@@ -153,7 +155,10 @@ class VerificationReport:
 
 
 def evaluate(F: MapInstance, x: ProductVector) -> ProductVector:
-    """Apply the map after validating membership in its domain."""
+    """Apply the map after validating membership in its domain.
+
+    The output is checked too: a ``ProductVector`` of F's shape (see ``_apply``).
+    """
     if x.shape is not F.shape and x.shape != F.shape:
         raise ValueError(f"shape mismatch: map {F.shape.sizes}, vector {x.shape.sizes}")
     if F.domain == "interior":
@@ -161,7 +166,23 @@ def evaluate(F: MapInstance, x: ProductVector) -> ProductVector:
             raise ValueError(f"{F.label} is only defined on strictly positive vectors")
     elif not x.is_nonneg():
         raise ValueError("negative input entries")
-    return F.evaluator(x)
+    return _apply(F, x)
+
+
+def _apply(F: MapInstance, x: ProductVector) -> ProductVector:
+    """F's evaluator at x, with no input check, and its output checked.
+
+    Raises ValueError unless the evaluator returned a ``ProductVector`` of
+    F's shape.  For a caller whose x is known to lie in F's domain with F's
+    shape: ``evaluate`` after its checks, and ``power_method`` after its
+    first step, whose own strictly positive iterates need none.
+    """
+    y = F.evaluator(x)
+    if not isinstance(y, ProductVector):
+        raise ValueError(f"{F.label} returned a {type(y).__name__}, not a ProductVector of shape {F.shape.sizes}")
+    if y.shape is not F.shape and y.shape != F.shape:
+        raise ValueError(f"shape mismatch: map {F.shape.sizes}, output {y.shape.sizes}")
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -678,24 +699,38 @@ def shifted(F: MapInstance, delta: float, norms: NormSpec) -> MapInstance:
     """The delta-shift F(x) + delta * (||x_1||, ..., ||x_d||)^A (x) 1.
 
     Keeps the homogeneity matrix of F, maps K_{+,0} into K_{++}, and reduces
-    to F + delta * 1 on the unit slice S_+.  A, delta and the norms are
-    checked here, once, and the block-norm kernel is built here: A is F's
-    validated nonnegative matrix and block norms are nonnegative, so each
-    evaluation raises the norms to A through the unchecked kernel of
-    ``matrix_power_scale`` (a zero norm still takes its 0^0 = 1 branch).
+    to F + delta * 1 on the unit slice S_+.  A, delta (positive and finite)
+    and the norms are checked here, once, and the block-norm kernel is built
+    here: A is F's validated nonnegative matrix and block norms are
+    nonnegative, so each evaluation raises the norms to A through the
+    unchecked kernel of ``matrix_power_scale`` (a zero norm still takes its
+    0^0 = 1 branch).  One block takes its norm as a float, and a positive
+    norm n is raised to A = [[a]] as exp(a * log n): the kernel's ufuncs in
+    its order, bit for bit, without its length-1 arrays and positivity pass.
     """
     delta = float(delta)
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
+    if not math.inf > delta > 0.0:
+        raise ValueError("delta must be positive and finite")
     if norms.d != F.shape.d:
         raise ValueError("norm spec does not match the map shape")
     A = F.A
     norm_of = _norm_kernel(F.shape, norms)
 
-    def ev(x):
-        y = F.evaluator(x)
-        shift = delta * _power_scale(norm_of(x.flat), A)
-        return _wrap(y.flat + y.shape._spread(shift), y.shape)
+    if F.shape.d == 1:
+        norm, a = _selector_norm(*norms.selectors[0]), A.item(0)
+
+        def ev(x):
+            y = F.evaluator(x)
+            n = norm(x.flat)
+            scale = np.exp(a * np.log(n)) if n > 0.0 else _power_scale(np.array([n]), A)
+            return _wrap(y.flat + delta * scale, y.shape)
+
+    else:
+
+        def ev(x):
+            y = F.evaluator(x)
+            shift = delta * _power_scale(norm_of(x.flat), A)
+            return _wrap(y.flat + y.shape._spread(shift), y.shape)
 
     G = MapInstance(
         shape=F.shape,

@@ -11,7 +11,11 @@ and tracks the two weighted ratio products
 
 which bracket the weighted spectral radius r_b whenever A^T b <= b, the lower
 trace nondecreasing and the upper nonincreasing.  Iteration stops once the log
-bracket gap drops below the (scale-free) tolerance.
+bracket gap drops below the (scale-free) tolerance.  The start vector is
+checked once (F's block sizes, strictly positive); every later iterate is the
+loop's own rescaled F(x), checked strictly positive, so after the first step
+the loop applies F without ``evaluate``'s input checks and checks only what F
+returns.
 
 Weight selection (``F.analysis``, see :func:`~mhspectral.analyze_homogeneity`):
 for rho(A) < 1 any contraction weights work and the iterates converge at the
@@ -49,6 +53,7 @@ from .cones import (
     ProductVector,
     ShapeSpec,
     _norm_kernel,
+    _selector_norm,
     _weighted_product,
     _wrap,
     as_weight_vector,
@@ -62,7 +67,7 @@ from .homogeneity import (
     spectral_radius,
     wielandt_bound,
 )
-from .maps import EigenPair, MapInstance, evaluate, has_kink, jacobian_at
+from .maps import EigenPair, MapInstance, _apply, evaluate, has_kink, jacobian_at, shifted
 from .metrics import _log_bracket, _log_ratio_extrema, _weighted_sum
 
 __all__ = [
@@ -197,8 +202,11 @@ def _resolve_weights(F: MapInstance, weights, messages: list) -> np.ndarray:
     return b
 
 
-def _relative_residual_inf(y: ProductVector, lam: np.ndarray, x: ProductVector) -> float:
-    """max_i ||y_i - lam_i x_i||_inf / ||lam_i x_i||_inf, inf when some lam_i x_i is 0."""
+def _relative_residual_inf(y: ProductVector, lam: np.ndarray | float, x: ProductVector) -> float:
+    """max_i ||y_i - lam_i x_i||_inf / ||lam_i x_i||_inf, inf when some lam_i x_i is 0.
+
+    One block may pass its lam as a float.
+    """
     lx = x.shape._spread(lam) * x.flat
     starts = x.shape._starts
     scale = np.maximum.reduceat(np.abs(lx), starts)
@@ -210,8 +218,13 @@ def _relative_residual_inf(y: ProductVector, lam: np.ndarray, x: ProductVector) 
 
 
 def residual(F: MapInstance, x: ProductVector, lam, norms: NormSpec) -> float:
-    """Eigen-equation defect max_i ||F_i(x) - lam_i x_i|| / max(lam_i, 1e-15)."""
+    """Eigen-equation defect max_i ||F_i(x) - lam_i x_i|| / max(lam_i, 1e-15).
+
+    ``lam`` holds one eigenvalue per block of x.
+    """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lam.shape != (x.shape.d,):
+        raise ValueError(f"lam must hold one entry per block ({x.shape.d}), got shape {lam.shape}")
     y = evaluate(F, x)
     norms_vec = _norm_kernel(x.shape, norms)(y.flat - x.shape._spread(lam) * x.flat)
     return float(np.max(norms_vec / np.maximum(lam, 1e-15)))
@@ -249,9 +262,6 @@ def cw_bounds(F: MapInstance, x: ProductVector, b) -> tuple[float, float]:
     return _exp(_weighted_sum(w, lo)), math.inf
 
 
-# an overflow in F(x) or in a block norm ends the solve as diverged, with a
-# message, so numpy need not warn of it
-@np.errstate(over="ignore")
 def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig) -> SolveReport:
     """Run the normalized iteration from x0 (all-ones start when None).
 
@@ -262,17 +272,40 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
     every step contracted, gap_{k+1} <= C gap_k (up to 1e-12), and
     ``error_radius`` = gap_K / (1 - C) bounds mu_b(x, u*) from the returned x
     to the fixed point.  Otherwise both are None.
+
+    The start vector is checked once: it must have F's block sizes and be
+    strictly positive.  Every later iterate is the loop's own rescaled
+    F(x), checked strictly positive and of F's shape, so after the first
+    step the loop applies F without ``evaluate``'s shape and domain checks.
     """
     norms = cfg.norms
     if norms.d != F.shape.d:
         raise ValueError("norm spec does not match the map shape")
     messages: list[str] = []
     b = _resolve_weights(F, cfg.weights, messages)
-    norm_of = _norm_kernel(F.shape, norms)
-    one_block = F.shape.d == 1
-    x = normalize(x0 if x0 is not None else ones_vector(F.shape), norms)
+    return _power_steps(F, x0, cfg, b, _norm_kernel(F.shape, norms), messages)
+
+
+# an overflow in F(x) or in a block norm ends the solve as diverged, with a
+# message, so numpy need not warn of it
+@np.errstate(over="ignore")
+def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, messages: list) -> SolveReport:
+    """The loop of ``power_method``, after its weights and norm kernel.
+
+    ``b`` is the resolved weight vector, ``norm_of`` the block-norm kernel
+    of ``cfg.norms`` on F's shape, and ``messages`` the messages so far.
+    """
+    shape, inf = F.shape, math.inf
+    x = ones_vector(shape) if x0 is None else x0
+    if x.shape is not shape and x.shape != shape:
+        raise ValueError(f"starting vector has block sizes {x.shape.sizes}, the map {shape.sizes}")
+    x = normalize(x, cfg.norms)
     if not x.is_pos():
         raise ValueError("starting vector must be strictly positive")
+    # one block takes its norm as a float, the kernel's one entry without
+    # the length-1 array
+    one_block = shape.d == 1
+    block_norm = _selector_norm(*cfg.norms.selectors[0]) if one_block else None
 
     analysis = F.analysis
     rate_bound = analysis.rho if analysis.regime == "strict_contraction" else None
@@ -281,13 +314,19 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
     status, eigenpair, res_val = MAX_ITER, None, None
     iterations = 0
 
+    # the first step applies F through the public evaluate, so a wrapper of
+    # evaluate (a profiler's, say) sees every solve; every later x is the
+    # loop's own rescaled y, strictly positive and of F's shape, so F is
+    # applied without evaluate's input checks
+    apply = evaluate
     for _ in range(cfg.max_iter):
         try:
-            y = evaluate(F, x)
+            y = apply(F, x)
         except ValueError as exc:
             status = DIVERGED
             messages.append(f"evaluation failed: {exc}")
             break
+        apply = _apply
         iterations += 1
         yf = y.flat
         # y in the open cone: one min pass rules out zeros and NaN; the
@@ -298,39 +337,42 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
             finite = np.isfinite(yf).all()
             messages.append("iterate left the open cone" if finite else "non-finite iterate")
             break
-        log_lo, log_hi = _log_bracket(yf, x.flat, y.shape, b)
+        log_lo, log_hi = _log_bracket(yf, x.flat, shape, b)
         # x is finite and positive, so log_hi is finite whenever y is, and an
         # infinite entry of y makes it infinite or NaN
-        if not log_hi < math.inf and not np.isfinite(yf).all():
+        if not log_hi < inf and not np.isfinite(yf).all():
             status = DIVERGED
             messages.append("non-finite iterate")
             break
         trace.append((_exp(log_lo), _exp(log_hi)))
-        lam = norm_of(yf)
+        # lam holds one norm per block of y, a float for one block
+        if one_block:
+            lam = lam_min = lam_max = block_norm(yf)
+        else:
+            lam = norm_of(yf)
+            lam_list = lam.tolist()
+            lam_min, lam_max = min(lam_list), max(lam_list)
         # a block norm can overflow though every entry is finite, or underflow
         # to 0, or so near 0 that its reciprocal overflows, though every entry
         # is positive; that block has no finite scale, so the solve stops
-        # here, before the convergence test reads lam or a division by it.
-        # The d norms as floats serve this test and the smallest factor
-        # 1 / max(lam) at less than two numpy reductions.
-        lam_list = lam.tolist()
-        lam_min, lam_max = min(lam_list), max(lam_list)
-        if not (lam_min > 0.0 and 1.0 / lam_min < math.inf and lam_max < math.inf):
+        # here, before the convergence test reads lam or a division by it
+        if not (lam_min > 0.0 and 1.0 / lam_min < inf and lam_max < inf):
             status = DIVERGED
-            messages.append("iterate left the open cone" if lam_max < math.inf else "block norm overflowed")
+            messages.append("iterate left the open cone" if lam_max < inf else "block norm overflowed")
             break
         if log_hi - log_lo < cfg.tol:
             res = _relative_residual_inf(y, lam, x)
             if res < 10.0 * cfg.tol:
+                lam = np.atleast_1d(lam)
                 eigenpair = EigenPair(x, lam, _weighted_product(lam, b))
                 status, res_val = CONVERGED, res
                 break
             if len(recent) > _CYCLE_WINDOW:
                 past = recent[0]
                 dist_cycle = _inf_dist(x, past)
-                dist_step = _inf_dist(x, recent[-2]) if len(recent) >= 2 else math.inf
+                dist_step = _inf_dist(x, recent[-2]) if len(recent) >= 2 else inf
                 if dist_cycle < 1e-10 and dist_step > 10.0 * dist_cycle:
-                    candidate = _cycle_average(list(recent)[1:], norms)
+                    candidate = _cycle_average(list(recent)[1:], cfg.norms)
                     y_c = evaluate(F, candidate)
                     ylam = norm_of(y_c.flat)
                     res_c = _relative_residual_inf(y_c, ylam, candidate)
@@ -339,17 +381,12 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
                         status, res_val = BRACKET_CONVERGED_CYCLING, res_c
                         messages.append("period-2 cycling averaged out")
                         break
-        inv_min = 1.0 / lam_max
-        # lam holds one norm per block of y, the length a scaling needs; one
-        # block scales by one float, the same product per entry without the
-        # array division
-        if one_block:
-            x = _wrap(yf * inv_min, y.shape)
-        else:
-            x = _wrap(y.shape._spread(1.0 / lam) * yf, y.shape)
+        # one block scales by one float: _spread passes it through
+        x = _wrap(shape._spread(1.0 / lam) * yf, shape)
         # a rescaled entry can underflow to 0 only if the smallest entry times
-        # the smallest factor does; then the iterate is checked in full
-        if not y_min * inv_min > 0.0 and not x.is_pos():
+        # the smallest factor 1 / max(lam) does; then the iterate is checked
+        # in full
+        if not y_min * (1.0 / lam_max) > 0.0 and not x.is_pos():
             status = DIVERGED
             messages.append("iterate left the open cone")
             break
@@ -376,7 +413,7 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
         C = float(np.max(F.A.T @ b / b))
         if C < 1.0:
             # a bracket end beyond the double range leaves its gap unknown: +inf
-            gaps = [math.log(hi / lo) if lo > 0.0 and hi < math.inf else math.inf for lo, hi in trace]
+            gaps = [math.log(hi / lo) if lo > 0.0 and hi < inf else inf for lo, hi in trace]
             report.envelope_ok = all(
                 g1 <= C * g0 + _CONTRACTION_SLACK for g0, g1 in zip(gaps, gaps[1:])
             )
@@ -478,11 +515,14 @@ def delta_continuation(F: MapInstance, cfg: SolverConfig) -> SolveReport:
     Reports the last eigenpair, the (delta, r_b) trace, and an Aitken
     extrapolation of the r_b sequence.
     """
-    from .maps import shifted  # local import keeps module load order simple
-
     messages: list[str] = []
     b = _resolve_weights(F, cfg.weights, messages)
     schedule = cfg.delta_schedule.values()
+    if cfg.norms.d != F.shape.d:
+        raise ValueError("norm spec does not match the map shape")
+    # every shifted map has F's A and shape: each inner solve would resolve
+    # the same weights, with the same warning, and build the same norm kernel
+    inner_messages, norm_of = list(messages), _norm_kernel(F.shape, cfg.norms)
     floor = cfg.delta_schedule.floor
     delta_trace: list[tuple[float, float]] = []
     counts: list[int] = []  # inner iterations of the converged shifts
@@ -504,7 +544,7 @@ def delta_continuation(F: MapInstance, cfg: SolverConfig) -> SolveReport:
         Fd = shifted(F, delta, cfg.norms)
         inner_tol = min(1e-3, max(cfg.tol, cfg.tol * delta / floor, 1e-13))
         inner = dataclasses.replace(cfg, tol=inner_tol, weights=b)
-        rep = power_method(Fd, x0, inner)
+        rep = _power_steps(Fd, x0, inner, b, norm_of, list(inner_messages))
         total_iters += rep.iterations
         if rep.status not in (CONVERGED, BRACKET_CONVERGED_CYCLING):
             messages.append(

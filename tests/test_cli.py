@@ -28,8 +28,9 @@ MOTIVATING_DOC = {
 }
 
 def _write(tmp_path, name, doc):
+    """Write doc as JSON, or a str as the document's text."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 class TestParsing:
@@ -636,6 +637,16 @@ class TestMainEntry:
     )
     def test_non_finite_map_parameter_exits_two(self, tmp_path, capsys, where, build, bad):
         assert "must be finite" in self._exits_two_everywhere(tmp_path, capsys, build(bad), where)
+
+    @pytest.mark.parametrize("delta", ["Infinity", "1e400"])
+    def test_non_finite_shift_exits_two(self, tmp_path, capsys, delta):
+        # json reads 1e400 as inf
+        text = (
+            '{"map": {"family": "shifted", "params": {"delta": %s, '
+            '"base": {"family": "linear", "params": {"matrix": [[1, 1], [0, 1]]}}}}}' % delta
+        )
+        err = self._exits_two_everywhere(tmp_path, capsys, text, "$.map.params")
+        assert err == "error: $.map.params: delta must be positive and finite\n"
 
     def test_batch_with_jobs(self, tmp_path, capsys):
         docs = [copy.deepcopy(MOTIVATING_DOC), {"map": {"family": "irrex", "params": {}}, "weights": [0.5, 0.5]}]

@@ -1,6 +1,8 @@
 """Power method, Collatz-Wielandt bounds, continuation, and certificates."""
 
+import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -217,6 +219,13 @@ class TestPowerMethod:
         assert rep.status == "converged"
         np.testing.assert_allclose(rep.eigenpair.lam, [1.0, 1.0], atol=1e-9)
 
+    @pytest.mark.parametrize("x0", [ProductVector([[1.0, 1.0, 1.0]]), ProductVector([[1.0], [1.0]])])
+    def test_start_vector_of_another_shape_is_refused(self, x0):
+        F = linear_map([[1.0, 2.0], [3.0, 1.0]])
+        message = f"starting vector has block sizes {x0.shape.sizes}, the map (2,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            power_method(F, x0, _cfg(1))
+
     def test_max_iter_status(self):
         # permutation singular pair: iterates swap forever without converging
         F = singular_map(np.eye(2))
@@ -227,6 +236,21 @@ class TestPowerMethod:
         assert rep.iterations == 80
 
 class TestResidualOperation:
+    @pytest.mark.parametrize(
+        "F, lam",
+        [
+            (linear_map([[1, 2], [3, 1]]), [1.0, 2.0]),
+            (linear_map([[1, 2], [3, 1]]), []),
+            (linear_map([[1, 2], [3, 1]]), [[1.0]]),
+            (motivating_map(), [1.0]),
+            (motivating_map(), [1.0, 1.0, 1.0]),
+        ],
+    )
+    def test_lam_needs_one_entry_per_block(self, F, lam):
+        x = ProductVector([np.ones(n) for n in F.shape.sizes])
+        with pytest.raises(ValueError, match="one entry per block"):
+            residual(F, x, lam, NormSpec.euclidean(F.shape.d))
+
     def test_exact_eigenpair_is_zero(self):
         F = motivating_map()
         norms = NormSpec.euclidean(2)
@@ -458,6 +482,45 @@ class TestDeltaContinuation:
                 DeltaSchedule(1.0, factor, 1e-8).values()
         assert len(DeltaSchedule().values()) == 27
         assert 9000 < len(DeltaSchedule(1.0, 0.998, 1e-8).values()) < 10_000
+
+    @pytest.mark.parametrize(
+        "F, norms, schedule, weights",
+        [
+            (linear_map([[1.0, 1.0], [0.0, 1.0]]), NormSpec.euclidean(1), DeltaSchedule(1.0, 0.5, 1e-4), None),
+            (linear_map([[1.0, 1.0], [0.0, 1.0]]), NormSpec([[0.5, 2.0]]), DeltaSchedule(1.0, 0.5, 1e-3), None),
+            (linear_map([[0.0, 0.27], [0.99, 0.0]]), NormSpec([math.inf]), DeltaSchedule(1.0, 0.5, 1e-3), None),
+            (motivating_map(), NormSpec.euclidean(2), DeltaSchedule(), None),
+            # weights with A^T b > b: every inner solve warns, as power_method does
+            (motivating_map(), NormSpec.euclidean(2), DeltaSchedule(1.0, 0.5, 1e-3), np.array([1.0, 1.0])),
+            (singular_map([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]), NormSpec([1.0, 3.0]), DeltaSchedule(1.0, 0.5, 1e-3), None),
+        ],
+    )
+    def test_every_inner_solve_is_power_method_on_the_shifted_map(self, monkeypatch, F, norms, schedule, weights):
+        # the inner solves share one weight resolution and one norm kernel;
+        # each must still be the public solve of its shifted map, bit for bit
+        inner = []
+        steps = solver._power_steps
+
+        def recording(Fd, x0, cfg, b, norm_of, messages):
+            rep = steps(Fd, x0, cfg, b, norm_of, messages)
+            inner.append((x0, cfg, rep))
+            return rep
+
+        monkeypatch.setattr(solver, "_power_steps", recording)
+        cfg = SolverConfig(norms=norms, delta_schedule=schedule, weights=weights)
+        rep = delta_continuation(F, cfg)
+        monkeypatch.undo()
+        assert rep.status == "converged" and len(inner) == len(rep.delta_trace)
+        for (delta, r_b), (x0, inner_cfg, got) in zip(rep.delta_trace, inner):
+            assert inner_cfg.weights is rep.weights
+            want = power_method(shifted(F, delta, norms), x0, inner_cfg)
+            assert got.eigenpair.r_b == r_b == want.eigenpair.r_b
+            assert got.eigenpair.x.flat.tobytes() == want.eigenpair.x.flat.tobytes()
+            assert got.eigenpair.lam.tobytes() == want.eigenpair.lam.tobytes()
+            for field in ("status", "iterations", "bracket_trace", "residual", "rate_bound",
+                          "envelope_ok", "error_radius", "messages"):
+                assert getattr(got, field) == getattr(want, field), field
+        assert rep.bracket_trace == inner[-1][2].bracket_trace
 
     def test_geometric_guess(self):
         x_prev, x = ProductVector([[0.5, 0.25]]), ProductVector([[0.25, 0.0625]])
@@ -712,33 +775,32 @@ class TestHomogeneityAnalysisReuse:
 
 
 class TestEvaluateCounts:
+    """Every evaluation of a solve, counted at the map's evaluator, wherever the loop calls it."""
+
     @staticmethod
-    def _count_evaluate(monkeypatch):
+    def _counting(F):
         calls = []
 
-        def counting(F, x):
+        def ev(x):
             calls.append(1)
-            return evaluate(F, x)
+            return F.evaluator(x)
 
-        monkeypatch.setattr(solver, "evaluate", counting)
-        return calls
+        return dataclasses.replace(F, evaluator=ev), calls
 
-    def test_max_iter_tail_evaluates_once(self, monkeypatch):
-        calls = self._count_evaluate(monkeypatch)
-        F = linear_map([[1, 2, 0.5], [0.3, 1, 1], [2, 0.1, 1]])
+    def test_max_iter_tail_evaluates_once(self):
+        F, calls = self._counting(linear_map([[1, 2, 0.5], [0.3, 1, 1], [2, 0.1, 1]]))
         rep = power_method(F, None, _cfg(1, max_iter=3))
         assert rep.status == "max_iter" and rep.iterations == 3
         assert len(calls) == 4
 
-    def test_cycle_average_evaluates_once(self, monkeypatch):
+    def test_cycle_average_evaluates_once(self):
         # block 2 is swapped every step; its tiny weight lets the bracket close
-        F = MapInstance(
+        F, calls = self._counting(MapInstance(
             shape=ShapeSpec((1, 2)),
             A=np.eye(2),
             evaluator=lambda x: ProductVector([x.blocks[0], x.blocks[1][::-1]]),
             label="swap",
-        )
-        calls = self._count_evaluate(monkeypatch)
+        ))
         x0 = ProductVector([[1.0], [1.0, 2.0]])
         rep = power_method(F, x0, _cfg(2, weights=np.array([1.0, 1e-13])))
         assert rep.status == "bracket_converged_cycling" and rep.iterations == 3
@@ -753,7 +815,7 @@ class TestDivergencePaths:
     def _map_turning_bad(bad, after=2):
         """A slowly converging linear map on R^3 whose output turns ``bad`` after ``after`` calls.
 
-        ``bad`` is a list of entries or an exception to raise.
+        ``bad`` is a list of entries, an exception to raise, or the output itself.
         """
         M = np.triu(np.ones((3, 3)))
         calls = []
@@ -764,7 +826,7 @@ class TestDivergencePaths:
                 return ProductVector([M @ x.flat])
             if isinstance(bad, Exception):
                 raise bad
-            return ProductVector([bad])
+            return ProductVector([bad]) if isinstance(bad, list) else bad
 
         return MapInstance(shape=ShapeSpec((3,)), A=[[1.0]], evaluator=ev, label="turning-bad")
 
@@ -801,6 +863,27 @@ class TestDivergencePaths:
         rep = self._solve(self._map_turning_bad([1.0, 0.0, 1.0], after=0))
         assert rep.status == solver.DIVERGED
         assert rep.iterations == 1 and rep.bracket_trace == []
+
+    @pytest.mark.parametrize("after", [0, 2])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([1.0, 1.0], "shape mismatch: map (3,), output (2,)"),
+            ([1.0, 1.0, 1.0, 1.0], "shape mismatch: map (3,), output (4,)"),
+            (ProductVector([[1.0], [1.0, 1.0]]), "shape mismatch: map (3,), output (1, 2)"),
+            (np.ones(3), "turning-bad returned a ndarray, not a ProductVector of shape (3,)"),
+        ],
+    )
+    def test_evaluator_output_of_another_shape(self, bad, message, after):
+        rep = self._solve(self._map_turning_bad(bad, after))
+        assert rep.status == solver.DIVERGED and rep.eigenpair is None
+        assert rep.iterations == after and len(rep.bracket_trace) == after
+        assert rep.messages == [f"evaluation failed: {message}"]
+        x = ProductVector([[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate(self._map_turning_bad(bad, after=0), x)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cw_bounds(self._map_turning_bad(bad, after=0), x, [1.0])
 
     def test_evaluate_keeps_its_domain_checks(self):
         F = linear_map([[1.0, 1.0], [1.0, 1.0]])
@@ -1120,7 +1203,7 @@ class TestBracketInvariants:
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
 
-        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.settings(max_examples=60, deadline=None)
         @hypothesis.given(st.data())
         def check(data):
             family = data.draw(st.sampled_from(["linear", "singular", "pq_singular", "tensor_eigen"]))
@@ -1136,7 +1219,13 @@ class TestBracketInvariants:
                 F = pq_singular_map(rng.uniform(0.05, 2.0, (m, n)), p, q)
             else:
                 F = tensor_eigen_map(rng.uniform(0.05, 2.0, (n, n, n)), data.draw(st.floats(3.0, 5.0), "p"))
-            norms = NormSpec([data.draw(st.sampled_from([1.0, 2.0, 3.0, math.inf])) for _ in F.shape.sizes])
+            kinds = [data.draw(st.sampled_from([1.0, 2.0, 3.0, math.inf, "phi"])) for _ in F.shape.sizes]
+            norms = NormSpec([rng.uniform(0.2, 3.0, k) if kind == "phi" else kind
+                              for kind, k in zip(kinds, F.shape.sizes)])
+            # the delta-shift of a one-block (linear, tensor_eigen) or a
+            # two-block (singular, pq_singular) base
+            if data.draw(st.booleans(), "shift"):
+                F = shifted(F, 10.0 ** data.draw(st.floats(-6.0, 0.0), "log10 delta"), norms)
             x0 = ProductVector([rng.uniform(0.05, 3.0, k) for k in F.shape.sizes])
             rep = power_method(F, x0, SolverConfig(norms=norms, max_iter=20))
             b = rep.weights
