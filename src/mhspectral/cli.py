@@ -28,6 +28,7 @@ from .cones import (
     NormSpec,
     ProductVector,
     ShapeSpec,
+    _norm_kernel,
     _weighted_product,
     normalize,
     ones_vector,
@@ -183,14 +184,11 @@ def dump_json(obj) -> str:
 @dataclasses.dataclass
 class Instance:
     map: mapmod.MapInstance
-    norms: NormSpec
-    weights: np.ndarray | None
+    config: solvermod.SolverConfig
     x0_spec: object  # "uniform" | "random" | list of blocks
+    x0: ProductVector | None  # the checked, normalized explicit start
     seed: int
-    tol: float
-    max_iter: int
     method: str  # "power" | "continuation"
-    delta_schedule: solvermod.DeltaSchedule
     doc: dict
 
 
@@ -300,15 +298,18 @@ def _build_norms(raw, shape: ShapeSpec, path: str) -> NormSpec:
 
 
 def _setting(doc, key: str, path: str, default, kind):
-    """A finite int or float solver setting; any other value fails at its JSON path."""
+    """A finite JSON number, integral for an int setting; anything else fails at its JSON path."""
     raw = _get(doc, key, path, default=default)
-    try:
-        value = kind(raw)
-    except (TypeError, ValueError, OverflowError):
-        _fail(f"{path}.{key}", f"expected a finite number, got {raw!r}")
-    if kind is float and not math.isfinite(value):
-        _fail(f"{path}.{key}", f"expected a finite number, got {raw!r}")
-    return value
+    if type(raw) is not bool and isinstance(raw, solvermod._REAL):
+        if kind is int and isinstance(raw, solvermod._INTEGRAL):
+            return int(raw)
+        try:
+            value = float(raw)
+        except OverflowError:  # an int beyond the double range
+            value = math.inf
+        if math.isfinite(value) and (kind is float or value.is_integer()):
+            return kind(value)
+    _fail(f"{path}.{key}", f"expected a finite {'number' if kind is float else 'integer'}, got {raw!r}")
 
 
 def parse_instance(doc: dict) -> Instance:
@@ -328,17 +329,19 @@ def parse_instance(doc: dict) -> Instance:
         if sizes != F.shape.sizes:
             _fail("$.shape", f"declared sizes {sizes} disagree with the map's {F.shape.sizes}")
     norms = _build_norms(raw_norms, F.shape, "$.norms")
+    try:
+        _norm_kernel(F.shape, norms)  # each phi against its block's size
+    except ValueError as exc:
+        _fail("$.norms", str(exc))
 
-    raw_w = _get(doc, "weights", "$", default="auto")
-    if raw_w == "auto":
-        weights = None
-    else:
-        try:
-            weights = np.array(raw_w, dtype=float)
-        except (TypeError, ValueError):
-            _fail("$.weights", "explicit weights must be a numeric d-vector")
-        if weights.shape != (F.shape.d,) or not np.all((weights > 0.0) & np.isfinite(weights)):
-            _fail("$.weights", "explicit weights must be finite and strictly positive, one per block")
+    raw_w, weights = _get(doc, "weights", "$", default="auto"), None
+    if raw_w != "auto":
+        if not isinstance(raw_w, list):
+            _fail("$.weights", "weights must be 'auto' or a list of numbers, one per block")
+        try:  # the config's own check, here to keep the document's order of errors
+            weights = solvermod.SolverConfig(norms, weights=raw_w).weights
+        except (TypeError, ValueError) as exc:
+            _fail("$.weights", str(exc))
 
     sol = _get(doc, "solver", "$", default={})
     if not isinstance(sol, dict):
@@ -351,7 +354,7 @@ def parse_instance(doc: dict) -> Instance:
     method = _get(sol, "method", "$.solver", default="power")
     if method not in ("power", "continuation"):
         _fail("$.solver.method", "method must be 'power' or 'continuation'")
-    x0_spec = _get(sol, "x0", "$.solver", default="uniform")
+    x0_spec, x0 = _get(sol, "x0", "$.solver", default="uniform"), None
     if isinstance(x0_spec, str):
         if x0_spec not in ("uniform", "random"):
             _fail("$.solver.x0", "x0 must be 'uniform', 'random', or explicit blocks")
@@ -360,85 +363,60 @@ def parse_instance(doc: dict) -> Instance:
             x0 = ProductVector(x0_spec)
         except (TypeError, ValueError, OverflowError):
             _fail("$.solver.x0", "x0 must be 'uniform', 'random', or explicit blocks of numbers")
-        if x0.shape.sizes != F.shape.sizes:
-            _fail("$.solver.x0", f"block sizes {x0.shape.sizes} disagree with the map's {F.shape.sizes}")
-        if not np.isfinite(x0.flat).all():
-            _fail("$.solver.x0", "explicit x0 entries must be finite")
         try:
-            normalize(x0, norms)
+            x0 = solvermod._checked_start(x0, F.shape, norms)
         except ValueError as exc:
             _fail("$.solver.x0", str(exc))
     sched_doc = _get(sol, "delta_schedule", "$.solver", default={})
     if not isinstance(sched_doc, dict):
         _fail("$.solver.delta_schedule", "delta schedule must be an object")
-    schedule = solvermod.DeltaSchedule(
-        delta0=_setting(sched_doc, "delta0", "$.solver.delta_schedule", 1.0, float),
-        factor=_setting(sched_doc, "factor", "$.solver.delta_schedule", 0.5, float),
-        floor=_setting(sched_doc, "floor", "$.solver.delta_schedule", 1e-8, float),
-    )
-    if tol <= 0 or max_iter < 1:
-        _fail("$.solver", "tol must be positive and max_iter >= 1")
-    return Instance(
-        map=F,
-        norms=norms,
-        weights=weights,
-        x0_spec=x0_spec,
-        seed=seed,
-        tol=tol,
-        max_iter=max_iter,
-        method=method,
-        delta_schedule=schedule,
-        doc=doc,
-    )
+    # parsed before the try, so a setting's own error keeps its path
+    values = [_setting(sched_doc, key, "$.solver.delta_schedule", default, float)
+              for key, default in (("delta0", 1.0), ("factor", 0.5), ("floor", 1e-8))]
+    try:
+        schedule = solvermod.DeltaSchedule(*values)
+    except ValueError as exc:
+        _fail("$.solver.delta_schedule", str(exc))
+    try:
+        config = solvermod.SolverConfig(norms, tol, max_iter, weights, schedule)
+    except ValueError as exc:
+        _fail("$.solver", str(exc))
+    return Instance(map=F, config=config, x0_spec=x0_spec, x0=x0, seed=seed, method=method, doc=doc)
 
 
 def canonical_instance(inst: Instance) -> dict:
     """Schema-ordered instance document with defaults made explicit."""
-    doc = inst.doc
+    doc, config = inst.doc, inst.config
     norm_doc = []
-    for kind, val in inst.norms.selectors:
+    for kind, val in config.norms.selectors:
         if kind == "p":
             norm_doc.append({"p": "inf" if val == math.inf else val})
         else:
             norm_doc.append({"phi": list(val)})
-    out = {
+    return {
         "shape": {"sizes": list(inst.map.shape.sizes)},
         "map": doc["map"],
         "norms": norm_doc,
-        "weights": "auto" if inst.weights is None else list(inst.weights),
+        "weights": "auto" if config.weights is None else list(config.weights),
         "solver": {
-            "tol": inst.tol,
-            "max_iter": inst.max_iter,
+            "tol": config.tol,
+            "max_iter": config.max_iter,
             "seed": inst.seed,
             "method": inst.method,
             "x0": inst.x0_spec,
-            "delta_schedule": {
-                "delta0": inst.delta_schedule.delta0,
-                "factor": inst.delta_schedule.factor,
-                "floor": inst.delta_schedule.floor,
-            },
+            "delta_schedule": dataclasses.asdict(config.delta_schedule),
         },
     }
-    return out
 
 
 def _start_vector(inst: Instance) -> ProductVector:
-    if isinstance(inst.x0_spec, str):
-        if inst.x0_spec == "uniform":
-            return normalize(ones_vector(inst.map.shape), inst.norms)
-        rng = np.random.default_rng(inst.seed)
-        return normalize(random_interior(inst.map.shape, rng), inst.norms)
-    return normalize(ProductVector(inst.x0_spec), inst.norms)
-
-
-def _solver_config(inst: Instance) -> solvermod.SolverConfig:
-    return solvermod.SolverConfig(
-        norms=inst.norms,
-        tol=inst.tol,
-        max_iter=inst.max_iter,
-        weights=inst.weights,
-        delta_schedule=inst.delta_schedule,
-    )
+    """The parsed explicit x0, or a uniform or seeded random start, built only when a solve needs it."""
+    if inst.x0 is not None:
+        return inst.x0
+    shape, norms = inst.map.shape, inst.config.norms
+    if inst.x0_spec == "uniform":
+        return normalize(ones_vector(shape), norms)
+    return normalize(random_interior(shape, np.random.default_rng(inst.seed)), norms)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +428,7 @@ def run_analyze(doc: dict) -> tuple[int, dict]:
     inst = parse_instance(doc)
     A, analysis = inst.map.A, inst.map.analysis
     notes = []
-    weights = inst.weights
+    weights = inst.config.weights
     if weights is None:
         weights, reason = analysis.auto_weights
         if reason is not None:
@@ -489,14 +467,12 @@ def _status_exit(status: str) -> int:
 
 def run_solve(doc: dict) -> tuple[int, dict]:
     inst = parse_instance(doc)
-    cfg = _solver_config(inst)
-    x0 = _start_vector(inst)
-    log.info("solving %s (method=%s, tol=%g)", inst.map.label, inst.method, inst.tol)
+    log.info("solving %s (method=%s, tol=%g)", inst.map.label, inst.method, inst.config.tol)
     try:
         if inst.method == "continuation":
-            rep = solvermod.delta_continuation(inst.map, cfg)
+            rep = solvermod.delta_continuation(inst.map, inst.config)
         else:
-            rep = solvermod.power_method(inst.map, x0, cfg)
+            rep = solvermod.power_method(inst.map, _start_vector(inst), inst.config)
     except (solvermod.ExpansiveMapError, PerronStructureError, ValueError) as exc:
         raise InstanceError(f"solver hypothesis failed: {exc}") from exc
     log.info("%s: %s after %d iterations", inst.map.label, rep.status, rep.iterations)
@@ -611,14 +587,14 @@ def run_certify(doc: dict, solve_report) -> tuple[int, dict]:
     report = {
         "label": inst.map.label,
         "certificate": _certificate_doc(cert),
-        "residual": solvermod.residual(inst.map, x, lam, inst.norms),
+        "residual": solvermod.residual(inst.map, x, lam, inst.config.norms),
     }
     if not x.is_pos():
         # boundary eigenvector: compare its eigenvalue product against an
         # interior solve, the maximality inequality of the summed-powers test
         maximality = {"boundary_product": r_b}
         try:
-            interior = solvermod.power_method(inst.map, _start_vector(inst), _solver_config(inst))
+            interior = solvermod.power_method(inst.map, _start_vector(inst), inst.config)
             if interior.status == solvermod.CONVERGED and interior.eigenpair.x.is_pos():
                 maximality["interior_product"] = interior.eigenpair.r_b
                 maximality["strictly_smaller"] = bool(r_b < interior.eigenpair.r_b)
@@ -665,7 +641,7 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("instance", help="instance JSON file (or batch list)")
         sp.add_argument("--out", default=None, help="write the JSON report here")
-        sp.add_argument("--seed", type=int, default=None, help="override the instance seed")
+        sp.add_argument("--seed", type=int, default=None, help="override the instance seed (nonnegative)")
         sp.add_argument("--jobs", type=int, default=1, help="parallel workers for batch files (at least 1)")
         if name == "graph":
             sp.add_argument("--dual", action="store_true", help="build the vanishing-limit graph")
@@ -674,6 +650,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be nonnegative, got {args.seed}")
 
     level = {"error": logging.ERROR, "info": logging.INFO, "trace": logging.DEBUG}.get(
         os.environ.get("MHSPECTRAL_LOG", "error"), logging.ERROR

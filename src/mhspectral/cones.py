@@ -338,7 +338,8 @@ def as_weight_vector(b, d: int) -> np.ndarray:
     w = np.atleast_1d(np.asarray(b, dtype=float))
     if w.shape != (d,):
         raise ValueError(f"weight vector must have length {d}, got shape {w.shape}")
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+    # one min and one max pass; a NaN fails both comparisons
+    if not (np.minimum.reduce(w) > 0.0 and np.maximum.reduce(w) < math.inf):
         raise ValueError("weights must be strictly positive and finite")
     return w
 

@@ -38,6 +38,7 @@ from .cones import (
     _selector_norm,
     _shape_of,
     _wrap,
+    as_weight_vector,
     matrix_power_scale,
     random_interior,
     scale_blocks,
@@ -573,11 +574,14 @@ def tight_equality_pair(A, b, sizes, ratio: float = 2.0):
     """The pair (x, y) at which the Lipschitz bound of tight_map holds with equality.
 
     x is all ones; y agrees except in the leading coordinate of the block k
-    maximizing (A^T b)_k / b_k, where it is divided by ``ratio``.
+    maximizing (A^T b)_k / b_k, where it is divided by ``ratio``.  Raises
+    ValueError unless b is one finite positive weight per block and ratio finite and positive.
     """
     shape = ShapeSpec(tuple(sizes))
     A = check_homogeneity_matrix(A, shape.d)
-    b = np.asarray(b, dtype=float)
+    b = as_weight_vector(b, shape.d)
+    if not math.inf > ratio > 0.0:
+        raise ValueError(f"ratio must be positive and finite, got {ratio!r}")
     k = int(np.argmax((A.T @ b) / b))
     x = ProductVector([np.ones(n) for n in shape.sizes])
     yblocks = [np.ones(n) for n in shape.sizes]

@@ -12,10 +12,10 @@ and tracks the two weighted ratio products
 which bracket the weighted spectral radius r_b whenever A^T b <= b, the lower
 trace nondecreasing and the upper nonincreasing.  Iteration stops once the log
 bracket gap drops below the (scale-free) tolerance.  The start vector is
-checked once (F's block sizes, strictly positive); every later iterate is the
-loop's own rescaled F(x), checked strictly positive, so after the first step
-the loop applies F without ``evaluate``'s input checks and checks only what F
-returns.
+checked once (F's block sizes, finite, strictly positive once normalized);
+every later iterate is the loop's own rescaled F(x), checked strictly
+positive, so after the first step the loop applies F without ``evaluate``'s
+input checks and checks only what F returns.
 
 Weight selection (``F.analysis``, see :func:`~mhspectral.analyze_homogeneity`):
 for rho(A) < 1 any contraction weights work and the iterates converge at the
@@ -43,7 +43,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -107,6 +107,10 @@ _CONTRACTION_SLACK = 1e-12
 # the most shifts a delta schedule may ask for; the default one has 27
 _MAX_SHIFTS = 10_000
 
+# types of a real and an integral setting (bool is refused apart); faster to test than numbers' ABCs
+_INTEGRAL = (int, np.integer)
+_REAL = (float, np.floating) + _INTEGRAL
+
 
 class ExpansiveMapError(ValueError):
     """Auto-solving refused: rho(A) > 1 lies outside the contractive theory."""
@@ -114,13 +118,17 @@ class ExpansiveMapError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class DeltaSchedule:
-    """Geometric shift schedule delta0, delta0*factor, ... down to floor."""
+    """Geometric shift schedule delta0, delta0*factor, ... down to floor.
+
+    Checked when made (ValueError): finite delta0 >= floor > 0, factor in
+    (0, 1), at most 10 000 shifts.
+    """
 
     delta0: float = 1.0
     factor: float = 0.5
     floor: float = 1e-8
 
-    def values(self) -> list[float]:
+    def __post_init__(self):
         if not (math.inf > self.delta0 > 0.0 and self.floor > 0.0 and 0.0 < self.factor < 1.0):
             raise ValueError("need finite delta0, floor > 0 and factor in (0, 1)")
         if self.floor > self.delta0:
@@ -128,6 +136,8 @@ class DeltaSchedule:
         count = (math.log(self.floor) - math.log(self.delta0)) / math.log(self.factor) + 1.0
         if count > _MAX_SHIFTS:
             raise ValueError(f"the schedule asks for about {count:.3g} shifts, more than {_MAX_SHIFTS}")
+
+    def values(self) -> list[float]:
         out, delta = [], self.delta0
         while delta >= self.floor * (1.0 - 1e-12):
             out.append(delta)
@@ -135,19 +145,25 @@ class DeltaSchedule:
         return out
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class SolverConfig:
+    """Settings of a solve, checked when made (ValueError): a finite tol > 0,
+    an integer max_iter >= 1 (not a bool), and None (weights from A) or
+    finite positive weights, one per block of norms, kept as a float array."""
+
     norms: NormSpec
     tol: float = 1e-10
     max_iter: int = 10_000
-    weights: Optional[np.ndarray] = None  # None selects weights from A
-    delta_schedule: DeltaSchedule = dataclasses.field(default_factory=DeltaSchedule)
+    weights: Optional[np.ndarray] = None
+    delta_schedule: DeltaSchedule = DeltaSchedule()  # immutable, so one instance serves every config
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if type(self.tol) is bool or not isinstance(self.tol, _REAL) or not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
+        if type(self.max_iter) is bool or not isinstance(self.max_iter, _INTEGRAL) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if self.weights is not None:
+            object.__setattr__(self, "weights", as_weight_vector(self.weights, self.norms.d))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,16 +196,14 @@ class SolveReport:
 
 
 def _resolve_weights(F: MapInstance, weights, messages: list) -> np.ndarray:
-    """Explicit weights pass through with a check; otherwise ``F.analysis`` decides."""
+    """Explicit (checked) weights pass through, warning if A^T b <= b fails; else F.analysis decides."""
     if weights is not None:
-        b = as_weight_vector(weights, F.shape.d)
-        slack = F.A.T @ b - b
-        if np.any(slack > 1e-12):
+        if np.any(F.A.T @ weights - weights > 1e-12):
             messages.append(
                 "warning: supplied weights violate A^T b <= b; bracket "
                 "monotonicity is not guaranteed"
             )
-        return b
+        return weights
     analysis = F.analysis
     if analysis.regime == "expansive":
         raise ExpansiveMapError(
@@ -273,17 +287,32 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
     ``error_radius`` = gap_K / (1 - C) bounds mu_b(x, u*) from the returned x
     to the fixed point.  Otherwise both are None.
 
-    The start vector is checked once: it must have F's block sizes and be
-    strictly positive.  Every later iterate is the loop's own rescaled
-    F(x), checked strictly positive and of F's shape, so after the first
-    step the loop applies F without ``evaluate``'s shape and domain checks.
+    The start vector is checked once, by ``_checked_start``.  Every later
+    iterate is the loop's own rescaled F(x), checked strictly positive and
+    of F's shape, so after the first step the loop applies F without
+    ``evaluate``'s shape and domain checks.
     """
-    norms = cfg.norms
-    if norms.d != F.shape.d:
-        raise ValueError("norm spec does not match the map shape")
+    return _power_steps(F, x0, cfg, *_solve_setup(F, cfg))
+
+
+def _solve_setup(F: MapInstance, cfg: SolverConfig) -> tuple[np.ndarray, Callable, list]:
+    """The weights, block-norm kernel and opening messages of a solve of F under cfg."""
+    norm_of = _norm_kernel(F.shape, cfg.norms)  # checks the norms against F's shape first
     messages: list[str] = []
-    b = _resolve_weights(F, cfg.weights, messages)
-    return _power_steps(F, x0, cfg, b, _norm_kernel(F.shape, norms), messages)
+    return _resolve_weights(F, cfg.weights, messages), norm_of, messages
+
+
+def _checked_start(x: ProductVector, shape: ShapeSpec, norms: NormSpec) -> ProductVector:
+    """x normalized under norms, checked as the start of a solve on shape (ValueError):
+    the map's block sizes, finite entries, strictly positive once normalized."""
+    if x.shape is not shape and x.shape != shape:
+        raise ValueError(f"starting vector has block sizes {x.shape.sizes}, the map {shape.sizes}")
+    if not np.isfinite(x.flat).all():
+        raise ValueError("starting vector entries must be finite")
+    x = normalize(x, norms)
+    if not x.is_pos():
+        raise ValueError("starting vector must be strictly positive")
+    return x
 
 
 # an overflow in F(x) or in a block norm ends the solve as diverged, with a
@@ -296,12 +325,7 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
     of ``cfg.norms`` on F's shape, and ``messages`` the messages so far.
     """
     shape, inf = F.shape, math.inf
-    x = ones_vector(shape) if x0 is None else x0
-    if x.shape is not shape and x.shape != shape:
-        raise ValueError(f"starting vector has block sizes {x.shape.sizes}, the map {shape.sizes}")
-    x = normalize(x, cfg.norms)
-    if not x.is_pos():
-        raise ValueError("starting vector must be strictly positive")
+    x = _checked_start(ones_vector(shape) if x0 is None else x0, shape, cfg.norms)
     # one block takes its norm as a float, the kernel's one entry without
     # the length-1 array
     one_block = shape.d == 1
@@ -508,21 +532,18 @@ def delta_continuation(F: MapInstance, cfg: SolverConfig) -> SolveReport:
     and its predicted count.  Counts that stay flat below max_iter / 2 never
     trigger it.
 
-    An inner solve that still fails returns the last converged pair (if any),
-    its residual and bracket trace, and the extrapolation of the converged
-    prefix, under the inner status and a "partial results" message.
+    An inner solve that still fails returns the last converged pair, its
+    residual and bracket trace, and the extrapolation of the converged
+    prefix, under the inner status and a "partial results" message; when the
+    first shift fails, its own pair (if any), residual and trace, with no
+    extrapolation.
 
     Reports the last eigenpair, the (delta, r_b) trace, and an Aitken
     extrapolation of the r_b sequence.
     """
-    messages: list[str] = []
-    b = _resolve_weights(F, cfg.weights, messages)
-    schedule = cfg.delta_schedule.values()
-    if cfg.norms.d != F.shape.d:
-        raise ValueError("norm spec does not match the map shape")
     # every shifted map has F's A and shape: each inner solve would resolve
     # the same weights, with the same warning, and build the same norm kernel
-    inner_messages, norm_of = list(messages), _norm_kernel(F.shape, cfg.norms)
+    b, norm_of, messages = _solve_setup(F, cfg)
     floor = cfg.delta_schedule.floor
     delta_trace: list[tuple[float, float]] = []
     counts: list[int] = []  # inner iterations of the converged shifts
@@ -530,7 +551,7 @@ def delta_continuation(F: MapInstance, cfg: SolverConfig) -> SolveReport:
     # the reports of the last converged shift and the eigenvector before it
     status, last, x_prev = CONVERGED, None, None
 
-    for delta in schedule:
+    for delta in cfg.delta_schedule.values():
         if len(counts) >= 2:
             predicted = counts[-1] ** 2 / counts[-2]
             if predicted > cfg.max_iter / 2:
@@ -543,27 +564,20 @@ def delta_continuation(F: MapInstance, cfg: SolverConfig) -> SolveReport:
         x0 = ones_vector(F.shape) if last is None else _geometric_guess(last.eigenpair.x, x_prev)
         Fd = shifted(F, delta, cfg.norms)
         inner_tol = min(1e-3, max(cfg.tol, cfg.tol * delta / floor, 1e-13))
-        inner = dataclasses.replace(cfg, tol=inner_tol, weights=b)
-        rep = _power_steps(Fd, x0, inner, b, norm_of, list(inner_messages))
+        inner = dataclasses.replace(cfg, tol=inner_tol)
+        # messages holds only the setup's messages until the loop breaks
+        rep = _power_steps(Fd, x0, inner, b, norm_of, list(messages))
         total_iters += rep.iterations
         if rep.status not in (CONVERGED, BRACKET_CONVERGED_CYCLING):
             messages.append(
                 f"inner solve failed to close its bracket at delta={delta:g} "
                 f"(status {rep.status}); returning partial results"
             )
-            if last is None:
-                return SolveReport(
-                    eigenpair=rep.eigenpair,
-                    status=rep.status,
-                    iterations=total_iters,
-                    bracket_trace=rep.bracket_trace,
-                    weights=b,
-                    residual=rep.residual,
-                    messages=messages + rep.messages,
-                    delta_trace=delta_trace,
-                )
             status = rep.status
             messages += rep.messages
+            # a failed first shift leaves its own pair, trace and residual
+            if last is None:
+                last = rep
             break
         delta_trace.append((delta, rep.eigenpair.r_b))
         counts.append(rep.iterations)
@@ -585,7 +599,7 @@ def delta_continuation(F: MapInstance, cfg: SolverConfig) -> SolveReport:
         residual=last.residual,
         messages=messages,
         delta_trace=delta_trace,
-        r_extrapolated=_aitken(r_values),
+        r_extrapolated=_aitken(r_values) if r_values else None,
     )
 
 

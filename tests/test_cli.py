@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import pathlib
+import re
 
 import pytest
 
@@ -61,7 +62,7 @@ class TestParsing:
             "norms": [{"p": "inf"}],
         }
         inst = parse_instance(doc)
-        assert inst.norms.selectors[0] == ("p", math.inf)
+        assert inst.config.norms.selectors[0] == ("p", math.inf)
 
     def test_round_trip_idempotent(self):
         c1 = dump_json(canonical_instance(parse_instance(copy.deepcopy(MOTIVATING_DOC))))
@@ -601,6 +602,20 @@ class TestMainEntry:
             ("x0", [[1, 2, 3]]),
             ("x0", [[1, math.inf], [3, 1]]),
             ("x0", [[0, 0], [3, 1]]),
+            # JSON booleans and strings are not numbers, and a count is integral
+            ("tol", True),
+            ("tol", "1e-3"),
+            ("max_iter", 2.5),
+            ("max_iter", "7"),
+            ("max_iter", False),
+            ("seed", 1.9),
+            ("seed", "3"),
+            ("seed", True),
+            ("delta_schedule.floor", "1e-8"),
+            ("delta_schedule.delta0", True),
+            # an explicit start must be strictly positive
+            ("x0", [[0, 1], [3, 1]]),
+            ("x0", [[1, -1], [3, 1]]),
         ],
     )
     def test_malformed_solver_setting_exits_two(self, tmp_path, capsys, key, value):
@@ -611,6 +626,41 @@ class TestMainEntry:
             settings = settings.setdefault(name, {})
         settings[last] = value
         self._exits_two_everywhere(tmp_path, capsys, doc, f"$.solver.{key}")
+
+    @pytest.mark.parametrize("method", ["power", "continuation"])
+    @pytest.mark.parametrize(
+        "schedule",
+        [{"factor": 3}, {"factor": 1.0}, {"delta0": 1e-9, "floor": 1e-8}, {"factor": 1.0 - 1e-12}],
+    )
+    def test_malformed_delta_schedule_exits_two(self, tmp_path, capsys, schedule, method):
+        # refused by every command, whatever the method
+        doc = copy.deepcopy(MOTIVATING_DOC)
+        doc["solver"].update(method=method, delta_schedule=schedule)
+        self._exits_two_everywhere(tmp_path, capsys, doc, "$.solver.delta_schedule")
+
+    @pytest.mark.parametrize("settings", [{"tol": 0}, {"tol": -1e-3}, {"max_iter": 0}, {"max_iter": -5}])
+    def test_unmeetable_solver_setting_exits_two(self, tmp_path, capsys, settings):
+        doc = copy.deepcopy(MOTIVATING_DOC)
+        doc["solver"].update(settings)
+        self._exits_two_everywhere(tmp_path, capsys, doc, "$.solver")
+
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 0.0], [1.0, -2.0], "heavy", 1.0, True, None, {"a": 1}])
+    def test_malformed_weights_exit_two(self, tmp_path, capsys, weights):
+        doc = copy.deepcopy(MOTIVATING_DOC)
+        doc["weights"] = weights
+        self._exits_two_everywhere(tmp_path, capsys, doc, "$.weights")
+
+    def test_phi_of_another_length_than_its_block_exits_two(self, tmp_path, capsys):
+        # certify once raised the norm kernel's ValueError uncaught
+        doc = {"map": {"family": "motivating"}, "norms": [{"phi": [1, 1, 1]}, {"p": 2}]}
+        err = self._exits_two_everywhere(tmp_path, capsys, doc, "$.norms")
+        assert "phi weight length mismatch in block 0" in err
+
+    def test_boolean_tolerance_is_not_a_converged_solve(self, tmp_path, capsys):
+        # "tol": true once read as 1.0 and stopped after one step, above rho
+        doc = {"map": {"family": "linear", "params": {"matrix": [[1, 2], [3, 1]]}}, "solver": {"tol": True}}
+        err = self._exits_two_everywhere(tmp_path, capsys, doc, "$.solver.tol")
+        assert err == "error: $.solver.tol: expected a finite number, got True\n"
 
     @pytest.mark.parametrize("sizes", [["a", 2], 5, [2, None]])
     def test_malformed_shape_sizes_exit_two(self, tmp_path, capsys, sizes):
@@ -636,7 +686,9 @@ class TestMainEntry:
         ],
     )
     def test_non_finite_map_parameter_exits_two(self, tmp_path, capsys, where, build, bad):
-        assert "must be finite" in self._exits_two_everywhere(tmp_path, capsys, build(bad), where)
+        err = self._exits_two_everywhere(tmp_path, capsys, build(bad), where)
+        # explicit weights are checked by SolverConfig: "strictly positive and finite"
+        assert re.search(r"must be (strictly positive and )?finite", err), err
 
     @pytest.mark.parametrize("delta", ["Infinity", "1e400"])
     def test_non_finite_shift_exits_two(self, tmp_path, capsys, delta):
@@ -665,6 +717,15 @@ class TestMainEntry:
         main(["solve", inst, "--seed", "1"])
         out2 = capsys.readouterr().out
         assert out1 == out2
+
+    def test_negative_seed_override_is_refused_by_the_parser(self, tmp_path, capsys):
+        inst = _write(tmp_path, "inst.json", MOTIVATING_DOC)
+        for command in ("analyze", "solve", "graph"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, inst, "--seed", "-3"])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2
+            assert "--seed must be nonnegative, got -3" in err and "$.solver" not in err
 
     @pytest.mark.parametrize("argv", [[], ["--seed", "3"]])
     def test_empty_batch_prints_an_empty_list(self, tmp_path, capsys, argv):

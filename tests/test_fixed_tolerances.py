@@ -59,9 +59,6 @@ REMOVED = {
     "as_weight_vector-normalized": lambda: as_weight_vector([0.5, 0.5], 2, normalized=False),
     "approx_pos-floor": lambda: ProductVector([[1.0]]).approx_pos(floor=1e-14),
     "dump_json-indent": lambda: cli.dump_json({}, indent=2),
-    "_solver_config-keep_iterates": lambda: cli._solver_config(
-        cli.parse_instance({"map": {"family": "motivating"}}), keep_iterates=False
-    ),
 }
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -471,6 +472,17 @@ class TestEulerIdentityProperty:
 
 class TestTheoremProperties:
     """The Lipschitz bound, dual eigenvalues and closure homogeneity on drawn maps."""
+
+    @pytest.mark.parametrize(
+        "b, ratio",
+        [([1.0, 0.0], 2.0), ([1.0, -1.0], 2.0), ([1.0], 2.0), ([1.0, math.nan], 2.0),
+         ([1.0, 1.0], 0.0), ([1.0, 1.0], -2.0), ([1.0, 1.0], math.inf), ([1.0, 1.0], math.nan)],
+    )
+    def test_tight_equality_pair_refuses_bad_weights_and_ratios(self, b, ratio):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                tight_equality_pair([[1.0, 0.5], [0.5, 1.0]], b, (2, 2), ratio=ratio)
 
     def test_tight_map_attains_the_lipschitz_bound(self):
         hypothesis = pytest.importorskip("hypothesis")

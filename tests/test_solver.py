@@ -235,6 +235,74 @@ class TestPowerMethod:
         assert rep.status == "max_iter"
         assert rep.iterations == 80
 
+class TestSolverInputs:
+    """Each solver input is checked once, when the object that owns it is made."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"tol": math.inf},
+            {"tol": math.nan},
+            {"tol": 0.0},
+            {"tol": -1e-3},
+            {"tol": True},
+            {"tol": "1e-3"},
+            {"max_iter": 2.5},
+            {"max_iter": True},
+            {"max_iter": 0},
+            {"max_iter": "7"},
+            {"weights": [0.5]},
+            {"weights": np.array([0.5, 0.5, 0.5])},
+            {"weights": [0.5, 0.0]},
+            {"weights": [0.5, math.nan]},
+        ],
+        ids=repr,
+    )
+    def test_solver_config_refuses(self, kw):
+        with pytest.raises(ValueError):
+            _cfg(2, **kw)
+
+    def test_solver_config_stores_checked_weights(self):
+        cfg = _cfg(2, tol=1e-8, max_iter=np.int64(50), weights=[1, 4])
+        assert cfg.weights.dtype == float and cfg.weights.tolist() == [1.0, 4.0]
+        assert dataclasses.replace(cfg, tol=1e-3).weights is cfg.weights
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.tol = math.inf
+
+    @pytest.mark.parametrize(
+        "delta0, factor, floor",
+        [(1.0, 3.0, 1e-8), (1.0, 1.0, 1e-8), (1.0, 0.0, 1e-8), (math.inf, 0.5, 1e-8), (1.0, 0.5, 0.0),
+         (1.0, 0.5, 2.0), (math.nan, 0.5, 1e-8), (1.0, 1.0 - 1e-12, 1e-8)],
+    )
+    def test_delta_schedule_refuses_when_made(self, delta0, factor, floor):
+        with pytest.raises(ValueError):
+            DeltaSchedule(delta0, factor, floor)
+
+    @pytest.mark.parametrize(
+        "x0, message",
+        [
+            (ProductVector([[1.0, math.inf]]), "must be finite"),
+            (ProductVector([[1.0, math.nan]]), "must be finite"),
+            (ProductVector([[1.0, 0.0]]), "strictly positive"),
+            (ProductVector([[1.0, -2.0]]), "strictly positive"),
+            (ProductVector([[-1.0, -2.0]]), "strictly positive"),
+            (ProductVector([[0.0, 0.0]]), "identically zero"),
+        ],
+    )
+    def test_start_vector_refused_without_a_warning(self, x0, message):
+        F = linear_map([[1.0, 2.0], [3.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                power_method(F, x0, _cfg(1))
+            with pytest.raises(ValueError, match=message):
+                solver._checked_start(x0, F.shape, NormSpec.euclidean(1))
+
+    def test_checked_start_is_the_normalized_vector(self):
+        x = solver._checked_start(ProductVector([[3.0, 4.0]]), ShapeSpec((2,)), NormSpec([1.0]))
+        assert x.flat.tolist() == [3.0 / 7.0, 4.0 / 7.0]
+
+
 class TestResidualOperation:
     @pytest.mark.parametrize(
         "F, lam",
@@ -412,6 +480,18 @@ class TestDeltaContinuation:
         assert any("partial results" in m for m in rep.messages)
         assert rep.delta_trace is not None
 
+    def test_failed_first_shift_reports_its_own_pair(self):
+        F = linear_map([[1.0, 1.0], [0.0, 1.0]])
+        cfg = SolverConfig(norms=NormSpec.euclidean(1), max_iter=2)
+        rep = delta_continuation(F, cfg)
+        first = power_method(shifted(F, 1.0, cfg.norms), None, dataclasses.replace(cfg, tol=1e-3))
+        assert first.status == rep.status == "max_iter"
+        assert rep.delta_trace == [] and rep.r_extrapolated is None
+        assert rep.eigenpair.x.flat.tobytes() == first.eigenpair.x.flat.tobytes()
+        assert rep.bracket_trace == first.bracket_trace and rep.residual == first.residual
+        assert rep.iterations == first.iterations == 2
+        assert rep.messages[1:] == first.messages and "partial results" in rep.messages[0]
+
     def test_stalled_shift_returns_the_last_converged_pair(self):
         # default schedule: delta = 1 (inner tol 1e-3) converges within 5
         # iterations, delta = 1/2 does not
@@ -512,7 +592,8 @@ class TestDeltaContinuation:
         monkeypatch.undo()
         assert rep.status == "converged" and len(inner) == len(rep.delta_trace)
         for (delta, r_b), (x0, inner_cfg, got) in zip(rep.delta_trace, inner):
-            assert inner_cfg.weights is rep.weights
+            # the inner config is the caller's but for its tolerance
+            assert inner_cfg == dataclasses.replace(cfg, tol=inner_cfg.tol)
             want = power_method(shifted(F, delta, norms), x0, inner_cfg)
             assert got.eigenpair.r_b == r_b == want.eigenpair.r_b
             assert got.eigenpair.x.flat.tobytes() == want.eigenpair.x.flat.tobytes()

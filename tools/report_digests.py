@@ -1,4 +1,4 @@
-"""Digest of every report the benchmark workloads make, to compare two checkouts.
+"""Digest of every report the benchmark workloads and a set of documents make, to compare two checkouts.
 
 Usage, from the repository root:
 
@@ -13,6 +13,11 @@ The ``many_blocks`` items are library calls; their report text is every
 float of the eigenpair, bracket trace, residual and certificate data in
 ``float.hex``, so the digest sees the last bit.  Every step runs even after
 a non-zero exit, and a step that raises is recorded by its exception.
+OUT.json also maps ``documents/<name>/<step>`` to the exit code and sha1 of
+the analyze, solve, graph and certify reports (certify reads the solve
+report) of every document in ``tests/data/certificates.json``, one per map
+family, and of the documents in ``EXTRA_DOCS``, which no workload has: an
+explicit start vector and a continuation on its own schedule.
 OUT.json also maps ``demos/<stem>`` to ``"<exit code> <sha1 of its stdout>"``
 for every ``demos/*.py``, each run in a subprocess with this interpreter and
 a ``PYTHONPATH`` that puts the ``mhspectral`` used above first, so ``--diff``
@@ -34,6 +39,7 @@ file has, with the exit code on each side (``raised`` for a step that raised,
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -54,6 +60,27 @@ import mhspectral.cli  # noqa: E402  (workloads.Runner reads lib.cli)
 import workloads  # noqa: E402
 
 SEEDS = (1, 2)
+
+# one document per map family, three with explicit weights
+CERTIFICATES = ROOT / "tests" / "data" / "certificates.json"
+
+EXTRA_DOCS = {
+    "explicit-x0": {
+        "map": {"family": "motivating"},
+        "weights": [0.25, 1.0],
+        "solver": {"x0": [[1.0, 2.0], [3.0, 1.0]]},
+    },
+    "custom-schedule": {
+        "map": {"family": "linear", "params": {"matrix": [[1, 1], [0, 1]]}},
+        "solver": {
+            "method": "continuation",
+            "max_iter": 20000,
+            "delta_schedule": {"delta0": 2.0, "factor": 0.25, "floor": 1e-4},
+        },
+    },
+}
+
+DOCUMENT_STEPS = ("analyze", "solve", "graph", "certify")
 
 
 def _hex(values) -> str:
@@ -108,6 +135,31 @@ def item_digests(runner, item) -> dict:
     return out
 
 
+def document_digests() -> dict:
+    """``documents/<name>/<step>`` -> ``"<exit code> <sha1 of the report text>"``."""
+    cli = mhspectral.cli
+    docs = {name: entry["doc"] for name, entry in json.loads(CERTIFICATES.read_text()).items()}
+    docs.update(EXTRA_DOCS)
+    out = {}
+    for name, doc in docs.items():
+        solved = "null"  # certify of a solve that raised fails on its report
+        for step in DOCUMENT_STEPS:
+            key = f"documents/{name}/{step}"
+            try:
+                if step == "certify":
+                    code, report = cli.run_certify(copy.deepcopy(doc), json.loads(solved))
+                else:
+                    code, report = getattr(cli, f"run_{step}")(copy.deepcopy(doc))
+            except Exception as exc:  # recorded, so a raise shows up in the diff
+                out[key] = f"raised {type(exc).__name__}: {exc}"
+                continue
+            text = cli.dump_json(report)
+            if step == "solve":
+                solved = text
+            out[key] = f"{code} {hashlib.sha1(text.encode()).hexdigest()}"
+    return out
+
+
 def demo_digests() -> dict:
     """``demos/<stem>`` -> ``"<exit code> <sha1 of stdout>"`` for every demo script."""
     paths = [str(Path(mhspectral.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH", "")]
@@ -152,6 +204,7 @@ def main(argv: list[str]) -> int:
             for item in workloads.generate(workload, seed):
                 for step, digest in item_digests(runner, item).items():
                     digests[f"{workload}/{seed}/{item.name}/{step}"] = digest
+    digests.update(document_digests())
     digests.update(demo_digests())
     Path(argv[0]).write_text(json.dumps(digests, indent=0) + "\n")
     print(f"{len(digests)} reports -> {argv[0]}", file=sys.stderr)
