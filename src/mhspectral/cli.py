@@ -312,6 +312,11 @@ def _setting(doc, key: str, path: str, default, kind):
     _fail(f"{path}.{key}", f"expected a finite {'number' if kind is float else 'integer'}, got {raw!r}")
 
 
+def _has_bool(raw) -> bool:
+    """A JSON boolean anywhere in nested lists, which numpy would read as 0 or 1."""
+    return isinstance(raw, bool) or (isinstance(raw, list) and any(_has_bool(v) for v in raw))
+
+
 def parse_instance(doc: dict) -> Instance:
     if not isinstance(doc, dict):
         raise InstanceError("$: instance must be a JSON object")
@@ -336,7 +341,7 @@ def parse_instance(doc: dict) -> Instance:
 
     raw_w, weights = _get(doc, "weights", "$", default="auto"), None
     if raw_w != "auto":
-        if not isinstance(raw_w, list):
+        if not isinstance(raw_w, list) or _has_bool(raw_w):
             _fail("$.weights", "weights must be 'auto' or a list of numbers, one per block")
         try:  # the config's own check, here to keep the document's order of errors
             weights = solvermod.SolverConfig(norms, weights=raw_w).weights
@@ -362,6 +367,8 @@ def parse_instance(doc: dict) -> Instance:
         try:
             x0 = ProductVector(x0_spec)
         except (TypeError, ValueError, OverflowError):
+            x0 = None
+        if x0 is None or _has_bool(x0_spec):
             _fail("$.solver.x0", "x0 must be 'uniform', 'random', or explicit blocks of numbers")
         try:
             x0 = solvermod._checked_start(x0, F.shape, norms)

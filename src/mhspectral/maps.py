@@ -13,10 +13,16 @@ nodes in block-major order (``ShapeSpec.nodes()``), entry [src, dst] per edge.
 The declared matrix is the source of truth; the ``verify_*`` helpers audit it
 against random samples.
 
-Built-in families cover nonnegative matrices (eigenvectors / singular pairs /
-l^{p,q} singular pairs), l^p tensor eigenvectors, and the small worked maps
-used throughout the test-suite, along with closure operations: composition,
-Hadamard products, dominated weighted sums, the delta-shift, and inversion
+The matrix and tensor families are cases of one multilinear form (Gautier,
+Tudisco and Hein, SIMAX 2019): for a nonnegative tensor T whose mode a reads
+block ``modes[a]``, F_k(x) is T contracted with x on every mode but block
+k's first, raised to 1/(p_k - 1), and A_kl = (the number of modes of block
+l, less one if l = k) / (p_k - 1).  ``linear_map`` is a matrix with both
+modes on one block and p = 2, ``pq_singular_map`` a matrix with one mode
+per block (``singular_map`` at p = q = 2), and ``tensor_eigen_map`` a cubical
+tensor with every mode on one block.  The small worked maps used throughout
+the test-suite follow, along with closure operations: composition, Hadamard
+products, dominated weighted sums, the delta-shift, and inversion
 conjugation (the dual map).
 """
 
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from typing import Callable, Optional
 
@@ -210,13 +217,110 @@ def _pattern(shape: ShapeSpec, edges) -> np.ndarray:
     return _frozen(P)
 
 
-def _dual_pattern(P: np.ndarray) -> np.ndarray:
-    """Dual pattern of a map whose every output is a sum of one-variable terms.
+def _contraction(Tk: np.ndarray, reads: list, slices: list):
+    """flat -> Tk contracted with x on its modes 1.., last first, by 2-d products as in ``np.tensordot``.
 
-    Such an F_k vanishes as coordinate r alone goes to zero only when its one
-    term is in r: the rows of P with a single entry.
+    Mode a reads block ``reads[a]``, at ``slices[reads[a]]`` of flat.  A
+    matrix on a one-block vector is its own product, with no Python frame.
     """
-    return _frozen(P & (P.sum(axis=1) == 1)[:, None])
+    mat = Tk.reshape(-1, Tk.shape[-1])  # a copy only where a moved mode leaves T's memory order
+    if len(slices) == 1 and Tk.ndim == 2:
+        return mat.__matmul__
+    last, steps = slices[reads[-1]], [(Tk.shape[a], slices[reads[a]]) for a in range(Tk.ndim - 2, 0, -1)]
+
+    def contract(flat):
+        g = mat @ flat[last]
+        for n, sl in steps:
+            g = g.reshape(-1, n) @ flat[sl]
+        return g
+
+    return contract
+
+
+def _edges(Bk: np.ndarray, reads: list, l: int, support: np.ndarray):
+    """Primal and dual edges from the slices j of the pattern Bk to the indices r of block l.
+
+    An edge when some positive entry of slice j has r on a mode a that reads
+    block l (``reads[a] == l``), a dual edge when all ``support[j]`` of them
+    have: counted by inclusion and exclusion over the sets of those modes
+    tied to r (a matrix has one per entry).
+    """
+    if Bk.ndim == 2:
+        return Bk, Bk & (support == 1)
+    hits, axes = 0, [a for a in range(1, Bk.ndim) if reads[a] == l]
+    for size in range(1, len(axes) + 1):
+        for tied in itertools.combinations(axes, size):
+            labels = [0] + [1 if a in tied else a + 1 for a in range(1, Bk.ndim)]
+            hits = hits - (-1) ** size * np.einsum(Bk, labels, [0, 1], dtype=np.intp)
+    return hits > 0, hits == support
+
+
+def _multilinear(T: np.ndarray, modes: tuple, p: tuple, label: str) -> MapInstance:
+    """The multilinear form of the float array T (frozen here), its modes on blocks ``modes``.
+
+    Raises ValueError unless every p_k > 1, T is finite and nonnegative, a
+    block's modes share one size, and no slice of T on a block's first mode
+    is zero.  The power 1/(p_k - 1) is skipped when it is 1.  The primal
+    pattern has an edge (k, j) -> (l, r) when some positive entry with index
+    j on block k's first mode has index r on another mode of block l, the
+    dual pattern when every such entry has.
+    """
+    m, d = T.ndim, max(modes) + 1
+    if not all(pk > 1.0 for pk in p):
+        raise ValueError(f"{label}: every exponent p must be > 1")
+    if not _finite_nonneg(T):
+        raise ValueError(f"{'matrix' if m == 2 else 'tensor'} entries must be finite and nonnegative")
+    firsts = [modes.index(k) for k in range(d)]
+    sizes = tuple(T.shape[f] for f in firsts)
+    if T.shape != tuple(sizes[l] for l in modes):
+        raise ValueError("the modes of one block must have one size")
+    T.setflags(write=False)
+    shape, s = _shape_of(sizes), [1.0 / (pk - 1.0) for pk in p]
+    slices = shape.block_slices()
+    B = T > 0.0
+    P, D = np.zeros((2, shape.total, shape.total), dtype=bool)  # the primal and the dual pattern
+    blocks = []  # per block: T with its first mode in front, the blocks its modes read, contraction, power
+    for k, f in enumerate(firsts):
+        order = [f, *range(f), *range(f + 1, m)]
+        Tk, Bk, reads = T.transpose(order), B.transpose(order), [modes[a] for a in order]
+        support = Bk.reshape(sizes[k], -1).sum(axis=1, keepdims=True)
+        if not support.all():  # F_k(x)_j would vanish on the open cone
+            kind = f", a zero {('row', 'column')[f]}" if m == 2 else ""
+            j = np.argmin(support)
+            raise ValueError(f"degenerate slice {j} on mode {f}{kind}: zero image of the positive cone")
+        for l in dict.fromkeys(reads[1:]):
+            P[slices[k], slices[l]], D[slices[k], slices[l]] = _edges(Bk, reads, l, support)
+        blocks.append((Tk, reads, _contraction(Tk, reads, slices), s[k]))
+    if d > 1:
+        join = lambda flat: np.concatenate([g(flat) if sk == 1.0 else g(flat) ** sk for _, _, g, sk in blocks])
+    else:
+        (_, _, g, sk), = blocks
+        join = g if sk == 1.0 else lambda flat: g(flat) ** sk
+
+    def jacobian(x):
+        flat, J = x.flat, np.zeros((shape.total, shape.total))
+        for k, (Tk, reads, g, sk) in enumerate(blocks):
+            partials = {}  # dF_k/dx_l before the chain rule: T on all modes but 0 and one of block l
+            for i in range(1, m):
+                G = Tk
+                for a in range(m - 1, 0, -1):
+                    if a != i:
+                        G = np.tensordot(G, flat[slices[reads[a]]], axes=(a, 0))
+                partials[reads[i]] = partials[reads[i]] + G if reads[i] in partials else G
+            scale = 1.0 if sk == 1.0 else (sk * g(flat) ** (sk - 1.0))[:, None]
+            for l, G in partials.items():
+                J[slices[k], slices[l]] = G if sk == 1.0 else scale * G
+        return J
+
+    return MapInstance(
+        shape=shape,
+        A=[[(modes.count(l) - (l == k)) * s[k] for l in range(d)] for k in range(d)],
+        evaluator=lambda x: _wrap(join(x.flat), shape),
+        jacobian=jacobian,
+        label=label,
+        edge_oracle=_frozen(P),
+        dual_edge_oracle=_frozen(D),
+    )
 
 
 def linear_map(M) -> MapInstance:
@@ -224,36 +328,14 @@ def linear_map(M) -> MapInstance:
     M = np.array(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("linear_map needs a square matrix")
-    if not _finite_nonneg(M):
-        raise ValueError("matrix entries must be finite and nonnegative")
-    if not np.all((M > 0.0).any(axis=1)):
-        raise ValueError("zero row: the map would collapse the open cone")
-    M.setflags(write=False)
-    n = M.shape[0]
-    shape = _shape_of((n,))
-    P = _frozen(M > 0.0)
-    return MapInstance(
-        shape=shape,
-        A=[[1.0]],
-        evaluator=lambda x: _wrap(M @ x.flat, shape),
-        jacobian=lambda x: M.copy(),
-        label=f"linear(n={n})",
-        edge_oracle=P,
-        dual_edge_oracle=_dual_pattern(P),
-    )
+    return _multilinear(M, (0, 0), (2.0,), f"linear(n={M.shape[0]})")
 
 
-def _check_rect(M) -> np.ndarray:
+def _matrix(M) -> np.ndarray:
+    """A float copy of M, refused unless it is 2-d."""
     M = np.array(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("need a matrix")
-    if not _finite_nonneg(M):
-        raise ValueError("matrix entries must be finite and nonnegative")
-    if not np.all((M > 0.0).any(axis=1)):
-        raise ValueError("zero row")
-    if not np.all((M > 0.0).any(axis=0)):
-        raise ValueError("zero column")
-    M.setflags(write=False)
     return M
 
 
@@ -264,9 +346,8 @@ def singular_map(M) -> MapInstance:
     the dimensionally consistent reading of the pair map.  It is the p = q = 2
     case of ``pq_singular_map``, whose exponents 1/(p-1) are then exactly 1.
     """
-    F = pq_singular_map(M, 2.0, 2.0)
-    m, n = F.shape.sizes
-    return dataclasses.replace(F, label=f"singular({m}x{n})")
+    M = _matrix(M)
+    return _multilinear(M, (0, 1), (2.0, 2.0), "singular({}x{})".format(*M.shape))
 
 
 def pq_singular_map(M, p: float, q: float) -> MapInstance:
@@ -275,58 +356,8 @@ def pq_singular_map(M, p: float, q: float) -> MapInstance:
     Eigenvectors are the nonnegative critical points of
     <x, My> / (||x||_p ||y||_q).
     """
-    if not (p > 1.0 and q > 1.0):
-        raise ValueError("pq_singular_map needs p > 1 and q > 1")
-    M = _check_rect(M)
-    m, n = M.shape
-    shape = _shape_of((m, n))
-    sp, sq = 1.0 / (p - 1.0), 1.0 / (q - 1.0)
-
-    def ev(z):
-        x, y = z.flat[:m], z.flat[m:]
-        return _wrap(np.concatenate(((M @ y) ** sp, (M.T @ x) ** sq)), shape)
-
-    def jac(z):
-        x, y = z.blocks
-        g1, g2 = M @ y, M.T @ x
-        J = np.zeros((m + n, m + n))
-        J[:m, m:] = sp * (g1 ** (sp - 1.0))[:, None] * M
-        J[m:, :m] = sq * (g2 ** (sq - 1.0))[:, None] * M.T
-        return J
-
-    # block 0 reads block 1 through M, block 1 reads block 0 through M^T
-    P = np.zeros((m + n, m + n), dtype=bool)
-    P[:m, m:] = M > 0.0
-    P[m:, :m] = P[:m, m:].T
-    return MapInstance(
-        shape=shape,
-        A=[[0.0, sp], [sq, 0.0]],
-        evaluator=ev,
-        jacobian=jac,
-        label=f"pq_singular({m}x{n}, p={p:g}, q={q:g})",
-        edge_oracle=_frozen(P),
-        dual_edge_oracle=_dual_pattern(P),
-    )
-
-
-def _tensor_contract(T: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(T . v^{m-1})_j = sum_{j2..jm} T[j, j2, .., jm] v_{j2} ... v_{jm}."""
-    out = T
-    for _ in range(T.ndim - 1):
-        out = np.tensordot(out, v, axes=([out.ndim - 1], [0]))
-    return out
-
-
-def _tensor_partial(T: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Gradient of the contraction: G[j, r] = d/dv_r (T . v^{m-1})_j."""
-    m, n = T.ndim, T.shape[0]
-    G = np.zeros((n, n))
-    for slot in range(1, m):
-        term = T
-        for axis in sorted((a for a in range(1, m) if a != slot), reverse=True):
-            term = np.tensordot(term, v, axes=([axis], [0]))
-        G += term
-    return G
+    M = _matrix(M)
+    return _multilinear(M, (0, 1), (p, q), "pq_singular({}x{}, p={:g}, q={:g})".format(*M.shape, p, q))
 
 
 def tensor_eigen_map(T, p: float) -> MapInstance:
@@ -334,42 +365,7 @@ def tensor_eigen_map(T, p: float) -> MapInstance:
     T = np.array(T, dtype=float)
     if T.ndim < 2 or len(set(T.shape)) != 1:
         raise ValueError("tensor must be cubical of order >= 2")
-    if not _finite_nonneg(T):
-        raise ValueError("tensor entries must be finite and nonnegative")
-    if not (p > 1.0):
-        raise ValueError("tensor_eigen_map needs p > 1")
-    m, n = T.ndim, T.shape[0]
-    for j in range(n):
-        if not np.any(T[j] > 0.0):
-            raise ValueError(f"degenerate slice {j}: zero image of the positive cone")
-    T.setflags(write=False)
-    shape = _shape_of((n,))
-    s = 1.0 / (p - 1.0)
-
-    def ev(x):
-        return _wrap(_tensor_contract(T, x.flat) ** s, shape)
-
-    def jac(x):
-        v = x.blocks[0]
-        g = _tensor_contract(T, v)
-        return s * (g ** (s - 1.0))[:, None] * _tensor_partial(T, v)
-
-    # F_j blows up along r when r occurs in some positive index tuple of
-    # T[j], and vanishes as r -> 0 when r occurs in every one of them
-    idx = np.argwhere(T > 0.0)  # rows (j, r_2, .., r_m), sorted by j
-    occurs = np.zeros((len(idx), n), dtype=bool)
-    occurs[np.arange(len(idx))[:, None], idx[:, 1:]] = True
-    starts = np.flatnonzero(np.diff(idx[:, 0], prepend=-1))  # every slice is nonzero
-
-    return MapInstance(
-        shape=shape,
-        A=[[(m - 1) * s]],
-        evaluator=ev,
-        jacobian=jac,
-        label=f"tensor_eigen(order={m}, n={n}, p={p:g})",
-        edge_oracle=_frozen(np.logical_or.reduceat(occurs, starts, axis=0)),
-        dual_edge_oracle=_frozen(np.logical_and.reduceat(occurs, starts, axis=0)),
-    )
+    return _multilinear(T, (0,) * T.ndim, (p,), f"tensor_eigen(order={T.ndim}, n={T.shape[0]}, p={p:g})")
 
 
 def max_example_map(eps: float) -> MapInstance:

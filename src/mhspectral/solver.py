@@ -149,7 +149,9 @@ class DeltaSchedule:
 class SolverConfig:
     """Settings of a solve, checked when made (ValueError): a finite tol > 0,
     an integer max_iter >= 1 (not a bool), and None (weights from A) or
-    finite positive weights, one per block of norms, kept as a float array."""
+    finite positive weights, one per block of norms, kept as a read-only float
+    array of the config's own, so later writes to the caller's array do not
+    reach it."""
 
     norms: NormSpec
     tol: float = 1e-10
@@ -163,7 +165,11 @@ class SolverConfig:
         if type(self.max_iter) is bool or not isinstance(self.max_iter, _INTEGRAL) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.weights is not None:
-            object.__setattr__(self, "weights", as_weight_vector(self.weights, self.norms.d))
+            w = as_weight_vector(self.weights, self.norms.d)
+            if w.flags.writeable or w.base is not None:  # not yet a config's own frozen array
+                w = w.copy()
+                w.setflags(write=False)
+            object.__setattr__(self, "weights", w)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -569,12 +575,13 @@ def delta_continuation(F: MapInstance, cfg: SolverConfig) -> SolveReport:
         rep = _power_steps(Fd, x0, inner, b, norm_of, list(messages))
         total_iters += rep.iterations
         if rep.status not in (CONVERGED, BRACKET_CONVERGED_CYCLING):
+            own = rep.messages[len(messages):]  # the inner report's, after the setup's
             messages.append(
                 f"inner solve failed to close its bracket at delta={delta:g} "
                 f"(status {rep.status}); returning partial results"
             )
             status = rep.status
-            messages += rep.messages
+            messages += own
             # a failed first shift leaves its own pair, trace and residual
             if last is None:
                 last = rep

@@ -616,6 +616,9 @@ class TestMainEntry:
             # an explicit start must be strictly positive
             ("x0", [[0, 1], [3, 1]]),
             ("x0", [[1, -1], [3, 1]]),
+            # JSON booleans in a start vector are not 0 and 1
+            ("x0", [[True, True], [1, 2]]),
+            ("x0", [[1.0, 2.0], [3.0, False]]),
         ],
     )
     def test_malformed_solver_setting_exits_two(self, tmp_path, capsys, key, value):
@@ -644,7 +647,9 @@ class TestMainEntry:
         doc["solver"].update(settings)
         self._exits_two_everywhere(tmp_path, capsys, doc, "$.solver")
 
-    @pytest.mark.parametrize("weights", [[1.0], [1.0, 0.0], [1.0, -2.0], "heavy", 1.0, True, None, {"a": 1}])
+    @pytest.mark.parametrize(
+        "weights", [[1.0], [1.0, 0.0], [1.0, -2.0], "heavy", 1.0, True, None, {"a": 1}, [True, True], [1.0, True]]
+    )
     def test_malformed_weights_exit_two(self, tmp_path, capsys, weights):
         doc = copy.deepcopy(MOTIVATING_DOC)
         doc["weights"] = weights

@@ -170,7 +170,15 @@ def _former_builtin_evaluator(kind, M, p=None, q=None):
         sp, sq = 1.0 / (p - 1.0), 1.0 / (q - 1.0)
         return lambda z: ProductVector([(M @ z.blocks[1]) ** sp, (M.T @ z.blocks[0]) ** sq])
     s = 1.0 / (p - 1.0)
-    return lambda x: ProductVector([maps._tensor_contract(M, x.blocks[0]) ** s])
+    return lambda x: ProductVector([_former_tensor_contract(M, x.blocks[0]) ** s])
+
+
+def _former_tensor_contract(T, v):
+    """(T . v^{m-1})_j = sum_{j2..jm} T[j, j2, .., jm] v_{j2} ... v_{jm}."""
+    out = T
+    for _ in range(T.ndim - 1):
+        out = np.tensordot(out, v, axes=([out.ndim - 1], [0]))
+    return out
 
 
 def _former_matrix_power_scale(alpha, B):

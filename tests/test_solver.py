@@ -262,6 +262,14 @@ class TestSolverInputs:
         with pytest.raises(ValueError):
             _cfg(2, **kw)
 
+    def test_solver_config_keeps_its_own_weights(self):
+        w = np.array([1.0, 4.0])
+        cfg = _cfg(2, weights=w)
+        w[:] = [0.0, math.nan]  # the caller's array is still the caller's
+        assert cfg.weights.tolist() == [1.0, 4.0]
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.weights[0] = 0.0
+
     def test_solver_config_stores_checked_weights(self):
         cfg = _cfg(2, tol=1e-8, max_iter=np.int64(50), weights=[1, 4])
         assert cfg.weights.dtype == float and cfg.weights.tolist() == [1.0, 4.0]
@@ -491,6 +499,16 @@ class TestDeltaContinuation:
         assert rep.bracket_trace == first.bracket_trace and rep.residual == first.residual
         assert rep.iterations == first.iterations == 2
         assert rep.messages[1:] == first.messages and "partial results" in rep.messages[0]
+
+    def test_failed_inner_solve_repeats_no_setup_message(self):
+        F = singular_map([[1.0, 2.0], [3.0, 1.0]])
+        rep = delta_continuation(F, SolverConfig(norms=NormSpec.euclidean(2), max_iter=1, weights=[1.0, 2.0]))
+        assert rep.status == "max_iter"
+        assert [m.split(";")[0] for m in rep.messages] == [
+            "warning: supplied weights violate A^T b <= b",
+            "inner solve failed to close its bracket at delta=1 (status max_iter)",
+            "bracket did not close within max_iter",
+        ]
 
     def test_stalled_shift_returns_the_last_converged_pair(self):
         # default schedule: delta = 1 (inner tol 1e-3) converges within 5

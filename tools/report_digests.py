@@ -17,7 +17,10 @@ OUT.json also maps ``documents/<name>/<step>`` to the exit code and sha1 of
 the analyze, solve, graph and certify reports (certify reads the solve
 report) of every document in ``tests/data/certificates.json``, one per map
 family, and of the documents in ``EXTRA_DOCS``, which no workload has: an
-explicit start vector and a continuation on its own schedule.
+explicit start vector, a continuation on its own schedule, a sparse order-4
+``tensor_eigen``, a rectangular ``pq_singular`` with p != q and a
+single-entry row, a reducible ``linear``, and a continuation whose inner
+solve fails.
 OUT.json also maps ``demos/<stem>`` to ``"<exit code> <sha1 of its stdout>"``
 for every ``demos/*.py``, each run in a subprocess with this interpreter and
 a ``PYTHONPATH`` that puts the ``mhspectral`` used above first, so ``--diff``
@@ -64,6 +67,15 @@ SEEDS = (1, 2)
 # one document per map family, three with explicit weights
 CERTIFICATES = ROOT / "tests" / "data" / "certificates.json"
 
+
+def _sparse_tensor(n: int, order: int, entries: dict) -> list:
+    """The nested lists of an order-``order`` tensor of side n, zero but at ``entries``."""
+    T = np.zeros((n,) * order)
+    for index, value in entries.items():
+        T[index] = value
+    return T.tolist()
+
+
 EXTRA_DOCS = {
     "explicit-x0": {
         "map": {"family": "motivating"},
@@ -77,6 +89,24 @@ EXTRA_DOCS = {
             "max_iter": 20000,
             "delta_schedule": {"delta0": 2.0, "factor": 0.25, "floor": 1e-4},
         },
+    },
+    "sparse-order-4-tensor": {
+        "map": {
+            "family": "tensor_eigen",
+            "params": {"tensor": _sparse_tensor(3, 4, {(0, 1, 1, 2): 1.0, (0, 0, 2, 2): 0.5, (1, 2, 0, 0): 2.0,
+                                                       (2, 0, 0, 1): 1.5, (2, 2, 2, 2): 0.25}), "p": 5},
+        },
+    },
+    "rectangular-pq-single-entry-row": {
+        "map": {"family": "pq_singular", "params": {"matrix": [[1, 0, 0], [0.5, 2, 1]], "p": 3, "q": 4}},
+    },
+    "reducible-linear": {
+        "map": {"family": "linear", "params": {"matrix": [[1, 1, 0], [1, 1, 0], [0, 0, 2]]}},
+    },
+    "continuation-failed-inner-solve": {
+        "map": {"family": "singular", "params": {"matrix": [[1, 2], [3, 1]]}},
+        "weights": [1, 2],
+        "solver": {"method": "continuation", "max_iter": 1},
     },
 }
 
