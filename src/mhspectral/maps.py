@@ -13,6 +13,14 @@ nodes in block-major order (``ShapeSpec.nodes()``), entry [src, dst] per edge.
 The declared matrix is the source of truth; the ``verify_*`` helpers audit it
 against random samples.
 
+Every built-in map evaluates through a flat kernel, a function from the
+buffer of a point (``ProductVector.flat``) to a fresh buffer of its image,
+with no checks; its public ``evaluator`` wraps that kernel's output as a
+vector.  The closures compose their parts' kernels with no vector in between,
+and a user's evaluator takes part through an adapter that wraps the buffer,
+calls it, and checks what it returns, as ``evaluate`` does (``_kernel``).  The
+power loop applies F's kernel to its own buffers.
+
 The matrix and tensor families are cases of one multilinear form (Gautier,
 Tudisco and Hein, SIMAX 2019): for a nonnegative tensor T whose mode a reads
 block ``modes[a]``, F_k(x) is T contracted with x on every mode but block
@@ -96,6 +104,19 @@ def check_homogeneity_matrix(A, d: int) -> np.ndarray:
     return A
 
 
+class _CheckedA:
+    """A d x d matrix that ``check_homogeneity_matrix`` returned, as the A of a new map of d blocks.
+
+    ``MapInstance`` takes its ``matrix`` without checking it again: a map
+    derived from a checked one (a shift) or a cached multilinear A.
+    """
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class MapInstance:
     """An evaluatable mapping together with its declared structure.
@@ -120,7 +141,9 @@ class MapInstance:
     domain: str = "cone"
 
     def __post_init__(self):
-        object.__setattr__(self, "A", check_homogeneity_matrix(self.A, self.shape.d))
+        A = self.A
+        A = A.matrix if type(A) is _CheckedA else check_homogeneity_matrix(A, self.shape.d)
+        object.__setattr__(self, "A", A)
         if self.domain not in ("cone", "interior"):
             raise ValueError("domain must be 'cone' or 'interior'")
         n = self.shape.total
@@ -169,12 +192,17 @@ def evaluate(F: MapInstance, x: ProductVector) -> ProductVector:
     """
     if x.shape is not F.shape and x.shape != F.shape:
         raise ValueError(f"shape mismatch: map {F.shape.sizes}, vector {x.shape.sizes}")
-    if F.domain == "interior":
-        if not x.is_pos():
-            raise ValueError(f"{F.label} is only defined on strictly positive vectors")
-    elif not x.is_nonneg():
-        raise ValueError("negative input entries")
+    _check_domain(F, x.flat)
     return _apply(F, x)
+
+
+def _check_domain(F: MapInstance, flat: np.ndarray) -> None:
+    """ValueError unless the buffer flat lies in F's domain: strictly positive, or nonnegative."""
+    if F.domain == "interior":
+        if not np.minimum.reduce(flat) > 0.0:
+            raise ValueError(f"{F.label} is only defined on strictly positive vectors")
+    elif not np.minimum.reduce(flat) >= 0.0:
+        raise ValueError("negative input entries")
 
 
 def _apply(F: MapInstance, x: ProductVector) -> ProductVector:
@@ -182,8 +210,8 @@ def _apply(F: MapInstance, x: ProductVector) -> ProductVector:
 
     Raises ValueError unless the evaluator returned a ``ProductVector`` of
     F's shape.  For a caller whose x is known to lie in F's domain with F's
-    shape: ``evaluate`` after its checks, and ``power_method`` after its
-    first step, whose own strictly positive iterates need none.
+    shape: ``evaluate`` after its checks, and the ``_Adapter`` of a user's
+    evaluator, whose callers' buffers need none.
     """
     y = F.evaluator(x)
     if not isinstance(y, ProductVector):
@@ -191,6 +219,48 @@ def _apply(F: MapInstance, x: ProductVector) -> ProductVector:
     if y.shape is not F.shape and y.shape != F.shape:
         raise ValueError(f"shape mismatch: map {F.shape.sizes}, output {y.shape.sizes}")
     return y
+
+
+class _FlatEvaluator:
+    """The evaluator of a built-in map: x -> its flat ``kernel`` at ``x.flat``, as a vector of ``shape``."""
+
+    __slots__ = ("kernel", "shape")
+
+    def __init__(self, kernel: Callable[[np.ndarray], np.ndarray], shape: ShapeSpec):
+        self.kernel, self.shape = kernel, shape
+
+    def __call__(self, x: ProductVector) -> ProductVector:
+        return _wrap(self.kernel(x.flat), self.shape)
+
+
+class _Adapter:
+    """The flat kernel of a user's evaluator: the buffer wrapped, the evaluator's output checked.
+
+    Raises ValueError as ``_apply`` does.  ``last`` is the vector it wrapped
+    last, the very one the evaluator saw.
+    """
+
+    __slots__ = ("F", "last")
+
+    def __init__(self, F: MapInstance):
+        self.F, self.last = F, None
+
+    def __call__(self, flat: np.ndarray) -> np.ndarray:
+        x = self.last = _wrap(flat, self.F.shape)
+        return _apply(self.F, x).flat
+
+
+def _kernel(F: MapInstance) -> Callable[[np.ndarray], np.ndarray]:
+    """F as a function of buffers: flat -> F(x).flat for the x of F's shape with that buffer.
+
+    No input check: for a caller whose buffers lie in F's domain.  A
+    built-in evaluator gives its own kernel; any other evaluator a fresh
+    ``_Adapter``, which checks what the evaluator returns.
+    """
+    ev = F.evaluator
+    if type(ev) is _FlatEvaluator and (ev.shape is F.shape or ev.shape == F.shape):
+        return ev.kernel
+    return _Adapter(F)
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +307,49 @@ def _contraction(Tk: np.ndarray, reads: list, slices: list):
     return contract
 
 
-def _edges(Bk: np.ndarray, reads: list, l: int, support: np.ndarray):
-    """Primal and dual edges from the slices j of the pattern Bk to the indices r of block l.
+def _edges(Bk: np.ndarray, terms: tuple, support: np.ndarray):
+    """Primal and dual edges from the slices j of the pattern Bk to the indices r of one block l.
 
-    An edge when some positive entry of slice j has r on a mode a that reads
-    block l (``reads[a] == l``), a dual edge when all ``support[j]`` of them
-    have: counted by inclusion and exclusion over the sets of those modes
-    tied to r (a matrix has one per entry).
+    An edge when some positive entry of slice j has r on a mode that reads
+    block l, a dual edge when all ``support[j]`` of them have: counted by
+    inclusion and exclusion, one signed ``np.einsum`` term per set of those
+    modes tied to r (``terms``, see ``_layout``; a matrix has one per entry).
     """
     if Bk.ndim == 2:
         return Bk, Bk & (support == 1)
-    hits, axes = 0, [a for a in range(1, Bk.ndim) if reads[a] == l]
-    for size in range(1, len(axes) + 1):
-        for tied in itertools.combinations(axes, size):
-            labels = [0] + [1 if a in tied else a + 1 for a in range(1, Bk.ndim)]
-            hits = hits - (-1) ** size * np.einsum(Bk, labels, [0, 1], dtype=np.intp)
+    hits = 0
+    for sign, labels in terms:
+        hits = hits + sign * np.einsum(Bk, list(labels), [0, 1], dtype=np.intp)
     return hits > 0, hits == support
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(modes: tuple, p: tuple):
+    """What the multilinear form takes from its modes and exponents alone, as (blocks, A).
+
+    Per block k: T's axis order with block k's first mode in front, the
+    blocks those axes read, the power 1/(p_k - 1), and per block l that the
+    other axes read, ``_edges``' signed einsum labels.  A is checked, so
+    read-only.  Every p_k must be > 1.
+    """
+    m, d = len(modes), max(modes) + 1
+    s = [1.0 / (pk - 1.0) for pk in p]
+    blocks = []
+    for k in range(d):
+        f = modes.index(k)
+        order = (f, *range(f), *range(f + 1, m))
+        reads = tuple(modes[a] for a in order)
+        edges = []
+        for l in dict.fromkeys(reads[1:]):
+            axes, terms = [a for a in range(1, m) if reads[a] == l], []
+            for size in range(1, len(axes) + 1):
+                for tied in itertools.combinations(axes, size):
+                    labels = (0, *(1 if a in tied else a + 1 for a in range(1, m)))
+                    terms.append((-(-1) ** size, labels))
+            edges.append((l, tuple(terms)))
+        blocks.append((order, reads, s[k], tuple(edges)))
+    A = check_homogeneity_matrix([[(modes.count(l) - (l == k)) * s[k] for l in range(d)] for k in range(d)], d)
+    return tuple(blocks), A
 
 
 def _multilinear(T: np.ndarray, modes: tuple, p: tuple, label: str) -> MapInstance:
@@ -265,32 +362,31 @@ def _multilinear(T: np.ndarray, modes: tuple, p: tuple, label: str) -> MapInstan
     j on block k's first mode has index r on another mode of block l, the
     dual pattern when every such entry has.
     """
-    m, d = T.ndim, max(modes) + 1
     if not all(pk > 1.0 for pk in p):
         raise ValueError(f"{label}: every exponent p must be > 1")
+    layout, A = _layout(modes, p)
+    m, d = T.ndim, len(layout)
     if not _finite_nonneg(T):
         raise ValueError(f"{'matrix' if m == 2 else 'tensor'} entries must be finite and nonnegative")
-    firsts = [modes.index(k) for k in range(d)]
-    sizes = tuple(T.shape[f] for f in firsts)
+    sizes = tuple(T.shape[order[0]] for order, _, _, _ in layout)
     if T.shape != tuple(sizes[l] for l in modes):
         raise ValueError("the modes of one block must have one size")
     T.setflags(write=False)
-    shape, s = _shape_of(sizes), [1.0 / (pk - 1.0) for pk in p]
+    shape = _shape_of(sizes)
     slices = shape.block_slices()
     B = T > 0.0
     P, D = np.zeros((2, shape.total, shape.total), dtype=bool)  # the primal and the dual pattern
     blocks = []  # per block: T with its first mode in front, the blocks its modes read, contraction, power
-    for k, f in enumerate(firsts):
-        order = [f, *range(f), *range(f + 1, m)]
-        Tk, Bk, reads = T.transpose(order), B.transpose(order), [modes[a] for a in order]
+    for k, (order, reads, sk, edges) in enumerate(layout):
+        Tk, Bk, f = T.transpose(order), B.transpose(order), order[0]
         support = Bk.reshape(sizes[k], -1).sum(axis=1, keepdims=True)
         if not support.all():  # F_k(x)_j would vanish on the open cone
             kind = f", a zero {('row', 'column')[f]}" if m == 2 else ""
             j = np.argmin(support)
             raise ValueError(f"degenerate slice {j} on mode {f}{kind}: zero image of the positive cone")
-        for l in dict.fromkeys(reads[1:]):
-            P[slices[k], slices[l]], D[slices[k], slices[l]] = _edges(Bk, reads, l, support)
-        blocks.append((Tk, reads, _contraction(Tk, reads, slices), s[k]))
+        for l, terms in edges:
+            P[slices[k], slices[l]], D[slices[k], slices[l]] = _edges(Bk, terms, support)
+        blocks.append((Tk, reads, _contraction(Tk, reads, slices), sk))
     if d > 1:
         join = lambda flat: np.concatenate([g(flat) if sk == 1.0 else g(flat) ** sk for _, _, g, sk in blocks])
     else:
@@ -314,8 +410,8 @@ def _multilinear(T: np.ndarray, modes: tuple, p: tuple, label: str) -> MapInstan
 
     return MapInstance(
         shape=shape,
-        A=[[(modes.count(l) - (l == k)) * s[k] for l in range(d)] for k in range(d)],
-        evaluator=lambda x: _wrap(join(x.flat), shape),
+        A=_CheckedA(A),
+        evaluator=_FlatEvaluator(join, shape),
         jacobian=jacobian,
         label=label,
         edge_oracle=_frozen(P),
@@ -378,9 +474,9 @@ def max_example_map(eps: float) -> MapInstance:
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
 
-    def ev(x):
-        a, b, c = x.blocks[0]
-        return ProductVector([[max(a, b, c), max(eps * a, b), max(eps * b, c)]])
+    def kernel(flat):
+        a, b, c = flat
+        return np.array([max(a, b, c), max(eps * a, b), max(eps * b, c)])
 
     shape = ShapeSpec((3,))
     edges = _pattern(
@@ -394,7 +490,7 @@ def max_example_map(eps: float) -> MapInstance:
     return MapInstance(
         shape=shape,
         A=[[1.0]],
-        evaluator=ev,
+        evaluator=_FlatEvaluator(kernel, shape),
         label=f"max_example(eps={eps:g})",
         edge_oracle=edges,
         dual_edge_oracle=_pattern(shape, ()),
@@ -405,10 +501,9 @@ def max_example_map(eps: float) -> MapInstance:
 def motivating_map() -> MapInstance:
     """((s,t),(u,v)) -> ((u^2, v^2), (s^{1/8}, t^{1/8})); contraction with rho(A)=1/2."""
 
-    def ev(x):
-        s, t = x.blocks[0]
-        u, v = x.blocks[1]
-        return ProductVector([[u * u, v * v], [s ** 0.125, t ** 0.125]])
+    def kernel(flat):
+        s, t, u, v = flat
+        return np.array([u * u, v * v, s ** 0.125, t ** 0.125])
 
     def jac(x):
         s, t = x.blocks[0]
@@ -427,7 +522,7 @@ def motivating_map() -> MapInstance:
     return MapInstance(
         shape=shape,
         A=[[0.0, 2.0], [0.125, 0.0]],
-        evaluator=ev,
+        evaluator=_FlatEvaluator(kernel, shape),
         jacobian=jac,
         label="motivating",
         edge_oracle=edges,
@@ -444,10 +539,9 @@ def nonirr_map() -> MapInstance:
     satisfies the path existence condition without being strongly connected.
     """
 
-    def ev(x):
-        s, t = x.blocks[0]
-        u, v = x.blocks[1]
-        return ProductVector([[s, t], [max(s, v) ** 0.5, max(t, u) ** 0.5]])
+    def kernel(flat):
+        s, t, u, v = flat
+        return np.array([s, t, max(s, v) ** 0.5, max(t, u) ** 0.5])
 
     shape = ShapeSpec((2, 2))
     edges = _pattern(
@@ -462,7 +556,7 @@ def nonirr_map() -> MapInstance:
     return MapInstance(
         shape=shape,
         A=[[1.0, 0.0], [0.5, 0.5]],
-        evaluator=ev,
+        evaluator=_FlatEvaluator(kernel, shape),
         label="nonirr",
         edge_oracle=edges,
         dual_edge_oracle=dual_edges,
@@ -478,17 +572,16 @@ def irrex_map() -> MapInstance:
     yet the summed-powers positivity condition holds on block 0 with tau = 2.
     """
 
-    def ev(x):
-        s, t = x.blocks[0]
-        u, v = x.blocks[1]
+    def kernel(flat):
+        s, t, u, v = flat
         st = (s * t) ** 0.25
         uv = (u * v) ** 0.5
-        return ProductVector([[st * u ** 0.5, st * v ** 0.5], [uv, uv]])
+        return np.array([st * u ** 0.5, st * v ** 0.5, uv, uv])
 
     def jac(x):
         s, t = x.blocks[0]
         u, v = x.blocks[1]
-        f = ev(x).concat()
+        f = kernel(x.flat)
         J = np.zeros((4, 4))
         J[0] = [f[0] / (4 * s), f[0] / (4 * t), f[0] / (2 * u), 0.0]
         J[1] = [f[1] / (4 * s), f[1] / (4 * t), 0.0, f[1] / (2 * v)]
@@ -509,7 +602,7 @@ def irrex_map() -> MapInstance:
     return MapInstance(
         shape=shape,
         A=[[0.5, 0.5], [0.0, 1.0]],
-        evaluator=ev,
+        evaluator=_FlatEvaluator(kernel, shape),
         jacobian=jac,
         label="irrex",
         edge_oracle=edges,
@@ -528,10 +621,8 @@ def tight_map(A, sizes) -> MapInstance:
     if any(n < 2 for n in shape.sizes):
         raise ValueError("tight_map needs every block size >= 2")
 
-    def ev(x):
-        heads = np.array([blk[0] for blk in x.blocks])
-        vals = matrix_power_scale(heads, A)
-        return ProductVector([np.full(n, vals[i]) for i, n in enumerate(shape.sizes)])
+    def kernel(flat):
+        return np.repeat(matrix_power_scale(flat[shape._starts], A), shape.sizes)
 
     def jac(x):
         heads = np.array([blk[0] for blk in x.blocks])
@@ -558,7 +649,7 @@ def tight_map(A, sizes) -> MapInstance:
     return MapInstance(
         shape=shape,
         A=A,
-        evaluator=ev,
+        evaluator=_FlatEvaluator(kernel, shape),
         jacobian=jac,
         label=f"tight(sizes={shape.sizes})",
         edge_oracle=edges,
@@ -601,10 +692,11 @@ def compose(F: MapInstance, G: MapInstance) -> MapInstance:
     jac = None
     if F.jacobian is not None and G.jacobian is not None:
         jac = lambda x: F.jacobian(G.evaluator(x)) @ G.jacobian(x)
+    kF, kG = _kernel(F), _kernel(G)
     return MapInstance(
         shape=F.shape,
         A=F.A @ G.A,
-        evaluator=lambda x: F.evaluator(G.evaluator(x)),
+        evaluator=_FlatEvaluator(lambda flat: kF(kG(flat)), F.shape),
         jacobian=jac,
         label=f"compose({F.label}, {G.label})",
         differentiable=F.differentiable and G.differentiable,
@@ -616,11 +708,7 @@ def compose(F: MapInstance, G: MapInstance) -> MapInstance:
 def hadamard(F: MapInstance, G: MapInstance) -> MapInstance:
     """Entrywise product x -> F(x) o G(x); homogeneity matrix A(F) + A(G)."""
     _check_same_map_shape(F, G)
-
-    def ev(x):
-        fx, gx = F.evaluator(x), G.evaluator(x)
-        return _wrap(fx.flat * gx.flat, fx.shape)
-
+    kF, kG = _kernel(F), _kernel(G)
     jac = None
     if F.jacobian is not None and G.jacobian is not None:
 
@@ -631,7 +719,7 @@ def hadamard(F: MapInstance, G: MapInstance) -> MapInstance:
     return MapInstance(
         shape=F.shape,
         A=F.A + G.A,
-        evaluator=ev,
+        evaluator=_FlatEvaluator(lambda flat: kF(flat) * kG(flat), F.shape),
         jacobian=jac,
         label=f"hadamard({F.label}, {G.label})",
         differentiable=F.differentiable and G.differentiable,
@@ -667,27 +755,32 @@ def weighted_sum(F: MapInstance, G: MapInstance, D, norms: NormSpec, xi=None) ->
     D = check_homogeneity_matrix(D, d)
     if np.any(D < F.A - 1e-15) or np.any(D < G.A - 1e-15):
         raise ValueError("D must dominate both homogeneity matrices entrywise")
+    shape = F.shape
     if xi is None:
-        norm_of = _norm_kernel(F.shape, norms)
-        functionals = lambda x: norm_of(x.flat)
+        functionals = _norm_kernel(shape, norms)
     else:
         xi = list(xi)
         if len(xi) != d:
             raise ValueError("need one functional per block")
-        _spot_check_functionals(xi, F.shape)
-        functionals = lambda x: np.array([f(x) for f in xi])
-    DA, DB = D - F.A, D - G.A
+        _spot_check_functionals(xi, shape)
 
-    def ev(x):
-        N = functionals(x)
-        fx = scale_blocks(matrix_power_scale(N, DA), F.evaluator(x))
-        gx = scale_blocks(matrix_power_scale(N, DB), G.evaluator(x))
+        def functionals(flat):
+            x = _wrap(flat, shape)
+            return np.array([f(x) for f in xi])
+
+    DA, DB = D - F.A, D - G.A
+    kF, kG, spread = _kernel(F), _kernel(G), shape._spread
+
+    def kernel(flat):
+        N = functionals(flat)
+        fx = spread(matrix_power_scale(N, DA)) * kF(flat)
+        gx = spread(matrix_power_scale(N, DB)) * kG(flat)
         return fx + gx
 
     return MapInstance(
-        shape=F.shape,
+        shape=shape,
         A=D,
-        evaluator=ev,
+        evaluator=_FlatEvaluator(kernel, shape),
         label=f"weighted_sum({F.label}, {G.label})",
         differentiable=F.differentiable and G.differentiable and norms.is_smooth_interior(),
         homogeneity_exact=F.homogeneity_exact and G.homogeneity_exact,
@@ -699,43 +792,44 @@ def shifted(F: MapInstance, delta: float, norms: NormSpec) -> MapInstance:
     """The delta-shift F(x) + delta * (||x_1||, ..., ||x_d||)^A (x) 1.
 
     Keeps the homogeneity matrix of F, maps K_{+,0} into K_{++}, and reduces
-    to F + delta * 1 on the unit slice S_+.  A, delta (positive and finite)
-    and the norms are checked here, once, and the block-norm kernel is built
-    here: A is F's validated nonnegative matrix and block norms are
-    nonnegative, so each evaluation raises the norms to A through the
-    unchecked kernel of ``matrix_power_scale`` (a zero norm still takes its
-    0^0 = 1 branch).  One block takes its norm as a float, and a positive
-    norm n is raised to A = [[a]] as exp(a * log n): the kernel's ufuncs in
-    its order, bit for bit, without its length-1 arrays and positivity pass.
+    to F + delta * 1 on the unit slice S_+.  Delta (positive and finite) and
+    the norms are checked here, once, F's A is taken as F checked it, and the
+    block-norm kernel is built here: A is F's validated nonnegative matrix
+    and block norms are nonnegative, so each evaluation raises the norms to A
+    through the unchecked kernel of ``matrix_power_scale`` (a zero norm still
+    takes its 0^0 = 1 branch).  The shift's flat kernel adds to F's kernel
+    with no vector in between.  One block takes its norm as a float, and a
+    positive norm n is raised to A = [[a]] as exp(a * log n): the kernel's
+    ufuncs in its order, bit for bit, without its length-1 arrays and
+    positivity pass.
     """
     delta = float(delta)
     if not math.inf > delta > 0.0:
         raise ValueError("delta must be positive and finite")
     if norms.d != F.shape.d:
         raise ValueError("norm spec does not match the map shape")
-    A = F.A
-    norm_of = _norm_kernel(F.shape, norms)
+    A, shape, kF = F.A, F.shape, _kernel(F)
+    norm_of = _norm_kernel(shape, norms)
 
-    if F.shape.d == 1:
+    if shape.d == 1:
         norm, a = _selector_norm(*norms.selectors[0]), A.item(0)
 
-        def ev(x):
-            y = F.evaluator(x)
-            n = norm(x.flat)
+        def kernel(flat):
+            y = kF(flat)
+            n = norm(flat)
             scale = np.exp(a * np.log(n)) if n > 0.0 else _power_scale(np.array([n]), A)
-            return _wrap(y.flat + delta * scale, y.shape)
+            return y + delta * scale
 
     else:
+        spread = shape._spread
 
-        def ev(x):
-            y = F.evaluator(x)
-            shift = delta * _power_scale(norm_of(x.flat), A)
-            return _wrap(y.flat + y.shape._spread(shift), y.shape)
+        def kernel(flat):
+            return kF(flat) + spread(delta * _power_scale(norm_of(flat), A))
 
     G = MapInstance(
-        shape=F.shape,
-        A=A,
-        evaluator=ev,
+        shape=shape,
+        A=_CheckedA(A),
+        evaluator=_FlatEvaluator(kernel, shape),
         label=f"shifted({F.label}, delta={delta:g})",
         differentiable=F.differentiable and norms.is_smooth_interior(),
         homogeneity_exact=F.homogeneity_exact,
@@ -755,29 +849,27 @@ def dual(F: MapInstance) -> MapInstance:
     eigenvectors of F and of the dual, with eigenvalues inverted.
     """
 
-    def tau(x):
-        return _wrap(1.0 / x.flat, x.shape)
+    kF = _kernel(F)
 
-    def ev(x):
-        inner = tau(x)
-        out = F.evaluator(inner)
-        if not out.is_pos():
+    def kernel(flat):
+        out = kF(1.0 / flat)
+        if not np.minimum.reduce(out) > 0.0:
             raise ValueError("dual map hit the cone boundary")
-        return tau(out)
+        return 1.0 / out
 
     jac = None
     if F.jacobian is not None:
 
         def jac(x):
-            inner = tau(x)
+            inner = _wrap(1.0 / x.flat, x.shape)
             out = F.evaluator(inner).concat()
             J = F.jacobian(inner)
             return (out ** -2.0)[:, None] * J * (x.concat() ** -2.0)[None, :]
 
     return MapInstance(
         shape=F.shape,
-        A=F.A,
-        evaluator=ev,
+        A=_CheckedA(F.A),
+        evaluator=_FlatEvaluator(kernel, F.shape),
         jacobian=jac,
         label=f"dual({F.label})",
         differentiable=F.differentiable,

@@ -12,10 +12,13 @@ and tracks the two weighted ratio products
 which bracket the weighted spectral radius r_b whenever A^T b <= b, the lower
 trace nondecreasing and the upper nonincreasing.  Iteration stops once the log
 bracket gap drops below the (scale-free) tolerance.  The start vector is
-checked once (F's block sizes, finite, strictly positive once normalized);
-every later iterate is the loop's own rescaled F(x), checked strictly
-positive, so after the first step the loop applies F without ``evaluate``'s
-input checks and checks only what F returns.
+checked once (F's block sizes, finite, strictly positive once normalized)
+and the first step evaluates F there through ``evaluate``; every later
+iterate is the loop's own rescaled F(x), a flat buffer checked strictly
+positive, to which the loop applies F's flat kernel (``maps._kernel``) with
+no input check and no vector built.  A built-in map's kernel is its own; a
+user's evaluator is adapted, and what it returns is still checked.  The
+eigenvector is the one vector built.
 
 Weight selection (``F.analysis``, see :func:`~mhspectral.analyze_homogeneity`):
 for rho(A) < 1 any contraction weights work and the iterates converge at the
@@ -67,7 +70,7 @@ from .homogeneity import (
     spectral_radius,
     wielandt_bound,
 )
-from .maps import EigenPair, MapInstance, _apply, evaluate, has_kink, jacobian_at, shifted
+from .maps import EigenPair, MapInstance, _check_domain, _kernel, evaluate, has_kink, jacobian_at, shifted
 from .metrics import _log_bracket, _log_ratio_extrema, _weighted_sum
 
 __all__ = [
@@ -222,18 +225,19 @@ def _resolve_weights(F: MapInstance, weights, messages: list) -> np.ndarray:
     return b
 
 
-def _relative_residual_inf(y: ProductVector, lam: np.ndarray | float, x: ProductVector) -> float:
+def _relative_residual_inf(yf: np.ndarray, lam: np.ndarray | float, xf: np.ndarray, shape: ShapeSpec) -> float:
     """max_i ||y_i - lam_i x_i||_inf / ||lam_i x_i||_inf, inf when some lam_i x_i is 0.
 
-    One block may pass its lam as a float.
+    y and x are the buffers of two vectors of shape.  One block may pass its
+    lam as a float.
     """
-    lx = x.shape._spread(lam) * x.flat
-    starts = x.shape._starts
+    lx = shape._spread(lam) * xf
+    starts = shape._starts
     scale = np.maximum.reduceat(np.abs(lx), starts)
     if (scale == 0.0).any():
         return math.inf
     # fmax skips a NaN block, as the max over blocks did
-    per_block = np.maximum.reduceat(np.abs(y.flat - lx), starts) / scale
+    per_block = np.maximum.reduceat(np.abs(yf - lx), starts) / scale
     return float(np.fmax.reduce(per_block, initial=0.0))
 
 
@@ -293,10 +297,11 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
     ``error_radius`` = gap_K / (1 - C) bounds mu_b(x, u*) from the returned x
     to the fixed point.  Otherwise both are None.
 
-    The start vector is checked once, by ``_checked_start``.  Every later
-    iterate is the loop's own rescaled F(x), checked strictly positive and
-    of F's shape, so after the first step the loop applies F without
-    ``evaluate``'s shape and domain checks.
+    The start vector is checked once, by ``_checked_start``, and the first
+    step evaluates F there through ``evaluate``.  Every later iterate is the
+    loop's own rescaled F(x), a buffer checked strictly positive, so the
+    loop applies F's flat kernel to it without ``evaluate``'s shape and
+    domain checks; a user's evaluator still has its output checked.
     """
     return _power_steps(F, x0, cfg, *_solve_setup(F, cfg))
 
@@ -329,36 +334,47 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
 
     ``b`` is the resolved weight vector, ``norm_of`` the block-norm kernel
     of ``cfg.norms`` on F's shape, and ``messages`` the messages so far.
+    The iterates are flat buffers; a vector is built for the eigenvector
+    only.
     """
     shape, inf = F.shape, math.inf
     x = _checked_start(ones_vector(shape) if x0 is None else x0, shape, cfg.norms)
+    xf, kernel = x.flat, _kernel(F)
     # one block takes its norm as a float, the kernel's one entry without
     # the length-1 array
     one_block = shape.d == 1
     block_norm = _selector_norm(*cfg.norms.selectors[0]) if one_block else None
 
+    def vector(xf):
+        """xf as a vector: the start, or the vector a user's evaluator last saw, when xf is its buffer.
+
+        So what that evaluator cached on the vector (its ``blocks``, say)
+        serves later evaluations at the eigenvector too.
+        """
+        for seen in (x, getattr(kernel, "last", None)):
+            if seen is not None and seen.flat is xf:
+                return seen
+        return _wrap(xf, shape)
+
     analysis = F.analysis
     rate_bound = analysis.rho if analysis.regime == "strict_contraction" else None
     trace: list[tuple[float, float]] = []
-    recent = collections.deque([x], maxlen=_CYCLE_WINDOW + 1)
+    recent = collections.deque([xf], maxlen=_CYCLE_WINDOW + 1)
     status, eigenpair, res_val = MAX_ITER, None, None
     iterations = 0
 
-    # the first step applies F through the public evaluate, so a wrapper of
-    # evaluate (a profiler's, say) sees every solve; every later x is the
-    # loop's own rescaled y, strictly positive and of F's shape, so F is
-    # applied without evaluate's input checks
-    apply = evaluate
     for _ in range(cfg.max_iter):
+        # the first step applies F through the public evaluate, so a wrapper of
+        # evaluate (a profiler's, say) sees every solve; every later xf is the
+        # loop's own rescaled y, strictly positive and of F's shape, so F's
+        # flat kernel applies to it with no input check
         try:
-            y = apply(F, x)
+            yf = kernel(xf) if iterations else evaluate(F, x).flat
         except ValueError as exc:
             status = DIVERGED
             messages.append(f"evaluation failed: {exc}")
             break
-        apply = _apply
         iterations += 1
-        yf = y.flat
         # y in the open cone: one min pass rules out zeros and NaN; the
         # diagnostics run only on failure and keep their order (NaN first)
         y_min = np.minimum.reduce(yf)
@@ -367,7 +383,7 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
             finite = np.isfinite(yf).all()
             messages.append("iterate left the open cone" if finite else "non-finite iterate")
             break
-        log_lo, log_hi = _log_bracket(yf, x.flat, shape, b)
+        log_lo, log_hi = _log_bracket(yf, xf, shape, b)
         # x is finite and positive, so log_hi is finite whenever y is, and an
         # infinite entry of y makes it infinite or NaN
         if not log_hi < inf and not np.isfinite(yf).all():
@@ -391,42 +407,42 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
             messages.append("iterate left the open cone" if lam_max < inf else "block norm overflowed")
             break
         if log_hi - log_lo < cfg.tol:
-            res = _relative_residual_inf(y, lam, x)
+            res = _relative_residual_inf(yf, lam, xf, shape)
             if res < 10.0 * cfg.tol:
                 lam = np.atleast_1d(lam)
-                eigenpair = EigenPair(x, lam, _weighted_product(lam, b))
+                eigenpair = EigenPair(vector(xf), lam, _weighted_product(lam, b))
                 status, res_val = CONVERGED, res
                 break
             if len(recent) > _CYCLE_WINDOW:
-                past = recent[0]
-                dist_cycle = _inf_dist(x, past)
-                dist_step = _inf_dist(x, recent[-2]) if len(recent) >= 2 else inf
+                dist_cycle = _inf_dist(xf, recent[0])
+                dist_step = _inf_dist(xf, recent[-2]) if len(recent) >= 2 else inf
                 if dist_cycle < 1e-10 and dist_step > 10.0 * dist_cycle:
-                    candidate = _cycle_average(list(recent)[1:], cfg.norms)
+                    candidate = _cycle_average(list(recent)[1:], shape, cfg.norms)
                     y_c = evaluate(F, candidate)
                     ylam = norm_of(y_c.flat)
-                    res_c = _relative_residual_inf(y_c, ylam, candidate)
+                    res_c = _relative_residual_inf(y_c.flat, ylam, candidate.flat, shape)
                     if res_c < 10.0 * cfg.tol:
                         eigenpair = EigenPair(candidate, ylam, _weighted_product(ylam, b))
                         status, res_val = BRACKET_CONVERGED_CYCLING, res_c
                         messages.append("period-2 cycling averaged out")
                         break
         # one block scales by one float: _spread passes it through
-        x = _wrap(shape._spread(1.0 / lam) * yf, shape)
+        xf = shape._spread(1.0 / lam) * yf
         # a rescaled entry can underflow to 0 only if the smallest entry times
         # the smallest factor 1 / max(lam) does; then the iterate is checked
         # in full
-        if not y_min * (1.0 / lam_max) > 0.0 and not x.is_pos():
+        if not y_min * (1.0 / lam_max) > 0.0 and not np.minimum.reduce(xf) > 0.0:
             status = DIVERGED
             messages.append("iterate left the open cone")
             break
-        recent.append(x)
+        recent.append(xf)
 
     if status == MAX_ITER and trace:
-        y = evaluate(F, x)
+        u = vector(xf)
+        y = evaluate(F, u)
         lam = norm_of(y.flat)
-        eigenpair = EigenPair(x, lam, _weighted_product(lam, b))
-        res_val = _relative_residual_inf(y, lam, x)
+        eigenpair = EigenPair(u, lam, _weighted_product(lam, b))
+        res_val = _relative_residual_inf(y.flat, lam, u.flat, shape)
         messages.append("bracket did not close within max_iter")
 
     report = SolveReport(
@@ -451,13 +467,14 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
     return report
 
 
-def _inf_dist(x: ProductVector, y: ProductVector) -> float:
-    return float(np.maximum.reduce(np.abs(x.flat - y.flat)))
+def _inf_dist(xf: np.ndarray, yf: np.ndarray) -> float:
+    """max |x - y| over the entries of two buffers."""
+    return float(np.maximum.reduce(np.abs(xf - yf)))
 
 
-def _cycle_average(vectors, norms) -> ProductVector:
-    mean = np.mean([v.flat for v in vectors], axis=0)
-    return normalize(ProductVector.from_flat(mean, vectors[0].shape), norms)
+def _cycle_average(buffers, shape: ShapeSpec, norms: NormSpec) -> ProductVector:
+    """The mean of the buffers, as a vector of shape normalized under norms."""
+    return normalize(_wrap(np.mean(buffers, axis=0), shape), norms)
 
 
 def bonsall_estimate(F: MapInstance, x: ProductVector, b, m: int, norms: NormSpec) -> float:
@@ -466,27 +483,32 @@ def bonsall_estimate(F: MapInstance, x: ProductVector, b, m: int, norms: NormSpe
     Growth factors are accumulated in log space while the iterate itself stays
     on S_+; the telescoped product equals |||F^m(x)|||_b exactly when
     A^T b = b, and in general converges to the weighted eigenvalue product of
-    the limiting eigenpair whenever the normalized iteration converges.
+    the limiting eigenpair whenever the normalized iteration converges.  The
+    first step evaluates F at x; every later one applies F's flat kernel to
+    the rescaled buffer, checked in F's domain first.
     """
     if m < 1:
         raise ValueError("need at least one iteration")
     w = as_weight_vector(b, F.shape.d)
     if not x.is_pos():
         raise ValueError("x must be strictly positive")
-    norm_of = _norm_kernel(F.shape, norms)
+    shape, kernel = F.shape, _kernel(F)
+    norm_of = _norm_kernel(shape, norms)
     acc = 0.0
-    cur = x
-    for _ in range(m):
-        y = evaluate(F, cur)
-        if not np.all(np.isfinite(y.flat)):
+    yf = evaluate(F, x).flat
+    for step in range(m):
+        if step:
+            _check_domain(F, cur)
+            yf = kernel(cur)
+        if not np.all(np.isfinite(yf)):
             raise ValueError("overflow despite renormalization")
         # one set of block norms gives the growth factor and the rescale
-        ns = norm_of(y.flat)
+        ns = norm_of(yf)
         growth = _weighted_product(ns, w)
         if growth <= 0.0:
             raise ValueError("orbit hit the cone boundary")
         acc += math.log(growth)
-        cur = _wrap(y.shape._spread(1.0 / ns) * y.flat, y.shape)
+        cur = shape._spread(1.0 / ns) * yf
     return float(math.exp(acc / m))
 
 

@@ -252,7 +252,7 @@ def _former_continuation(F, norms, b, schedule, tol, max_iter):
         for _ in range(max_iter):
             y, log_lo, log_hi, lam, x_next = _former_step(Fd, x, b, norms)
             trace.append((math.exp(log_lo), math.exp(log_hi)))
-            if log_hi - log_lo < inner_tol and solver._relative_residual_inf(y, lam, x) < 10.0 * inner_tol:
+            if log_hi - log_lo < inner_tol and solver._relative_residual_inf(y.flat, lam, x.flat, x.shape) < 10.0 * inner_tol:
                 break
             x = x_next
         else:
@@ -384,24 +384,24 @@ class TestBlockwiseKernels:
             x, y = _vector(rng, shape), _vector(rng, shape)
             lam = rng.uniform(0.1, 3.0, shape.d)
             assert _same_bits(
-                solver._relative_residual_inf(y, lam, x), _ref_relative_residual_inf(y.blocks, lam, x.blocks)
+                solver._relative_residual_inf(y.flat, lam, x.flat, shape), _ref_relative_residual_inf(y.blocks, lam, x.blocks)
             )
             for norms in (NormSpec.euclidean(shape.d), NormSpec(_random_selectors(rng, shape))):
                 assert _same_bits(residual(F, x, lam, norms), _ref_residual(F, x, lam, norms))
             zero = lam.copy()
             zero[int(rng.integers(0, shape.d))] = 0.0
-            assert solver._relative_residual_inf(y, zero, x) == math.inf
+            assert solver._relative_residual_inf(y.flat, zero, x.flat, shape) == math.inf
 
     def test_inf_dist_and_cycle_average(self):
         for shape, rng in _cases():
             vs = [_vector(rng, shape) for _ in range(int(rng.integers(1, 5)))]
             want = max(float(np.max(np.abs(a - c))) for a, c in zip(vs[0].blocks, vs[-1].blocks))
-            assert _same_bits(solver._inf_dist(vs[0], vs[-1]), want)
+            assert _same_bits(solver._inf_dist(vs[0].flat, vs[-1].flat), want)
             norms = NormSpec.euclidean(shape.d)
             ref_blocks = _ref_cycle_average_blocks(vs)
             ref_norms = _ref_block_norms(ref_blocks, norms)
             want = np.concatenate(_ref_scale_blocks(1.0 / ref_norms, ref_blocks))
-            assert _same_bits(solver._cycle_average(vs, norms).flat, want)
+            assert _same_bits(solver._cycle_average([v.flat for v in vs], shape, norms).flat, want)
 
     def test_envelope_trace(self):
         # the log gap of bracket k is the Hilbert distance of x_k to x_{k+1}
@@ -781,7 +781,7 @@ class TestKernelProperties:
             assert _same_bits(hilbert_metric(x, y, b), _ref_metric(x.blocks, y.blocks, b, False))
             assert _same_bits(thompson_metric(x, y, b), _ref_metric(x.blocks, y.blocks, b, True))
             assert _same_bits(
-                solver._relative_residual_inf(y, b, x), _ref_relative_residual_inf(y.blocks, b, x.blocks)
+                solver._relative_residual_inf(y.flat, b, x.flat, x.shape), _ref_relative_residual_inf(y.blocks, b, x.blocks)
             )
             assert _same_bits(hilbert_metric(y, y, b), _ref_metric(y.blocks, y.blocks, b, False))
 

@@ -20,6 +20,7 @@ from mhspectral import (
     bonsall_estimate,
     certify_uniqueness,
     check_dirr,
+    compose,
     cw_bounds,
     delta_continuation,
     evaluate,
@@ -983,6 +984,30 @@ class TestDivergencePaths:
             evaluate(self._map_turning_bad(bad, after=0), x)
         with pytest.raises(ValueError, match=re.escape(message)):
             cw_bounds(self._map_turning_bad(bad, after=0), x, [1.0])
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda G: shifted(G, 0.5, NormSpec.euclidean(1)),
+            lambda G: compose(G, linear_map(np.eye(3))),
+            lambda G: compose(linear_map(np.eye(3)), G),
+        ],
+        ids=["shifted", "compose-outer", "compose-inner"],
+    )
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([1.0, 1.0], "shape mismatch: map (3,), output (2,)"),
+            (ProductVector([[1.0], [1.0, 1.0]]), "shape mismatch: map (3,), output (1, 2)"),
+            (np.ones(3), "turning-bad returned a ndarray, not a ProductVector of shape (3,)"),
+        ],
+    )
+    def test_evaluator_output_of_another_shape_inside_a_closure(self, wrap, bad, message):
+        # the closure's flat kernel checks its user part's output at every step
+        rep = self._solve(wrap(self._map_turning_bad(bad)))
+        assert rep.status == solver.DIVERGED and rep.eigenpair is None
+        assert rep.iterations == 2 and len(rep.bracket_trace) == 2
+        assert rep.messages == [f"evaluation failed: {message}"]
 
     def test_evaluate_keeps_its_domain_checks(self):
         F = linear_map([[1.0, 1.0], [1.0, 1.0]])
