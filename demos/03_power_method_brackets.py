@@ -3,9 +3,10 @@
 Each iterate yields a lower and an upper bound on the weighted spectral
 radius r_b; with weights satisfying A^T b <= b the lower trace never
 decreases and the upper trace never increases, so the pair gives a rigorous
-online error bar.  Shown on three problems: the two-block power map (a strict
-contraction), a nonnegative-matrix Perron pair, and an l^4 singular pair
-whose limit matches a brute-force grid search.
+online error bar.  Shown on four problems: the two-block power map (a strict
+contraction), a nonnegative-matrix Perron pair, a period-2 matrix on which
+plain steps cycle until lazy steps take over, and an l^4 singular pair whose
+limit matches a brute-force grid search.
 """
 
 import numpy as np
@@ -64,6 +65,14 @@ rng = np.random.default_rng(1)
 M = rng.uniform(0.5, 2.0, (5, 5))
 rep = run(linear_map(M), SolverConfig(norms=NormSpec.euclidean(1)))
 print("  dense eigensolver says rho(M) =", max(np.linalg.eigvals(M).real), "\n")
+
+# a period-2 matrix: plain steps swap its two ratios forever, so the bracket
+# gap stalls at once; from there on every step is lazy, (F(x) o x)^{1/2},
+# which has F's eigenvectors and converges, with the bracket still F's own
+P2 = np.array([[0.0, 0.27], [0.99, 0.0]])
+rep = run(linear_map(P2), SolverConfig(norms=NormSpec.euclidean(1)), label="period-2 matrix, default settings")
+print(" ", rep.messages[0])
+print("  max |eig| =", max(abs(np.linalg.eigvals(P2))), "\n")
 
 # l^{4,4} singular pair: r_b^3 equals the maximum of <x, My> over unit l^4 spheres
 M2 = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -78,7 +78,6 @@ from .maps import (
 )
 from .metrics import RatioExtrema, hilbert_metric, ratio_extrema, thompson_metric
 from .solver import (
-    BRACKET_CONVERGED_CYCLING,
     CONVERGED,
     DIVERGED,
     MAX_ITER,

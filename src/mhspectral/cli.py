@@ -5,8 +5,8 @@ and solver settings, then drives the analyze / solve / graph / certify
 pipelines.  Reports are JSON documents with floats rendered at 17 significant
 digits so identical instances and seeds reproduce byte-identical output.
 
-Exit codes: 0 success (including bracket_converged_cycling), 2 parse or
-precondition failure, 3 bracket not closed within max_iter, 4 diverged.
+Exit codes: 0 converged, 2 parse or precondition failure, 3 bracket not
+closed within max_iter, 4 diverged.
 """
 
 from __future__ import annotations
@@ -210,6 +210,10 @@ def _matrix_param(params, key: str, path: str) -> np.ndarray:
     return _parse_matrix(_param(params, key, path), f"{path}.params")
 
 
+def _number_param(params, key: str, path: str) -> float:  # the map checks its range
+    return _number(_param(params, key, path), f"{path}.params.{key}", float, finite=False)
+
+
 def _map_param(params, key: str, path: str, norms_hint) -> mapmod.MapInstance:
     return _build_map(_param(params, key, path), f"{path}.params.{key}", norms_hint)
 
@@ -223,7 +227,7 @@ def _weighted_sum(q, path, hint):
 def _shifted(q, path, hint):
     base = _map_param(q, "base", path, hint)
     norms = _build_norms(hint, base.shape, f"{path} (norms)")
-    return mapmod.shifted(base, float(_param(q, "delta", path)), norms)
+    return mapmod.shifted(base, _number_param(q, "delta", path), norms)
 
 
 # family -> builder(params, JSON path of the map, norms hint), in documented order
@@ -231,17 +235,17 @@ _FAMILIES = {
     "linear": lambda q, path, hint: mapmod.linear_map(_matrix_param(q, "matrix", path)),
     "singular": lambda q, path, hint: mapmod.singular_map(_matrix_param(q, "matrix", path)),
     "pq_singular": lambda q, path, hint: mapmod.pq_singular_map(
-        _matrix_param(q, "matrix", path), float(_param(q, "p", path)), float(_param(q, "q", path))
+        _matrix_param(q, "matrix", path), _number_param(q, "p", path), _number_param(q, "q", path)
     ),
     "tensor_eigen": lambda q, path, hint: mapmod.tensor_eigen_map(
-        np.array(_param(q, "tensor", path), dtype=float), float(_param(q, "p", path))
+        np.array(_param(q, "tensor", path), dtype=float), _number_param(q, "p", path)
     ),
-    "max_example": lambda q, path, hint: mapmod.max_example_map(float(_param(q, "eps", path))),
+    "max_example": lambda q, path, hint: mapmod.max_example_map(_number_param(q, "eps", path)),
     "motivating": lambda q, path, hint: mapmod.motivating_map(),
     "nonirr": lambda q, path, hint: mapmod.nonirr_map(),
     "irrex": lambda q, path, hint: mapmod.irrex_map(),
     "tight": lambda q, path, hint: mapmod.tight_map(
-        _matrix_param(q, "exponents", path), [int(n) for n in _param(q, "sizes", path)]
+        _matrix_param(q, "exponents", path), _sizes(_param(q, "sizes", path), f"{path}.params.sizes")
     ),
     "compose": lambda q, path, hint: mapmod.compose(
         _map_param(q, "outer", path, hint), _map_param(q, "inner", path, hint)
@@ -283,12 +287,16 @@ def _build_norms(raw, shape: ShapeSpec, path: str) -> NormSpec:
             _fail(f"{path}[{i}]", "selector must be an object with 'p' or 'phi'")
         if "p" not in sel and "phi" not in sel:
             _fail(f"{path}[{i}]", "selector needs 'p' or 'phi'")
+        if "p" in sel:
+            pval = sel["p"]
+            selectors.append(math.inf if pval in ("inf", "Infinity")
+                             else _number(pval, f"{path}[{i}].p", float, finite=False))
+            continue
+        phi = sel["phi"]
+        if _has_bool(phi):
+            _fail(f"{path}[{i}].phi", f"expected a list of numbers, got {phi!r}")
         try:
-            if "p" in sel:
-                pval = sel["p"]
-                selectors.append(math.inf if pval in ("inf", "Infinity") else float(pval))
-            else:
-                selectors.append(np.array(sel["phi"], dtype=float))
+            selectors.append(np.array(phi, dtype=float))
         except (TypeError, ValueError) as exc:
             _fail(f"{path}[{i}]", f"selector is not numeric ({exc})")
     try:
@@ -297,9 +305,8 @@ def _build_norms(raw, shape: ShapeSpec, path: str) -> NormSpec:
         _fail(path, str(exc))
 
 
-def _setting(doc, key: str, path: str, default, kind):
-    """A finite JSON number, integral for an int setting; anything else fails at its JSON path."""
-    raw = _get(doc, key, path, default=default)
+def _number(raw, path: str, kind, finite: bool = True):
+    """A JSON number (not a bool), finite unless finite is False, integral for kind int; else fails at path."""
     if type(raw) is not bool and isinstance(raw, solvermod._REAL):
         if kind is int and isinstance(raw, solvermod._INTEGRAL):
             return int(raw)
@@ -307,9 +314,21 @@ def _setting(doc, key: str, path: str, default, kind):
             value = float(raw)
         except OverflowError:  # an int beyond the double range
             value = math.inf
-        if math.isfinite(value) and (kind is float or value.is_integer()):
+        if (math.isfinite(value) or not finite) and (kind is float or value.is_integer()):
             return kind(value)
-    _fail(f"{path}.{key}", f"expected a finite {'number' if kind is float else 'integer'}, got {raw!r}")
+    _fail(path, f"expected a finite {'number' if kind is float else 'integer'}, got {raw!r}")
+
+
+def _setting(doc, key: str, path: str, default, kind):
+    """The setting key of doc as a _number, failing at its JSON path."""
+    return _number(_get(doc, key, path, default=default), f"{path}.{key}", kind)
+
+
+def _sizes(raw, path: str) -> tuple:
+    """A list of block sizes, each an integral _number; anything else fails at path."""
+    if not isinstance(raw, list):
+        _fail(path, f"expected a list of integers, got {raw!r}")
+    return tuple(_number(n, path, int) for n in raw)
 
 
 def _has_bool(raw) -> bool:
@@ -326,11 +345,7 @@ def parse_instance(doc: dict) -> Instance:
     if shape_doc is not None:
         if not isinstance(shape_doc, dict):
             _fail("$.shape", "shape must be an object")
-        raw_sizes = _get(shape_doc, "sizes", "$.shape", required=True)
-        try:
-            sizes = tuple(int(n) for n in raw_sizes)
-        except (TypeError, ValueError, OverflowError):
-            _fail("$.shape.sizes", f"expected a list of integers, got {raw_sizes!r}")
+        sizes = _sizes(_get(shape_doc, "sizes", "$.shape", required=True), "$.shape.sizes")
         if sizes != F.shape.sizes:
             _fail("$.shape", f"declared sizes {sizes} disagree with the map's {F.shape.sizes}")
     norms = _build_norms(raw_norms, F.shape, "$.norms")
@@ -465,11 +480,7 @@ def _certificate_doc(cert: solvermod.Certificate | None) -> dict | None:
 
 
 def _status_exit(status: str) -> int:
-    if status in (solvermod.CONVERGED, solvermod.BRACKET_CONVERGED_CYCLING):
-        return 0
-    if status == solvermod.MAX_ITER:
-        return 3
-    return 4
+    return {solvermod.CONVERGED: 0, solvermod.MAX_ITER: 3}.get(status, 4)
 
 
 def run_solve(doc: dict) -> tuple[int, dict]:
@@ -487,10 +498,7 @@ def run_solve(doc: dict) -> tuple[int, dict]:
         for k, (lo, hi) in enumerate(rep.bracket_trace):
             log.debug("iter %d bracket [%.17g, %.17g]", k, lo, hi)
     cert = None
-    if rep.eigenpair is not None and rep.status in (
-        solvermod.CONVERGED,
-        solvermod.BRACKET_CONVERGED_CYCLING,
-    ):
+    if rep.eigenpair is not None and rep.status == solvermod.CONVERGED:
         cert = solvermod.certify_uniqueness(inst.map, rep)
     report = {
         "label": inst.map.label,

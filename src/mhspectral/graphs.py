@@ -73,12 +73,12 @@ class IndexGraph:
 
 
 def probe_vector(shape: ShapeSpec, node: Node, t: float) -> ProductVector:
-    """All-ones vector with the single coordinate ``node`` replaced by t > 0."""
+    """All-ones vector with the single coordinate ``node`` replaced by a finite t > 0."""
     i, j = node
     if not (0 <= i < shape.d and 0 <= j < shape.sizes[i]):
         raise ValueError(f"invalid node {node} for shape {shape.sizes}")
-    if not t > 0.0:
-        raise ValueError("probe parameter t must be positive")
+    if not np.inf > t > 0.0:
+        raise ValueError("probe parameter t must be positive and finite")
     blocks = [np.ones(n) for n in shape.sizes]
     blocks[i][j] = t
     return ProductVector(blocks)

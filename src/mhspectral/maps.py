@@ -886,7 +886,9 @@ def dual(F: MapInstance) -> MapInstance:
 def verify_multihomogeneous(
     F: MapInstance, samples: int = 1000, tol: float = 1e-9, seed: int = 0
 ) -> VerificationReport:
-    """Randomized audit of F(alpha (x) x) = alpha^A (x) F(x)."""
+    """Randomized audit of F(alpha (x) x) = alpha^A (x) F(x) over samples >= 1 draws."""
+    if samples < 1:  # no sample would pass vacuously
+        raise ValueError(f"an audit needs samples >= 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
@@ -902,7 +904,9 @@ def verify_multihomogeneous(
 def verify_order_preserving(
     F: MapInstance, samples: int = 1000, tol: float = 1e-9, seed: int = 0
 ) -> VerificationReport:
-    """Randomized audit of x <=_K y implies F(x) <=_K F(y)."""
+    """Randomized audit of x <=_K y implies F(x) <=_K F(y) over samples >= 1 draws."""
+    if samples < 1:
+        raise ValueError(f"an audit needs samples >= 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     low = 0.5 if F.domain == "interior" else 0.0

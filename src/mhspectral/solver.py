@@ -14,17 +14,25 @@ trace nondecreasing and the upper nonincreasing.  Iteration stops once the log
 bracket gap drops below the (scale-free) tolerance.  The start vector is
 checked once (F's block sizes, finite, strictly positive once normalized)
 and the first step evaluates F there through ``evaluate``; every later
-iterate is the loop's own rescaled F(x), a flat buffer checked strictly
-positive, to which the loop applies F's flat kernel (``maps._kernel``) with
-no input check and no vector built.  A built-in map's kernel is its own; a
+iterate is the loop's own rescaled F(x) (or lazy step), a flat buffer checked
+strictly positive, to which the loop applies F's flat kernel (``maps._kernel``)
+with no input check and no vector built.  A built-in map's kernel is its own; a
 user's evaluator is adapted, and what it returns is still checked.  The
 eigenvector is the one vector built.
 
 Weight selection (``F.analysis``, see :func:`~mhspectral.analyze_homogeneity`):
 for rho(A) < 1 any contraction weights work and the iterates converge at the
 linear rate rho(A); for rho(A) = 1 the left Perron vector of A is required,
-and convergence additionally needs a primitive Jacobian pattern at the
-eigenvector.  For rho(A) > 1 no guarantee from the underlying theory applies
+and plain steps converge only where the Jacobian pattern at the eigenvector
+is primitive.  So there, from the first step whose log bracket gap equals the
+last one's to 1e-12 relative, every step rescales the lazy step
+G(x) = (F(x) o x)^{1/2} = sqrt(F(x)) sqrt(x) instead, and a message names
+that step.  G is order-preserving with A_G = (A + I) / 2 (A^T b <= b gives
+A_G^T b <= b), its bracket is the square root of F's, G(u) = mu u iff
+F(u) = mu^2 u, and its pattern, F's plus the diagonal, is primitive where F's
+is irreducible; the bracket, the stop and residual tests and lambda stay F's
+own.  The strict regime keeps plain steps: G would contract only at
+(C + 1) / 2.  For rho(A) > 1 no guarantee from the underlying theory applies
 and auto-solving refuses.  (The cited convergence-rate statement is phrased
 with "A b < b" where the bracket statements use "A^T b <= b"; the solver
 follows the transpose form throughout.)
@@ -43,7 +51,6 @@ eigenpairs, and the uniqueness / maximality certificates.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import math
 from typing import Callable, Optional
@@ -88,20 +95,13 @@ __all__ = [
     "find_dirr",
     "residual",
     "CONVERGED",
-    "BRACKET_CONVERGED_CYCLING",
     "MAX_ITER",
     "DIVERGED",
 ]
 
 CONVERGED = "converged"
-BRACKET_CONVERGED_CYCLING = "bracket_converged_cycling"
 MAX_ITER = "max_iter"
 DIVERGED = "diverged"
-
-# the period power_method looks for once the bracket has closed: an iterate
-# within 1e-10 of the one this many steps back, but not near the last one,
-# is cycling, and the iterates of the cycle are averaged
-_CYCLE_WINDOW = 2
 
 # slack of the contraction check gap_{k+1} <= C gap_k on the bracket trace:
 # the log of a ratio of two rounded bracket ends is off by a few ulps
@@ -358,8 +358,9 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
 
     analysis = F.analysis
     rate_bound = analysis.rho if analysis.regime == "strict_contraction" else None
+    # at rho(A) = 1 a stalled log bracket gap makes every later step lazy
+    watch, lazy, last_gap = analysis.regime == "non_expansive", False, inf
     trace: list[tuple[float, float]] = []
-    recent = collections.deque([xf], maxlen=_CYCLE_WINDOW + 1)
     status, eigenpair, res_val = MAX_ITER, None, None
     iterations = 0
 
@@ -391,11 +392,19 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
             messages.append("non-finite iterate")
             break
         trace.append((_exp(log_lo), _exp(log_hi)))
-        # lam holds one norm per block of y, a float for one block
+        gap = log_hi - log_lo
+        if watch and abs(gap - last_gap) <= 1e-12 * gap:
+            watch, lazy = False, True
+            messages.append(f"bracket gap stalled: lazy steps (F(x) x)^(1/2) from step {iterations}")
+        last_gap = gap
+        # the step rescales F(x), or G(x) once lazy: two square roots, as the
+        # product can underflow where they do not
+        zf = np.sqrt(yf) * np.sqrt(xf) if lazy else yf
+        # lam holds one norm per block of z (F's own unless lazy), a float for one block
         if one_block:
-            lam = lam_min = lam_max = block_norm(yf)
+            lam = lam_min = lam_max = block_norm(zf)
         else:
-            lam = norm_of(yf)
+            lam = norm_of(zf)
             lam_list = lam.tolist()
             lam_min, lam_max = min(lam_list), max(lam_list)
         # a block norm can overflow though every entry is finite, or underflow
@@ -406,36 +415,23 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
             status = DIVERGED
             messages.append("iterate left the open cone" if lam_max < inf else "block norm overflowed")
             break
-        if log_hi - log_lo < cfg.tol:
-            res = _relative_residual_inf(yf, lam, xf, shape)
+        if gap < cfg.tol:
+            lam_F = norm_of(yf) if lazy else lam
+            res = _relative_residual_inf(yf, lam_F, xf, shape)
             if res < 10.0 * cfg.tol:
-                lam = np.atleast_1d(lam)
-                eigenpair = EigenPair(vector(xf), lam, _weighted_product(lam, b))
+                lam_F = np.atleast_1d(lam_F)
+                eigenpair = EigenPair(vector(xf), lam_F, _weighted_product(lam_F, b))
                 status, res_val = CONVERGED, res
                 break
-            if len(recent) > _CYCLE_WINDOW:
-                dist_cycle = _inf_dist(xf, recent[0])
-                dist_step = _inf_dist(xf, recent[-2]) if len(recent) >= 2 else inf
-                if dist_cycle < 1e-10 and dist_step > 10.0 * dist_cycle:
-                    candidate = _cycle_average(list(recent)[1:], shape, cfg.norms)
-                    y_c = evaluate(F, candidate)
-                    ylam = norm_of(y_c.flat)
-                    res_c = _relative_residual_inf(y_c.flat, ylam, candidate.flat, shape)
-                    if res_c < 10.0 * cfg.tol:
-                        eigenpair = EigenPair(candidate, ylam, _weighted_product(ylam, b))
-                        status, res_val = BRACKET_CONVERGED_CYCLING, res_c
-                        messages.append("period-2 cycling averaged out")
-                        break
         # one block scales by one float: _spread passes it through
-        xf = shape._spread(1.0 / lam) * yf
-        # a rescaled entry can underflow to 0 only if the smallest entry times
-        # the smallest factor 1 / max(lam) does; then the iterate is checked
-        # in full
-        if not y_min * (1.0 / lam_max) > 0.0 and not np.minimum.reduce(xf) > 0.0:
+        xf = shape._spread(1.0 / lam) * zf
+        # a rescaled entry of F(x) can underflow to 0 only if the smallest
+        # entry times the smallest factor 1 / max(lam) does; then, and after
+        # a lazy step, the iterate is checked in full
+        if (lazy or not y_min * (1.0 / lam_max) > 0.0) and not np.minimum.reduce(xf) > 0.0:
             status = DIVERGED
             messages.append("iterate left the open cone")
             break
-        recent.append(xf)
 
     if status == MAX_ITER and trace:
         u = vector(xf)
@@ -465,16 +461,6 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
             )
             report.error_radius = gaps[-1] / (1.0 - C)
     return report
-
-
-def _inf_dist(xf: np.ndarray, yf: np.ndarray) -> float:
-    """max |x - y| over the entries of two buffers."""
-    return float(np.maximum.reduce(np.abs(xf - yf)))
-
-
-def _cycle_average(buffers, shape: ShapeSpec, norms: NormSpec) -> ProductVector:
-    """The mean of the buffers, as a vector of shape normalized under norms."""
-    return normalize(_wrap(np.mean(buffers, axis=0), shape), norms)
 
 
 def bonsall_estimate(F: MapInstance, x: ProductVector, b, m: int, norms: NormSpec) -> float:
@@ -596,7 +582,7 @@ def delta_continuation(F: MapInstance, cfg: SolverConfig) -> SolveReport:
         # messages holds only the setup's messages until the loop breaks
         rep = _power_steps(Fd, x0, inner, b, norm_of, list(messages))
         total_iters += rep.iterations
-        if rep.status not in (CONVERGED, BRACKET_CONVERGED_CYCLING):
+        if rep.status != CONVERGED:
             own = rep.messages[len(messages):]  # the inner report's, after the setup's
             messages.append(
                 f"inner solve failed to close its bracket at delta={delta:g} "

@@ -144,6 +144,9 @@ _ALL_FAMILIES = (
 )
 
 
+_LINEAR_2X2 = {"family": "linear", "params": {"matrix": [[1, 2], [3, 4]]}}
+
+
 class TestParseErrors:
     @pytest.mark.parametrize("family", sorted(_FULL_PARAMS))
     def test_full_params_parse(self, family):
@@ -184,6 +187,35 @@ class TestParseErrors:
         with pytest.raises(InstanceError) as err:
             parse_instance({"map": {"family": "nope"}})
         assert str(err.value) == f"$.map: unknown family 'nope'; expected one of {_ALL_FAMILIES}"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"map": {"family": "tight", "params": {"exponents": [[0.5]], "sizes": [2.7]}}},
+             "$.map.params.sizes: expected a finite integer, got 2.7"),
+            ({"map": _LINEAR_2X2, "shape": {"sizes": [2.9]}},
+             "$.shape.sizes: expected a finite integer, got 2.9"),
+            ({"map": {"family": "shifted", "params": {"base": _LINEAR_2X2, "delta": True}}},
+             "$.map.params.delta: expected a finite number, got True"),
+            ({"map": {"family": "tensor_eigen", "params": {"tensor": [[[1, 1], [1, 1]]] * 2, "p": "2"}}},
+             "$.map.params.p: expected a finite number, got '2'"),
+            ({"map": _LINEAR_2X2, "norms": [{"p": True}]}, "$.norms[0].p: expected a finite number, got True"),
+            ({"map": _LINEAR_2X2, "norms": [{"phi": [True, 1]}]},
+             "$.norms[0].phi: expected a list of numbers, got [True, 1]"),
+        ],
+    )
+    def test_bools_strings_and_fractions_are_not_numbers(self, tmp_path, capsys, doc, message):
+        # each was once read as a number (a size of 2, a delta or a 1-norm of 1, a p of 2)
+        with pytest.raises(InstanceError) as err:
+            parse_instance(copy.deepcopy(doc))
+        assert str(err.value) == message
+        assert main(["solve", _write(tmp_path, "bad.json", doc)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("p", ["inf", "Infinity", math.inf])
+    def test_max_norm_spellings_parse(self, p):
+        inst = parse_instance({"map": _LINEAR_2X2, "norms": [{"p": p}]})
+        assert inst.config.norms.selectors[0] == ("p", math.inf)
 
     def test_weighted_sum_norms_error_names_map_path(self):
         params = copy.deepcopy(_FULL_PARAMS["weighted_sum"])
@@ -251,7 +283,7 @@ class TestSolve:
 
     def test_max_iter_exit_code(self):
         doc = {
-            "map": {"family": "singular", "params": {"matrix": [[1, 0], [0, 1]]}},
+            "map": {"family": "linear", "params": {"matrix": [[1, 1], [0, 1]]}},
             "solver": {"max_iter": 50, "x0": "random", "seed": 3},
         }
         code, rep = run_solve(doc)

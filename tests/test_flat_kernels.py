@@ -126,10 +126,6 @@ def _ref_residual(F, x, lam, norms, floor=1e-15):
     return float(np.max(_ref_block_norms(defect, norms) / np.maximum(lam, floor)))
 
 
-def _ref_cycle_average_blocks(vectors):
-    return [np.mean([v.blocks[i] for v in vectors], axis=0) for i in range(vectors[0].d)]
-
-
 def _ref_fd_jacobian(F, u, mode):
     def perturbed(i, j, h):
         blocks = [blk.copy() for blk in u.blocks]
@@ -234,7 +230,7 @@ def _former_iterates(F, x0, b, norms, k):
 
 
 def _former_continuation(F, norms, b, schedule, tol, max_iter):
-    """delta_continuation's path through the former step (no cycle averaging).
+    """delta_continuation's path through the former step, plain steps only (no case stalls into lazy ones).
 
     Each shift after the second starts from the geometric guess
     x_k * (x_k / x_{k-1}), block by block, or from x_k where the guess has an
@@ -391,17 +387,6 @@ class TestBlockwiseKernels:
             zero = lam.copy()
             zero[int(rng.integers(0, shape.d))] = 0.0
             assert solver._relative_residual_inf(y.flat, zero, x.flat, shape) == math.inf
-
-    def test_inf_dist_and_cycle_average(self):
-        for shape, rng in _cases():
-            vs = [_vector(rng, shape) for _ in range(int(rng.integers(1, 5)))]
-            want = max(float(np.max(np.abs(a - c))) for a, c in zip(vs[0].blocks, vs[-1].blocks))
-            assert _same_bits(solver._inf_dist(vs[0].flat, vs[-1].flat), want)
-            norms = NormSpec.euclidean(shape.d)
-            ref_blocks = _ref_cycle_average_blocks(vs)
-            ref_norms = _ref_block_norms(ref_blocks, norms)
-            want = np.concatenate(_ref_scale_blocks(1.0 / ref_norms, ref_blocks))
-            assert _same_bits(solver._cycle_average([v.flat for v in vs], shape, norms).flat, want)
 
     def test_envelope_trace(self):
         # the log gap of bracket k is the Hilbert distance of x_k to x_{k+1}

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -78,6 +79,11 @@ class TestProbeVector:
             probe_vector(shape, (2, 0), 1.0)
         with pytest.raises(ValueError):
             probe_vector(shape, (0, 0), 0.0)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_probe_is_refused(self, t):
+        with pytest.raises(ValueError, match="positive and finite"):
+            probe_vector(ShapeSpec((2, 2)), (0, 0), t)
 
 
 class TestBuildGraph:

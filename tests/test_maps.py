@@ -218,6 +218,13 @@ class TestVerification:
         )
         assert not verify_order_preserving(signed, samples=200, seed=9).passed
 
+    @pytest.mark.parametrize("audit", [verify_multihomogeneous, verify_order_preserving])
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_an_audit_of_no_sample_is_refused(self, audit, samples):
+        # it would pass over nothing
+        with pytest.raises(ValueError, match="samples >= 1"):
+            audit(motivating_map(), samples=samples)
+
     def test_positivity_on_interior(self):
         rng = np.random.default_rng(7)
         for F in _verified_builtins(rng):

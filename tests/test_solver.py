@@ -136,7 +136,7 @@ class TestPowerMethod:
         F = singular_map(M)
         x0 = normalize(random_interior(F.shape, rng), NormSpec.euclidean(2))
         rep = power_method(F, x0, _cfg(2, weights=np.array([0.5, 0.5])))
-        assert rep.status in ("converged", "bracket_converged_cycling")
+        assert rep.status == "converged"
         U, S, Vt = np.linalg.svd(M)
         np.testing.assert_allclose(rep.eigenpair.x.blocks[0], np.abs(U[:, 0]), atol=1e-8)
         np.testing.assert_allclose(rep.eigenpair.x.blocks[1], np.abs(Vt[0]), atol=1e-8)
@@ -228,11 +228,12 @@ class TestPowerMethod:
             power_method(F, x0, _cfg(1))
 
     def test_max_iter_status(self):
-        # permutation singular pair: iterates swap forever without converging
-        F = singular_map(np.eye(2))
+        # Jordan block: no positive eigenvector, and the bracket gap shrinks
+        # like 1/k, so it never stalls into lazy steps
+        F = linear_map([[1.0, 1.0], [0.0, 1.0]])
         rng = np.random.default_rng(2)
-        x0 = normalize(random_interior(F.shape, rng), NormSpec.euclidean(2))
-        rep = power_method(F, x0, _cfg(2, weights=np.array([0.5, 0.5]), max_iter=80))
+        x0 = normalize(random_interior(F.shape, rng), NormSpec.euclidean(1))
+        rep = power_method(F, x0, _cfg(1, max_iter=80))
         assert rep.status == "max_iter"
         assert rep.iterations == 80
 
@@ -893,8 +894,9 @@ class TestEvaluateCounts:
         assert rep.status == "max_iter" and rep.iterations == 3
         assert len(calls) == 4
 
-    def test_cycle_average_evaluates_once(self):
-        # block 2 is swapped every step; its tiny weight lets the bracket close
+    def test_lazy_steps_evaluate_once(self):
+        # block 2 is swapped every step; its tiny weight lets the bracket
+        # close, and the stalled gap starts lazy steps, which average the swap
         F, calls = self._counting(MapInstance(
             shape=ShapeSpec((1, 2)),
             A=np.eye(2),
@@ -903,9 +905,10 @@ class TestEvaluateCounts:
         ))
         x0 = ProductVector([[1.0], [1.0, 2.0]])
         rep = power_method(F, x0, _cfg(2, weights=np.array([1.0, 1e-13])))
-        assert rep.status == "bracket_converged_cycling" and rep.iterations == 3
+        assert rep.status == "converged" and rep.iterations == 3
+        assert rep.messages == ["bracket gap stalled: lazy steps (F(x) x)^(1/2) from step 2"]
         np.testing.assert_allclose(rep.eigenpair.x.blocks[1], [2**-0.5, 2**-0.5])
-        assert len(calls) == 4
+        assert len(calls) == 3
 
 
 class TestDivergencePaths:
@@ -1263,10 +1266,79 @@ class TestRescaleUnderflow:
             warnings.simplefilter("error")
             code, report = cli.run_solve(doc)
         text = cli.dump_json(report)
+        # no positive eigenvector: the gap stalls at 0.366 from step 2, and
+        # the lazy steps drift to the boundary until an entry underflows
         assert code == 4 and report["status"] == "diverged"
-        assert report["messages"] == ["iterate left the open cone"]
-        assert report["iterations"] == 1355 and len(report["bracket_trace"]) == 1355
+        assert report["messages"] == [
+            "bracket gap stalled: lazy steps (F(x) x)^(1/2) from step 3",
+            "iterate left the open cone",
+        ]
+        assert report["iterations"] == 2708 and len(report["bracket_trace"]) == 2708
         assert "Infinity" not in text and "NaN" not in text
+
+
+def _block_cyclic(rng, sizes):
+    """A matrix of positive blocks from node group i to group i + 1 mod p, p = len(sizes) >= 2.
+
+    Its pattern is irreducible with period p, so plain power steps cycle.
+    """
+    starts = np.cumsum((0, *sizes))
+    M = np.zeros((starts[-1], starts[-1]))
+    for i in range(len(sizes)):
+        j = (i + 1) % len(sizes)
+        M[starts[i]:starts[i + 1], starts[j]:starts[j + 1]] = rng.uniform(0.05, 2.0, (sizes[i], sizes[j]))
+    return M
+
+
+def _perron(M):
+    """max |eig| of a nonnegative irreducible M, and its positive eigenvector of unit 2-norm."""
+    w, V = np.linalg.eig(M)
+    v = np.abs(V[:, np.argmax(w.real)].real)
+    return float(np.max(np.abs(w))), v / np.linalg.norm(v)
+
+
+class TestLazySteps:
+    """At rho(A) = 1 a stalled bracket gap switches the loop to lazy steps (F(x) x)^(1/2)."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("period", [2, 3, 4, 5])
+    def test_block_cyclic_linear_converges_to_the_perron_pair(self, period, seed):
+        rng = np.random.default_rng(seed)
+        M = _block_cyclic(rng, rng.integers(1, 4, period))
+        rep = power_method(linear_map(M), None, _cfg(1))
+        assert rep.status == "converged"
+        assert rep.messages[0].startswith("bracket gap stalled: lazy steps")
+        rho, v = _perron(M)
+        assert abs(rep.eigenpair.lam[0] - rho) <= 1e-10 * rho
+        np.testing.assert_allclose(rep.eigenpair.x.flat, v, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_cyclic_order_3_tensor_converges(self, n):
+        # T_{i, i+1, i+1} = t_i alone: F_i(x) = (t_i x_{i+1}^2)^{1/2} = sqrt(t_i) x_{i+1},
+        # the linear map of diag(sqrt(t)) times the n-cycle
+        t = np.random.default_rng(n).uniform(0.05, 2.0, n)
+        T = np.zeros((n, n, n))
+        C = np.zeros((n, n))
+        for i in range(n):
+            T[i, (i + 1) % n, (i + 1) % n] = t[i]
+            C[i, (i + 1) % n] = math.sqrt(t[i])
+        rep = power_method(tensor_eigen_map(T, 3.0), None, _cfg(1))
+        assert rep.status == "converged"
+        if n == 2:
+            assert rep.iterations == 3
+        rho, v = _perron(C)
+        assert abs(rep.eigenpair.lam[0] - rho) <= 1e-10 * rho
+        np.testing.assert_allclose(rep.eigenpair.x.flat, v, rtol=0, atol=1e-8)
+
+    def test_singular_of_the_identity_converges_to_equal_blocks(self):
+        # F(x, y) = (y, x): every (u, u) is an eigenvector with lambda = (1, 1)
+        F = singular_map(np.eye(2))
+        x0 = normalize(random_interior(F.shape, np.random.default_rng(2)), NormSpec.euclidean(2))
+        rep = power_method(F, x0, _cfg(2))
+        assert rep.status == "converged"
+        np.testing.assert_allclose(rep.eigenpair.lam, [1.0, 1.0], rtol=1e-10)
+        x, y = rep.eigenpair.x.blocks
+        np.testing.assert_allclose(x, y, rtol=0, atol=1e-8)
 
 
 def _ring_map(shape, mats, a):
@@ -1330,12 +1402,17 @@ class TestBracketInvariants:
         @hypothesis.settings(max_examples=60, deadline=None)
         @hypothesis.given(st.data())
         def check(data):
-            family = data.draw(st.sampled_from(["linear", "singular", "pq_singular", "tensor_eigen"]))
+            family = data.draw(st.sampled_from(["linear", "block_cyclic", "singular", "pq_singular",
+                                                "tensor_eigen"]))
             rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
             m, n = data.draw(st.integers(1, 4), "m"), data.draw(st.integers(1, 4), "n")
             # p, q >= 2 and p >= 3 keep rho(A) <= 1, so the solver picks the weights
             if family == "linear":
                 F = linear_map(rng.uniform(0.05, 2.0, (n, n)))
+            elif family == "block_cyclic":
+                # imprimitive: the gap stalls within the 20 steps, so the
+                # trace runs across the switch to lazy steps
+                F = linear_map(_block_cyclic(rng, rng.integers(1, 3, m + 1)))
             elif family == "singular":
                 F = singular_map(rng.uniform(0.05, 2.0, (m, n)))
             elif family == "pq_singular":

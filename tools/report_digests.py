@@ -19,8 +19,12 @@ report) of every document in ``tests/data/certificates.json``, one per map
 family, and of the documents in ``EXTRA_DOCS``, which no workload has: an
 explicit start vector, a continuation on its own schedule, a sparse order-4
 ``tensor_eigen``, a rectangular ``pq_singular`` with p != q and a
-single-entry row, a reducible ``linear``, and a continuation whose inner
-solve fails.
+single-entry row, a reducible ``linear``, a continuation whose inner
+solve fails, and four maps whose plain power steps stall: the period-2
+``linear`` ``[[0, .27], [.99, 0]]``, a 3-cycle permutation ``linear`` from
+a random start, ``singular`` of the 2 x 2 identity from a random start,
+and ``linear`` ``[[2, 0], [0, 1]]``, whose eigenvector lies on the
+boundary.
 OUT.json also maps ``demos/<stem>`` to ``"<exit code> <sha1 of its stdout>"``
 for every ``demos/*.py``, each run in a subprocess with this interpreter and
 a ``PYTHONPATH`` that puts the ``mhspectral`` used above first, so ``--diff``
@@ -107,6 +111,20 @@ EXTRA_DOCS = {
         "map": {"family": "singular", "params": {"matrix": [[1, 2], [3, 1]]}},
         "weights": [1, 2],
         "solver": {"method": "continuation", "max_iter": 1},
+    },
+    "period-2-linear": {
+        "map": {"family": "linear", "params": {"matrix": [[0, 0.27], [0.99, 0]]}},
+    },
+    "three-cycle-random-start": {
+        "map": {"family": "linear", "params": {"matrix": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]}},
+        "solver": {"x0": "random"},
+    },
+    "singular-identity-random-start": {
+        "map": {"family": "singular", "params": {"matrix": [[1, 0], [0, 1]]}},
+        "solver": {"x0": "random"},
+    },
+    "boundary-eigenvector-linear": {
+        "map": {"family": "linear", "params": {"matrix": [[2, 0], [0, 1]]}},
     },
 }
 
