@@ -293,7 +293,7 @@ def _build_norms(raw, shape: ShapeSpec, path: str) -> NormSpec:
                              else _number(pval, f"{path}[{i}].p", float, finite=False))
             continue
         phi = sel["phi"]
-        if _has_bool(phi):
+        if not _numeric(phi):
             _fail(f"{path}[{i}].phi", f"expected a list of numbers, got {phi!r}")
         try:
             selectors.append(np.array(phi, dtype=float))
@@ -331,9 +331,11 @@ def _sizes(raw, path: str) -> tuple:
     return tuple(_number(n, path, int) for n in raw)
 
 
-def _has_bool(raw) -> bool:
-    """A JSON boolean anywhere in nested lists, which numpy would read as 0 or 1."""
-    return isinstance(raw, bool) or (isinstance(raw, list) and any(_has_bool(v) for v in raw))
+def _numeric(raw) -> bool:
+    """No JSON boolean or string at any leaf of nested lists: numpy would read "1" or true as a number."""
+    if isinstance(raw, list):
+        return all(_numeric(v) for v in raw)
+    return not isinstance(raw, (bool, str))
 
 
 def parse_instance(doc: dict) -> Instance:
@@ -356,7 +358,7 @@ def parse_instance(doc: dict) -> Instance:
 
     raw_w, weights = _get(doc, "weights", "$", default="auto"), None
     if raw_w != "auto":
-        if not isinstance(raw_w, list) or _has_bool(raw_w):
+        if not isinstance(raw_w, list) or not _numeric(raw_w):
             _fail("$.weights", "weights must be 'auto' or a list of numbers, one per block")
         try:  # the config's own check, here to keep the document's order of errors
             weights = solvermod.SolverConfig(norms, weights=raw_w).weights
@@ -383,7 +385,7 @@ def parse_instance(doc: dict) -> Instance:
             x0 = ProductVector(x0_spec)
         except (TypeError, ValueError, OverflowError):
             x0 = None
-        if x0 is None or _has_bool(x0_spec):
+        if x0 is None or not _numeric(x0_spec):
             _fail("$.solver.x0", "x0 must be 'uniform', 'random', or explicit blocks of numbers")
         try:
             x0 = solvermod._checked_start(x0, F.shape, norms)

@@ -387,6 +387,9 @@ def _power_scale(a: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+_HALF_MAX = float(np.finfo(float).max) / 2.0
+
+
 def _euclidean_norm(v: np.ndarray) -> float:
     """||v||_2, finite whenever the norm itself is a finite double.
 
@@ -430,14 +433,15 @@ def _norm_kernel(shape: ShapeSpec, norms: NormSpec):
     if d > 1 and norms._euclidean and n is not None:
         # one stacked (1 x n) @ (n x 1) product per block: numpy computes each
         # with the same dot kernel as np.dot, so the norms match the per-block
-        # loop to the last bit (a summing reduction would not)
+        # loop to the last bit (a summing reduction would not).  The sum of
+        # all squares, from np.vdot, which never warns, bounds every block's:
+        # below half the largest double no block's overflows, and matmul
+        # cannot warn; else the per-block loop takes each norm
         def stacked(flat):
             X = flat.reshape(d, n)
-            try:
-                with np.errstate(over="raise"):
-                    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None]).ravel())
-            except FloatingPointError:  # some sum of squares overflowed
-                return np.array([_euclidean_norm(x) for x in X])
+            if np.vdot(flat, flat) < _HALF_MAX:
+                return np.sqrt(np.matmul(X[:, None, :], X[:, :, None]).ravel())
+            return np.array([_euclidean_norm(x) for x in X])
 
         return stacked
     for i, ((kind, val), size) in enumerate(zip(norms.selectors, shape.sizes)):

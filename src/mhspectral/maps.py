@@ -31,7 +31,12 @@ per block (``singular_map`` at p = q = 2), and ``tensor_eigen_map`` a cubical
 tensor with every mode on one block.  The small worked maps used throughout
 the test-suite follow, along with closure operations: composition, Hadamard
 products, dominated weighted sums, the delta-shift, and inversion
-conjugation (the dual map).
+conjugation (the dual map).  Every closure follows one rule: its parts share
+one shape; it is differentiable when every part is, and so are its norms
+where a norm factor uses them; its A is exact when every part's is; it lives
+on the open cone when a part does, and a dual always; it has a Jacobian when
+every part has one; and a closure whose A is its one part's (a shift, a
+dual) shares that part's checked A and ``analysis``.
 """
 
 from __future__ import annotations
@@ -107,8 +112,8 @@ def check_homogeneity_matrix(A, d: int) -> np.ndarray:
 class _CheckedA:
     """A d x d matrix that ``check_homogeneity_matrix`` returned, as the A of a new map of d blocks.
 
-    ``MapInstance`` takes its ``matrix`` without checking it again: a map
-    derived from a checked one (a shift) or a cached multilinear A.
+    ``MapInstance`` takes its ``matrix`` without checking it again: the A of
+    a closure's one part, a cached multilinear A, or a ``tight_map``'s.
     """
 
     __slots__ = ("matrix",)
@@ -610,6 +615,30 @@ def irrex_map() -> MapInstance:
     )
 
 
+def _block_power(shape: ShapeSpec, B: np.ndarray, full: bool = False):
+    """s -> prod_l s_l^{B_kl} on the entries of each block k, for nonnegative per-block scalars s.
+
+    B is a d x d matrix that ``check_homogeneity_matrix`` passed, so each
+    call takes the unchecked ``_power_scale`` (a zero s_l keeps its 0^0 = 1
+    branch).  Several blocks give a full-length buffer.  One block takes s
+    as a float (or a length-1 array) and raises a positive s to B = [[b]] as
+    exp(b * log s): ``_power_scale``'s ufuncs in its order, bit for bit,
+    without its length-1 arrays and positivity pass.  That value broadcasts
+    over a buffer, as ``ShapeSpec._spread``'s one-block array does; ``full``
+    asks for the full-length buffer instead.
+    """
+    if shape.d > 1:
+        spread = shape._spread
+        return lambda s: spread(_power_scale(s, B))
+    b, n = B.item(0), shape.total
+
+    def power(s):
+        v = np.exp(b * np.log(s)) if s > 0.0 else _power_scale(np.atleast_1d(s), B)
+        return np.repeat(v, n) if full else v
+
+    return power
+
+
 def tight_map(A, sizes) -> MapInstance:
     """F_{i,j}(x) = prod_l x_{l,0}^{A_il}: attains the Lipschitz bound of its A.
 
@@ -620,20 +649,12 @@ def tight_map(A, sizes) -> MapInstance:
     A = check_homogeneity_matrix(A, shape.d)
     if any(n < 2 for n in shape.sizes):
         raise ValueError("tight_map needs every block size >= 2")
-
-    def kernel(flat):
-        return np.repeat(matrix_power_scale(flat[shape._starts], A), shape.sizes)
+    starts, power = shape._starts, _block_power(shape, A, full=True)
+    rows = np.repeat(A, shape.sizes, axis=0)  # row i of A on each row of block i
 
     def jac(x):
-        heads = np.array([blk[0] for blk in x.blocks])
-        vals = matrix_power_scale(heads, A)
-        J = np.zeros((shape.total, shape.total))
-        head_cols = np.cumsum([0] + list(shape.sizes))[:-1]
-        row = 0
-        for i, n in enumerate(shape.sizes):
-            for _ in range(n):
-                J[row, head_cols] = A[i] * vals[i] / heads
-                row += 1
+        heads, J = x.flat[starts], np.zeros((shape.total, shape.total))
+        J[:, starts] = rows * power(heads)[:, None] / heads
         return J
 
     edges = _pattern(
@@ -648,8 +669,8 @@ def tight_map(A, sizes) -> MapInstance:
     )
     return MapInstance(
         shape=shape,
-        A=A,
-        evaluator=_FlatEvaluator(kernel, shape),
+        A=_CheckedA(A),
+        evaluator=_FlatEvaluator(lambda flat: power(flat[starts]), shape),
         jacobian=jac,
         label=f"tight(sizes={shape.sizes})",
         edge_oracle=edges,
@@ -681,51 +702,66 @@ def tight_equality_pair(A, b, sizes, ratio: float = 2.0):
 # ---------------------------------------------------------------------------
 
 
-def _check_same_map_shape(F: MapInstance, G: MapInstance):
-    if F.shape != G.shape:
+def _closure(label: str, parts: tuple, build, norms: Optional[NormSpec] = None, interior: bool = False) -> MapInstance:
+    """The map that ``build`` makes of its parts, under the one rule of every closure.
+
+    The parts must share one shape (ValueError).  ``build`` takes their flat
+    kernels and returns the closure's A, flat kernel and Jacobian; the
+    Jacobian is kept when every part has one.  The closure is differentiable
+    when every part is, and ``norms`` too where a norm factor uses them; its
+    A is exact when every part's is; it lives on the open cone when a part
+    does, or when ``interior`` (a dual).  An A that is its one part's own is
+    taken as the part checked it, with the part's ``analysis``: a schedule of
+    shifts measures rho(A) once, also above the d <= 64 cap of the
+    homogeneity memo.
+    """
+    shape = parts[0].shape
+    if any(P.shape != shape for P in parts[1:]):
         raise ValueError("maps must share one shape")
+    A, kernel, jacobian = build(*map(_kernel, parts))
+    shared = len(parts) == 1 and A is parts[0].A
+    G = MapInstance(
+        shape=shape,
+        A=_CheckedA(A) if shared else A,
+        evaluator=_FlatEvaluator(kernel, shape),
+        jacobian=jacobian if all(P.jacobian is not None for P in parts) else None,
+        label=label,
+        differentiable=all(P.differentiable for P in parts) and (norms is None or norms.is_smooth_interior()),
+        homogeneity_exact=all(P.homogeneity_exact for P in parts),
+        domain="interior" if interior or any(P.domain == "interior" for P in parts) else "cone",
+    )
+    if shared:
+        object.__setattr__(G, "analysis", parts[0].analysis)
+    return G
+
+
+def _norms_of(shape: ShapeSpec, norms: NormSpec):
+    """flat -> the block norms under norms, checked against shape here; one block's is a float."""
+    norm_of = _norm_kernel(shape, norms)
+    return _selector_norm(*norms.selectors[0]) if shape.d == 1 else norm_of
 
 
 def compose(F: MapInstance, G: MapInstance) -> MapInstance:
     """x -> F(G(x)); homogeneity matrix A(F) @ A(G)."""
-    _check_same_map_shape(F, G)
-    jac = None
-    if F.jacobian is not None and G.jacobian is not None:
-        jac = lambda x: F.jacobian(G.evaluator(x)) @ G.jacobian(x)
-    kF, kG = _kernel(F), _kernel(G)
-    return MapInstance(
-        shape=F.shape,
-        A=F.A @ G.A,
-        evaluator=_FlatEvaluator(lambda flat: kF(kG(flat)), F.shape),
-        jacobian=jac,
-        label=f"compose({F.label}, {G.label})",
-        differentiable=F.differentiable and G.differentiable,
-        homogeneity_exact=F.homogeneity_exact and G.homogeneity_exact,
-        domain="interior" if "interior" in (F.domain, G.domain) else "cone",
-    )
+
+    def build(kF, kG):
+        jac = lambda x: F.jacobian(_wrap(kG(x.flat), x.shape)) @ G.jacobian(x)
+        return F.A @ G.A, lambda flat: kF(kG(flat)), jac
+
+    return _closure(f"compose({F.label}, {G.label})", (F, G), build)
 
 
 def hadamard(F: MapInstance, G: MapInstance) -> MapInstance:
     """Entrywise product x -> F(x) o G(x); homogeneity matrix A(F) + A(G)."""
-    _check_same_map_shape(F, G)
-    kF, kG = _kernel(F), _kernel(G)
-    jac = None
-    if F.jacobian is not None and G.jacobian is not None:
 
+    def build(kF, kG):
         def jac(x):
-            fx, gx = F.evaluator(x).concat(), G.evaluator(x).concat()
+            fx, gx = kF(x.flat), kG(x.flat)
             return gx[:, None] * F.jacobian(x) + fx[:, None] * G.jacobian(x)
 
-    return MapInstance(
-        shape=F.shape,
-        A=F.A + G.A,
-        evaluator=_FlatEvaluator(lambda flat: kF(flat) * kG(flat), F.shape),
-        jacobian=jac,
-        label=f"hadamard({F.label}, {G.label})",
-        differentiable=F.differentiable and G.differentiable,
-        homogeneity_exact=F.homogeneity_exact and G.homogeneity_exact,
-        domain="interior" if "interior" in (F.domain, G.domain) else "cone",
-    )
+        return F.A + G.A, lambda flat: kF(flat) * kG(flat), jac
+
+    return _closure(f"hadamard({F.label}, {G.label})", (F, G), build)
 
 
 def _spot_check_functionals(xi, shape: ShapeSpec, samples: int = 25, tol: float = 1e-9):
@@ -748,44 +784,38 @@ def weighted_sum(F: MapInstance, G: MapInstance, D, norms: NormSpec, xi=None) ->
     """N(x)^{D-A} (x) F(x) + N(x)^{D-B} (x) G(x) with homogeneity matrix D.
 
     Requires D >= A(F) and D >= A(G) entrywise.  N collects one order-
-    preserving functional per block; by default the block norms of ``norms``.
+    preserving functional per block; by default the block norms of
+    ``norms``, whose factors are ``_block_power``'s.  The values of a user's
+    functionals ``xi`` are checked at every call, by ``matrix_power_scale``.
     """
-    _check_same_map_shape(F, G)
-    d = F.shape.d
-    D = check_homogeneity_matrix(D, d)
-    if np.any(D < F.A - 1e-15) or np.any(D < G.A - 1e-15):
-        raise ValueError("D must dominate both homogeneity matrices entrywise")
-    shape = F.shape
-    if xi is None:
-        functionals = _norm_kernel(shape, norms)
-    else:
-        xi = list(xi)
-        if len(xi) != d:
-            raise ValueError("need one functional per block")
-        _spot_check_functionals(xi, shape)
 
-        def functionals(flat):
-            x = _wrap(flat, shape)
-            return np.array([f(x) for f in xi])
+    def build(kF, kG):
+        shape = F.shape
+        A = check_homogeneity_matrix(D, shape.d)
+        if np.any(A < F.A - 1e-15) or np.any(A < G.A - 1e-15):
+            raise ValueError("D must dominate both homogeneity matrices entrywise")
+        if xi is None:
+            functionals = _norms_of(shape, norms)
+            pF, pG = _block_power(shape, A - F.A), _block_power(shape, A - G.A)
+        else:
+            fs = list(xi)
+            if len(fs) != shape.d:
+                raise ValueError("need one functional per block")
+            _spot_check_functionals(fs, shape)
 
-    DA, DB = D - F.A, D - G.A
-    kF, kG, spread = _kernel(F), _kernel(G), shape._spread
+            def functionals(flat):
+                x = _wrap(flat, shape)
+                return np.array([f(x) for f in fs])
 
-    def kernel(flat):
-        N = functionals(flat)
-        fx = spread(matrix_power_scale(N, DA)) * kF(flat)
-        gx = spread(matrix_power_scale(N, DB)) * kG(flat)
-        return fx + gx
+            pF, pG = (lambda N, E=E: shape._spread(matrix_power_scale(N, E)) for E in (A - F.A, A - G.A))
 
-    return MapInstance(
-        shape=shape,
-        A=D,
-        evaluator=_FlatEvaluator(kernel, shape),
-        label=f"weighted_sum({F.label}, {G.label})",
-        differentiable=F.differentiable and G.differentiable and norms.is_smooth_interior(),
-        homogeneity_exact=F.homogeneity_exact and G.homogeneity_exact,
-        domain="interior" if "interior" in (F.domain, G.domain) else "cone",
-    )
+        def kernel(flat):
+            N = functionals(flat)
+            return pF(N) * kF(flat) + pG(N) * kG(flat)
+
+        return A, kernel, None
+
+    return _closure(f"weighted_sum({F.label}, {G.label})", (F, G), build, norms)
 
 
 def shifted(F: MapInstance, delta: float, norms: NormSpec) -> MapInstance:
@@ -793,53 +823,17 @@ def shifted(F: MapInstance, delta: float, norms: NormSpec) -> MapInstance:
 
     Keeps the homogeneity matrix of F, maps K_{+,0} into K_{++}, and reduces
     to F + delta * 1 on the unit slice S_+.  Delta (positive and finite) and
-    the norms are checked here, once, F's A is taken as F checked it, and the
-    block-norm kernel is built here: A is F's validated nonnegative matrix
-    and block norms are nonnegative, so each evaluation raises the norms to A
-    through the unchecked kernel of ``matrix_power_scale`` (a zero norm still
-    takes its 0^0 = 1 branch).  The shift's flat kernel adds to F's kernel
-    with no vector in between.  One block takes its norm as a float, and a
-    positive norm n is raised to A = [[a]] as exp(a * log n): the kernel's
-    ufuncs in its order, bit for bit, without its length-1 arrays and
-    positivity pass.
+    the norms are checked here, once; the norm factor is ``_block_power``'s.
     """
     delta = float(delta)
     if not math.inf > delta > 0.0:
         raise ValueError("delta must be positive and finite")
-    if norms.d != F.shape.d:
-        raise ValueError("norm spec does not match the map shape")
-    A, shape, kF = F.A, F.shape, _kernel(F)
-    norm_of = _norm_kernel(shape, norms)
 
-    if shape.d == 1:
-        norm, a = _selector_norm(*norms.selectors[0]), A.item(0)
+    def build(kF):
+        norm_of, power = _norms_of(F.shape, norms), _block_power(F.shape, F.A)
+        return F.A, lambda flat: kF(flat) + delta * power(norm_of(flat)), None
 
-        def kernel(flat):
-            y = kF(flat)
-            n = norm(flat)
-            scale = np.exp(a * np.log(n)) if n > 0.0 else _power_scale(np.array([n]), A)
-            return y + delta * scale
-
-    else:
-        spread = shape._spread
-
-        def kernel(flat):
-            return kF(flat) + spread(delta * _power_scale(norm_of(flat), A))
-
-    G = MapInstance(
-        shape=shape,
-        A=_CheckedA(A),
-        evaluator=_FlatEvaluator(kernel, shape),
-        label=f"shifted({F.label}, delta={delta:g})",
-        differentiable=F.differentiable and norms.is_smooth_interior(),
-        homogeneity_exact=F.homogeneity_exact,
-        domain=F.domain,
-    )
-    # same A, so the same analysis: a schedule of shifts measures rho(A) once,
-    # also above the d <= 64 cap of the homogeneity memo, and skips a memo
-    # lookup per shift
-    object.__setattr__(G, "analysis", F.analysis)
-    return G
+    return _closure(f"shifted({F.label}, delta={delta:g})", (F,), build, norms)
 
 
 def dual(F: MapInstance) -> MapInstance:
@@ -849,33 +843,22 @@ def dual(F: MapInstance) -> MapInstance:
     eigenvectors of F and of the dual, with eigenvalues inverted.
     """
 
-    kF = _kernel(F)
-
-    def kernel(flat):
-        out = kF(1.0 / flat)
-        if not np.minimum.reduce(out) > 0.0:
-            raise ValueError("dual map hit the cone boundary")
-        return 1.0 / out
-
-    jac = None
-    if F.jacobian is not None:
+    def build(kF):
+        def kernel(flat):
+            out = kF(1.0 / flat)
+            if not np.minimum.reduce(out) > 0.0:
+                raise ValueError("dual map hit the cone boundary")
+            return 1.0 / out
 
         def jac(x):
-            inner = _wrap(1.0 / x.flat, x.shape)
-            out = F.evaluator(inner).concat()
-            J = F.jacobian(inner)
-            return (out ** -2.0)[:, None] * J * (x.concat() ** -2.0)[None, :]
+            inner = 1.0 / x.flat
+            out = kF(inner)
+            J = F.jacobian(_wrap(inner, x.shape))
+            return (out ** -2.0)[:, None] * J * (x.flat ** -2.0)[None, :]
 
-    return MapInstance(
-        shape=F.shape,
-        A=_CheckedA(F.A),
-        evaluator=_FlatEvaluator(kernel, F.shape),
-        jacobian=jac,
-        label=f"dual({F.label})",
-        differentiable=F.differentiable,
-        homogeneity_exact=F.homogeneity_exact,
-        domain="interior",
-    )
+        return F.A, kernel, jac
+
+    return _closure(f"dual({F.label})", (F,), build, interior=True)
 
 
 # ---------------------------------------------------------------------------

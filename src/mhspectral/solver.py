@@ -110,6 +110,9 @@ _CONTRACTION_SLACK = 1e-12
 # the most shifts a delta schedule may ask for; the default one has 27
 _MAX_SHIFTS = 10_000
 
+# the smallest normal double, below which a lazy iterate has left the open cone
+_TINY = float(np.finfo(float).tiny)
+
 # types of a real and an integral setting (bool is refused apart); faster to test than numbers' ABCs
 _INTEGRAL = (int, np.integer)
 _REAL = (float, np.floating) + _INTEGRAL
@@ -426,9 +429,15 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
         # one block scales by one float: _spread passes it through
         xf = shape._spread(1.0 / lam) * zf
         # a rescaled entry of F(x) can underflow to 0 only if the smallest
-        # entry times the smallest factor 1 / max(lam) does; then, and after
-        # a lazy step, the iterate is checked in full
-        if (lazy or not y_min * (1.0 / lam_max) > 0.0) and not np.minimum.reduce(xf) > 0.0:
+        # entry times the smallest factor 1 / max(lam) does; then the iterate
+        # is checked in full.  A lazy iterate is checked always, against the
+        # smallest normal double: its square roots never reach 0, but an
+        # entry drifting to 0 parks at the smallest subnormal
+        if lazy:
+            left = not np.minimum.reduce(xf) >= _TINY
+        else:
+            left = not y_min * (1.0 / lam_max) > 0.0 and not np.minimum.reduce(xf) > 0.0
+        if left:
             status = DIVERGED
             messages.append("iterate left the open cone")
             break

@@ -202,10 +202,18 @@ class TestParseErrors:
             ({"map": _LINEAR_2X2, "norms": [{"p": True}]}, "$.norms[0].p: expected a finite number, got True"),
             ({"map": _LINEAR_2X2, "norms": [{"phi": [True, 1]}]},
              "$.norms[0].phi: expected a list of numbers, got [True, 1]"),
+            # numeric strings in the short number lists
+            ({"map": _LINEAR_2X2, "norms": [{"phi": ["1", "2"]}]},
+             "$.norms[0].phi: expected a list of numbers, got ['1', '2']"),
+            ({"map": {"family": "motivating"}, "weights": ["0.5", "1"]},
+             "$.weights: weights must be 'auto' or a list of numbers, one per block"),
+            ({"map": {"family": "motivating"}, "solver": {"x0": [["1", "2"], [1, 2]]}},
+             "$.solver.x0: x0 must be 'uniform', 'random', or explicit blocks of numbers"),
         ],
     )
     def test_bools_strings_and_fractions_are_not_numbers(self, tmp_path, capsys, doc, message):
-        # each was once read as a number (a size of 2, a delta or a 1-norm of 1, a p of 2)
+        # each was once read as a number (a size of 2, a delta or a 1-norm of 1, a p of 2, a phi,
+        # weights or a start of the numbers in its strings)
         with pytest.raises(InstanceError) as err:
             parse_instance(copy.deepcopy(doc))
         assert str(err.value) == message

@@ -1,6 +1,7 @@
 """Block-vector arithmetic, the scaling algebra, norms, and the partial order."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,19 @@ class TestBlockNorms:
             blocks = [rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-150.0, 150.0) for n in sizes]
             ns = block_norms(ProductVector(blocks), NormSpec.euclidean(len(sizes)))
             assert ns.tolist() == [math.sqrt(np.dot(b, b)) for b in blocks]
+
+    @pytest.mark.parametrize("scale", [4e153, 6e153, 9e153, 1.2e154])
+    def test_stacked_norms_near_the_overflow_keep_their_bits(self, scale):
+        # sums of squares on both sides of half the largest double, and past
+        # the largest in the last case: the stacked kernel and its per-block
+        # fallback give the norms of the dot kernel, with no warning
+        blocks = [np.array([scale, scale]), np.array([scale, 1.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ns = block_norms(ProductVector(blocks), NormSpec.euclidean(2))
+        assert ns[1] == math.sqrt(np.vdot(blocks[1], blocks[1]))
+        expected = math.sqrt(np.vdot(blocks[0], blocks[0]))
+        assert ns[0] == (expected if expected < math.inf else scale * math.sqrt(2.0))
 
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):

@@ -1267,14 +1267,26 @@ class TestRescaleUnderflow:
             code, report = cli.run_solve(doc)
         text = cli.dump_json(report)
         # no positive eigenvector: the gap stalls at 0.366 from step 2, and
-        # the lazy steps drift to the boundary until an entry underflows
+        # the lazy steps drift to the boundary until an entry is subnormal
         assert code == 4 and report["status"] == "diverged"
         assert report["messages"] == [
             "bracket gap stalled: lazy steps (F(x) x)^(1/2) from step 3",
             "iterate left the open cone",
         ]
-        assert report["iterations"] == 2708 and len(report["bracket_trace"]) == 2708
+        assert report["iterations"] == 2573 and len(report["bracket_trace"]) == 2573
         assert "Infinity" not in text and "NaN" not in text
+
+    def test_lazy_drift_to_the_boundary_stops_at_the_subnormal_floor(self):
+        # the eigenvector (1, 0) of diag(2, 1) lies on the boundary; the lazy
+        # steps halve the log of the second entry's share, whose square roots
+        # would park at 5e-324 for good, so the solve ends before max_iter
+        F = linear_map([[2.0, 0.0], [0.0, 1.0]])
+        rep = power_method(F, None, _cfg(1))
+        assert rep.status == solver.DIVERGED and rep.iterations < 3000
+        assert rep.messages == [
+            "bracket gap stalled: lazy steps (F(x) x)^(1/2) from step 2",
+            "iterate left the open cone",
+        ]
 
 
 def _block_cyclic(rng, sizes):

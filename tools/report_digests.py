@@ -24,7 +24,12 @@ solve fails, and four maps whose plain power steps stall: the period-2
 ``linear`` ``[[0, .27], [.99, 0]]``, a 3-cycle permutation ``linear`` from
 a random start, ``singular`` of the 2 x 2 identity from a random start,
 and ``linear`` ``[[2, 0], [0, 1]]``, whose eigenvector lies on the
-boundary.
+boundary.  Four more carry the flags that the closure rule of ``maps``
+derives into a report: a ``hadamard`` with a ``nonirr`` part (inexact
+homogeneity, the analyze note), a ``weighted_sum`` under max-norms (not
+differentiable, certify's kink test), a ``compose`` with a ``dual`` part
+(the open-cone domain), and a one-block ``tight`` from a random start (the
+full-length spread of its block power).
 OUT.json also maps ``demos/<stem>`` to ``"<exit code> <sha1 of its stdout>"``
 for every ``demos/*.py``, each run in a subprocess with this interpreter and
 a ``PYTHONPATH`` that puts the ``mhspectral`` used above first, so ``--diff``
@@ -80,6 +85,9 @@ def _sparse_tensor(n: int, order: int, entries: dict) -> list:
     return T.tolist()
 
 
+_LINEAR_1234 = {"family": "linear", "params": {"matrix": [[1, 2], [3, 4]]}}
+_LINEAR_2111 = {"family": "linear", "params": {"matrix": [[2, 1], [1, 1]]}}
+
 EXTRA_DOCS = {
     "explicit-x0": {
         "map": {"family": "motivating"},
@@ -125,6 +133,22 @@ EXTRA_DOCS = {
     },
     "boundary-eigenvector-linear": {
         "map": {"family": "linear", "params": {"matrix": [[2, 0], [0, 1]]}},
+    },
+    "hadamard-nonirr": {
+        "map": {"family": "hadamard", "params": {"left": {"family": "nonirr"}, "right": {"family": "motivating"}}},
+        "weights": [0.5, 0.5],
+    },
+    "weighted-sum-max-norm": {
+        "map": {"family": "weighted_sum", "params": {"left": _LINEAR_1234, "right": _LINEAR_2111, "d_matrix": [[1]]}},
+        "norms": [{"p": "inf"}],
+    },
+    "compose-dual-part": {
+        "map": {"family": "compose", "params": {"outer": {"family": "dual", "params": {"base": _LINEAR_1234}},
+                                                "inner": _LINEAR_2111}},
+    },
+    "one-block-tight": {
+        "map": {"family": "tight", "params": {"exponents": [[0.5]], "sizes": [3]}},
+        "solver": {"x0": "random"},
     },
 }
 
