@@ -14,6 +14,11 @@ Tarjan's (1972) strongly connected components over the successor lists.
   of final classes, the components that no edge leaves;
 - summed-powers positivity: one layered sweep over all walk lengths at once.
 
+A complete pattern (n >= 1, every entry set) is one class that no edge
+leaves, so ``strongly_connected`` and ``class_counts`` answer it from one
+``P.all()`` without the search, which visits every one of its n^2 edges in
+Python; every other pattern, the empty 0 x 0 one included, is searched.
+
 The search and the condensation pass read each pattern entry O(1) times,
 O(n^2) for an n x n pattern; the sweep takes at most n + 1 layers.  Node sets
 are Python ints used as bitsets, bit v for node v.
@@ -99,9 +104,14 @@ def classes(P: np.ndarray) -> list[list[int]]:
     return [sorted(c) for c in _strong_components(_successors(P))[0]]
 
 
+def _complete(P: np.ndarray) -> bool:
+    # n >= 1 nodes, every edge present: one class, and no edge leaves it
+    return len(P) > 0 and bool(P.all())
+
+
 def strongly_connected(P: np.ndarray) -> bool:
     """Every node reaches every node by a walk of length >= 0."""
-    return len(_strong_components(_successors(P))[0]) <= 1
+    return _complete(P) or len(_strong_components(_successors(P))[0]) <= 1
 
 
 def period(P: np.ndarray) -> int:
@@ -150,6 +160,8 @@ def class_counts(P: np.ndarray) -> tuple[int, int]:
     is a final class of its own.  A non-empty pattern is strongly connected
     exactly when it has one class.
     """
+    if _complete(P):
+        return 1, 1
     succ = _successors(P)
     components = _strong_components(succ)[0]
     final = 0

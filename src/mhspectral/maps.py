@@ -33,7 +33,8 @@ the test-suite follow, along with closure operations: composition, Hadamard
 products, dominated weighted sums, the delta-shift, and inversion
 conjugation (the dual map).  Every closure follows one rule: its parts share
 one shape; it is differentiable when every part is, and so are its norms
-where a norm factor uses them; its A is exact when every part's is; it lives
+where a norm factor uses them, but never with a user's functionals (a
+weighted sum's ``xi``); its A is exact when every part's is; it lives
 on the open cone when a part does, and a dual always; it has a Jacobian when
 every part has one; and a closure whose A is its one part's (a shift, a
 dual) shares that part's checked A and ``analysis``.
@@ -702,15 +703,17 @@ def tight_equality_pair(A, b, sizes, ratio: float = 2.0):
 # ---------------------------------------------------------------------------
 
 
-def _closure(label: str, parts: tuple, build, norms: Optional[NormSpec] = None, interior: bool = False) -> MapInstance:
+def _closure(label: str, parts: tuple, build, factor=None, interior: bool = False) -> MapInstance:
     """The map that ``build`` makes of its parts, under the one rule of every closure.
 
     The parts must share one shape (ValueError).  ``build`` takes their flat
     kernels and returns the closure's A, flat kernel and Jacobian; the
     Jacobian is kept when every part has one.  The closure is differentiable
-    when every part is, and ``norms`` too where a norm factor uses them; its
-    A is exact when every part's is; it lives on the open cone when a part
-    does, or when ``interior`` (a dual).  An A that is its one part's own is
+    when every part is and so is its ``factor``: the ``NormSpec`` of a norm
+    factor where its norms are smooth on the open cone, and never a user's
+    functionals, of which nothing is known but the spot checks.  Its A is
+    exact when every part's is; it lives on the open cone when a part does,
+    or when ``interior`` (a dual).  An A that is its one part's own is
     taken as the part checked it, with the part's ``analysis``: a schedule of
     shifts measures rho(A) once, also above the d <= 64 cap of the
     homogeneity memo.
@@ -726,7 +729,9 @@ def _closure(label: str, parts: tuple, build, norms: Optional[NormSpec] = None, 
         evaluator=_FlatEvaluator(kernel, shape),
         jacobian=jacobian if all(P.jacobian is not None for P in parts) else None,
         label=label,
-        differentiable=all(P.differentiable for P in parts) and (norms is None or norms.is_smooth_interior()),
+        differentiable=all(P.differentiable for P in parts) and (
+            factor is None or (isinstance(factor, NormSpec) and factor.is_smooth_interior())
+        ),
         homogeneity_exact=all(P.homogeneity_exact for P in parts),
         domain="interior" if interior or any(P.domain == "interior" for P in parts) else "cone",
     )
@@ -786,7 +791,9 @@ def weighted_sum(F: MapInstance, G: MapInstance, D, norms: NormSpec, xi=None) ->
     Requires D >= A(F) and D >= A(G) entrywise.  N collects one order-
     preserving functional per block; by default the block norms of
     ``norms``, whose factors are ``_block_power``'s.  The values of a user's
-    functionals ``xi`` are checked at every call, by ``matrix_power_scale``.
+    functionals ``xi`` are checked at every call, by ``matrix_power_scale``;
+    with them the sum is marked not differentiable, so a certificate tests
+    its eigenvector for a kink.
     """
 
     def build(kF, kG):
@@ -815,7 +822,7 @@ def weighted_sum(F: MapInstance, G: MapInstance, D, norms: NormSpec, xi=None) ->
 
         return A, kernel, None
 
-    return _closure(f"weighted_sum({F.label}, {G.label})", (F, G), build, norms)
+    return _closure(f"weighted_sum({F.label}, {G.label})", (F, G), build, norms if xi is None else xi)
 
 
 def shifted(F: MapInstance, delta: float, norms: NormSpec) -> MapInstance:

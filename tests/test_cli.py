@@ -613,6 +613,15 @@ class TestMainEntry:
         inst = _write(tmp_path, "bad.json", {"map": {"family": "nope"}})
         assert main(["solve", inst]) == 2
 
+    @pytest.mark.parametrize("argv", [["solve", "{bad}"], ["certify", "{good}", "{bad}"]])
+    def test_file_that_is_not_utf8_exits_two(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"map": {"family": "motivating"}, "x": "\xff"}')
+        good = _write(tmp_path, "good.json", MOTIVATING_DOC)
+        assert main([a.format(bad=bad, good=good) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "utf-8" in err and err.count("\n") == 1, err
+
     @staticmethod
     def _exits_two_everywhere(tmp_path, capsys, doc, path: str):
         """Every command exits 2 on doc with one error line that names path."""

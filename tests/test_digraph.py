@@ -321,8 +321,24 @@ class TestFinalClasses:
         st = pytest.importorskip("hypothesis.strategies")
         hnp = pytest.importorskip("hypothesis.extra.numpy")
 
-        @hypothesis.settings(max_examples=100, deadline=None)
-        @hypothesis.given(st.integers(0, 12).flatmap(lambda n: hnp.arrays(bool, (n, n))))
+        def cleared(n, entries):
+            P = np.ones((n, n), dtype=bool)
+            P.flat[entries] = False
+            return P
+
+        def patterns(n):
+            """Random arrays, which are almost never complete, the complete
+            pattern, and (n >= 1) the complete pattern less 1-3 entries, the
+            first a diagonal one or any."""
+            drawn = hnp.arrays(bool, (n, n)) | st.just(np.ones((n, n), dtype=bool))
+            if not n:
+                return drawn
+            first = st.integers(0, n - 1).map(lambda i: i * (n + 1)) | st.integers(0, n * n - 1)
+            more = st.lists(st.integers(0, n * n - 1), max_size=2)
+            return drawn | st.tuples(first, more).map(lambda fm: cleared(n, [fm[0], *fm[1]]))
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.integers(0, 12).flatmap(patterns))
         def check(P):
             classes, finals = _brute_classes(P)
             assert _digraph.class_counts(P) == (len(classes), len(finals))
@@ -330,6 +346,20 @@ class TestFinalClasses:
                 assert (len(classes) == 1) == _digraph.strongly_connected(P)
 
         check()
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_complete_pattern_takes_no_search(self, n, monkeypatch):
+        def no_search(P):
+            raise AssertionError("searched a complete pattern")
+
+        monkeypatch.setattr(_digraph, "_successors", no_search)
+        P = np.ones((n, n), dtype=bool)
+        assert _digraph.class_counts(P) == (1, 1) and _digraph.strongly_connected(P)
+        P[0, n - 1] = False
+        with pytest.raises(AssertionError, match="searched"):
+            _digraph.class_counts(P)
+        with pytest.raises(AssertionError, match="searched"):
+            _digraph.strongly_connected(np.zeros((0, 0), dtype=bool))
 
 
 class TestPeriod:

@@ -311,6 +311,18 @@ class TestAlgebra:
         with pytest.raises(ValueError, match="spot check"):
             weighted_sum(F, G, D, norms, xi=global_max)
 
+    def test_weighted_sum_user_functionals_are_not_differentiable(self):
+        # the max of the entries passes the spot checks and has a kink
+        # wherever two entries tie; the norms, which the sum never uses with
+        # a user's functionals, say nothing about it
+        F = linear_map([[1.0, 2.0], [3.0, 4.0]])
+        largest = [lambda x: float(np.max(x.flat))]
+        for D in ([[1.0]], [[2.0]]):
+            assert not weighted_sum(F, F, D, NormSpec([2.0]), xi=largest).differentiable
+            assert weighted_sum(F, F, D, NormSpec([2.0])).differentiable
+        tie = ProductVector([np.array([1.0, 1.0])])
+        assert has_kink(weighted_sum(F, F, [[2.0]], NormSpec([2.0]), xi=largest), tie)
+
     def test_shifted_keeps_matrix_and_adds_delta_on_slice(self):
         F = motivating_map()
         norms = NormSpec.euclidean(2)

@@ -29,7 +29,11 @@ derives into a report: a ``hadamard`` with a ``nonirr`` part (inexact
 homogeneity, the analyze note), a ``weighted_sum`` under max-norms (not
 differentiable, certify's kink test), a ``compose`` with a ``dual`` part
 (the open-cone domain), and a one-block ``tight`` from a random start (the
-full-length spread of its block power).
+full-length spread of its block power).  Three sit on both sides of the
+complete-pattern rule of ``_digraph``, at sizes no workload has: a positive
+60 x 60 ``linear`` (a complete pattern of L, no search), the same matrix
+with one off-diagonal zero (searched), and ``singular`` of a positive
+20 x 30 matrix (a bipartite L, searched).
 OUT.json also maps ``demos/<stem>`` to ``"<exit code> <sha1 of its stdout>"``
 for every ``demos/*.py``, each run in a subprocess with this interpreter and
 a ``PYTHONPATH`` that puts the ``mhspectral`` used above first, so ``--diff``
@@ -83,6 +87,18 @@ def _sparse_tensor(n: int, order: int, entries: dict) -> list:
     for index, value in entries.items():
         T[index] = value
     return T.tolist()
+
+
+def _positive(m: int, n: int) -> list:
+    """An m x n matrix of entries in [1/17, 1], all positive, from a fixed formula."""
+    i, j = np.ogrid[:m, :n]
+    return (((7 * i + 13 * j + i * j) % 17 + 1) / 17).tolist()
+
+
+def _one_zero(M: list, i: int, j: int) -> list:
+    M = copy.deepcopy(M)
+    M[i][j] = 0.0
+    return M
 
 
 _LINEAR_1234 = {"family": "linear", "params": {"matrix": [[1, 2], [3, 4]]}}
@@ -149,6 +165,15 @@ EXTRA_DOCS = {
     "one-block-tight": {
         "map": {"family": "tight", "params": {"exponents": [[0.5]], "sizes": [3]}},
         "solver": {"x0": "random"},
+    },
+    "positive-linear-60": {
+        "map": {"family": "linear", "params": {"matrix": _positive(60, 60)}},
+    },
+    "positive-linear-60-one-zero": {
+        "map": {"family": "linear", "params": {"matrix": _one_zero(_positive(60, 60), 0, 59)}},
+    },
+    "positive-singular-20x30": {
+        "map": {"family": "singular", "params": {"matrix": _positive(20, 30)}},
     },
 }
 
