@@ -15,9 +15,10 @@ Tarjan's (1972) strongly connected components over the successor lists.
 - summed-powers positivity: one layered sweep over all walk lengths at once.
 
 A complete pattern (n >= 1, every entry set) is one class that no edge
-leaves, so ``strongly_connected`` and ``class_counts`` answer it from one
-``P.all()`` without the search, which visits every one of its n^2 edges in
-Python; every other pattern, the empty 0 x 0 one included, is searched.
+leaves, in which every node reaches every node, so ``strongly_connected``,
+``class_counts`` and ``reach_sets`` answer it from one ``P.all()`` without
+the search, which visits every one of its n^2 edges in Python; every other
+pattern, the empty 0 x 0 one included, is searched.
 
 The search and the condensation pass read each pattern entry O(1) times,
 O(n^2) for an n x n pattern; the sweep takes at most n + 1 layers.  Node sets
@@ -137,6 +138,8 @@ def primitive(P: np.ndarray) -> bool:
 
 def reach_sets(P: np.ndarray) -> list[int]:
     """Reflexive reach set of every node: the nodes it reaches by walks of length >= 0."""
+    if _complete(P):
+        return [(1 << len(P)) - 1] * len(P)
     succ = _successors(P)
     component_of = [-1] * len(succ)
     component_reach: list[int] = []

@@ -47,15 +47,15 @@ def _require_interior(flat: np.ndarray, name: str):
 def _log_ratio_extrema(x: np.ndarray, y: np.ndarray, shape: ShapeSpec):
     """Per-block (min, max) of log(x) - log(y) over buffers laid out as ``shape``.
 
-    The one blockwise ratio kernel: ``x`` is a flat buffer or a stack of them
-    (one per row), ``y`` a flat buffer; the extrema are reduced along the last
-    axis.  Zero entries of x give -inf (and a divide warning, which a caller
-    admitting them silences).
+    The one blockwise ratio kernel: ``x`` and ``y`` are flat buffers or
+    stacks of them (one per row), either or both; the extrema are reduced
+    along the last axis.  Zero entries of x give -inf (and a divide warning,
+    which a caller admitting them silences).
     """
     diff = np.log(x)
     diff -= np.log(y)
     starts = shape._starts
-    return np.minimum.reduceat(diff, starts, axis=-1), np.maximum.reduceat(diff, starts, axis=-1)
+    return np.minimum.reduceat(diff, starts, -1), np.maximum.reduceat(diff, starts, -1)
 
 
 def _weighted_sum(w: np.ndarray, v: np.ndarray):
@@ -71,18 +71,28 @@ def _log_bracket(y: np.ndarray, x: np.ndarray, shape: ShapeSpec, w: np.ndarray):
     """(sum_i w_i min_i, sum_i w_i max_i) of log(y) - log(x).
 
     The log Collatz-Wielandt bracket of one power step, for flat buffers laid
-    out as ``shape``.  The weighted extrema are formed in place and each end
-    is added left to right, so it equals ``_weighted_sum`` of the same
-    extrema to the last bit.  One block weights its two extrema as scalars:
-    the same one product plus the loop's 0.0 start, without the array steps.
+    out as ``shape``; for stacks of them (one step per row, both of one
+    shape) the two ends are arrays, one entry per row, each that row's
+    bracket to the last bit.  The weighted extrema are formed in place and
+    each end is added left to right, so it equals ``_weighted_sum`` of the
+    same extrema to the last bit.  One block weights its two extrema as
+    scalars: the same one product plus the loop's 0.0 start, without the
+    array steps.
     """
     lo, hi = _log_ratio_extrema(y, x, shape)
-    if len(lo) == 1:
+    if lo.ndim == 1:
+        if len(lo) == 1:
+            w0 = w.item(0)
+            return w0 * lo.item(0) + 0.0, w0 * hi.item(0) + 0.0
+        lo *= w
+        hi *= w
+        return np.add.accumulate(lo)[-1] + 0.0, np.add.accumulate(hi)[-1] + 0.0
+    if lo.shape[1] == 1:
         w0 = w.item(0)
-        return w0 * lo.item(0) + 0.0, w0 * hi.item(0) + 0.0
+        return lo[:, 0] * w0 + 0.0, hi[:, 0] * w0 + 0.0
     lo *= w
     hi *= w
-    return np.add.accumulate(lo)[-1] + 0.0, np.add.accumulate(hi)[-1] + 0.0
+    return np.add.accumulate(lo, 1)[:, -1] + 0.0, np.add.accumulate(hi, 1)[:, -1] + 0.0
 
 
 def ratio_extrema(x: ProductVector, y: ProductVector) -> RatioExtrema:

@@ -18,7 +18,9 @@ iterate is the loop's own rescaled F(x) (or lazy step), a flat buffer checked
 strictly positive, to which the loop applies F's flat kernel (``maps._kernel``)
 with no input check and no vector built.  A built-in map's kernel is its own; a
 user's evaluator is adapted, and what it returns is still checked.  The
-eigenvector is the one vector built.
+eigenvector is the one vector built.  The steps run in blocks: a block runs
+its steps back to back and then checks them, one log bracket for all of
+them, and reports what checking each step as it is taken would have.
 
 Weight selection (``F.analysis``, see :func:`~mhspectral.analyze_homogeneity`):
 for rho(A) < 1 any contraction weights work and the iterates converge at the
@@ -77,7 +79,7 @@ from .homogeneity import (
     spectral_radius,
     wielandt_bound,
 )
-from .maps import EigenPair, MapInstance, _check_domain, _kernel, evaluate, has_kink, jacobian_at, shifted
+from .maps import EigenPair, MapInstance, _Adapter, _check_domain, _kernel, evaluate, has_kink, jacobian_at, shifted
 from .metrics import _log_bracket, _log_ratio_extrema, _weighted_sum
 
 __all__ = [
@@ -305,6 +307,13 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
     loop's own rescaled F(x), a buffer checked strictly positive, so the
     loop applies F's flat kernel to it without ``evaluate``'s shape and
     domain checks; a user's evaluator still has its output checked.
+
+    The checks of the steps run per block of steps (see ``_power_steps``):
+    the report, ``iterations`` (the steps to the stop) included, is the one
+    a loop checking every step as it is taken makes, bit for bit, but F may
+    be evaluated up to B - 1 times past the stopping step, for blocks of at
+    most B = 64 steps.  F is never evaluated at the iterate after a failed
+    step.
     """
     return _power_steps(F, x0, cfg, *_solve_setup(F, cfg))
 
@@ -329,6 +338,20 @@ def _checked_start(x: ProductVector, shape: ShapeSpec, norms: NormSpec) -> Produ
     return x
 
 
+# a block runs at most this many steps before it checks them, and holds at
+# most this many floats (4 KB) in each of its stacked buffers, so they stay in
+# the first-level cache.  A map of more than about 100 entries takes no
+# blocks: its steps' numpy work outweighs the Python work a block saves, and
+# a block's buffers would only evict the caller's data
+_BLOCK_STEPS = 64
+_BLOCK_FLOATS = 1 << 9
+# the fewest steps a block runs before its open step: one stacked log bracket
+# of fewer rows costs about as much as their one-row brackets
+_MIN_RUN = 4
+# the most entries of a buffer whose smallest entry a run reads off its list
+_SHORT = 16
+
+
 # an overflow in F(x) or in a block norm ends the solve as diverged, with a
 # message, so numpy need not warn of it
 @np.errstate(over="ignore")
@@ -339,53 +362,167 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
     of ``cfg.norms`` on F's shape, and ``messages`` the messages so far.
     The iterates are flat buffers; a vector is built for the eigenvector
     only.
+
+    The steps run in blocks.  A block of B steps first runs them back to
+    back (the run), each only evaluating F, taking the block norms and
+    rescaling.  A step whose block norms have no finite scale, or whose next
+    iterate is not strictly positive (lazy: not a normal double), ends the
+    run, so F is never applied to the iterate after a failed step.  Then
+    (the check) one log bracket of the stacked (B - 1, N) buffers of the
+    steps before the run's last gives their brackets, and one pass over them in
+    order appends each to the trace until one stalls or closes (its gap
+    below ``tol``).  That step, or else the run's last, is the open step:
+    it is made in full, with every test of a step-by-step loop in that
+    loop's order, on its own one-row buffers, and the run's later steps are
+    dropped.  A one-step block is the open step alone, at the cost of a
+    step-by-step loop's step.
+
+    The first 20 steps are one-step blocks.  Then a block has the steps
+    predicted to bring the gap below ``tol`` at the ratio of the last two
+    gaps, at most a quarter of the steps so far (so an early misprediction
+    wastes little), ``_BLOCK_STEPS`` and ``_BLOCK_FLOATS / N``, and it runs
+    only with more than ``_MIN_RUN`` steps.  So the report, ``iterations``
+    (the steps to the stop) included, is the one the step-by-step loop
+    makes, and F is evaluated at most B - 1 times past the stopping step.
     """
-    shape, inf = F.shape, math.inf
+    shape, inf, tol, max_iter = F.shape, math.inf, cfg.tol, cfg.max_iter
     x = _checked_start(ones_vector(shape) if x0 is None else x0, shape, cfg.norms)
     xf, kernel = x.flat, _kernel(F)
+    spread = shape._spread
     # one block takes its norm as a float, the kernel's one entry without
     # the length-1 array
-    one_block = shape.d == 1
-    block_norm = _selector_norm(*cfg.norms.selectors[0]) if one_block else None
+    block_norm = _selector_norm(*cfg.norms.selectors[0]) if shape.d == 1 else None
+    # the vectors a user's evaluator saw in a block's run
+    seen: list[ProductVector] = []
+    adapted = isinstance(kernel, _Adapter)
+    # the smallest entry of a buffer: a short one's is read off its list,
+    # which costs less than a numpy reduction's call.  A NaN can hide from
+    # the list's min, but not from the block norms or the bracket
+    smallest = np.minimum.reduce if shape.total > _SHORT else lambda v: min(v.tolist())
 
     def vector(xf):
-        """xf as a vector: the start, or the vector a user's evaluator last saw, when xf is its buffer.
+        """xf as a vector: the start, or the vector a user's evaluator saw, when xf is its buffer.
 
         So what that evaluator cached on the vector (its ``blocks``, say)
         serves later evaluations at the eigenvector too.
         """
-        for seen in (x, getattr(kernel, "last", None)):
-            if seen is not None and seen.flat is xf:
-                return seen
+        for v in (x, getattr(kernel, "last", None), *seen):
+            if v is not None and v.flat is xf:
+                return v
         return _wrap(xf, shape)
+
+    def run(xf, size, lazy):
+        """The run of a block of ``size`` steps from xf: (xs, ys, yf, error).
+
+        xs[k] is the iterate of step k, ys[k] its image and xs[k + 1] the
+        next iterate.  A step whose block norms have no finite scale, or
+        whose next iterate is not in the open cone (a test that also rules
+        out zeros and NaN in y), is the open one, and so is the last: the run
+        stops there, and yf is its image.  An evaluation that raises ends the
+        run as ``error``, with yf None.
+        """
+        xs, ys, last = [xf], [], size - 1
+        seen.clear()
+        for i in range(size):
+            try:
+                yf = kernel(xf)
+            except ValueError as exc:
+                return xs, ys, None, exc
+            if adapted:
+                seen.append(kernel.last)
+            # the square roots of a lazy step need y > 0 first
+            if i == last or lazy and not smallest(yf) > 0.0:
+                break
+            zf = np.sqrt(yf) * np.sqrt(xf) if lazy else yf
+            if block_norm is not None:
+                lam = block_norm(zf)
+                if not (0.0 < lam < inf and 1.0 / lam < inf):
+                    break
+                xf = (1.0 / lam) * zf
+            else:
+                # a NaN norm, which a Python min or max can pass over, makes
+                # the sum NaN
+                lam = norm_of(zf)
+                lam_list = lam.tolist()
+                lam_min = min(lam_list)
+                if not (lam_min > 0.0 and 1.0 / lam_min < inf and sum(lam_list) < inf):
+                    break
+                xf = spread(1.0 / lam) * zf
+            if not (smallest(xf) >= _TINY if lazy else smallest(xf) > 0.0):
+                break
+            ys.append(yf)
+            xs.append(xf)
+        return xs, ys, yf, None
 
     analysis = F.analysis
     rate_bound = analysis.rho if analysis.regime == "strict_contraction" else None
     # at rho(A) = 1 a stalled log bracket gap makes every later step lazy
-    watch, lazy, last_gap = analysis.regime == "non_expansive", False, inf
+    watch, lazy, last_gap, prev_gap = analysis.regime == "non_expansive", False, inf, inf
     trace: list[tuple[float, float]] = []
-    status, eigenpair, res_val = MAX_ITER, None, None
+    status, eigenpair, res_val = None, None, None
     iterations = 0
 
-    for _ in range(cfg.max_iter):
-        # the first step applies F through the public evaluate, so a wrapper of
-        # evaluate (a profiler's, say) sees every solve; every later xf is the
-        # loop's own rescaled y, strictly positive and of F's shape, so F's
-        # flat kernel applies to it with no input check
-        try:
-            yf = kernel(xf) if iterations else evaluate(F, x).flat
-        except ValueError as exc:
-            status = DIVERGED
-            messages.append(f"evaluation failed: {exc}")
-            break
+    while iterations < max_iter:
+        # the block: one step, or the steps that would bring the gap below
+        # tol at the ratio of the last two gaps, at most a quarter of the
+        # steps so far.  A gap already below tol (its residual test failed)
+        # may close at the next step: one step
+        size, yf = iterations >> 2, None
+        if last_gap < tol:
+            size = 1
+        elif size > _MIN_RUN:
+            size = min(size, _BLOCK_STEPS, _BLOCK_FLOATS // shape.total, max_iter - iterations)
+            if last_gap < prev_gap < inf:
+                rate = math.log(last_gap) - math.log(prev_gap)
+                if rate < 0.0:
+                    size = min(size, math.ceil((math.log(tol) - math.log(last_gap)) / rate))
+        if size > _MIN_RUN:
+            xs, ys, yf, error = run(xf, size, lazy)
+            # check: one log bracket of the steps before the open one, read
+            # row by row.  Each passed all but the stall and closure tests in
+            # the run; the first that stalls or closes is made in full below
+            # instead of the open one, and the run's later steps are dropped
+            bounds = ()
+            if ys:
+                los, his = _log_bracket(np.array(ys), np.array(xs[:-1]), shape, b)
+                bounds = zip(los.tolist(), his.tolist())
+            k = 0
+            for log_lo, log_hi in bounds:
+                gap = log_hi - log_lo
+                if gap < tol or watch and abs(gap - last_gap) <= 1e-12 * gap:
+                    yf, error = ys[k], None
+                    break
+                trace.append((_exp(log_lo), _exp(log_hi)))
+                prev_gap, last_gap = last_gap, gap
+                k += 1
+            iterations += k
+            xf = xs[k]
+            if error is not None:
+                status = DIVERGED
+                messages.append(f"evaluation failed: {error}")
+                break
+
+        # the open step, made in full
+        if yf is None:
+            # the first step applies F through the public evaluate, so a
+            # wrapper of evaluate (a profiler's, say) sees every solve; every
+            # later iterate is the loop's own rescaled image, strictly
+            # positive and of F's shape, so F's flat kernel applies to it
+            # with no input check
+            try:
+                yf = kernel(xf) if iterations else evaluate(F, x).flat
+            except ValueError as exc:
+                status = DIVERGED
+                messages.append(f"evaluation failed: {exc}")
+                break
         iterations += 1
-        # y in the open cone: one min pass rules out zeros and NaN; the
-        # diagnostics run only on failure and keep their order (NaN first)
-        y_min = np.minimum.reduce(yf)
+        # y in the open cone: one min pass rules out zeros, and NaN here or
+        # in the bracket's upper end; the diagnostics run only on failure
+        # and keep their order (NaN first)
+        y_min = smallest(yf)
         if not y_min > 0.0:
             status = DIVERGED
-            finite = np.isfinite(yf).all()
-            messages.append("iterate left the open cone" if finite else "non-finite iterate")
+            messages.append("iterate left the open cone" if np.isfinite(yf).all() else "non-finite iterate")
             break
         log_lo, log_hi = _log_bracket(yf, xf, shape, b)
         # x is finite and positive, so log_hi is finite whenever y is, and an
@@ -399,12 +536,12 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
         if watch and abs(gap - last_gap) <= 1e-12 * gap:
             watch, lazy = False, True
             messages.append(f"bracket gap stalled: lazy steps (F(x) x)^(1/2) from step {iterations}")
-        last_gap = gap
+        prev_gap, last_gap = last_gap, gap
         # the step rescales F(x), or G(x) once lazy: two square roots, as the
         # product can underflow where they do not
         zf = np.sqrt(yf) * np.sqrt(xf) if lazy else yf
         # lam holds one norm per block of z (F's own unless lazy), a float for one block
-        if one_block:
+        if block_norm is not None:
             lam = lam_min = lam_max = block_norm(zf)
         else:
             lam = norm_of(zf)
@@ -418,31 +555,32 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
             status = DIVERGED
             messages.append("iterate left the open cone" if lam_max < inf else "block norm overflowed")
             break
-        if gap < cfg.tol:
+        if gap < tol:
             lam_F = norm_of(yf) if lazy else lam
             res = _relative_residual_inf(yf, lam_F, xf, shape)
-            if res < 10.0 * cfg.tol:
+            if res < 10.0 * tol:
                 lam_F = np.atleast_1d(lam_F)
                 eigenpair = EigenPair(vector(xf), lam_F, _weighted_product(lam_F, b))
                 status, res_val = CONVERGED, res
                 break
-        # one block scales by one float: _spread passes it through
-        xf = shape._spread(1.0 / lam) * zf
+        # one block scales by one float: spread passes it through
+        xf = spread(1.0 / lam) * zf
         # a rescaled entry of F(x) can underflow to 0 only if the smallest
         # entry times the smallest factor 1 / max(lam) does; then the iterate
         # is checked in full.  A lazy iterate is checked always, against the
         # smallest normal double: its square roots never reach 0, but an
         # entry drifting to 0 parks at the smallest subnormal
         if lazy:
-            left = not np.minimum.reduce(xf) >= _TINY
+            left = not smallest(xf) >= _TINY
         else:
-            left = not y_min * (1.0 / lam_max) > 0.0 and not np.minimum.reduce(xf) > 0.0
+            left = not y_min * (1.0 / lam_max) > 0.0 and not smallest(xf) > 0.0
         if left:
             status = DIVERGED
             messages.append("iterate left the open cone")
             break
 
-    if status == MAX_ITER and trace:
+    if status is None:
+        status = MAX_ITER
         u = vector(xf)
         y = evaluate(F, u)
         lam = norm_of(y.flat)

@@ -6,6 +6,7 @@ import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from mhspectral import homogeneity
@@ -356,6 +357,24 @@ class TestGraphCommand:
         assert rep["existence_condition"] is True
         assert rep["strongly_connected"] is False
         assert len(rep["edges"]) == 6
+
+    def test_positive_matrix_graph_step_takes_no_search(self, monkeypatch):
+        # the index graph of a positive matrix is complete: both verdicts
+        # are read from one P.all(), and no successor list is built
+        from mhspectral import _digraph
+
+        calls = []
+        successors = _digraph._successors
+        monkeypatch.setattr(_digraph, "_successors", lambda P: calls.append(P.shape) or successors(P))
+        i, j = np.ogrid[:60, :60]
+        positive = (((7 * i + 13 * j + i * j) % 17 + 1) / 17).tolist()
+        code, rep = run_graph({"map": {"family": "linear", "params": {"matrix": positive}}})
+        assert code == 0 and rep["strongly_connected"] is True and rep["existence_condition"] is True
+        assert calls == []
+        positive[0][59] = 0.0  # one zero entry: the same step searches
+        code, rep = run_graph({"map": {"family": "linear", "params": {"matrix": positive}}})
+        assert rep["strongly_connected"] is True and rep["existence_condition"] is True
+        assert calls == [(60, 60), (60, 60)]
 
     def test_nonirr_dual_self_loops(self):
         code, rep = run_graph({"map": {"family": "nonirr", "params": {}}}, dual=True)

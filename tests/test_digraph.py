@@ -355,9 +355,12 @@ class TestFinalClasses:
         monkeypatch.setattr(_digraph, "_successors", no_search)
         P = np.ones((n, n), dtype=bool)
         assert _digraph.class_counts(P) == (1, 1) and _digraph.strongly_connected(P)
+        assert _digraph.reach_sets(P) == [(1 << n) - 1] * n
         P[0, n - 1] = False
         with pytest.raises(AssertionError, match="searched"):
             _digraph.class_counts(P)
+        with pytest.raises(AssertionError, match="searched"):
+            _digraph.reach_sets(P)
         with pytest.raises(AssertionError, match="searched"):
             _digraph.strongly_connected(np.zeros((0, 0), dtype=bool))
 

@@ -7,7 +7,10 @@ every output must equal the loop's to the last bit, signed zeros included,
 because reports print floats with 17 significant digits.  The same holds for
 one step of the power iteration against its former form (checked evaluator
 outputs, a checked ``matrix_power_scale`` per shifted evaluation, two weighted
-sums and a checked rescale).
+sums and a checked rescale), and for the whole power loop, which checks its
+steps in blocks, against the former loop that checked each step as it took
+it: the same report, every ending included, and a user's evaluator never
+called at the iterate after a failed step.
 """
 
 import copy
@@ -771,3 +774,327 @@ class TestKernelProperties:
             assert _same_bits(hilbert_metric(y, y, b), _ref_metric(y.blocks, y.blocks, b, False))
 
         check()
+
+
+# ---------------------------------------------------------------------------
+# the power loop in blocks against the step-by-step loop
+# ---------------------------------------------------------------------------
+
+
+def _former_power_steps(F, x0, cfg):
+    """``power_method`` as the former loop made it: one step, then all of its tests.
+
+    Returns the report (without the fields set after the loop) and the
+    iterates x_0, x_1, ..., the iterate of each step taken and then the last
+    rescaled one.
+    """
+    b, norm_of, messages = solver._solve_setup(F, cfg)
+    shape, inf = F.shape, math.inf
+    x = solver._checked_start(cones.ones_vector(shape) if x0 is None else x0, shape, cfg.norms)
+    xf, kernel = x.flat, maps._kernel(F)
+    block_norm = cones._selector_norm(*cfg.norms.selectors[0]) if shape.d == 1 else None
+    analysis = F.analysis
+    watch, lazy, last_gap = analysis.regime == "non_expansive", False, inf
+    trace, iterates = [], [xf]
+    status, eigenpair, res_val, iterations = solver.MAX_ITER, None, None, 0
+    with np.errstate(over="ignore"):
+        for _ in range(cfg.max_iter):
+            try:
+                yf = kernel(xf) if iterations else evaluate(F, x).flat
+            except ValueError as exc:
+                status = solver.DIVERGED
+                messages.append(f"evaluation failed: {exc}")
+                break
+            iterations += 1
+            y_min = np.minimum.reduce(yf)
+            if not y_min > 0.0:
+                status = solver.DIVERGED
+                messages.append("iterate left the open cone" if np.isfinite(yf).all() else "non-finite iterate")
+                break
+            log_lo, log_hi = metrics._log_bracket(yf, xf, shape, b)
+            if not log_hi < inf and not np.isfinite(yf).all():
+                status = solver.DIVERGED
+                messages.append("non-finite iterate")
+                break
+            trace.append((solver._exp(log_lo), solver._exp(log_hi)))
+            gap = log_hi - log_lo
+            if watch and abs(gap - last_gap) <= 1e-12 * gap:
+                watch, lazy = False, True
+                messages.append(f"bracket gap stalled: lazy steps (F(x) x)^(1/2) from step {iterations}")
+            last_gap = gap
+            zf = np.sqrt(yf) * np.sqrt(xf) if lazy else yf
+            if block_norm is not None:
+                lam = lam_min = lam_max = block_norm(zf)
+            else:
+                lam = norm_of(zf)
+                lam_min, lam_max = min(lam.tolist()), max(lam.tolist())
+            if not (lam_min > 0.0 and 1.0 / lam_min < inf and lam_max < inf):
+                status = solver.DIVERGED
+                messages.append("iterate left the open cone" if lam_max < inf else "block norm overflowed")
+                break
+            if gap < cfg.tol:
+                lam_F = norm_of(yf) if lazy else lam
+                res = solver._relative_residual_inf(yf, lam_F, xf, shape)
+                if res < 10.0 * cfg.tol:
+                    lam_F = np.atleast_1d(lam_F)
+                    eigenpair = maps.EigenPair(cones._wrap(xf.copy(), shape), lam_F, cones._weighted_product(lam_F, b))
+                    status, res_val = solver.CONVERGED, res
+                    break
+            xf = shape._spread(1.0 / lam) * zf
+            iterates.append(xf)
+            if lazy:
+                left = not np.minimum.reduce(xf) >= solver._TINY
+            else:
+                left = not y_min * (1.0 / lam_max) > 0.0 and not np.minimum.reduce(xf) > 0.0
+            if left:
+                status = solver.DIVERGED
+                messages.append("iterate left the open cone")
+                break
+    if status == solver.MAX_ITER and trace:
+        u = cones._wrap(xf.copy(), shape)
+        y = evaluate(F, u)
+        lam = norm_of(y.flat)
+        eigenpair = maps.EigenPair(u, lam, cones._weighted_product(lam, b))
+        res_val = solver._relative_residual_inf(y.flat, lam, u.flat, shape)
+        messages.append("bracket did not close within max_iter")
+    report = solver.SolveReport(eigenpair, status, iterations, trace, b, res_val, messages=messages)
+    return report, iterates
+
+
+def _report_bits(rep):
+    """A solve report's loop fields, floats in hex."""
+    ep = rep.eigenpair
+    pair = None if ep is None else (_hex(ep.x.flat), _hex(ep.lam), _hex(ep.r_b))
+    res = None if rep.residual is None else _hex(rep.residual)
+    return rep.status, rep.iterations, _hex(rep.bracket_trace), rep.messages, res, pair, _hex(rep.weights)
+
+
+def _blocked(F, x0, cfg):
+    """power_method, and the rows of each stacked log bracket it took (a block ran those steps back to back)."""
+    stacked = []
+    bracket = solver._log_bracket
+
+    def spy(y, x, shape, w):
+        if np.ndim(y) == 2:
+            stacked.append(len(y))
+        return bracket(y, x, shape, w)
+
+    solver._log_bracket = spy
+    try:
+        return power_method(F, x0, cfg), stacked
+    finally:
+        solver._log_bracket = bracket
+
+
+def _check_against_former(F, x0, cfg, blocks=True):
+    """The blocked solve is the former loop's, bit for bit, and its trace is cw_bounds at the former iterates."""
+    rep, stacked = _blocked(F, x0, cfg)
+    former, iterates = _former_power_steps(F, x0, cfg)
+    assert _report_bits(rep) == _report_bits(former)
+    for k in range(len(rep.bracket_trace)):
+        x_k = cones._wrap(iterates[k].copy(), F.shape)
+        assert _hex(rep.bracket_trace[k]) == _hex(solver.cw_bounds(F, x_k, rep.weights))
+    if blocks:
+        assert stacked, "no step ran in a block"
+    return rep
+
+
+class _Faulty:
+    """A user's evaluator F_i(x) = M_i x_{i+1 mod d}, recording its calls, with one fault at the iterate ``at``.
+
+    ``kind`` is what it returns there: an image with a zero entry, an
+    infinite or NaN entry, entries whose norms overflow, or it raises.  It
+    raises if it is ever called on a vector that is not strictly positive and
+    finite, which only the iterate after a failed step can be.
+    """
+
+    def __init__(self, Ms, at=None, kind=None):
+        self.Ms, self.at, self.kind, self.calls = Ms, at, kind, []
+
+    def __call__(self, x):
+        self.calls.append(x)
+        if not (np.minimum.reduce(x.flat) > 0.0 and np.isfinite(x.flat).all()):
+            raise ValueError("called on the iterate after a failed step")
+        blocks = [M @ x.blocks[(i + 1) % len(self.Ms)] for i, M in enumerate(self.Ms)]
+        if self.at is not None and x.flat.tobytes() == self.at:
+            if self.kind == "raise":
+                raise ValueError("fault")
+            # in the last entry of the last block, where a NaN hides from a
+            # Python min over the block norms
+            blocks[-1] = blocks[-1].copy()
+            blocks[-1][-1] = {"zero": 0.0, "inf": math.inf, "nan": math.nan, "huge": 1.5e308}[self.kind]
+            if self.kind == "huge":
+                blocks[-1][:] = 1.5e308
+        return ProductVector(blocks)
+
+
+def _faulty_map(Ms, at=None, kind=None):
+    d = len(Ms)
+    A = np.zeros((d, d))
+    A[np.arange(d), (np.arange(d) + 1) % d] = 1.0
+    ev = _Faulty(Ms, at, kind)
+    return MapInstance(shape=ShapeSpec(tuple(M.shape[0] for M in Ms)), A=A, evaluator=ev, label="faulty"), ev
+
+
+def _near_identity(rng, n, eps):
+    return np.eye(n) + eps * rng.uniform(0.05, 1.0, (n, n))
+
+
+def _block_cyclic(rng, n, eps):
+    """[[0, B], [C, 0]] with B, C = I + eps R: irreducible of period 2, so plain steps stall into lazy ones."""
+    Z = np.zeros((n, n))
+    return np.block([[Z, _near_identity(rng, n, eps)], [_near_identity(rng, n, eps), Z]])
+
+
+class TestBlockedPowerLoop:
+    """The power loop checks its steps in blocks and reports what the step-by-step loop reported."""
+
+    def test_drawn_maps_match_the_former_loop(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(
+            st.sampled_from(["linear", "shifted", "singular", "pq_singular", "ring", "cyclic"]),
+            st.integers(0, 2**32 - 1),
+            st.floats(-14.0, -6.0),
+            st.integers(1, 400),
+            st.booleans(),
+        )
+        def check(kind, seed, log_tol, max_iter, random_start):
+            rng = np.random.default_rng(seed)
+            n, eps = int(rng.integers(2, 6)), float(10.0 ** rng.uniform(-1.5, 0.0))
+            if kind in ("linear", "shifted"):
+                F = linear_map(_near_identity(rng, n, eps))
+                norms = NormSpec([[1.0, 2.0, 3.0, math.inf][int(rng.integers(4))]])
+                if kind == "shifted":
+                    F = shifted(F, float(10.0 ** rng.uniform(-8, -1)), norms)
+            elif kind == "singular":
+                F, norms = singular_map(_near_identity(rng, n, eps)), NormSpec.euclidean(2)
+            elif kind == "pq_singular":
+                p, q = rng.uniform(2.0, 4.0, 2)
+                F, norms = pq_singular_map(_near_identity(rng, n, eps), p, q), NormSpec([p, q])
+            elif kind == "ring":
+                d = int(rng.integers(2, 6))
+                F, _ = _faulty_map([_near_identity(rng, n, eps) for _ in range(d)])
+                norms = NormSpec(_random_selectors(rng, F.shape))
+            else:
+                F, norms = linear_map(_block_cyclic(rng, n, eps)), NormSpec.euclidean(1)
+            x0 = _vector(rng, F.shape) if random_start else None
+            cfg = SolverConfig(norms=norms, tol=10.0**log_tol, max_iter=max_iter)
+            _check_against_former(F, x0, cfg, blocks=False)
+
+        check()
+
+    def test_convergence_inside_a_block(self):
+        rng = np.random.default_rng(11)
+        for F, norms in ((linear_map(_near_identity(rng, 4, 0.05)), NormSpec([2.0])),
+                         (singular_map(_near_identity(rng, 3, 0.05)), NormSpec([1.0, math.inf]))):
+            rep = _check_against_former(F, None, SolverConfig(norms=norms, tol=1e-12))
+            assert rep.status == "converged" and rep.iterations > 100
+
+    @pytest.mark.parametrize("max_iter", [37, 101, 257])
+    def test_max_iter_inside_a_block(self, max_iter):
+        # the Jordan block: the gap falls like 1/k, and no step closes the bracket
+        F = linear_map([[1.0, 1.0], [0.0, 1.0]])
+        rep = _check_against_former(F, None, SolverConfig(norms=NormSpec([2.0]), max_iter=max_iter))
+        assert rep.status == "max_iter" and rep.iterations == max_iter
+
+    def test_lazy_switch_inside_a_block(self):
+        F = linear_map(_block_cyclic(np.random.default_rng(0), 3, 0.3))
+        rep = _check_against_former(F, None, SolverConfig(norms=NormSpec([2.0])))
+        assert rep.status == "converged"
+        step = int(rep.messages[0].rsplit(" ", 1)[1])
+        assert step > 4 * (solver._MIN_RUN + 1), rep.messages
+
+    def test_lazy_underflow_inside_a_block(self):
+        # the eigenvector lies on the boundary: a lazy iterate's second entry
+        # drifts under the smallest normal double
+        F = linear_map([[2.0, 0.0], [0.0, 1.0]])
+        rep = _check_against_former(F, None, SolverConfig(norms=NormSpec([2.0])))
+        assert rep.status == "diverged" and rep.messages[-1] == "iterate left the open cone"
+        assert rep.iterations > 1000
+
+    @pytest.mark.parametrize("kind, message", [
+        ("zero", "iterate left the open cone"),
+        ("inf", "non-finite iterate"),
+        ("nan", "non-finite iterate"),
+        ("huge", "block norm overflowed"),
+        ("raise", "evaluation failed: fault"),
+    ])
+    # buffers of 3 and 9 entries, whose smallest entry is a Python min, and of 24
+    @pytest.mark.parametrize("d, n", [(1, 3), (3, 3), (2, 12)])
+    def test_each_failure_inside_a_block(self, kind, message, d, n):
+        rng = np.random.default_rng(d)
+        Ms = [_near_identity(rng, n, 0.1) for _ in range(d)]
+        norms = NormSpec.euclidean(d)
+        cfg = SolverConfig(norms=norms, tol=1e-14, weights=np.full(d, 1.0 / d))
+        F, _ = _faulty_map(Ms)
+        _, iterates = _former_power_steps(F, None, cfg)
+        at = 60  # the step that fails, well inside a block
+        assert len(iterates) > at
+        F, ev = _faulty_map(Ms, iterates[at - 1].tobytes(), kind)
+        rep = _check_against_former(F, None, cfg)
+        assert rep.status == "diverged" and rep.messages[-1] == message
+        assert rep.iterations == at - (kind == "raise")
+
+    def test_a_failed_step_wins_over_a_later_evaluation_that_raises(self):
+        # the image at step 60 has a zero entry; the evaluator raises on the
+        # iterate after it, which it must never see
+        rng = np.random.default_rng(7)
+        Ms = [_near_identity(rng, 3, 0.1)]
+        cfg = SolverConfig(norms=NormSpec([2.0]), tol=1e-14)
+        F, _ = _faulty_map(Ms)
+        _, iterates = _former_power_steps(F, None, cfg)
+        F, ev = _faulty_map(Ms, iterates[59].tobytes(), "zero")
+        rep = _check_against_former(F, None, cfg)
+        assert rep.status == "diverged" and rep.messages == ["iterate left the open cone"]
+        assert rep.iterations == 60
+        assert all(np.minimum.reduce(x.flat) > 0.0 for x in ev.calls)
+
+
+class TestBlockedEvaluatorCalls:
+    """What a user's evaluator sees from a solve whose steps run in blocks."""
+
+    @pytest.mark.parametrize("d, eps", [(1, 0.05), (2, 0.1), (4, 0.3)])
+    def test_calls_past_the_stop_and_the_eigenvector(self, d, eps):
+        rng = np.random.default_rng(d)
+        F, ev = _faulty_map([_near_identity(rng, 3, eps) for _ in range(d)])
+        rep, stacked = _blocked(F, None, SolverConfig(norms=NormSpec.euclidean(d), tol=1e-13))
+        assert rep.status == "converged" and stacked
+        # one call per step up to the stop, the first at the start vector
+        stop = rep.iterations
+        past = len(ev.calls) - stop
+        assert 0 <= past <= solver._BLOCK_STEPS - 1
+        assert rep.eigenpair.x is ev.calls[stop - 1]
+        # every call but the first saw the rescaled image of the one before
+        for k in range(1, stop):
+            assert np.minimum.reduce(ev.calls[k].flat) > 0.0
+
+    @pytest.mark.parametrize("kind", ["zero", "inf", "nan", "huge", "raise"])
+    def test_never_called_after_a_failed_step(self, kind):
+        rng = np.random.default_rng(5)
+        Ms = [_near_identity(rng, 3, 0.1) for _ in range(2)]
+        cfg = SolverConfig(norms=NormSpec.euclidean(2), tol=1e-14, weights=np.full(2, 0.5))
+        F, _ = _faulty_map(Ms)
+        _, iterates = _former_power_steps(F, None, cfg)
+        F, ev = _faulty_map(Ms, iterates[69].tobytes(), kind)
+        rep = power_method(F, None, cfg)
+        assert rep.status == "diverged"
+        # the faulty step is the last call: nothing after it was evaluated
+        assert ev.calls[-1].flat.tobytes() == iterates[69].tobytes() and len(ev.calls) == 70
+
+    def test_a_dropped_step_that_raises_is_not_reported(self):
+        # the gap stalls at a step inside a block whose run went on with a
+        # plain step; that step's evaluation raises, but the stall drops it
+        M = _block_cyclic(np.random.default_rng(0), 3, 0.3)
+        cfg = SolverConfig(norms=NormSpec([2.0]))
+        F, _ = _faulty_map([M])
+        former, iterates = _former_power_steps(F, None, cfg)
+        stall = int(former.messages[0].rsplit(" ", 1)[1])
+        y = M @ iterates[stall - 1]
+        plain = (1.0 / cones._euclidean_norm(y)) * y  # the plain step the former loop never took
+        F, ev = _faulty_map([M], plain.tobytes(), "raise")
+        rep = _check_against_former(F, None, cfg)
+        assert rep.status == "converged"
+        assert any(x.flat.tobytes() == plain.tobytes() for x in ev.calls), "the run stopped at the stalled step"

@@ -33,7 +33,13 @@ full-length spread of its block power).  Three sit on both sides of the
 complete-pattern rule of ``_digraph``, at sizes no workload has: a positive
 60 x 60 ``linear`` (a complete pattern of L, no search), the same matrix
 with one off-diagonal zero (searched), and ``singular`` of a positive
-20 x 30 matrix (a bipartite L, searched).
+20 x 30 matrix (a bipartite L, searched).  Three end inside a block of the
+power loop, which runs steps back to back and checks them together: the
+Jordan block ``[[1, 1], [0, 1]]`` cut at ``"max_iter": 37``, a long
+strict-contraction ``pq_singular`` solve at ``"tol": 1e-14`` from a random
+start, and a continuation of a block-cyclic ``linear`` map on the shifts
+1e-13 down to 2.5e-14, whose first inner solve switches to lazy steps at
+step 87.
 OUT.json also maps ``demos/<stem>`` to ``"<exit code> <sha1 of its stdout>"``
 for every ``demos/*.py``, each run in a subprocess with this interpreter and
 a ``PYTHONPATH`` that puts the ``mhspectral`` used above first, so ``--diff``
@@ -100,6 +106,11 @@ def _one_zero(M: list, i: int, j: int) -> list:
     M[i][j] = 0.0
     return M
 
+
+# [[0, B], [C, 0]], B and C near the identity: irreducible of period 2, with
+# a slow transient before the plain steps' bracket gap stalls (at step 87)
+_BLOCK_CYCLIC = [[0, 0, 0, 1.21, 0.12, 0.07], [0, 0, 0, 0.06, 1.26, 0.28], [0, 0, 0, 0.21, 0.24, 1.19],
+                 [1.28, 0.26, 0.06, 0, 0, 0], [0.27, 1.07, 0.24, 0, 0, 0], [0.1, 0.27, 1.19, 0, 0, 0]]
 
 _LINEAR_1234 = {"family": "linear", "params": {"matrix": [[1, 2], [3, 4]]}}
 _LINEAR_2111 = {"family": "linear", "params": {"matrix": [[2, 1], [1, 1]]}}
@@ -174,6 +185,20 @@ EXTRA_DOCS = {
     },
     "positive-singular-20x30": {
         "map": {"family": "singular", "params": {"matrix": _positive(20, 30)}},
+    },
+    "jordan-max-iter-37": {
+        "map": {"family": "linear", "params": {"matrix": [[1, 1], [0, 1]]}},
+        "solver": {"max_iter": 37},
+    },
+    "pq-singular-tol-1e-14": {
+        "map": {"family": "pq_singular", "params": {"matrix": [[1, 0.5, 0.25, 0.2], [0.3, 1, 0.6, 0.1],
+                                                               [0.2, 0.4, 1, 0.7]], "p": 2.2, "q": 2.1}},
+        "norms": [{"p": 2.2}, {"p": 2.1}],
+        "solver": {"tol": 1e-14, "x0": "random"},
+    },
+    "continuation-lazy-mid-run": {
+        "map": {"family": "linear", "params": {"matrix": _BLOCK_CYCLIC}},
+        "solver": {"method": "continuation", "delta_schedule": {"delta0": 1e-13, "factor": 0.5, "floor": 2.5e-14}},
     },
 }
 
