@@ -466,7 +466,7 @@ def run_analyze(doc: dict) -> tuple[int, dict]:
         "A": A.tolist(),
         "rho": analysis.rho,
         "regime": analysis.regime,
-        "weights": None if weights is None else list(weights),
+        "weights": None if weights is None else weights.tolist(),
         "lipschitz_bound": None if weights is None else lipschitz_bound(A, weights),
         "A_irreducible": analysis.irreducible,
         "A_primitive": analysis.primitive,
@@ -508,10 +508,10 @@ def run_solve(doc: dict) -> tuple[int, dict]:
         "iterations": rep.iterations,
         "eigenvector": None
         if rep.eigenpair is None
-        else [list(blk) for blk in rep.eigenpair.x.blocks],
-        "lambda": None if rep.eigenpair is None else list(rep.eigenpair.lam),
+        else [blk.tolist() for blk in rep.eigenpair.x.blocks],
+        "lambda": None if rep.eigenpair is None else rep.eigenpair.lam.tolist(),
         "r_b": None if rep.eigenpair is None else rep.eigenpair.r_b,
-        "weights": list(rep.weights),
+        "weights": rep.weights.tolist(),
         "residual": rep.residual,
         "rate_bound": rep.rate_bound,
         "bracket_trace": [[lo, hi] for lo, hi in rep.bracket_trace],
@@ -526,11 +526,10 @@ def run_solve(doc: dict) -> tuple[int, dict]:
 
 def run_graph(doc: dict, dual: bool = False) -> tuple[int, dict]:
     inst = parse_instance(doc)
-    g = (
-        graphmod.build_dual_graph(inst.map)
-        if dual
-        else graphmod.build_graph(inst.map)
-    )
+    try:
+        g = graphmod.build_dual_graph(inst.map) if dual else graphmod.build_graph(inst.map)
+    except ValueError as exc:
+        raise InstanceError(f"graph probe failed: {exc}") from exc
     nodes = g.nodes()
     report = {
         "label": inst.map.label,

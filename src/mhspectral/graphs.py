@@ -92,7 +92,9 @@ def _probe_pattern(F: MapInstance, t_grid) -> np.ndarray:
     for col, target in enumerate(shape.nodes()):
         logs = []
         for t in t_grid:
-            vals = evaluate(F, probe_vector(shape, target, t)).concat()
+            # an overflow or underflow is tested for below, so numpy need not warn of it
+            with np.errstate(over="ignore", under="ignore"):
+                vals = evaluate(F, probe_vector(shape, target, t)).concat()
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"non-finite evaluation probing {target} at t={t:g}")
             if np.any(vals <= 0.0):

@@ -17,9 +17,10 @@ Every built-in map evaluates through a flat kernel, a function from the
 buffer of a point (``ProductVector.flat``) to a fresh buffer of its image,
 with no checks; its public ``evaluator`` wraps that kernel's output as a
 vector.  The closures compose their parts' kernels with no vector in between,
-and a user's evaluator takes part through an adapter that wraps the buffer,
-calls it, and checks what it returns, as ``evaluate`` does (``_kernel``).  The
-power loop applies F's kernel to its own buffers.
+and a user's evaluator is adapted here (``_kernel``): its kernel wraps the
+buffer, calls the evaluator, and checks its output as ``evaluate`` does.  The
+power loop applies F's kernel to its own buffers, and its eigenvector wraps
+the buffer the evaluator last saw.
 
 The matrix and tensor families are cases of one multilinear form (Gautier,
 Tudisco and Hein, SIMAX 2019): for a nonnegative tensor T whose mode a reads
@@ -192,23 +193,18 @@ class VerificationReport:
 
 
 def evaluate(F: MapInstance, x: ProductVector) -> ProductVector:
-    """Apply the map after validating membership in its domain.
+    """Apply the map after validating membership in its domain: strictly positive, or nonnegative.
 
     The output is checked too: a ``ProductVector`` of F's shape (see ``_apply``).
     """
     if x.shape is not F.shape and x.shape != F.shape:
         raise ValueError(f"shape mismatch: map {F.shape.sizes}, vector {x.shape.sizes}")
-    _check_domain(F, x.flat)
-    return _apply(F, x)
-
-
-def _check_domain(F: MapInstance, flat: np.ndarray) -> None:
-    """ValueError unless the buffer flat lies in F's domain: strictly positive, or nonnegative."""
     if F.domain == "interior":
-        if not np.minimum.reduce(flat) > 0.0:
+        if not np.minimum.reduce(x.flat) > 0.0:
             raise ValueError(f"{F.label} is only defined on strictly positive vectors")
-    elif not np.minimum.reduce(flat) >= 0.0:
+    elif not np.minimum.reduce(x.flat) >= 0.0:
         raise ValueError("negative input entries")
+    return _apply(F, x)
 
 
 def _apply(F: MapInstance, x: ProductVector) -> ProductVector:
@@ -216,8 +212,8 @@ def _apply(F: MapInstance, x: ProductVector) -> ProductVector:
 
     Raises ValueError unless the evaluator returned a ``ProductVector`` of
     F's shape.  For a caller whose x is known to lie in F's domain with F's
-    shape: ``evaluate`` after its checks, and the ``_Adapter`` of a user's
-    evaluator, whose callers' buffers need none.
+    shape: ``evaluate`` after its checks, and the kernel of a user's
+    evaluator (``_kernel``), whose callers' buffers need none.
     """
     y = F.evaluator(x)
     if not isinstance(y, ProductVector):
@@ -239,34 +235,17 @@ class _FlatEvaluator:
         return _wrap(self.kernel(x.flat), self.shape)
 
 
-class _Adapter:
-    """The flat kernel of a user's evaluator: the buffer wrapped, the evaluator's output checked.
-
-    Raises ValueError as ``_apply`` does.  ``last`` is the vector it wrapped
-    last, the very one the evaluator saw.
-    """
-
-    __slots__ = ("F", "last")
-
-    def __init__(self, F: MapInstance):
-        self.F, self.last = F, None
-
-    def __call__(self, flat: np.ndarray) -> np.ndarray:
-        x = self.last = _wrap(flat, self.F.shape)
-        return _apply(self.F, x).flat
-
-
 def _kernel(F: MapInstance) -> Callable[[np.ndarray], np.ndarray]:
     """F as a function of buffers: flat -> F(x).flat for the x of F's shape with that buffer.
 
     No input check: for a caller whose buffers lie in F's domain.  A
-    built-in evaluator gives its own kernel; any other evaluator a fresh
-    ``_Adapter``, which checks what the evaluator returns.
+    built-in evaluator gives its own kernel; any other evaluator sees a fresh
+    vector over the buffer, and its output is checked as ``_apply`` does.
     """
-    ev = F.evaluator
-    if type(ev) is _FlatEvaluator and (ev.shape is F.shape or ev.shape == F.shape):
+    ev, shape = F.evaluator, F.shape
+    if type(ev) is _FlatEvaluator and (ev.shape is shape or ev.shape == shape):
         return ev.kernel
-    return _Adapter(F)
+    return lambda flat: _apply(F, _wrap(flat, shape)).flat
 
 
 # ---------------------------------------------------------------------------

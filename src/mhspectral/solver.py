@@ -17,10 +17,11 @@ and the first step evaluates F there through ``evaluate``; every later
 iterate is the loop's own rescaled F(x) (or lazy step), a flat buffer checked
 strictly positive, to which the loop applies F's flat kernel (``maps._kernel``)
 with no input check and no vector built.  A built-in map's kernel is its own; a
-user's evaluator is adapted, and what it returns is still checked.  The
-eigenvector is the one vector built.  The steps run in blocks: a block runs
-its steps back to back and then checks them, one log bracket for all of
-them, and reports what checking each step as it is taken would have.
+user's evaluator is adapted inside ``maps``, and what it returns is still
+checked.  The eigenvector is the one vector built, over the buffer the
+evaluator last saw.  The steps run in blocks: a block runs its steps back to
+back and then checks them, one log bracket for all of them, and reports what
+checking each step as it is taken would have.
 
 Weight selection (``F.analysis``, see :func:`~mhspectral.analyze_homogeneity`):
 for rho(A) < 1 any contraction weights work and the iterates converge at the
@@ -79,7 +80,7 @@ from .homogeneity import (
     spectral_radius,
     wielandt_bound,
 )
-from .maps import EigenPair, MapInstance, _Adapter, _check_domain, _kernel, evaluate, has_kink, jacobian_at, shifted
+from .maps import EigenPair, MapInstance, _kernel, evaluate, has_kink, jacobian_at, shifted
 from .metrics import _log_bracket, _log_ratio_extrema, _weighted_sum
 
 __all__ = [
@@ -246,6 +247,8 @@ def _relative_residual_inf(yf: np.ndarray, lam: np.ndarray | float, xf: np.ndarr
     return float(np.fmax.reduce(per_block, initial=0.0))
 
 
+# an overflow makes the defect infinite or NaN, which the caller sees: no warning
+@np.errstate(over="ignore", invalid="ignore")
 def residual(F: MapInstance, x: ProductVector, lam, norms: NormSpec) -> float:
     """Eigen-equation defect max_i ||F_i(x) - lam_i x_i|| / max(lam_i, 1e-15).
 
@@ -306,7 +309,8 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
     step evaluates F there through ``evaluate``.  Every later iterate is the
     loop's own rescaled F(x), a buffer checked strictly positive, so the
     loop applies F's flat kernel to it without ``evaluate``'s shape and
-    domain checks; a user's evaluator still has its output checked.
+    domain checks; a user's evaluator still has its output checked.  The
+    eigenvector wraps the buffer the evaluator last saw.
 
     The checks of the steps run per block of steps (see ``_power_steps``):
     the report, ``iterations`` (the steps to the stop) included, is the one
@@ -392,24 +396,10 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
     # one block takes its norm as a float, the kernel's one entry without
     # the length-1 array
     block_norm = _selector_norm(*cfg.norms.selectors[0]) if shape.d == 1 else None
-    # the vectors a user's evaluator saw in a block's run
-    seen: list[ProductVector] = []
-    adapted = isinstance(kernel, _Adapter)
     # the smallest entry of a buffer: a short one's is read off its list,
     # which costs less than a numpy reduction's call.  A NaN can hide from
     # the list's min, but not from the block norms or the bracket
     smallest = np.minimum.reduce if shape.total > _SHORT else lambda v: min(v.tolist())
-
-    def vector(xf):
-        """xf as a vector: the start, or the vector a user's evaluator saw, when xf is its buffer.
-
-        So what that evaluator cached on the vector (its ``blocks``, say)
-        serves later evaluations at the eigenvector too.
-        """
-        for v in (x, getattr(kernel, "last", None), *seen):
-            if v is not None and v.flat is xf:
-                return v
-        return _wrap(xf, shape)
 
     def run(xf, size, lazy):
         """The run of a block of ``size`` steps from xf: (xs, ys, yf, error).
@@ -422,14 +412,11 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
         run as ``error``, with yf None.
         """
         xs, ys, last = [xf], [], size - 1
-        seen.clear()
         for i in range(size):
             try:
                 yf = kernel(xf)
             except ValueError as exc:
                 return xs, ys, None, exc
-            if adapted:
-                seen.append(kernel.last)
             # the square roots of a lazy step need y > 0 first
             if i == last or lazy and not smallest(yf) > 0.0:
                 break
@@ -560,7 +547,7 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
             res = _relative_residual_inf(yf, lam_F, xf, shape)
             if res < 10.0 * tol:
                 lam_F = np.atleast_1d(lam_F)
-                eigenpair = EigenPair(vector(xf), lam_F, _weighted_product(lam_F, b))
+                eigenpair = EigenPair(_wrap(xf, shape), lam_F, _weighted_product(lam_F, b))
                 status, res_val = CONVERGED, res
                 break
         # one block scales by one float: spread passes it through
@@ -581,7 +568,7 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
 
     if status is None:
         status = MAX_ITER
-        u = vector(xf)
+        u = _wrap(xf, shape)
         y = evaluate(F, u)
         lam = norm_of(y.flat)
         eigenpair = EigenPair(u, lam, _weighted_product(lam, b))
@@ -616,23 +603,20 @@ def bonsall_estimate(F: MapInstance, x: ProductVector, b, m: int, norms: NormSpe
     Growth factors are accumulated in log space while the iterate itself stays
     on S_+; the telescoped product equals |||F^m(x)|||_b exactly when
     A^T b = b, and in general converges to the weighted eigenvalue product of
-    the limiting eigenpair whenever the normalized iteration converges.  The
-    first step evaluates F at x; every later one applies F's flat kernel to
-    the rescaled buffer, checked in F's domain first.
+    the limiting eigenpair whenever the normalized iteration converges.
+    Every step evaluates F through ``evaluate``, which checks the iterate
+    against F's domain.
     """
     if m < 1:
         raise ValueError("need at least one iteration")
     w = as_weight_vector(b, F.shape.d)
     if not x.is_pos():
         raise ValueError("x must be strictly positive")
-    shape, kernel = F.shape, _kernel(F)
+    shape = F.shape
     norm_of = _norm_kernel(shape, norms)
     acc = 0.0
-    yf = evaluate(F, x).flat
-    for step in range(m):
-        if step:
-            _check_domain(F, cur)
-            yf = kernel(cur)
+    for _ in range(m):
+        yf = evaluate(F, x).flat
         if not np.all(np.isfinite(yf)):
             raise ValueError("overflow despite renormalization")
         # one set of block norms gives the growth factor and the rescale
@@ -641,7 +625,7 @@ def bonsall_estimate(F: MapInstance, x: ProductVector, b, m: int, norms: NormSpe
         if growth <= 0.0:
             raise ValueError("orbit hit the cone boundary")
         acc += math.log(growth)
-        cur = shape._spread(1.0 / ns) * yf
+        x = _wrap(shape._spread(1.0 / ns) * yf, shape)
     return float(math.exp(acc / m))
 
 
@@ -846,7 +830,8 @@ def certify_uniqueness(F: MapInstance, report: SolveReport) -> Certificate:
     the eigenvector and rho(L) = 1 up to 1e-6: irreducible pattern of L;
     one-dimensional kernel of I - L (requires A itself irreducible); summed
     powers positivity (maximality only).  Non-differentiable maps at kink
-    points yield ``none`` with a reason.
+    points yield ``none`` with a reason, and so does an eigenpair at which
+    the kink test or the Jacobian cannot be formed, or L is not finite.
 
     rho(L) comes from the Collatz-Wielandt enclosure of one matvec with the
     test vector c (x) u, c the right Perron vector of A: an enclosure inside
@@ -877,12 +862,22 @@ def certify_uniqueness(F: MapInstance, report: SolveReport) -> Certificate:
         return Certificate("none", {"reason": "eigenvector touches the cone boundary"})
     if np.any(lam <= 0.0):
         return Certificate("none", {"reason": "eigenvalue vector has zero entries"})
-    if not F.differentiable and has_kink(F, u):
-        return Certificate(
-            "none", {"reason": "map is not differentiable at the eigenvector (kink)"}
-        )
-    L_pos = np.clip(jacobian_at(F, u) / F.shape._spread(lam)[:, None], 0.0, None)
-    rho_L, witnessed = _rho_L(F, u, L_pos)
+    # a kink test or Jacobian that cannot be formed, or an L beyond the
+    # double range, ends the search with a reason, and an enclosure end beyond
+    # it fails its band test, so numpy need not warn of either
+    with np.errstate(all="ignore"):
+        try:
+            if not F.differentiable and has_kink(F, u):
+                return Certificate("none", {"reason": "map is not differentiable at the eigenvector (kink)"})
+            J = jacobian_at(F, u)
+        except ValueError as exc:
+            return Certificate("none", {"rho_A": rho_A, "reason": f"no Jacobian at the eigenvector: {exc}"})
+        L_pos = np.clip(J / F.shape._spread(lam)[:, None], 0.0, None)
+        # an L with an infinite or NaN entry falls back to ``spectral_radius``, which refuses it
+        try:
+            rho_L, witnessed = _rho_L(F, u, L_pos)
+        except ValueError as exc:
+            return Certificate("none", {"rho_A": rho_A, "reason": f"no rho(lambda^{{-1}} DF(u)): {exc}"})
     data = {"rho_A": rho_A, "rho_L": rho_L}
     if abs(rho_L - 1.0) > _RHO_L_TOL:
         data["reason"] = "rho(lambda^{-1} DF(u)) is not 1"

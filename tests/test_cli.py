@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from mhspectral import homogeneity
+from mhspectral import graphs, homogeneity
 from mhspectral.cli import (
     InstanceError,
     canonical_instance,
@@ -503,6 +503,92 @@ class TestCertifyCommand:
         _, rep = run_certify(copy.deepcopy(doc), report)
         assert rep["maximality"]["boundary_product"] == 0.0
         assert '"boundary_product": 0,' in dump_json(rep)
+
+
+# the probe of node (0, 0) at t = 1e6 overflows the outer map
+GRAPH_OVERFLOW_DOC = {
+    "map": {
+        "family": "compose",
+        "params": {
+            "outer": {"family": "pq_singular", "params": {"matrix": [[1, 2], [3, 4]], "p": 1.01, "q": 1.01}},
+            "inner": {"family": "singular", "params": {"matrix": [[1, 2], [3, 4]]}},
+        },
+    }
+}
+_LINEAR_1234 = {"family": "linear", "params": {"matrix": [[1, 2], [3, 4]]}}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNumericalShortfalls:
+    """Documents that parse but overflow end with an error line or a status: no traceback, no warning."""
+
+    def test_graph_probe_overflow_exits_two(self, tmp_path, capsys):
+        assert main(["graph", _write(tmp_path, "g.json", GRAPH_OVERFLOW_DOC)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: graph probe failed: non-finite evaluation probing (0, 0) at t=1e+06\n"
+
+    def test_build_graph_still_raises(self):
+        F = parse_instance(copy.deepcopy(GRAPH_OVERFLOW_DOC)).map
+        with pytest.raises(ValueError, match=r"non-finite evaluation probing \(0, 0\) at t=1e\+06"):
+            graphs.build_graph(F)
+
+    @pytest.mark.parametrize(
+        "base, report, reason",
+        [
+            # L = DF(u) / 1e-310 overflows
+            (
+                _LINEAR_1234,
+                {"eigenvector": [[0.5, 0.8]], "lambda": [1e-310], "weights": [1.0]},
+                "no rho(lambda^{-1} DF(u)): matrix must be nonnegative and finite",
+            ),
+            # differencing F at 1e308 overflows
+            (
+                {"family": "shifted", "params": {"delta": 0.001, "base": _LINEAR_1234}},
+                {"eigenvector": [[1e308, 1e308]], "lambda": [1.0]},
+                "no Jacobian at the eigenvector: non-finite evaluations while differencing near u",
+            ),
+            # L is finite, but its Collatz-Wielandt quotient overflows
+            (_LINEAR_1234, {"eigenvector": [[1e-300, 1.0]], "lambda": [1e-300]}, "rho(lambda^{-1} DF(u)) is not 1"),
+            # F(u) - lambda u is inf - inf: the residual is NaN
+            (_LINEAR_1234, {"eigenvector": [[1e-320, 1e308]], "lambda": [1e300]}, "rho(lambda^{-1} DF(u)) is not 1"),
+        ],
+    )
+    def test_certify_overflow_gives_none(self, tmp_path, capsys, base, report, reason):
+        inst = _write(tmp_path, "inst.json", {"map": base})
+        assert main(["certify", inst, _write(tmp_path, "report.json", report)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        cert = json.loads(out)["certificate"]
+        assert cert["kind"] == "none" and cert["data"]["rho_A"] == 1.0 and cert["data"]["reason"] == reason
+
+
+_PLAIN = {dict, list, str, int, float, bool, type(None)}
+
+
+def _not_plain(obj, path="$"):
+    """The paths in a report whose value is of a type outside _PLAIN (a numpy scalar, say)."""
+    if type(obj) not in _PLAIN:
+        yield path
+    if type(obj) is dict:
+        for key, value in obj.items():
+            yield from _not_plain(value, f"{path}.{key}")
+    elif type(obj) is list:
+        for k, value in enumerate(obj):
+            yield from _not_plain(value, f"{path}[{k}]")
+
+
+class TestPlainReports:
+    @pytest.mark.parametrize("family", ["linear", "motivating", "irrex", "shifted"])
+    def test_reports_hold_plain_values_only(self, family):
+        doc = json.loads(CERT_GOLDEN.read_text())[family]["doc"]
+        _, analyzed = run_analyze(copy.deepcopy(doc))
+        _, solved = run_solve(copy.deepcopy(doc))
+        _, certified = run_certify(copy.deepcopy(doc), solved)
+        assert analyzed["weights"] is not None and solved["eigenvector"] is not None
+        for report in (analyzed, solved, certified):
+            assert list(_not_plain(report)) == []
+
 
 def _set(report, key, value):
     report[key] = value

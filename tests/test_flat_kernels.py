@@ -1066,7 +1066,7 @@ class TestBlockedEvaluatorCalls:
         stop = rep.iterations
         past = len(ev.calls) - stop
         assert 0 <= past <= solver._BLOCK_STEPS - 1
-        assert rep.eigenpair.x is ev.calls[stop - 1]
+        assert rep.eigenpair.x.flat is ev.calls[stop - 1].flat
         # every call but the first saw the rescaled image of the one before
         for k in range(1, stop):
             assert np.minimum.reduce(ev.calls[k].flat) > 0.0

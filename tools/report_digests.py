@@ -40,6 +40,10 @@ strict-contraction ``pq_singular`` solve at ``"tol": 1e-14`` from a random
 start, and a continuation of a block-cyclic ``linear`` map on the shifts
 1e-13 down to 2.5e-14, whose first inner solve switches to lazy steps at
 step 87.
+One overflows: a ``compose`` of ``pq_singular`` (p = q = 1.01) over
+``singular``, whose graph probe at t = 1e6 is not finite.  A step that
+raises ``InstanceError`` is recorded as exit 2, its error line the report
+text, as the command line ends it.
 OUT.json also maps ``demos/<stem>`` to ``"<exit code> <sha1 of its stdout>"``
 for every ``demos/*.py``, each run in a subprocess with this interpreter and
 a ``PYTHONPATH`` that puts the ``mhspectral`` used above first, so ``--diff``
@@ -200,6 +204,15 @@ EXTRA_DOCS = {
         "map": {"family": "linear", "params": {"matrix": _BLOCK_CYCLIC}},
         "solver": {"method": "continuation", "delta_schedule": {"delta0": 1e-13, "factor": 0.5, "floor": 2.5e-14}},
     },
+    "graph-probe-overflow": {
+        "map": {
+            "family": "compose",
+            "params": {
+                "outer": {"family": "pq_singular", "params": {"matrix": [[1, 2], [3, 4]], "p": 1.01, "q": 1.01}},
+                "inner": {"family": "singular", "params": {"matrix": [[1, 2], [3, 4]]}},
+            },
+        },
+    },
 }
 
 DOCUMENT_STEPS = ("analyze", "solve", "graph", "certify")
@@ -272,12 +285,15 @@ def document_digests() -> dict:
                     code, report = cli.run_certify(copy.deepcopy(doc), json.loads(solved))
                 else:
                     code, report = getattr(cli, f"run_{step}")(copy.deepcopy(doc))
+            except cli.InstanceError as exc:  # the command's exit 2, its error line the text
+                code, text = 2, f"error: {exc}\n"
             except Exception as exc:  # recorded, so a raise shows up in the diff
                 out[key] = f"raised {type(exc).__name__}: {exc}"
                 continue
-            text = cli.dump_json(report)
-            if step == "solve":
-                solved = text
+            else:
+                text = cli.dump_json(report)
+                if step == "solve":
+                    solved = text
             out[key] = f"{code} {hashlib.sha1(text.encode()).hexdigest()}"
     return out
 
