@@ -320,8 +320,10 @@ def _number(raw, path: str, kind, finite: bool = True):
 
 
 def _setting(doc, key: str, path: str, default, kind):
-    """The setting key of doc as a _number, failing at its JSON path."""
-    return _number(_get(doc, key, path, default=default), f"{path}.{key}", kind)
+    """The setting key of doc as a _number, failing at its JSON path; the default when doc has no key."""
+    if key not in doc:
+        return default
+    return _number(doc[key], f"{path}.{key}", kind)
 
 
 def _sizes(raw, path: str) -> tuple:

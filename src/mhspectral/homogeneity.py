@@ -113,12 +113,17 @@ class WeightSearchResult:
     exact: bool
 
 
+def _finite_nonneg(M: np.ndarray) -> bool:
+    """Every entry is finite and nonnegative; a NaN fails.  Two passes, no temporaries."""
+    return M.min(initial=0.0) >= 0.0 and M.max(initial=0.0) < np.inf
+
+
 def _check_pattern_source(A) -> np.ndarray:
     """A as a float array, refused unless square, nonnegative and finite."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")
-    if np.any(A < 0.0) or not np.all(np.isfinite(A)):
+    if not _finite_nonneg(A):
         raise ValueError("matrix must be nonnegative and finite")
     return A
 
@@ -471,7 +476,16 @@ def analyze_homogeneity(A) -> HomogeneityAnalysis:
     rho(A) is read through :func:`spectral_radius` either way; a larger A
     gets a one-off record.
     """
-    A = _check_nonneg_square(A)
+    return _analysis(_check_nonneg_square(A))
+
+
+def _analysis(A: np.ndarray) -> HomogeneityAnalysis:
+    """:func:`analyze_homogeneity` of a nonempty square float A known to be finite and nonnegative.
+
+    No input check of its own: for an A that ``_check_nonneg_square`` or
+    ``maps.check_homogeneity_matrix`` passed.  rho(A) is still read through
+    :func:`spectral_radius`, whose check is then the only one.
+    """
     record = _remember(A)
     if record is None:  # above the memo's size cap: a one-off record of a private copy
         A = np.array(A)

@@ -10,6 +10,8 @@ evaluator with its declared A plus optional extras: an analytic Jacobian, the
 exact index-graph pattern, and the pattern of the vanishing-limit (dual)
 graph.  A pattern is a read-only boolean N x N array over the coordinate
 nodes in block-major order (``ShapeSpec.nodes()``), entry [src, dst] per edge.
+A built-in map builds its patterns at their first read, which only the
+``graph`` command and ``graphs.build_graph`` / ``build_dual_graph`` make.
 The declared matrix is the source of truth; the ``verify_*`` helpers audit it
 against random samples.
 
@@ -47,6 +49,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import threading
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,7 +68,7 @@ from .cones import (
     random_interior,
     scale_blocks,
 )
-from .homogeneity import HomogeneityAnalysis, analyze_homogeneity
+from .homogeneity import HomogeneityAnalysis, _analysis, _finite_nonneg
 
 __all__ = [
     "MapInstance",
@@ -103,9 +106,9 @@ def check_homogeneity_matrix(A, d: int) -> np.ndarray:
     A = np.array(A, dtype=float)
     if A.shape != (d, d):
         raise ValueError(f"homogeneity matrix must be {d}x{d}, got {A.shape}")
-    if np.any(A < 0.0) or not np.all(np.isfinite(A)):
+    if not _finite_nonneg(A):
         raise ValueError("homogeneity exponents must be finite and nonnegative")
-    if not np.all((A > 0.0).any(axis=1)):
+    if not (A > 0.0).any(axis=1).all():
         raise ValueError("every row of the homogeneity matrix needs a positive entry")
     A.setflags(write=False)
     return A
@@ -124,6 +127,54 @@ class _CheckedA:
         self.matrix = matrix
 
 
+# threads may read one map's patterns first at once: one array per pattern.
+# Reentrant, as a multilinear pattern is read off the pair of both
+_DEFERRED_LOCK = threading.RLock()
+
+
+class _Deferred:
+    """A built-in map's pattern, made by ``make()`` at its first read (see ``_PatternField``).
+
+    ``get`` makes it once, so one ``_Deferred`` given as both patterns of a
+    map yields one array.
+    """
+
+    __slots__ = ("make", "made")
+
+    def __init__(self, make: Callable[[], np.ndarray]):
+        self.make, self.made = make, None
+
+    def get(self) -> np.ndarray:
+        if self.made is None:
+            with _DEFERRED_LOCK:
+                if self.made is None:
+                    self.made = self.make()
+        return self.made
+
+
+class _PatternField:
+    """A pattern field of ``MapInstance``: None, a checked read-only array, or a ``_Deferred``.
+
+    The value sits in the instance's ``__dict__`` under the field's name; a
+    ``_Deferred`` there is replaced by the array it makes at the first read.
+    Read on the class, the field is its default, None.
+    """
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, F, owner=None):
+        if F is None:
+            return None
+        P = F.__dict__[self.name]
+        if type(P) is _Deferred:
+            P = F.__dict__[self.name] = P.get()
+        return P
+
+    def __set__(self, F, P):
+        F.__dict__[self.name] = P
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class MapInstance:
     """An evaluatable mapping together with its declared structure.
@@ -133,7 +184,11 @@ class MapInstance:
     ``homogeneity_exact`` is False for maps whose declared A only holds under
     uniform scaling of all blocks.  ``edge_oracle`` and ``dual_edge_oracle``
     are the exact primal and dual patterns, when known: boolean N x N arrays,
-    N = ``shape.total``, checked here once and stored read-only.
+    N = ``shape.total``, stored read-only.  A caller's arrays are checked
+    here, once.  A built-in map builds its own at their first read, and
+    every later read returns the same array: of the CLI commands only
+    ``graph`` reads them, so ``analyze``, ``solve`` and ``certify`` never pay
+    for them.
     """
 
     shape: ShapeSpec
@@ -141,8 +196,8 @@ class MapInstance:
     evaluator: Callable[[ProductVector], ProductVector]
     label: str
     jacobian: Optional[Callable[[ProductVector], np.ndarray]] = None
-    edge_oracle: Optional[np.ndarray] = None
-    dual_edge_oracle: Optional[np.ndarray] = None
+    edge_oracle: Optional[np.ndarray] = _PatternField()
+    dual_edge_oracle: Optional[np.ndarray] = _PatternField()
     differentiable: bool = True
     homogeneity_exact: bool = True
     domain: str = "cone"
@@ -155,8 +210,8 @@ class MapInstance:
             raise ValueError("domain must be 'cone' or 'interior'")
         n = self.shape.total
         for name in ("edge_oracle", "dual_edge_oracle"):
-            P = getattr(self, name)
-            if P is None:
+            P = self.__dict__[name]
+            if P is None or type(P) is _Deferred:
                 continue
             if not isinstance(P, np.ndarray) or P.dtype != bool or P.shape != (n, n):
                 raise ValueError(f"{name} must be a boolean {n}x{n} array")
@@ -165,8 +220,12 @@ class MapInstance:
 
     @functools.cached_property
     def analysis(self) -> HomogeneityAnalysis:
-        """Regime and automatic weights of A, computed once per map."""
-        return analyze_homogeneity(self.A)
+        """Regime and automatic weights of A, computed once per map.
+
+        A passed ``check_homogeneity_matrix``, so the memo record is found
+        with the one input check of ``spectral_radius``.
+        """
+        return _analysis(self.A)
 
     def __call__(self, x: ProductVector) -> ProductVector:
         return evaluate(self, x)
@@ -253,11 +312,6 @@ def _kernel(F: MapInstance) -> Callable[[np.ndarray], np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _finite_nonneg(M: np.ndarray) -> bool:
-    """Every entry is finite and nonnegative; a NaN fails.  Two passes, no temporaries."""
-    return M.min(initial=0.0) >= 0.0 and M.max(initial=0.0) < np.inf
-
-
 def _frozen(P: np.ndarray) -> np.ndarray:
     P.setflags(write=False)
     return P
@@ -270,6 +324,17 @@ def _pattern(shape: ShapeSpec, edges) -> np.ndarray:
     for src, dst in edges:
         P[index[src], index[dst]] = True
     return _frozen(P)
+
+
+def _deferred_pattern(shape: ShapeSpec, edges) -> _Deferred:
+    """``_pattern`` of the edge list, made at its first read."""
+    return _Deferred(lambda: _pattern(shape, edges))
+
+
+@functools.cache
+def _constant_A(rows: tuple) -> _CheckedA:
+    """The A of a worked map, given as a tuple of rows, checked once per process."""
+    return _CheckedA(check_homogeneity_matrix(rows, len(rows)))
 
 
 def _contraction(Tk: np.ndarray, reads: list, slices: list):
@@ -345,7 +410,8 @@ def _multilinear(T: np.ndarray, modes: tuple, p: tuple, label: str) -> MapInstan
     is zero.  The power 1/(p_k - 1) is skipped when it is 1.  The primal
     pattern has an edge (k, j) -> (l, r) when some positive entry with index
     j on block k's first mode has index r on another mode of block l, the
-    dual pattern when every such entry has.
+    dual pattern when every such entry has; both are made at the first read
+    of either.
     """
     if not all(pk > 1.0 for pk in p):
         raise ValueError(f"{label}: every exponent p must be > 1")
@@ -360,18 +426,27 @@ def _multilinear(T: np.ndarray, modes: tuple, p: tuple, label: str) -> MapInstan
     shape = _shape_of(sizes)
     slices = shape.block_slices()
     B = T > 0.0
-    P, D = np.zeros((2, shape.total, shape.total), dtype=bool)  # the primal and the dual pattern
+    supports = []  # per block: the positive entries of each slice on its first mode
     blocks = []  # per block: T with its first mode in front, the blocks its modes read, contraction, power
-    for k, (order, reads, sk, edges) in enumerate(layout):
-        Tk, Bk, f = T.transpose(order), B.transpose(order), order[0]
-        support = Bk.reshape(sizes[k], -1).sum(axis=1, keepdims=True)
+    for k, (order, reads, sk, _) in enumerate(layout):
+        Tk, f = T.transpose(order), order[0]
+        support = B.transpose(order).reshape(sizes[k], -1).sum(axis=1, keepdims=True)
         if not support.all():  # F_k(x)_j would vanish on the open cone
             kind = f", a zero {('row', 'column')[f]}" if m == 2 else ""
             j = np.argmin(support)
             raise ValueError(f"degenerate slice {j} on mode {f}{kind}: zero image of the positive cone")
-        for l, terms in edges:
-            P[slices[k], slices[l]], D[slices[k], slices[l]] = _edges(Bk, terms, support)
+        supports.append(support)
         blocks.append((Tk, reads, _contraction(Tk, reads, slices), sk))
+
+    def patterns():
+        P, D = np.zeros((2, shape.total, shape.total), dtype=bool)  # the primal and the dual pattern
+        for k, (order, _, _, edges) in enumerate(layout):
+            for l, terms in edges:
+                P[slices[k], slices[l]], D[slices[k], slices[l]] = _edges(B.transpose(order), terms, supports[k])
+        return _frozen(P), _frozen(D)
+
+    both = _Deferred(patterns)
+
     if d > 1:
         join = lambda flat: np.concatenate([g(flat) if sk == 1.0 else g(flat) ** sk for _, _, g, sk in blocks])
     else:
@@ -399,8 +474,8 @@ def _multilinear(T: np.ndarray, modes: tuple, p: tuple, label: str) -> MapInstan
         evaluator=_FlatEvaluator(join, shape),
         jacobian=jacobian,
         label=label,
-        edge_oracle=_frozen(P),
-        dual_edge_oracle=_frozen(D),
+        edge_oracle=_Deferred(lambda: both.get()[0]),
+        dual_edge_oracle=_Deferred(lambda: both.get()[1]),
     )
 
 
@@ -463,8 +538,8 @@ def max_example_map(eps: float) -> MapInstance:
         a, b, c = flat
         return np.array([max(a, b, c), max(eps * a, b), max(eps * b, c)])
 
-    shape = ShapeSpec((3,))
-    edges = _pattern(
+    shape = _shape_of((3,))
+    edges = _deferred_pattern(
         shape,
         {
             ((0, 0), (0, 0)), ((0, 0), (0, 1)), ((0, 0), (0, 2)),
@@ -474,11 +549,11 @@ def max_example_map(eps: float) -> MapInstance:
     )
     return MapInstance(
         shape=shape,
-        A=[[1.0]],
+        A=_constant_A(((1.0,),)),
         evaluator=_FlatEvaluator(kernel, shape),
         label=f"max_example(eps={eps:g})",
         edge_oracle=edges,
-        dual_edge_oracle=_pattern(shape, ()),
+        dual_edge_oracle=_deferred_pattern(shape, ()),
         differentiable=False,
     )
 
@@ -500,13 +575,13 @@ def motivating_map() -> MapInstance:
         J[3, 1] = 0.125 * t ** (-0.875)
         return J
 
-    shape = ShapeSpec((2, 2))
-    edges = _pattern(
+    shape = _shape_of((2, 2))
+    edges = _deferred_pattern(
         shape, {((0, 0), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (0, 0)), ((1, 1), (0, 1))}
     )
     return MapInstance(
         shape=shape,
-        A=[[0.0, 2.0], [0.125, 0.0]],
+        A=_constant_A(((0.0, 2.0), (0.125, 0.0))),
         evaluator=_FlatEvaluator(kernel, shape),
         jacobian=jac,
         label="motivating",
@@ -528,8 +603,8 @@ def nonirr_map() -> MapInstance:
         s, t, u, v = flat
         return np.array([s, t, max(s, v) ** 0.5, max(t, u) ** 0.5])
 
-    shape = ShapeSpec((2, 2))
-    edges = _pattern(
+    shape = _shape_of((2, 2))
+    edges = _deferred_pattern(
         shape,
         {
             ((0, 0), (0, 0)), ((0, 1), (0, 1)),
@@ -537,10 +612,10 @@ def nonirr_map() -> MapInstance:
             ((1, 1), (0, 1)), ((1, 1), (1, 0)),
         },
     )
-    dual_edges = _pattern(shape, {((0, 0), (0, 0)), ((0, 1), (0, 1))})
+    dual_edges = _deferred_pattern(shape, {((0, 0), (0, 0)), ((0, 1), (0, 1))})
     return MapInstance(
         shape=shape,
-        A=[[1.0, 0.0], [0.5, 0.5]],
+        A=_constant_A(((1.0, 0.0), (0.5, 0.5))),
         evaluator=_FlatEvaluator(kernel, shape),
         label="nonirr",
         edge_oracle=edges,
@@ -574,8 +649,8 @@ def irrex_map() -> MapInstance:
         J[3] = [0.0, 0.0, f[3] / (2 * u), f[3] / (2 * v)]
         return J
 
-    shape = ShapeSpec((2, 2))
-    edges = _pattern(
+    shape = _shape_of((2, 2))
+    edges = _deferred_pattern(
         shape,
         {
             ((0, 0), (0, 0)), ((0, 0), (0, 1)), ((0, 0), (1, 0)),
@@ -586,7 +661,7 @@ def irrex_map() -> MapInstance:
     )
     return MapInstance(
         shape=shape,
-        A=[[0.5, 0.5], [0.0, 1.0]],
+        A=_constant_A(((0.5, 0.5), (0.0, 1.0))),
         evaluator=_FlatEvaluator(kernel, shape),
         jacobian=jac,
         label="irrex",
@@ -637,7 +712,7 @@ def tight_map(A, sizes) -> MapInstance:
         J[:, starts] = rows * power(heads)[:, None] / heads
         return J
 
-    edges = _pattern(
+    edges = _deferred_pattern(
         shape,
         (
             ((i, j), (l, 0))

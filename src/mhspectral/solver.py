@@ -259,7 +259,7 @@ def residual(F: MapInstance, x: ProductVector, lam, norms: NormSpec) -> float:
         raise ValueError(f"lam must hold one entry per block ({x.shape.d}), got shape {lam.shape}")
     y = evaluate(F, x)
     norms_vec = _norm_kernel(x.shape, norms)(y.flat - x.shape._spread(lam) * x.flat)
-    return float(np.max(norms_vec / np.maximum(lam, 1e-15)))
+    return float((norms_vec / np.maximum(lam, 1e-15)).max())
 
 
 def _exp(v: float) -> float:
@@ -872,7 +872,7 @@ def certify_uniqueness(F: MapInstance, report: SolveReport) -> Certificate:
             J = jacobian_at(F, u)
         except ValueError as exc:
             return Certificate("none", {"rho_A": rho_A, "reason": f"no Jacobian at the eigenvector: {exc}"})
-        L_pos = np.clip(J / F.shape._spread(lam)[:, None], 0.0, None)
+        L_pos = np.maximum(J / F.shape._spread(lam)[:, None], 0.0)  # L clipped below at 0
         # an L with an infinite or NaN entry falls back to ``spectral_radius``, which refuses it
         try:
             rho_L, witnessed = _rho_L(F, u, L_pos)

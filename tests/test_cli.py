@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from mhspectral import graphs, homogeneity
+from mhspectral import graphs, homogeneity, maps
 from mhspectral.cli import (
     InstanceError,
     canonical_instance,
@@ -455,6 +455,25 @@ class TestCertificateGolden:
                     assert rho_L is None, (family, step)
                 else:
                     assert abs(rho_L - want["rho_L"]) <= 1e-9, (family, step)
+
+
+class TestPatternsOnlyForGraph:
+    """analyze, solve and certify build no index pattern; only graph reads one."""
+
+    def test_no_pattern_is_built_outside_graph(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an index pattern was built")
+
+        monkeypatch.setattr(maps, "_edges", refuse)  # the multilinear families' patterns
+        monkeypatch.setattr(maps, "_pattern", refuse)  # the worked maps' and tight's
+        golden = json.loads(CERT_GOLDEN.read_text())
+        for family, entry in golden.items():
+            run_analyze(copy.deepcopy(entry["doc"]))
+            _, solved = run_solve(copy.deepcopy(entry["doc"]))
+            run_certify(copy.deepcopy(entry["doc"]), json.loads(dump_json(solved)))
+        for family in ("linear", "motivating"):  # the builders refused are the ones graph reads
+            with pytest.raises(AssertionError, match="index pattern"):
+                run_graph(copy.deepcopy(golden[family]["doc"]))
 
 
 class TestCertifyCommand:

@@ -1,6 +1,7 @@
 """Spectral radius, Perron / contraction weights, and pattern tests."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -417,6 +418,43 @@ def test_empty_matrices_are_refused():
             f(Z)
     with pytest.raises(ValueError, match="nonempty"):
         lipschitz_bound(Z, np.ones(0))
+
+
+_NOT_FINITE_NONNEG = "matrix must be nonnegative and finite"
+_NOT_SQUARE = "need a square matrix"
+_EMPTY = "need a nonempty matrix: a 0 x 0 matrix has no spectral radius"
+# each refusal of the one input check, the 0 x 0 matrix in its own column
+# (is_irreducible takes it: the empty pattern is irreducible vacuously)
+_REFUSED = [
+    ([[1.0, float("nan")], [1.0, 1.0]], _NOT_FINITE_NONNEG, _NOT_FINITE_NONNEG),
+    ([[1.0, 1.0], [float("inf"), 1.0]], _NOT_FINITE_NONNEG, _NOT_FINITE_NONNEG),
+    ([[-float("inf"), 1.0], [1.0, 1.0]], _NOT_FINITE_NONNEG, _NOT_FINITE_NONNEG),
+    ([[1.0, -1e-300], [1.0, 1.0]], _NOT_FINITE_NONNEG, _NOT_FINITE_NONNEG),
+    ([[float("nan"), -1.0], [float("inf"), 1.0]], _NOT_FINITE_NONNEG, _NOT_FINITE_NONNEG),
+    (np.ones((2, 3)), _NOT_SQUARE, _NOT_SQUARE),
+    (np.ones(2), _NOT_SQUARE, _NOT_SQUARE),
+    (np.ones((2, 2, 2)), _NOT_SQUARE, _NOT_SQUARE),
+    (np.zeros((0, 0)), _EMPTY, None),
+]
+
+
+@pytest.mark.parametrize("A, message, irreducible_message", _REFUSED)
+def test_the_input_check_refuses_with_its_messages_and_warns_of_nothing(A, message, irreducible_message):
+    calls = {
+        spectral_radius: message,
+        analyze_homogeneity: message,
+        lambda A: lipschitz_bound(A, [1.0, 1.0]): message,
+        is_irreducible: irreducible_message,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would raise in place of the ValueError
+        for f, want in calls.items():
+            if want is None:
+                assert f(A) is True
+                continue
+            with pytest.raises(ValueError) as info:
+                f(A)
+            assert str(info.value) == want
 
 
 @pytest.mark.parametrize("b", [[float("nan")], [float("inf")], [-float("inf")], [0.0]])

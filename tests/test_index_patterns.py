@@ -7,6 +7,9 @@ block-major node order, and its edges must be exactly the former set, for the
 primal and the dual graph alike.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -232,3 +235,29 @@ class TestMapInstanceValidation:
         P[0, 1] = True  # the caller's array stays theirs
         assert P.flags.writeable and not F.edge_oracle[0, 1]
         assert np.array_equal(F.edge_oracle, np.eye(3, dtype=bool))
+
+
+class TestPatternsReadFromThreads:
+    def test_threads_reading_first_at_once_share_one_array(self):
+        """Threads that read a fresh map's patterns at once all get the same two arrays."""
+        rng = np.random.default_rng(65)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                F = tensor_eigen_map(rng.uniform(0.1, 1.0, (6, 6, 6)), 3.0)
+                barrier, seen = threading.Barrier(8), []
+
+                def read():
+                    barrier.wait(timeout=10)
+                    seen.append((F.dual_edge_oracle, F.edge_oracle))
+
+                threads = [threading.Thread(target=read) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads) and len(seen) == 8
+                assert all(D is F.dual_edge_oracle and P is F.edge_oracle for D, P in seen)
+        finally:
+            sys.setswitchinterval(interval)

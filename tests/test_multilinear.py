@@ -279,3 +279,30 @@ class TestGeneralModes:
         T[:, 1, :] = 0.0
         with pytest.raises(ValueError, match="slice 1 on mode 1"):
             maps._multilinear(T.copy(), (0, 1, 1), (2.0, 2.0), "form")
+
+    @_SETTINGS
+    @hypothesis.given(
+        st.lists(st.integers(0, 3), min_size=2, max_size=4), st.lists(st.integers(1, 3), min_size=4, max_size=4),
+        _DENSITIES, st.lists(_EXPONENTS, min_size=4, max_size=4), st.integers(0, 2**32 - 1),
+    )
+    def test_patterns_built_at_first_read(self, draw, draw_sizes, density, draw_p, seed):
+        """Both patterns, made at their first read, equal the entrywise ones, read-only, one array per pattern."""
+        blocks = sorted(set(draw))
+        modes = tuple(blocks.index(b) for b in draw)  # tied modes where draw repeats a block
+        d = len(blocks)
+        sizes, p = draw_sizes[:d], tuple(draw_p[:d])
+        rng = np.random.default_rng(seed)
+        T = _nonnegative(rng, tuple(sizes[l] for l in modes), density)
+        for k in range(d):  # no zero slice on a block's first mode
+            f = modes.index(k)
+            for j in range(sizes[k]):
+                idx = [int(rng.integers(0, n)) for n in T.shape]
+                idx[f] = j
+                T[tuple(idx)] += 0.5
+        F = maps._multilinear(T.copy(), modes, p, "form")
+        _, _, P, D = _brute_force(T, modes, p, ProductVector([np.ones(n) for n in sizes]))
+        for name, want in (("dual_edge_oracle", D), ("edge_oracle", P)):
+            got = getattr(F, name)
+            assert isinstance(got, np.ndarray) and got.dtype == bool and not got.flags.writeable
+            assert np.array_equal(got, want), (modes, name)
+            assert getattr(F, name) is got
