@@ -272,7 +272,7 @@ def _build_map(doc, path: str, norms_hint) -> mapmod.MapInstance:
         return build(params, path, norms_hint)
     except InstanceError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:  # an int beyond the double (or C long) range
         _fail(f"{path}.params", str(exc))
 
 
@@ -297,7 +297,7 @@ def _build_norms(raw, shape: ShapeSpec, path: str) -> NormSpec:
             _fail(f"{path}[{i}].phi", f"expected a list of numbers, got {phi!r}")
         try:
             selectors.append(np.array(phi, dtype=float))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             _fail(f"{path}[{i}]", f"selector is not numeric ({exc})")
     try:
         return NormSpec(selectors)
@@ -333,11 +333,19 @@ def _sizes(raw, path: str) -> tuple:
     return tuple(_number(n, path, int) for n in raw)
 
 
+# the types of a JSON number
+_JSON_NUMBERS = frozenset((int, float))
+
+
 def _numeric(raw) -> bool:
-    """No JSON boolean or string at any leaf of nested lists: numpy would read "1" or true as a number."""
-    if isinstance(raw, list):
-        return all(_numeric(v) for v in raw)
-    return not isinstance(raw, (bool, str))
+    """No JSON boolean or string at any leaf of nested lists: numpy would read "1" or true as a number.
+
+    A list of JSON numbers is read in one pass over the types of its
+    entries, with no Python call per entry.
+    """
+    if not isinstance(raw, list):
+        return not isinstance(raw, (bool, str))
+    return set(map(type, raw)) <= _JSON_NUMBERS or all(map(_numeric, raw))
 
 
 def parse_instance(doc: dict) -> Instance:
@@ -364,7 +372,7 @@ def parse_instance(doc: dict) -> Instance:
             _fail("$.weights", "weights must be 'auto' or a list of numbers, one per block")
         try:  # the config's own check, here to keep the document's order of errors
             weights = solvermod.SolverConfig(norms, weights=raw_w).weights
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             _fail("$.weights", str(exc))
 
     sol = _get(doc, "solver", "$", default={})
@@ -552,9 +560,9 @@ def _finite_nonneg(v: np.ndarray) -> bool:
 
 
 def _report_vector(raw, n: int, path: str) -> np.ndarray:
-    """n finite nonnegative numbers of a solve report; anything else fails at its JSON path."""
+    """n finite nonnegative numbers (no string or boolean) of a solve report; anything else fails at its JSON path."""
     try:
-        v = np.array(raw, dtype=float)
+        v = np.array(raw, dtype=float) if _numeric(raw) else None
     except (TypeError, ValueError, OverflowError):
         v = None
     if v is None or v.shape != (n,) or not _finite_nonneg(v):
@@ -571,7 +579,7 @@ def _parse_report(report, F: mapmod.MapInstance):
         _fail("$report", "solve report carries no eigenpair")
     sizes = F.shape.sizes
     try:
-        x = ProductVector(ev) if isinstance(ev, list) else None
+        x = ProductVector(ev) if isinstance(ev, list) and _numeric(ev) else None
     except (TypeError, ValueError, OverflowError):
         x = None
     if x is None or x.shape.sizes != sizes or not _finite_nonneg(x.flat):

@@ -1,7 +1,7 @@
 """Spectral analysis of nonnegative homogeneity matrices.
 
 Provides the spectral radius, the left Perron weight vector, the contraction
-weight search for strictly sub-unit spectral radii, the metric Lipschitz bound
+weights for strictly sub-unit spectral radii, the metric Lipschitz bound
 max_i (A^T b)_i / b_i, and the pattern irreducibility / primitivity tests,
 which search the digraph of the pattern of A instead of taking its powers.
 
@@ -21,9 +21,9 @@ drops the oldest first; the record of a 64 x 64 A takes about 35 KB, so the
 memo never exceeds about 4.5 MB.  It lives in the process, so
 each ``--jobs`` worker of the CLI has its own: a single-document CLI run
 gains nothing, while a batch file or a library loop that analyses the same A
-again finds its record.  Matrices that were never analysed -- the inflations
-A + t of the weight search, the Jacobians of the certificates -- and anything
-larger than 64 x 64 are computed afresh every time and never stored.
+again finds its record.  Matrices that were never analysed -- the Jacobians of
+the certificates -- and anything larger than 64 x 64 are computed afresh
+every time and never stored.
 
 One kernel gives the spectral radius of a nonnegative M and its right Perron
 vector (the left one of A is the right one of A^T).  rho(M) is the first of
@@ -323,26 +323,19 @@ class HomogeneityAnalysis:
 
     @functools.cached_property
     def _contraction(self) -> WeightSearchResult:
-        """:func:`contraction_weights`, read only when rho(A) < 1; ``b`` is read-only.
-
-        The inflations A + t of the bisection are never recorded.
-        """
+        """:func:`contraction_weights`, read only when rho(A) < 1; ``b`` is read-only."""
         A, rho = self.A, self.rho
         b = self._left
         if not isinstance(b, PerronStructureError) and np.all(A.T @ b <= rho * b + _MARGIN_TOL):
             return WeightSearchResult(b, rho, True)
-        target = 0.5 * (1.0 + rho)
-        t = (1.0 - rho) / (2.0 * A.shape[0])
-        for _ in range(200):
-            r = spectral_radius(A + t)
-            if r < target:
-                break
-            t *= 0.5
-        else:  # pragma: no cover - continuity of rho guarantees termination
-            raise RuntimeError("inflation bisection failed to find rho(A + t) < 1")
-        b = _unless_error(_perron_vector((A + t).T, r))
-        if not np.all(A.T @ b <= r * b + _MARGIN_TOL):  # pragma: no cover - self check
-            raise RuntimeError("contraction weight postcondition A^T b <= r b failed")
+        # b = sum_k (A^T / r)^k 1 > 0, the Neumann series of rho(A^T / r) < 1,
+        # solves b - A^T b / r = 1, so A^T b = r (b - 1) < r b
+        r = 0.5 * (1.0 + rho)
+        b = np.linalg.solve(np.eye(A.shape[0]) - A.T / r, np.ones(A.shape[0]))
+        b /= b.sum()
+        b.setflags(write=False)
+        if not (b.min() > 0.0 and np.all(A.T @ b <= r * b + _MARGIN_TOL)):  # pragma: no cover - self check
+            raise RuntimeError("contraction weight postcondition b > 0, A^T b <= r b failed")
         return WeightSearchResult(b, r, False)
 
 
@@ -446,9 +439,11 @@ def perron_weights(A) -> np.ndarray:
 def contraction_weights(A) -> WeightSearchResult:
     """Positive weights b and r in [rho(A), 1) with A^T b <= r b, for rho(A) < 1.
 
-    Uses the true left Perron vector when it is strictly positive (r = rho(A),
-    exact); otherwise bisects the all-ones rank-one inflation A + t * 11^T down
-    to a t with rho still below 1 and takes that matrix's Perron vector.
+    Uses the true left Perron vector when it is strictly positive and meets
+    A^T b <= rho(A) b (r = rho(A), exact); otherwise r = (1 + rho(A)) / 2
+    and b is the solution of (I - A^T / r) b = 1 normalized to sum 1.  That
+    solution is the Neumann series sum_k (A^T / r)^k 1 > 0, and
+    A^T b = r (b - 1) < r b.  No spectral radius but rho(A) is computed.
     Raises ``ValueError`` unless :func:`analyze_homogeneity` puts A in the
     strict contraction regime.  ``b`` is a fresh copy.
     """

@@ -71,28 +71,23 @@ def _log_bracket(y: np.ndarray, x: np.ndarray, shape: ShapeSpec, w: np.ndarray):
     """(sum_i w_i min_i, sum_i w_i max_i) of log(y) - log(x).
 
     The log Collatz-Wielandt bracket of one power step, for flat buffers laid
-    out as ``shape``; for stacks of them (one step per row, both of one
-    shape) the two ends are arrays, one entry per row, each that row's
-    bracket to the last bit.  The weighted extrema are formed in place and
-    each end is added left to right, so it equals ``_weighted_sum`` of the
-    same extrema to the last bit.  One block weights its two extrema as
-    scalars: the same one product plus the loop's 0.0 start, without the
-    array steps.
+    out as ``shape``; for stacks of one-block buffers (one step per row) the
+    two ends are arrays, one entry per row, each that row's bracket to the
+    last bit.  The weighted extrema are formed in place and each end is
+    added left to right, so it equals ``_weighted_sum`` of the same extrema
+    to the last bit.  One block weights its two extrema as scalars: the
+    same one product plus the loop's 0.0 start, without the array steps.
     """
     lo, hi = _log_ratio_extrema(y, x, shape)
-    if lo.ndim == 1:
-        if len(lo) == 1:
-            w0 = w.item(0)
-            return w0 * lo.item(0) + 0.0, w0 * hi.item(0) + 0.0
-        lo *= w
-        hi *= w
-        return np.add.accumulate(lo)[-1] + 0.0, np.add.accumulate(hi)[-1] + 0.0
-    if lo.shape[1] == 1:
+    if lo.ndim == 2:
         w0 = w.item(0)
         return lo[:, 0] * w0 + 0.0, hi[:, 0] * w0 + 0.0
+    if len(lo) == 1:
+        w0 = w.item(0)
+        return w0 * lo.item(0) + 0.0, w0 * hi.item(0) + 0.0
     lo *= w
     hi *= w
-    return np.add.accumulate(lo, 1)[:, -1] + 0.0, np.add.accumulate(hi, 1)[:, -1] + 0.0
+    return np.add.accumulate(lo)[-1] + 0.0, np.add.accumulate(hi)[-1] + 0.0
 
 
 def ratio_extrema(x: ProductVector, y: ProductVector) -> RatioExtrema:

@@ -19,9 +19,10 @@ strictly positive, to which the loop applies F's flat kernel (``maps._kernel``)
 with no input check and no vector built.  A built-in map's kernel is its own; a
 user's evaluator is adapted inside ``maps``, and what it returns is still
 checked.  The eigenvector is the one vector built, over the buffer the
-evaluator last saw.  The steps run in blocks: a block runs its steps back to
-back and then checks them, one log bracket for all of them, and reports what
-checking each step as it is taken would have.
+evaluator last saw.  The plain steps of a one-block map run in blocks: a
+block runs its steps back to back and then checks them, one log bracket for
+all of them, and reports what checking each step as it is taken would have.
+Every other step is checked as it is taken.
 
 Weight selection (``F.analysis``, see :func:`~mhspectral.analyze_homogeneity`):
 for rho(A) < 1 any contraction weights work and the iterates converge at the
@@ -312,12 +313,12 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
     domain checks; a user's evaluator still has its output checked.  The
     eigenvector wraps the buffer the evaluator last saw.
 
-    The checks of the steps run per block of steps (see ``_power_steps``):
-    the report, ``iterations`` (the steps to the stop) included, is the one
-    a loop checking every step as it is taken makes, bit for bit, but F may
-    be evaluated up to B - 1 times past the stopping step, for blocks of at
-    most B = 64 steps.  F is never evaluated at the iterate after a failed
-    step.
+    The plain steps of a one-block map are checked per block of steps (see
+    ``_power_steps``): the report, ``iterations`` (the steps to the stop)
+    included, is the one a loop checking every step as it is taken makes,
+    bit for bit, but F may be evaluated up to B - 1 times past the stopping
+    step, for blocks of at most B = 64 steps.  F is never evaluated at the
+    iterate after a failed step.
     """
     return _power_steps(F, x0, cfg, *_solve_setup(F, cfg))
 
@@ -342,11 +343,12 @@ def _checked_start(x: ProductVector, shape: ShapeSpec, norms: NormSpec) -> Produ
     return x
 
 
-# a block runs at most this many steps before it checks them, and holds at
-# most this many floats (4 KB) in each of its stacked buffers, so they stay in
-# the first-level cache.  A map of more than about 100 entries takes no
-# blocks: its steps' numpy work outweighs the Python work a block saves, and
-# a block's buffers would only evict the caller's data
+# a block (the plain steps of a one-block map) runs at most this many steps
+# before it checks them, and holds at most this many floats (4 KB) in each of
+# its stacked buffers, so they stay in the first-level cache.  A one-block map
+# of more than about 100 entries takes no blocks: its steps' numpy work
+# outweighs the Python work a block saves, and a block's buffers would only
+# evict the caller's data
 _BLOCK_STEPS = 64
 _BLOCK_FLOATS = 1 << 9
 # the fewest steps a block runs before its open step: one stacked log bracket
@@ -367,27 +369,27 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
     The iterates are flat buffers; a vector is built for the eigenvector
     only.
 
-    The steps run in blocks.  A block of B steps first runs them back to
-    back (the run), each only evaluating F, taking the block norms and
-    rescaling.  A step whose block norms have no finite scale, or whose next
-    iterate is not strictly positive (lazy: not a normal double), ends the
-    run, so F is never applied to the iterate after a failed step.  Then
-    (the check) one log bracket of the stacked (B - 1, N) buffers of the
-    steps before the run's last gives their brackets, and one pass over them in
-    order appends each to the trace until one stalls or closes (its gap
-    below ``tol``).  That step, or else the run's last, is the open step:
-    it is made in full, with every test of a step-by-step loop in that
-    loop's order, on its own one-row buffers, and the run's later steps are
-    dropped.  A one-step block is the open step alone, at the cost of a
-    step-by-step loop's step.
+    The steps run in blocks.  A block of B plain steps of a one-block map
+    first runs them back to back (the run), each only evaluating F, taking
+    the norm and rescaling.  A step whose norm has no finite scale, or whose
+    next iterate is not strictly positive, ends the run, so F is never
+    applied to the iterate after a failed step.  Then (the check) one log
+    bracket of the stacked (B - 1, N) buffers of the steps before the run's
+    last gives their brackets, and one pass over them in order appends each
+    to the trace until one stalls or closes (its gap below ``tol``).  That
+    step, or else the run's last, is the open step: it is made in full, with
+    every test of a step-by-step loop in that loop's order, on its own
+    one-row buffers, and the run's later steps are dropped.  A one-step
+    block is the open step alone, at the cost of a step-by-step loop's step.
 
-    The first 20 steps are one-step blocks.  Then a block has the steps
-    predicted to bring the gap below ``tol`` at the ratio of the last two
-    gaps, at most a quarter of the steps so far (so an early misprediction
-    wastes little), ``_BLOCK_STEPS`` and ``_BLOCK_FLOATS / N``, and it runs
-    only with more than ``_MIN_RUN`` steps.  So the report, ``iterations``
-    (the steps to the stop) included, is the one the step-by-step loop
-    makes, and F is evaluated at most B - 1 times past the stopping step.
+    Every step of a map of several blocks, every lazy step and the first 20
+    steps are one-step blocks.  Otherwise a block has the steps predicted
+    to bring the gap below ``tol`` at the ratio of the last two gaps, at
+    most a quarter of the steps so far (so an early misprediction wastes
+    little), ``_BLOCK_STEPS`` and ``_BLOCK_FLOATS / N``, and it runs only
+    with more than ``_MIN_RUN`` steps.  So the report, ``iterations`` (the
+    steps to the stop) included, is the one the step-by-step loop makes,
+    and F is evaluated at most B - 1 times past the stopping step.
     """
     shape, inf, tol, max_iter = F.shape, math.inf, cfg.tol, cfg.max_iter
     x = _checked_start(ones_vector(shape) if x0 is None else x0, shape, cfg.norms)
@@ -401,15 +403,14 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
     # the list's min, but not from the block norms or the bracket
     smallest = np.minimum.reduce if shape.total > _SHORT else lambda v: min(v.tolist())
 
-    def run(xf, size, lazy):
-        """The run of a block of ``size`` steps from xf: (xs, ys, yf, error).
+    def run(xf, size):
+        """The run of a block of ``size`` plain steps from xf: (xs, ys, yf, error).
 
         xs[k] is the iterate of step k, ys[k] its image and xs[k + 1] the
-        next iterate.  A step whose block norms have no finite scale, or
-        whose next iterate is not in the open cone (a test that also rules
-        out zeros and NaN in y), is the open one, and so is the last: the run
-        stops there, and yf is its image.  An evaluation that raises ends the
-        run as ``error``, with yf None.
+        next iterate.  A step whose norm has no finite scale, or whose next
+        iterate is not strictly positive, is the open one, and so is the
+        last: the run stops there, and yf is its image.  An evaluation that
+        raises ends the run as ``error``, with yf None.
         """
         xs, ys, last = [xf], [], size - 1
         for i in range(size):
@@ -417,25 +418,13 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
                 yf = kernel(xf)
             except ValueError as exc:
                 return xs, ys, None, exc
-            # the square roots of a lazy step need y > 0 first
-            if i == last or lazy and not smallest(yf) > 0.0:
+            if i == last:
                 break
-            zf = np.sqrt(yf) * np.sqrt(xf) if lazy else yf
-            if block_norm is not None:
-                lam = block_norm(zf)
-                if not (0.0 < lam < inf and 1.0 / lam < inf):
-                    break
-                xf = (1.0 / lam) * zf
-            else:
-                # a NaN norm, which a Python min or max can pass over, makes
-                # the sum NaN
-                lam = norm_of(zf)
-                lam_list = lam.tolist()
-                lam_min = min(lam_list)
-                if not (lam_min > 0.0 and 1.0 / lam_min < inf and sum(lam_list) < inf):
-                    break
-                xf = spread(1.0 / lam) * zf
-            if not (smallest(xf) >= _TINY if lazy else smallest(xf) > 0.0):
+            lam = block_norm(yf)
+            if not (0.0 < lam < inf and 1.0 / lam < inf):
+                break
+            xf = (1.0 / lam) * yf
+            if not smallest(xf) > 0.0:
                 break
             ys.append(yf)
             xs.append(xf)
@@ -450,12 +439,13 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
     iterations = 0
 
     while iterations < max_iter:
-        # the block: one step, or the steps that would bring the gap below
-        # tol at the ratio of the last two gaps, at most a quarter of the
-        # steps so far.  A gap already below tol (its residual test failed)
-        # may close at the next step: one step
+        # the block: one step, or, for the plain steps of a one-block map,
+        # the steps that would bring the gap below tol at the ratio of the
+        # last two gaps, at most a quarter of the steps so far.  A gap
+        # already below tol (its residual test failed) may close at the next
+        # step: one step
         size, yf = iterations >> 2, None
-        if last_gap < tol:
+        if lazy or block_norm is None or last_gap < tol:
             size = 1
         elif size > _MIN_RUN:
             size = min(size, _BLOCK_STEPS, _BLOCK_FLOATS // shape.total, max_iter - iterations)
@@ -464,7 +454,7 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
                 if rate < 0.0:
                     size = min(size, math.ceil((math.log(tol) - math.log(last_gap)) / rate))
         if size > _MIN_RUN:
-            xs, ys, yf, error = run(xf, size, lazy)
+            xs, ys, yf, error = run(xf, size)
             # check: one log bracket of the steps before the open one, read
             # row by row.  Each passed all but the stall and closure tests in
             # the run; the first that stalls or closes is made in full below

@@ -640,6 +640,10 @@ class TestMalformedSolveReport:
             ("$report.eigenvector", lambda rep: _set_block_entry(rep, -0.5)),
             ("$report.lambda", lambda rep: _set_entry(rep, "lambda", 1, math.nan)),
             ("$report.weights", lambda rep: _set(rep, "weights", [-0.25, 1.0])),
+            # JSON strings and booleans are not numbers, as in an instance's x0 and weights
+            ("$report.lambda", lambda rep: _set_entry(rep, "lambda", 0, repr(rep["lambda"][0]))),
+            ("$report.eigenvector", lambda rep: _set_block_entry(rep, True)),
+            ("$report.weights", lambda rep: _set_entry(rep, "weights", 1, True)),
         ],
         ids=[
             "list",
@@ -652,6 +656,9 @@ class TestMalformedSolveReport:
             "negative-eigenvector",
             "nan-lambda",
             "negative-weights",
+            "string-lambda",
+            "boolean-eigenvector",
+            "boolean-weights",
         ],
     )
     def test_exits_two(self, tmp_path, capsys, path, mutate):
@@ -867,6 +874,20 @@ class TestMainEntry:
         err = self._exits_two_everywhere(tmp_path, capsys, build(bad), where)
         # explicit weights are checked by SolverConfig: "strictly positive and finite"
         assert re.search(r"must be (strictly positive and )?finite", err), err
+
+    @pytest.mark.parametrize(
+        "where, doc",
+        [
+            ("$.map.params", {"map": {"family": "tensor_eigen", "params": {"tensor": [[1, 1], [1, 10**400]], "p": 2}}}),
+            ("$.map.params", {"map": {"family": "tight", "params": {"exponents": [[0.5]], "sizes": [10**20]}}}),
+            ("$.norms[0]", {"map": {"family": "motivating"}, "norms": [{"phi": [1, 10**400]}, {"p": 2}]}),
+            ("$.weights", {"map": {"family": "motivating"}, "weights": [10**400, 1.0]}),
+        ],
+        ids=["tensor", "sizes", "phi", "weights"],
+    )
+    def test_integer_beyond_the_double_range_exits_two(self, tmp_path, capsys, where, doc):
+        # each once ended in an OverflowError traceback
+        self._exits_two_everywhere(tmp_path, capsys, doc, where)
 
     @pytest.mark.parametrize("delta", ["Infinity", "1e400"])
     def test_non_finite_shift_exits_two(self, tmp_path, capsys, delta):

@@ -870,13 +870,13 @@ def _report_bits(rep):
 
 
 def _blocked(F, x0, cfg):
-    """power_method, and the rows of each stacked log bracket it took (a block ran those steps back to back)."""
+    """power_method, and the stacked iterates of each stacked log bracket it took (a block ran those steps back to back)."""
     stacked = []
     bracket = solver._log_bracket
 
     def spy(y, x, shape, w):
         if np.ndim(y) == 2:
-            stacked.append(len(y))
+            stacked.append(x)
         return bracket(y, x, shape, w)
 
     solver._log_bracket = spy
@@ -887,15 +887,18 @@ def _blocked(F, x0, cfg):
 
 
 def _check_against_former(F, x0, cfg, blocks=True):
-    """The blocked solve is the former loop's, bit for bit, and its trace is cw_bounds at the former iterates."""
+    """The blocked solve is the former loop's, bit for bit, and its trace is cw_bounds at the former iterates.
+
+    ``blocks`` True asserts that some steps ran in a block, False that none did, None neither.
+    """
     rep, stacked = _blocked(F, x0, cfg)
     former, iterates = _former_power_steps(F, x0, cfg)
     assert _report_bits(rep) == _report_bits(former)
     for k in range(len(rep.bracket_trace)):
         x_k = cones._wrap(iterates[k].copy(), F.shape)
         assert _hex(rep.bracket_trace[k]) == _hex(solver.cw_bounds(F, x_k, rep.weights))
-    if blocks:
-        assert stacked, "no step ran in a block"
+    if blocks is not None:
+        assert bool(stacked) == blocks, "no step ran in a block" if blocks else "steps ran in a block"
     return rep
 
 
@@ -982,15 +985,16 @@ class TestBlockedPowerLoop:
                 F, norms = linear_map(_block_cyclic(rng, n, eps)), NormSpec.euclidean(1)
             x0 = _vector(rng, F.shape) if random_start else None
             cfg = SolverConfig(norms=norms, tol=10.0**log_tol, max_iter=max_iter)
-            _check_against_former(F, x0, cfg, blocks=False)
+            _check_against_former(F, x0, cfg, blocks=None)
 
         check()
 
     def test_convergence_inside_a_block(self):
         rng = np.random.default_rng(11)
-        for F, norms in ((linear_map(_near_identity(rng, 4, 0.05)), NormSpec([2.0])),
-                         (singular_map(_near_identity(rng, 3, 0.05)), NormSpec([1.0, math.inf]))):
-            rep = _check_against_former(F, None, SolverConfig(norms=norms, tol=1e-12))
+        # a map of two blocks runs no blocks of steps
+        for F, norms, blocks in ((linear_map(_near_identity(rng, 4, 0.05)), NormSpec([2.0]), True),
+                                 (singular_map(_near_identity(rng, 3, 0.05)), NormSpec([1.0, math.inf]), False)):
+            rep = _check_against_former(F, None, SolverConfig(norms=norms, tol=1e-12), blocks)
             assert rep.status == "converged" and rep.iterations > 100
 
     @pytest.mark.parametrize("max_iter", [37, 101, 257])
@@ -1002,16 +1006,22 @@ class TestBlockedPowerLoop:
 
     def test_lazy_switch_inside_a_block(self):
         F = linear_map(_block_cyclic(np.random.default_rng(0), 3, 0.3))
-        rep = _check_against_former(F, None, SolverConfig(norms=NormSpec([2.0])))
+        cfg = SolverConfig(norms=NormSpec([2.0]))
+        rep = _check_against_former(F, None, cfg)
         assert rep.status == "converged"
         step = int(rep.messages[0].rsplit(" ", 1)[1])
         assert step > 4 * (solver._MIN_RUN + 1), rep.messages
+        # lazy steps run in no block: every stacked bracket starts at or before the stall step
+        _, stacked = _blocked(F, None, cfg)
+        _, iterates = _former_power_steps(F, None, cfg)
+        index = {x.tobytes(): k for k, x in enumerate(iterates)}
+        assert stacked and all(index[xs[0].tobytes()] < step for xs in stacked)
 
     def test_lazy_underflow_inside_a_block(self):
         # the eigenvector lies on the boundary: a lazy iterate's second entry
         # drifts under the smallest normal double
         F = linear_map([[2.0, 0.0], [0.0, 1.0]])
-        rep = _check_against_former(F, None, SolverConfig(norms=NormSpec([2.0])))
+        rep = _check_against_former(F, None, SolverConfig(norms=NormSpec([2.0])), blocks=False)
         assert rep.status == "diverged" and rep.messages[-1] == "iterate left the open cone"
         assert rep.iterations > 1000
 
@@ -1034,7 +1044,7 @@ class TestBlockedPowerLoop:
         at = 60  # the step that fails, well inside a block
         assert len(iterates) > at
         F, ev = _faulty_map(Ms, iterates[at - 1].tobytes(), kind)
-        rep = _check_against_former(F, None, cfg)
+        rep = _check_against_former(F, None, cfg, blocks=d == 1)
         assert rep.status == "diverged" and rep.messages[-1] == message
         assert rep.iterations == at - (kind == "raise")
 
@@ -1061,7 +1071,8 @@ class TestBlockedEvaluatorCalls:
         rng = np.random.default_rng(d)
         F, ev = _faulty_map([_near_identity(rng, 3, eps) for _ in range(d)])
         rep, stacked = _blocked(F, None, SolverConfig(norms=NormSpec.euclidean(d), tol=1e-13))
-        assert rep.status == "converged" and stacked
+        # only a one-block map runs blocks of steps
+        assert rep.status == "converged" and bool(stacked) == (d == 1)
         # one call per step up to the stop, the first at the start vector
         stop = rep.iterations
         past = len(ev.calls) - stop

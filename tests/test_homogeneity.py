@@ -127,11 +127,19 @@ class TestContractionWeightsRadiusCalls:
         contraction_weights(MOTIVATING_A)
         assert len(keys) == 1
 
-    def test_inflation_path_measures_each_matrix_once(self, monkeypatch):
+    def test_fallback_measures_only_rho_of_A(self, monkeypatch):
+        A = np.array([[0.5, 1.0], [0.0, 0.5]])
         keys = _count_radius_calls(monkeypatch)
-        res = contraction_weights([[0.5, 1.0], [0.0, 0.5]])
+        radii = []
+        radius = homogeneity._radius
+        monkeypatch.setattr(homogeneity, "_radius", lambda M: radii.append(M.tobytes()) or radius(M))
+        res = contraction_weights(A)
         assert not res.exact
-        assert len(keys) >= 2 and len(keys) == len(set(keys))
+        assert keys == [A.tobytes()] and radii == [A.tobytes()]
+        assert res.r == 0.5 * (1.0 + 0.5)
+        assert res.b.min() > 0.0 and abs(res.b.sum() - 1.0) < 1e-15
+        assert np.all(A.T @ res.b <= res.r * res.b)
+        assert not analyze_homogeneity(A).auto_weights[0].flags.writeable
 
 
 class TestAnalyzeHomogeneity:
