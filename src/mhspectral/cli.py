@@ -14,9 +14,12 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
+import itertools
 import logging
 import math
 import os
+import struct
 import sys
 
 import numpy as np
@@ -192,11 +195,59 @@ class Instance:
     doc: dict
 
 
-def _parse_matrix(raw, path: str) -> np.ndarray:
+# numpy reads a list of fewer entries quicker than rows are packed (the two
+# break even near a 12 x 12 matrix)
+_PACK_MIN = 128
+
+
+@functools.cache
+def _row_struct(n: int) -> struct.Struct:
+    """The packer of a row of n doubles."""
+    return struct.Struct(f"{n}d")
+
+
+def _dense(raw) -> np.ndarray:
+    """``np.array(raw, dtype=float)``, read a row at a time when raw is a large regular nested list.
+
+    A list of at least ``_PACK_MIN`` entries (counted along its first items)
+    whose lengths are equal at every level has each innermost row packed as
+    doubles by one cached ``struct.Struct`` into one buffer, which becomes
+    the array without a Python call per entry.  Anything else takes numpy's
+    own reading: a short list, a ragged level, an item that is not a list
+    beside lists, or a leaf that ``struct`` refuses (a string, null, an int
+    beyond the double range).  On the values of a JSON document both read
+    the same doubles, so the array, or the error, is numpy's.
+    """
+    size, first = 1, raw
+    while type(first) is list and first:
+        size, first = size * len(first), first[0]
+    shape, rows = [], [raw]
+    while size >= _PACK_MIN and type(rows[0]) is list:
+        n = len(rows[0])
+        if set(map(len, rows)) != {n}:
+            break
+        shape.append(n)
+        if n == 0 or type(rows[0][0]) is not list:
+            try:
+                buf = bytearray().join(itertools.starmap(_row_struct(n).pack, rows))
+            except (struct.error, OverflowError):
+                break
+            return np.ndarray(shape, float, buf)
+        rows = list(itertools.chain.from_iterable(rows))
+        if set(map(type, rows)) != {list}:
+            break
+    return np.array(raw, dtype=float)
+
+
+def _parse_dense(raw, path: str, what: str) -> np.ndarray:
     try:
-        M = np.array(raw, dtype=float)
+        return _dense(raw)
     except Exception:
-        _fail(path, "expected a dense numeric matrix")
+        _fail(path, f"expected a dense numeric {what}")
+
+
+def _parse_matrix(raw, path: str) -> np.ndarray:
+    M = _parse_dense(raw, path, "matrix")
     if M.ndim != 2:
         _fail(path, "expected a matrix (list of rows)")
     return M
@@ -238,7 +289,7 @@ _FAMILIES = {
         _matrix_param(q, "matrix", path), _number_param(q, "p", path), _number_param(q, "q", path)
     ),
     "tensor_eigen": lambda q, path, hint: mapmod.tensor_eigen_map(
-        np.array(_param(q, "tensor", path), dtype=float), _number_param(q, "p", path)
+        _parse_dense(_param(q, "tensor", path), f"{path}.params", "tensor"), _number_param(q, "p", path)
     ),
     "max_example": lambda q, path, hint: mapmod.max_example_map(_number_param(q, "eps", path)),
     "motivating": lambda q, path, hint: mapmod.motivating_map(),
@@ -540,15 +591,17 @@ def run_graph(doc: dict, dual: bool = False) -> tuple[int, dict]:
         g = graphmod.build_dual_graph(inst.map) if dual else graphmod.build_graph(inst.map)
     except ValueError as exc:
         raise InstanceError(f"graph probe failed: {exc}") from exc
-    nodes = g.nodes()
+    strongly_connected = graphmod.is_strongly_connected(g)
     report = {
         "label": inst.map.label,
         "dual": dual,
         "mode": g.mode,
-        # row-major over block-major node indices: the sorted edge order
-        "edges": [[list(nodes[a]), list(nodes[b])] for a, b in np.argwhere(g.pattern).tolist()],
-        "strongly_connected": graphmod.is_strongly_connected(g),
-        "existence_condition": graphmod.check_existence_condition(g),
+        # the (block, offset) pairs of the edges, row-major over block-major
+        # node indices: the sorted edge order
+        "edges": g.shape._coords[np.argwhere(g.pattern)].tolist(),
+        "strongly_connected": strongly_connected,
+        # every node reaching every node meets the condition: no second search
+        "existence_condition": strongly_connected or graphmod.check_existence_condition(g),
     }
     return 0, report
 
@@ -719,7 +772,7 @@ def main(argv=None) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     if args.command == "graph" and not isinstance(report, list):
-        for (k, l), (i, j) in [((e[0][0], e[0][1]), (e[1][0], e[1][1])) for e in report["edges"]]:
+        for (k, l), (i, j) in report["edges"]:
             print(f"{k},{l} -> {i},{j}")
         print(f"strongly_connected: {str(report['strongly_connected']).lower()}")
         print(f"existence_condition: {str(report['existence_condition']).lower()}")

@@ -90,6 +90,14 @@ class ShapeSpec:
         return starts
 
     @functools.cached_property
+    def _coords(self) -> np.ndarray:
+        """``nodes()`` as a read-only (N, 2) int array of each node's (block, offset)."""
+        blocks = np.repeat(np.arange(self.d), self.sizes)
+        coords = np.column_stack((blocks, np.arange(self.total) - self._starts[blocks]))
+        coords.setflags(write=False)
+        return coords
+
+    @functools.cached_property
     def _uniform(self) -> Optional[int]:
         """The common block size when all blocks have one, else None."""
         n = self.sizes[0]

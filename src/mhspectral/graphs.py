@@ -59,8 +59,8 @@ class IndexGraph:
     @functools.cached_property
     def edges(self) -> frozenset:
         """The edges as ((k, l), (i, j)) node pairs."""
-        nodes = self.nodes()
-        return frozenset((nodes[a], nodes[b]) for a, b in np.argwhere(self.pattern).tolist())
+        pairs = self.shape._coords[np.argwhere(self.pattern)].tolist()
+        return frozenset(((k, l), (i, j)) for (k, l), (i, j) in pairs)
 
     def adjacency(self) -> np.ndarray:
         """The pattern: boolean matrix with entry [src, dst] per edge, block-major node order."""

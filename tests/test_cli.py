@@ -233,6 +233,145 @@ class TestParseErrors:
         assert str(err.value).startswith("$.map (norms): norms must list one selector per block")
 
 
+def _read_outcome(read, raw):
+    """The dtype, shape and bytes of read(raw), or its exception's type and text."""
+    try:
+        a = read(raw)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _numpy_reading(raw):
+    return np.array(raw, dtype=float)
+
+
+class TestDenseReader:
+    """``cli._dense`` reads dense params as ``np.array(raw, dtype=float)`` does, bit for bit."""
+
+    _SPECIALS = [2**53 + 1, -(2**53 + 1), 2**64 + 1, 10**400, -(10**400), -0.0, 5e-324, 1e308,
+                 math.nan, math.inf, True, False, "2", None]
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [],
+            [[]],
+            [[], []],
+            [[[]], [[]]],
+            [[1, 2], [3]],
+            [[[1, 2]], [[1, 2], [3, 4]], []],  # three slabs: the row count alone would fit (3, 1, 2)
+            [[1, [2]], [3, 4]],
+            [[[1]], [2]],
+            [[1, 2], "ab"],
+            [["2", 1], [1, "2"]],
+            [[True, 1], [1, False]],
+            [[None, 1], [1, 1]],
+            [[2**53 + 1, 10**400]],
+            [[-0.0, 5e-324, 1e308, math.nan]],
+            [1.5, 2**64 + 1],
+            3.0,
+            "abc",
+        ],
+    )
+    @pytest.mark.parametrize("pack_min", [0, 128])
+    def test_reads_as_numpy(self, monkeypatch, raw, pack_min):
+        from mhspectral import cli
+
+        monkeypatch.setattr(cli, "_PACK_MIN", pack_min)  # at 0 every regular list is packed
+        assert _read_outcome(cli._dense, raw) == _read_outcome(_numpy_reading, raw)
+
+    def test_large_regular_lists_are_packed(self, monkeypatch):
+        from mhspectral import cli
+
+        packed = []
+        row_struct = cli._row_struct
+        monkeypatch.setattr(cli, "_row_struct", lambda n: packed.append(n) or row_struct(n))
+        i, j = np.ogrid[:60, :100]
+        raw = ((i * j % 7) / 7).tolist()
+        assert _read_outcome(cli._dense, raw) == _read_outcome(_numpy_reading, raw)
+        assert _read_outcome(cli._dense, [raw[:12]] * 11) == _read_outcome(_numpy_reading, [raw[:12]] * 11)
+        assert packed == [100, 100]
+        assert cli._dense([[1.0, 2.0], [3.0, 4.0]]).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert packed == [100, 100]  # four entries: numpy's reading
+
+    def test_drawn_nested_lists_read_as_numpy(self, tmp_path, capsys, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        from mhspectral import cli
+
+        numbers = st.one_of(st.integers(), st.floats(), st.sampled_from(self._SPECIALS[:-2]))
+        leaves = st.one_of(numbers, st.sampled_from(self._SPECIALS))
+
+        def nest(flat, dims):
+            if len(dims) == 1:
+                return flat
+            step = len(flat) // dims[0] if dims[0] else 0
+            return [nest(flat[i * step:(i + 1) * step], dims[1:]) for i in range(dims[0])]
+
+        def lists(x):
+            """Every list inside x, x included."""
+            return [x] + [y for v in x if type(v) is list for y in lists(v)] if type(x) is list else []
+
+        def cli_run(path):
+            code = main(["analyze", path])
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        # every drawn regular list is packed, however short
+        monkeypatch.setattr(cli, "_PACK_MIN", 0)
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            dims = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4), "dims")
+            size = math.prod(dims)
+            leaf = data.draw(st.sampled_from([numbers, numbers, leaves]), "leaf kind")
+            raw = nest(data.draw(st.lists(leaf, min_size=size, max_size=size), "leaves"), dims)
+            # a ragged level, one whose total count still fits (an item of the
+            # last of three or more lists moved to the one before, so that
+            # slabs of [r, r, r] become [r, r, r], [r, r, r, r], [r, r]), a
+            # leaf beside lists or a list beside leaves
+            change = data.draw(st.sampled_from(["none", "drop", "append", "move", "leaf", "list"]), "change")
+            targets = lists(raw)
+            if change == "move":
+                targets = [t for t in targets if len(t) > 2 and type(t[-1]) is list and t[-1]]
+            target = data.draw(st.sampled_from(targets), "target") if targets else None
+            if change == "move" and target:
+                target[-2].append(target[-1].pop())
+            elif change != "none" and target:
+                at = data.draw(st.integers(0, len(target) - 1), "at")
+                if change == "drop":
+                    del target[at]
+                elif change == "append":
+                    target.append(data.draw(leaf if type(target[at]) is not list else st.just([])))
+                elif change == "leaf":
+                    target[at] = data.draw(leaf)
+                else:
+                    target[at] = [target[at]]
+            assert _read_outcome(cli._dense, raw) == _read_outcome(_numpy_reading, raw)
+            # the CLI prints the same report or error line as with numpy's reading in the reader's place
+            for map_doc in ({"family": "linear", "params": {"matrix": raw}},
+                            {"family": "tensor_eigen", "params": {"tensor": raw, "p": 3}}):
+                path = _write(tmp_path, "doc.json", {"map": map_doc})
+                reader = cli_run(path)
+                with monkeypatch.context() as m:
+                    m.setattr(cli, "_dense", _numpy_reading)
+                    assert cli_run(path) == reader
+
+        check()
+
+    @pytest.mark.parametrize(
+        "tensor",
+        [[[[1, 1], [1, 1]], [[1, 1], [1]]], [[[1, 1], [1, 1]], [[1, 1], [1, "a"]]], [[1, 1], [1, 10**400]]],
+        ids=["ragged", "string", "overflow"],
+    )
+    def test_unreadable_tensor_fails_like_a_matrix(self, tmp_path, capsys, tensor):
+        doc = {"map": {"family": "tensor_eigen", "params": {"tensor": tensor, "p": 3}}}
+        assert main(["analyze", _write(tmp_path, "bad.json", doc)]) == 2
+        assert capsys.readouterr().err == "error: $.map.params: expected a dense numeric tensor\n"
+
+
 class TestAnalyze:
     def test_motivating_regime(self):
         code, rep = run_analyze(copy.deepcopy(MOTIVATING_DOC))
@@ -371,10 +510,39 @@ class TestGraphCommand:
         code, rep = run_graph({"map": {"family": "linear", "params": {"matrix": positive}}})
         assert code == 0 and rep["strongly_connected"] is True and rep["existence_condition"] is True
         assert calls == []
-        positive[0][59] = 0.0  # one zero entry: the same step searches
+        positive[0][59] = 0.0  # one zero entry: the same step searches, once
         code, rep = run_graph({"map": {"family": "linear", "params": {"matrix": positive}}})
         assert rep["strongly_connected"] is True and rep["existence_condition"] is True
-        assert calls == [(60, 60), (60, 60)]
+        assert calls == [(60, 60)]
+
+    def test_drawn_patterns_match_the_graph_functions(self, monkeypatch):
+        # any pattern on any shape, reducible ones included: the verdict
+        # without a second search and the edges from the node table are
+        # those of the graph module
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        from mhspectral.cones import ShapeSpec
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            shape = ShapeSpec(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), "sizes"))
+            N = shape.total
+            density = data.draw(st.sampled_from([0.2, 0.5, 0.8]), "density")
+            flags = data.draw(st.lists(st.floats(0, 1), min_size=N * N, max_size=N * N), "pattern")
+            g = graphs.IndexGraph(shape, np.array(flags).reshape(N, N) < density, "oracle")
+            with monkeypatch.context() as m:
+                m.setattr(graphs, "build_graph", lambda F: g)
+                code, rep = run_graph({"map": _MOTIVATING})
+            nodes = g.nodes()
+            edges = [(nodes[a], nodes[b]) for a, b in np.argwhere(g.pattern).tolist()]
+            assert code == 0
+            assert rep["edges"] == [[list(a), list(b)] for a, b in edges]
+            assert g.edges == frozenset(edges)
+            assert rep["strongly_connected"] is graphs.is_strongly_connected(g)
+            assert rep["existence_condition"] is graphs.check_existence_condition(g)
+
+        check()
 
     def test_nonirr_dual_self_loops(self):
         code, rep = run_graph({"map": {"family": "nonirr", "params": {}}}, dual=True)

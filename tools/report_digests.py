@@ -41,7 +41,11 @@ start, and a continuation of a block-cyclic ``linear`` map on the shifts
 1e-13 down to 2.5e-14, whose first inner solve switches to lazy steps at
 step 87.
 One overflows: a ``compose`` of ``pq_singular`` (p = q = 1.01) over
-``singular``, whose graph probe at t = 1e6 is not finite.  A step that
+``singular``, whose graph probe at t = 1e6 is not finite.  Four take the
+fallback of the CLI's dense reader, numpy's own reading: a ``linear`` whose
+matrix holds the strings ``"2"`` (read as numbers), one that holds
+``true``, a ragged matrix and a ragged ``tensor_eigen`` tensor (both
+refused).  A step that
 raises ``InstanceError`` is recorded as exit 2, its error line the report
 text, as the command line ends it.
 OUT.json also maps ``demos/<stem>`` to ``"<exit code> <sha1 of its stdout>"``
@@ -212,6 +216,18 @@ EXTRA_DOCS = {
                 "inner": {"family": "singular", "params": {"matrix": [[1, 2], [3, 4]]}},
             },
         },
+    },
+    "string-entries-linear": {
+        "map": {"family": "linear", "params": {"matrix": [["2", 1], [1, "2"]]}},
+    },
+    "boolean-entry-linear": {
+        "map": {"family": "linear", "params": {"matrix": [[True, 1], [1, 1]]}},
+    },
+    "ragged-matrix-linear": {
+        "map": {"family": "linear", "params": {"matrix": [[1, 2], [3]]}},
+    },
+    "ragged-tensor-eigen": {
+        "map": {"family": "tensor_eigen", "params": {"tensor": [[[1, 1], [1, 1]], [[1, 1], [1]]], "p": 3}},
     },
 }
 
