@@ -4,6 +4,9 @@ Reads JSON instance files describing a map family, per-block norms, weights,
 and solver settings, then drives the analyze / solve / graph / certify
 pipelines.  Reports are JSON documents with floats rendered at 17 significant
 digits so identical instances and seeds reproduce byte-identical output.
+``dump_json`` writes a report in one formatting pass: its layout becomes one
+%-template, filled with all of its ints and floats by one ``%``; keys are
+escaped like string values.
 
 Exit codes: 0 converged, 2 parse or precondition failure, 3 bracket not
 closed within max_iter, 4 diverged.
@@ -65,118 +68,170 @@ def _get(doc: dict, key: str, path: str, default=None, required: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
-
-
-# list items of exactly these types (so not bool) skip the recursive call
-_INLINE = {float: _format_float, int: str}
-
-# the %-format of a leaf of each plain type, for finite floats the same text
-# as _format_float
-_LEAF_FORMAT = {int: "%s", float: "%.17g"}
-
-
 # one level of nesting in a report
 _INDENT = "  "
 
 
-def _zeros_like(x):
-    return [_zeros_like(v) for v in x] if type(x) is list else 0
+@functools.lru_cache(maxsize=1024)
+def _string(s: str) -> str:
+    """s as a JSON string (non-ASCII escaped), with % doubled for the template."""
+    import json
+
+    return json.dumps(s).replace("%", "%%")
 
 
-def _encode_plain_list(obj: list, level: int):
-    """_encode of a non-empty list of equally nested lists of plain leaves, else None.
+@functools.lru_cache(maxsize=1024, typed=True)
+def _entry(key, level: int) -> str:
+    """The template text that opens a dict entry at nesting level ``level``.
 
-    The leaves must be all plain ints or all plain finite floats.  They are
-    gathered level by level, checking that every item has the first item's
-    nesting, and fill one %-template of the first item's layout per item, so
-    the text is made without a call per value.  Any other list (a bool or
-    numpy scalar, ints mixed with floats, a NaN or infinity, a tuple, or
-    items of unequal shape) returns None and takes the general path.
+    It begins with the comma of the entry before it; the dict's "{" takes
+    its place at the first entry.  A key that is not a string is written as
+    its ``str``.
     """
-    leaf = obj
-    while type(leaf) is list and leaf:
-        leaf = leaf[0]
-    kind = type(leaf)
-    if kind not in _LEAF_FORMAT:
-        return None
-    values, first = obj, [obj[0]]
-    while values and type(values[0]) is list:
-        if not all(type(v) is list for v in values):
+    return ",\n" + _INDENT * level + _string(key if type(key) is str else str(key)) + ": "
+
+
+@functools.cache
+def _separator(level: int) -> str:
+    """The text before a list item at nesting level ``level``: the comma after the item before it, and the indent."""
+    return ",\n" + _INDENT * level
+
+
+def _layout(dims: tuple, level: int, leaf: str) -> str:
+    """The layout of a list of shape ``dims`` at nesting level ``level``, ``leaf`` at each leaf."""
+    if not dims[0]:
+        return "[]"
+    item = _layout(dims[1:], level + 1, leaf) if len(dims) > 1 else leaf
+    sep = _separator(level + 1)
+    return "[" + sep[1:] + sep.join([item] * dims[0]) + "\n" + _INDENT * level + "]"
+
+
+# the layouts of short lists (eigenvector blocks, the bracket traces of small
+# maps) repeat from report to report and are cached.  A longer list (the
+# edges of a graph, a continuation's bracket trace) is laid out at each call,
+# a small cost next to formatting its numbers; held for the life of the
+# process, such layouts made the later steps take more page faults and run
+# slower
+_CACHED_LEAVES = 256
+_short_layout = functools.lru_cache(maxsize=128)(_layout)
+
+
+def _even_list(obj: list, level: int):
+    """(template, leaves) of a list that nests evenly down to leaves of one plain kind, else None.
+
+    The leaves must be all plain ints or all plain finite floats (or there
+    are none).  The list is checked and flattened one level at a time by
+    passes over whole levels, with no Python step per item.  Any other list
+    (a bool or numpy scalar, ints mixed with floats, a NaN or infinity, a
+    dict, tuple or string, or items of unequal length) returns None.
+    """
+    dims, values = [len(obj)], obj
+    kinds = set(map(type, values))
+    while kinds == {list}:
+        lengths = set(map(len, values))
+        if len(lengths) > 1:
             return None
-        if list(map(len, values)) != list(map(len, first)) * len(obj):
-            return None
-        values = [x for v in values for x in v]
-        first = [x for v in first for x in v]
-    if set(map(type, values)) != {kind}:
-        return None
+        dims.append(lengths.pop())
+        values = list(itertools.chain.from_iterable(values))
+        kinds = set(map(type, values))
+    if kinds == {int}:
+        leaf = "%d"
     # a sum is finite only if every term is (an overflow just takes the
-    # general path)
-    if kind is float and not math.isfinite(sum(values)):
+    # item-by-item walk)
+    elif kinds == {float} and math.isfinite(sum(values)):
+        leaf = "%.17g"
+    elif not kinds:
+        leaf = ""
+    else:
         return None
-    # the first item's layout, with a %-format in place of each of its leaves
-    template = _encode(_zeros_like(obj[0]), level + 1).replace("0", _LEAF_FORMAT[kind])
-    pad_in = _INDENT * (level + 1)
-    return (
-        "[\n" + pad_in + (",\n" + pad_in).join([template] * len(obj))
-        + "\n" + _INDENT * level + "]"
-    ) % tuple(values)
+    layout = _short_layout if len(values) <= _CACHED_LEAVES else _layout
+    return layout(tuple(dims), level, leaf), values
 
 
-def _encode(obj, level: int) -> str:
-    pad = _INDENT * level
-    pad_in = _INDENT * (level + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
+def _plain(obj):
+    """obj as the plain Python value that is written in its place: int, float, str, dict or list."""
     if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+        return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
+        return float(obj)
     if isinstance(obj, str):
-        import json
-
-        return json.dumps(obj)
+        return str.__str__(obj)  # a str subclass's own text, whatever its __str__
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad_in}"{k}": {_encode(v, level + 1)}' for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        # only a list opening with an int or a list can be a plain list; a
-        # short flat float list is cheaper on the general path
-        if type(obj) is list and type(obj[0]) in (int, list):
-            text = _encode_plain_list(obj, level)
-            if text is not None:
-                return text
-        # plain floats (bracket pairs, say) and ints (graph nodes) are
-        # formatted in place, not through one more call each
-        items = [
-            pad_in + (_INLINE[type(v)](v) if type(v) in _INLINE else _encode(v, level + 1))
-            for v in obj
-        ]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        if type(obj) is list:
+            return obj
+    elif isinstance(obj, dict):
+        return dict(obj)
+    elif isinstance(obj, (list, tuple)):
+        return list(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _walk(obj, level: int, parts: list, leaves: list) -> None:
+    """Append obj's template text to ``parts`` and its int and finite float leaves to ``leaves``.
+
+    Strings, keys, ``null``, ``true``, ``false`` and non-finite floats are
+    literal text, with % doubled.
+    """
+    kind = type(obj)
+    if kind is float:
+        if math.isfinite(obj):
+            parts.append("%.17g")
+            leaves.append(obj)
+        else:
+            parts.append("NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    elif kind is int:
+        parts.append("%d")
+        leaves.append(obj)
+    elif kind is str:
+        parts.append(_string(obj))
+    elif kind is dict:
+        if not obj:
+            parts.append("{}")
+            return
+        start = len(parts)
+        for key, value in obj.items():
+            parts.append(_entry(key, level + 1))
+            _walk(value, level + 1, parts, leaves)
+        parts[start] = "{" + parts[start][1:]
+        parts.append("\n" + _INDENT * level + "}")
+    elif kind is list:
+        even = _even_list(obj, level)
+        if even is not None:
+            parts.append(even[0])
+            leaves.extend(even[1])
+            return
+        start = len(parts)
+        sep = _separator(level + 1)
+        for item in obj:
+            parts.append(sep)
+            _walk(item, level + 1, parts, leaves)
+        parts[start] = "[" + sep[1:]
+        parts.append("\n" + _INDENT * level + "]")
+    elif obj is None:
+        parts.append("null")
+    elif kind is bool:
+        parts.append("true" if obj else "false")
+    else:
+        _walk(_plain(obj), level, parts, leaves)
 
 
 def dump_json(obj) -> str:
     """Deterministic JSON text: insertion-ordered keys, 17-significant-digit floats.
 
-    Each level of nesting is indented by two spaces.
+    Each level of nesting is indented by two spaces.  Keys are escaped like
+    strings.  The text is made in one formatting pass: a walk of obj writes
+    its layout as one %-template, with a format in place of each plain int
+    and finite float, and fills it with one ``%`` of all those numbers.  A
+    list that nests evenly down to numbers of one kind (an eigenvector
+    block, a bracket trace, a matrix, the edges of a graph) takes one
+    template of its shape, cached for short lists, with no Python step per
+    number.
     """
-    return _encode(obj, 0) + "\n"
+    parts, leaves = [], []
+    _walk(obj, 0, parts, leaves)
+    parts.append("\n")
+    return "".join(parts) % tuple(leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +653,7 @@ def run_graph(doc: dict, dual: bool = False) -> tuple[int, dict]:
         "mode": g.mode,
         # the (block, offset) pairs of the edges, row-major over block-major
         # node indices: the sorted edge order
-        "edges": g.shape._coords[np.argwhere(g.pattern)].tolist(),
+        "edges": g.edge_coords().tolist(),
         "strongly_connected": strongly_connected,
         # every node reaching every node meets the condition: no second search
         "existence_condition": strongly_connected or graphmod.check_existence_condition(g),

@@ -59,8 +59,13 @@ class IndexGraph:
     @functools.cached_property
     def edges(self) -> frozenset:
         """The edges as ((k, l), (i, j)) node pairs."""
-        pairs = self.shape._coords[np.argwhere(self.pattern)].tolist()
+        pairs = self.edge_coords().tolist()
         return frozenset(((k, l), (i, j)) for (k, l), (i, j) in pairs)
+
+    def edge_coords(self) -> np.ndarray:
+        """The (E, 2, 2) int array of the edges' (block, offset) pairs, row-major over the pattern."""
+        src, dst = np.divmod(np.flatnonzero(self.pattern), self.pattern.shape[1])
+        return self.shape._coords[np.stack((src, dst), axis=1)]
 
     def adjacency(self) -> np.ndarray:
         """The pattern: boolean matrix with entry [src, dst] per edge, block-major node order."""

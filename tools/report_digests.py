@@ -48,6 +48,10 @@ matrix holds the strings ``"2"`` (read as numbers), one that holds
 refused).  A step that
 raises ``InstanceError`` is recorded as exit 2, its error line the report
 text, as the command line ends it.
+Each document, and each workload item that runs through the CLI (all but
+``many_blocks``), also has a ``canonical`` key: the text of
+``dump_json(canonical_instance(parse_instance(doc)))``, which pins the
+report writer on every matrix and tensor of the documents.
 OUT.json also maps ``demos/<stem>`` to ``"<exit code> <sha1 of its stdout>"``
 for every ``demos/*.py``, each run in a subprocess with this interpreter and
 a ``PYTHONPATH`` that puts the ``mhspectral`` used above first, so ``--diff``
@@ -283,7 +287,23 @@ def item_digests(runner, item) -> dict:
             continue
         text = result if isinstance(result, str) else _library_text(step, result)
         out[step] = f"{code} {hashlib.sha1(text.encode()).hexdigest()}"
+    if item.third is not None:
+        out["canonical"] = canonical_digest(runner.prepare(item))
     return out
+
+
+def canonical_digest(doc: dict) -> str:
+    """``"<exit code> <sha1>"`` of the canonical instance text, ``dump_json(canonical_instance(parse_instance(doc)))``."""
+    cli = mhspectral.cli
+    try:
+        text = cli.dump_json(cli.canonical_instance(cli.parse_instance(copy.deepcopy(doc))))
+    except cli.InstanceError as exc:  # the command's exit 2, its error line the text
+        code, text = 2, f"error: {exc}\n"
+    except Exception as exc:  # recorded, so a raise shows up in the diff
+        return f"raised {type(exc).__name__}: {exc}"
+    else:
+        code = 0
+    return f"{code} {hashlib.sha1(text.encode()).hexdigest()}"
 
 
 def document_digests() -> dict:
@@ -311,6 +331,7 @@ def document_digests() -> dict:
                 if step == "solve":
                     solved = text
             out[key] = f"{code} {hashlib.sha1(text.encode()).hexdigest()}"
+        out[f"documents/{name}/canonical"] = canonical_digest(doc)
     return out
 
 
