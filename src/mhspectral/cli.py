@@ -149,7 +149,10 @@ def _even_list(obj: list, level: int):
 
 
 def _plain(obj):
-    """obj as the plain Python value that is written in its place: int, float, str, dict or list."""
+    """obj as the plain Python value that is written in its place: int, float, str, dict or list.
+
+    An array gives its ``tolist()``: a list, or a 0-d array's scalar.
+    """
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
@@ -157,10 +160,8 @@ def _plain(obj):
     if isinstance(obj, str):
         return str.__str__(obj)  # a str subclass's own text, whatever its __str__
     if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-        if type(obj) is list:
-            return obj
-    elif isinstance(obj, dict):
+        return obj.tolist()
+    if isinstance(obj, dict):
         return dict(obj)
     elif isinstance(obj, (list, tuple)):
         return list(obj)

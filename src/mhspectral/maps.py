@@ -31,8 +31,12 @@ k's first, raised to 1/(p_k - 1), and A_kl = (the number of modes of block
 l, less one if l = k) / (p_k - 1).  ``linear_map`` is a matrix with both
 modes on one block and p = 2, ``pq_singular_map`` a matrix with one mode
 per block (``singular_map`` at p = q = 2), and ``tensor_eigen_map`` a cubical
-tensor with every mode on one block.  The small worked maps used throughout
-the test-suite follow, along with closure operations: composition, Hadamard
+tensor with every mode on one block.  The worked maps ``motivating``,
+``irrex`` and ``tight`` are presets of one private monomial builder
+(``_monomial``): F_k(x) = c_k prod_l x_l^{E_kl} for a nonnegative N x N
+exponent matrix E, whose block row sums give A, with the Jacobian
+diag(F) E diag(1/x) and both patterns E > 0.  The max-based worked maps
+follow, along with closure operations: composition, Hadamard
 products, dominated weighted sums, the delta-shift, and inversion
 conjugation (the dual map).  Every closure follows one rule: its parts share
 one shape; it is differentiable when every part is, and so are its norms
@@ -118,7 +122,7 @@ class _CheckedA:
     """A d x d matrix that ``check_homogeneity_matrix`` returned, as the A of a new map of d blocks.
 
     ``MapInstance`` takes its ``matrix`` without checking it again: the A of
-    a closure's one part, a cached multilinear A, or a ``tight_map``'s.
+    a closure's one part, a cached multilinear A, or a monomial map's.
     """
 
     __slots__ = ("matrix",)
@@ -524,6 +528,82 @@ def tensor_eigen_map(T, p: float) -> MapInstance:
     return _multilinear(T, (0,) * T.ndim, (p,), f"tensor_eigen(order={T.ndim}, n={T.shape[0]}, p={p:g})")
 
 
+def _monomial_pattern(E: np.ndarray) -> np.ndarray:
+    """The primal and the dual pattern of a monomial map: E > 0, exact for both."""
+    return _frozen(E > 0.0)
+
+
+def _monomial_parts(E, sizes, coefficients=None) -> tuple:
+    """(shape, checked A, E, flat kernel, Jacobian) of the monomial map F_k(x) = c_k prod_l x_l^{E_kl}.
+
+    Raises ValueError unless E is a finite nonnegative N x N matrix, N =
+    sum(sizes), and the c_k, when given, are N finite positive numbers.
+    A_ij is the sum of row k of E over block j, by ``math.fsum``, which does
+    not depend on the order of the terms: it must be one number for every
+    row k of block i, else the map is not multi-homogeneous, and A must pass
+    ``check_homogeneity_matrix``, so every row of E has a positive entry.
+    The kernel multiplies powers over the nonzeros of E only, so a zero x_l
+    gives 0^0 = 1 where E_kl = 0 (``exp(E @ log x)`` would give NaN).  The
+    Jacobian diag(F) E diag(1/x) holds on the open cone.
+    """
+    shape = _shape_of(tuple(sizes))
+    n = shape.total
+    E = np.array(E, dtype=float)
+    if E.shape != (n, n):
+        raise ValueError(f"exponent matrix must be {n}x{n}, got {E.shape}")
+    if not _finite_nonneg(E):
+        raise ValueError("exponents must be finite and nonnegative")
+    sums = [[math.fsum(row[sl]) for sl in shape._slices] for row in E.tolist()]
+    A = []
+    for i, sl in enumerate(shape._slices):
+        head, *rest = sums[sl]
+        if any(row != head for row in rest):
+            raise ValueError(f"the rows of block {i} have unequal block sums: not multi-homogeneous")
+        A.append(head)
+    A = check_homogeneity_matrix(A, shape.d)
+    E.setflags(write=False)
+    rows, cols = np.nonzero(E)
+    vals, starts = E[rows, cols], np.searchsorted(rows, np.arange(n))
+    if coefficients is None:
+        kernel = lambda flat: np.multiply.reduceat(flat[cols] ** vals, starts)
+    else:
+        c = np.array(coefficients, dtype=float)
+        if c.shape != (n,) or not (c.min() > 0.0 and c.max() < math.inf):
+            raise ValueError(f"coefficients must be {n} finite positive numbers")
+        kernel = lambda flat: np.multiply.reduceat(flat[cols] ** vals, starts) * c
+    return shape, _CheckedA(A), E, kernel, lambda x: kernel(x.flat)[:, None] * E / x.flat
+
+
+def _monomial_of(parts: tuple, label: str) -> MapInstance:
+    """The map of ``_monomial_parts``' parts; its patterns are made at their first read."""
+    shape, A, E, kernel, jacobian = parts
+    pattern = _Deferred(lambda: _monomial_pattern(E))
+    return MapInstance(
+        shape=shape,
+        A=A,
+        evaluator=_FlatEvaluator(kernel, shape),
+        jacobian=jacobian,
+        label=label,
+        edge_oracle=pattern,
+        dual_edge_oracle=pattern,
+    )
+
+
+def _monomial(E, sizes, coefficients=None, label: str = "monomial") -> MapInstance:
+    """x -> (c_k prod_l x_l^{E_kl})_k for an N x N exponent matrix E (see ``_monomial_parts``)."""
+    return _monomial_of(_monomial_parts(E, sizes, coefficients), label)
+
+
+@functools.cache
+def _preset(rows: tuple, sizes: tuple) -> tuple:
+    """The parts of a worked monomial map, E given as a tuple of rows, checked once per process."""
+    return _monomial_parts(rows, sizes)
+
+
+_MOTIVATING = ((0.0, 0.0, 2.0, 0.0), (0.0, 0.0, 0.0, 2.0), (0.125, 0.0, 0.0, 0.0), (0.0, 0.125, 0.0, 0.0))
+_IRREX = ((0.25, 0.25, 0.5, 0.0), (0.25, 0.25, 0.0, 0.5), (0.0, 0.0, 0.5, 0.5), (0.0, 0.0, 0.5, 0.5))
+
+
 def max_example_map(eps: float) -> MapInstance:
     """(a, b, c) -> (max(a,b,c), max(eps*a, b), max(eps*b, c)) with eps in (0,1).
 
@@ -560,34 +640,7 @@ def max_example_map(eps: float) -> MapInstance:
 
 def motivating_map() -> MapInstance:
     """((s,t),(u,v)) -> ((u^2, v^2), (s^{1/8}, t^{1/8})); contraction with rho(A)=1/2."""
-
-    def kernel(flat):
-        s, t, u, v = flat
-        return np.array([u * u, v * v, s ** 0.125, t ** 0.125])
-
-    def jac(x):
-        s, t = x.blocks[0]
-        u, v = x.blocks[1]
-        J = np.zeros((4, 4))
-        J[0, 2] = 2.0 * u
-        J[1, 3] = 2.0 * v
-        J[2, 0] = 0.125 * s ** (-0.875)
-        J[3, 1] = 0.125 * t ** (-0.875)
-        return J
-
-    shape = _shape_of((2, 2))
-    edges = _deferred_pattern(
-        shape, {((0, 0), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (0, 0)), ((1, 1), (0, 1))}
-    )
-    return MapInstance(
-        shape=shape,
-        A=_constant_A(((0.0, 2.0), (0.125, 0.0))),
-        evaluator=_FlatEvaluator(kernel, shape),
-        jacobian=jac,
-        label="motivating",
-        edge_oracle=edges,
-        dual_edge_oracle=edges,
-    )
+    return _monomial_of(_preset(_MOTIVATING, (2, 2)), "motivating")
 
 
 def nonirr_map() -> MapInstance:
@@ -631,46 +684,10 @@ def irrex_map() -> MapInstance:
     Fixed point at the all-ones vector whose Jacobian is *not* irreducible,
     yet the summed-powers positivity condition holds on block 0 with tau = 2.
     """
-
-    def kernel(flat):
-        s, t, u, v = flat
-        st = (s * t) ** 0.25
-        uv = (u * v) ** 0.5
-        return np.array([st * u ** 0.5, st * v ** 0.5, uv, uv])
-
-    def jac(x):
-        s, t = x.blocks[0]
-        u, v = x.blocks[1]
-        f = kernel(x.flat)
-        J = np.zeros((4, 4))
-        J[0] = [f[0] / (4 * s), f[0] / (4 * t), f[0] / (2 * u), 0.0]
-        J[1] = [f[1] / (4 * s), f[1] / (4 * t), 0.0, f[1] / (2 * v)]
-        J[2] = [0.0, 0.0, f[2] / (2 * u), f[2] / (2 * v)]
-        J[3] = [0.0, 0.0, f[3] / (2 * u), f[3] / (2 * v)]
-        return J
-
-    shape = _shape_of((2, 2))
-    edges = _deferred_pattern(
-        shape,
-        {
-            ((0, 0), (0, 0)), ((0, 0), (0, 1)), ((0, 0), (1, 0)),
-            ((0, 1), (0, 0)), ((0, 1), (0, 1)), ((0, 1), (1, 1)),
-            ((1, 0), (1, 0)), ((1, 0), (1, 1)),
-            ((1, 1), (1, 0)), ((1, 1), (1, 1)),
-        },
-    )
-    return MapInstance(
-        shape=shape,
-        A=_constant_A(((0.5, 0.5), (0.0, 1.0))),
-        evaluator=_FlatEvaluator(kernel, shape),
-        jacobian=jac,
-        label="irrex",
-        edge_oracle=edges,
-        dual_edge_oracle=edges,
-    )
+    return _monomial_of(_preset(_IRREX, (2, 2)), "irrex")
 
 
-def _block_power(shape: ShapeSpec, B: np.ndarray, full: bool = False):
+def _block_power(shape: ShapeSpec, B: np.ndarray):
     """s -> prod_l s_l^{B_kl} on the entries of each block k, for nonnegative per-block scalars s.
 
     B is a d x d matrix that ``check_homogeneity_matrix`` passed, so each
@@ -679,19 +696,13 @@ def _block_power(shape: ShapeSpec, B: np.ndarray, full: bool = False):
     as a float (or a length-1 array) and raises a positive s to B = [[b]] as
     exp(b * log s): ``_power_scale``'s ufuncs in its order, bit for bit,
     without its length-1 arrays and positivity pass.  That value broadcasts
-    over a buffer, as ``ShapeSpec._spread``'s one-block array does; ``full``
-    asks for the full-length buffer instead.
+    over a buffer, as ``ShapeSpec._spread``'s one-block array does.
     """
     if shape.d > 1:
         spread = shape._spread
         return lambda s: spread(_power_scale(s, B))
-    b, n = B.item(0), shape.total
-
-    def power(s):
-        v = np.exp(b * np.log(s)) if s > 0.0 else _power_scale(np.atleast_1d(s), B)
-        return np.repeat(v, n) if full else v
-
-    return power
+    b = B.item(0)
+    return lambda s: np.exp(b * np.log(s)) if s > 0.0 else _power_scale(np.atleast_1d(s), B)
 
 
 def tight_map(A, sizes) -> MapInstance:
@@ -704,33 +715,9 @@ def tight_map(A, sizes) -> MapInstance:
     A = check_homogeneity_matrix(A, shape.d)
     if any(n < 2 for n in shape.sizes):
         raise ValueError("tight_map needs every block size >= 2")
-    starts, power = shape._starts, _block_power(shape, A, full=True)
-    rows = np.repeat(A, shape.sizes, axis=0)  # row i of A on each row of block i
-
-    def jac(x):
-        heads, J = x.flat[starts], np.zeros((shape.total, shape.total))
-        J[:, starts] = rows * power(heads)[:, None] / heads
-        return J
-
-    edges = _deferred_pattern(
-        shape,
-        (
-            ((i, j), (l, 0))
-            for i, n in enumerate(shape.sizes)
-            for j in range(n)
-            for l in range(shape.d)
-            if A[i, l] > 0.0
-        ),
-    )
-    return MapInstance(
-        shape=shape,
-        A=_CheckedA(A),
-        evaluator=_FlatEvaluator(lambda flat: power(flat[starts]), shape),
-        jacobian=jac,
-        label=f"tight(sizes={shape.sizes})",
-        edge_oracle=edges,
-        dual_edge_oracle=edges,
-    )
+    E = np.zeros((shape.total, shape.total))
+    E[:, shape._starts] = np.repeat(A, shape.sizes, axis=0)  # row i of A on the heads, in each row of block i
+    return _monomial(E, shape.sizes, label=f"tight(sizes={shape.sizes})")
 
 
 def tight_equality_pair(A, b, sizes, ratio: float = 2.0):

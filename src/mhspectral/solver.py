@@ -223,7 +223,7 @@ def _resolve_weights(F: MapInstance, weights, messages: list) -> np.ndarray:
     analysis = F.analysis
     if analysis.regime == "expansive":
         raise ExpansiveMapError(
-            f"rho(A) = {analysis.rho:.6g} > 1: the expansive regime carries no existence, "
+            f"rho(A) = {analysis.rho:.17g} > 1: the expansive regime carries no existence, "
             "uniqueness, or bracket guarantees; supply explicit weights to iterate anyway"
         )
     b, reason = analysis.auto_weights

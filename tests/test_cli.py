@@ -633,13 +633,14 @@ class TestPatternsOnlyForGraph:
             raise AssertionError("an index pattern was built")
 
         monkeypatch.setattr(maps, "_edges", refuse)  # the multilinear families' patterns
-        monkeypatch.setattr(maps, "_pattern", refuse)  # the worked maps' and tight's
+        monkeypatch.setattr(maps, "_pattern", refuse)  # the max-based worked maps'
+        monkeypatch.setattr(maps, "_monomial_pattern", refuse)  # motivating's, irrex's and tight's
         golden = json.loads(CERT_GOLDEN.read_text())
         for family, entry in golden.items():
             run_analyze(copy.deepcopy(entry["doc"]))
             _, solved = run_solve(copy.deepcopy(entry["doc"]))
             run_certify(copy.deepcopy(entry["doc"]), json.loads(dump_json(solved)))
-        for family in ("linear", "motivating"):  # the builders refused are the ones graph reads
+        for family in ("linear", "nonirr", "motivating"):  # the builders refused are the ones graph reads
             with pytest.raises(AssertionError, match="index pattern"):
                 run_graph(copy.deepcopy(golden[family]["doc"]))
 
@@ -1284,6 +1285,13 @@ class TestMainEntry:
         assert dump_json([np.int64(3), np.int32(-1), 0]) == dump_json([3, -1, 0])
         assert dump_json([True, False, 1]) == "[\n  true,\n  false,\n  1\n]\n"
         assert dump_json([[0, 1], [2, 3]]) == dump_json([[np.int64(0), 1], (2, np.int8(3))])
+
+    def test_zero_d_arrays_print_as_their_scalars(self):
+        import numpy as np
+
+        assert dump_json(np.array(1.5)) == dump_json(1.5) == "1.5\n"
+        assert dump_json({"r": np.array(3)}) == dump_json({"r": 3})
+        assert dump_json([np.array(True), np.array(-0.0)]) == dump_json([True, -0.0])
 
     def test_writer_matches_the_former_writer(self):
         hypothesis = pytest.importorskip("hypothesis")

@@ -2,9 +2,11 @@
 
 Every built-in map evaluates through a flat kernel (``maps._kernel``), and
 ``power_method`` applies it to its own buffers after the first step.  The
-references below are the worked maps' and closures' former vector
-evaluators, copied as they were: each kernel must give their bits, and the
-bits of ``evaluate``.  A user's evaluator reaches the loop through an adapter
+references below are the max-based worked maps' and the closures' former
+vector evaluators, copied as they were: each kernel must give their bits,
+and the bits of ``evaluate``.  The monomial presets (``motivating``,
+``irrex``, ``tight``) and the multilinear families are their builders' own
+kernels here; test_monomial and test_multilinear check those builders.  A user's evaluator reaches the loop through an adapter
 that checks its output; a solve through it must equal the built-in path bit
 for bit.
 """
@@ -68,33 +70,10 @@ def _former_max_example(eps):
     return ev
 
 
-def _former_motivating(x):
-    s, t = x.blocks[0]
-    u, v = x.blocks[1]
-    return ProductVector([[u * u, v * v], [s ** 0.125, t ** 0.125]])
-
-
 def _former_nonirr(x):
     s, t = x.blocks[0]
     u, v = x.blocks[1]
     return ProductVector([[s, t], [max(s, v) ** 0.5, max(t, u) ** 0.5]])
-
-
-def _former_irrex(x):
-    s, t = x.blocks[0]
-    u, v = x.blocks[1]
-    st_ = (s * t) ** 0.25
-    uv = (u * v) ** 0.5
-    return ProductVector([[st_ * u ** 0.5, st_ * v ** 0.5], [uv, uv]])
-
-
-def _former_tight(A, sizes):
-    def ev(x):
-        heads = np.array([blk[0] for blk in x.blocks])
-        vals = matrix_power_scale(heads, A)
-        return ProductVector([np.full(n, vals[i]) for i, n in enumerate(sizes)])
-
-    return ev
 
 
 def _former_compose(fF, fG):
@@ -165,7 +144,7 @@ def _leaves(rng):
     M = rng.uniform(0.05, 2.0, (3, 3))
     T = rng.uniform(0.05, 2.0, (3, 3, 3))
     one = [
-        # the families' kernel is the multilinear form's own (see test_multilinear)
+        # a builder's kernel is its own (see test_multilinear and test_monomial)
         (linear_map(M), None),
         (tensor_eigen_map(T, 2.5), None),
         (max_example_map(0.3), _former_max_example(0.3)),
@@ -173,17 +152,17 @@ def _leaves(rng):
     R, S = rng.uniform(0.05, 2.0, (2, 2)), rng.uniform(0.05, 2.0, (2, 3))
     B = np.array([[0.2, 0.5], [0.7, 0.1]])
     square = [
-        (motivating_map(), _former_motivating),
+        (motivating_map(), None),
         (nonirr_map(), _former_nonirr),
-        (irrex_map(), _former_irrex),
+        (irrex_map(), None),
         (singular_map(R), None),
         (pq_singular_map(R, 3.0, 1.5), None),
-        (tight_map(B, (2, 2)), _former_tight(B, (2, 2))),
+        (tight_map(B, (2, 2)), None),
     ]
     ragged = [
         (singular_map(S), None),
         (pq_singular_map(S, 1.25, 4.0), None),
-        (tight_map(B, (2, 3)), _former_tight(B, (2, 3))),
+        (tight_map(B, (2, 3)), None),
     ]
     groups = []
     for group in (one, square, ragged):

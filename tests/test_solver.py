@@ -212,6 +212,14 @@ class TestPowerMethod:
         rep = power_method(F, None, _cfg(2, weights=np.array([0.5, 0.5]), max_iter=50))
         assert any("A^T b <= b" in m for m in rep.messages)
 
+    def test_expansive_refusal_prints_rho_in_full(self):
+        # at 6 digits rho = 1 + 2e-9 read "rho(A) = 1 > 1"
+        F = tight_map([[1.0 + 2e-9]], (2,))
+        with pytest.raises(ExpansiveMapError) as err:
+            power_method(F, None, _cfg(1))
+        printed = re.search(r"rho\(A\) = (\S+) > 1", str(err.value)).group(1)
+        assert float(printed) == F.analysis.rho > 1.0
+
     def test_no_positive_weights_message(self):
         F = irrex_map()
         with pytest.raises(PerronStructureError, match="no positive weights"):

@@ -28,8 +28,10 @@ boundary.  Four more carry the flags that the closure rule of ``maps``
 derives into a report: a ``hadamard`` with a ``nonirr`` part (inexact
 homogeneity, the analyze note), a ``weighted_sum`` under max-norms (not
 differentiable, certify's kink test), a ``compose`` with a ``dual`` part
-(the open-cone domain), and a one-block ``tight`` from a random start (the
-full-length spread of its block power).  Three sit on both sides of the
+(the open-cone domain), and a one-block ``tight`` from a random start
+(its one block's head column spread over every row).  A three-block
+``tight`` of sizes 4, 2 and 3 from a random start pins the several-block
+path of the monomial builder.  Three sit on both sides of the
 complete-pattern rule of ``_digraph``, at sizes no workload has: a positive
 60 x 60 ``linear`` (a complete pattern of L, no search), the same matrix
 with one off-diagonal zero (searched), and ``singular`` of a positive
@@ -188,6 +190,11 @@ EXTRA_DOCS = {
     "one-block-tight": {
         "map": {"family": "tight", "params": {"exponents": [[0.5]], "sizes": [3]}},
         "solver": {"x0": "random"},
+    },
+    "three-block-tight": {
+        "map": {"family": "tight", "params": {"exponents": [[0.3, 0, 0.5], [0, 0.6, 0.2], [0.2, 0.2, 0.2]],
+                                              "sizes": [4, 2, 3]}},
+        "solver": {"x0": "random", "seed": 5},
     },
     "positive-linear-60": {
         "map": {"family": "linear", "params": {"matrix": _positive(60, 60)}},
