@@ -14,8 +14,6 @@ closed within max_iter, 4 diverged.
 
 from __future__ import annotations
 
-import argparse
-import concurrent.futures
 import dataclasses
 import functools
 import itertools
@@ -766,6 +764,10 @@ def _run_one(args_tuple):
 
 
 def main(argv=None) -> int:
+    # the command line's own modules load here, not with the library, and
+    # the process pool's only for a batch run on several workers
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mhspectral",
         description="Eigenpairs and spectral radii of order-preserving "
@@ -811,6 +813,8 @@ def main(argv=None) -> int:
             # the pool starts all its workers at once, so no more than there are documents
             workers = min(args.jobs, len(tasks))
             if workers > 1:
+                import concurrent.futures
+
                 with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                     results = list(pool.map(_run_one, tasks))
             else:

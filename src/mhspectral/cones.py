@@ -3,9 +3,11 @@
 Vectors live in V = R^{n_1} x ... x R^{n_d} and are stored as one contiguous
 float buffer of length n_1 + ... + n_d, block after block, together with
 their ``ShapeSpec``; the blocks are read-only views into that buffer.
-Blockwise work (scalings, norms, extrema) runs on the buffer with one numpy
-call per step, whatever d is.  A *block scaling* is a length-d array
-``alpha`` acting as ``alpha (x) x = (alpha_1 x_1, ..., alpha_d x_d)``;
+Blockwise scalings and extrema run on the buffer with a few numpy calls per
+step, whatever d is.  Block norms take one call per block, except Euclidean
+norms of more than ``_FEW_BLOCKS`` blocks of one size: one stacked product
+takes those.  A *block scaling* is a length-d array ``alpha`` acting as
+``alpha (x) x = (alpha_1 x_1, ..., alpha_d x_d)``;
 scalings compose through entrywise products and can be raised to matrix
 exponents, ``(alpha ** B)_i = prod_k alpha_k^{B_ik}``.  All objects are
 immutable and every function is pure, so they are safe to share across
@@ -110,11 +112,13 @@ class ShapeSpec:
     def _spread(self, per_block: np.ndarray) -> np.ndarray:
         """One value per block, repeated over the block's entries.
 
-        A single block's length-1 array is returned as is: it broadcasts.
+        Several blocks pass an array, whose own ``repeat`` skips the dispatch
+        of ``np.repeat``.  A single block's value is returned as is: it
+        broadcasts.
         """
         if len(self.sizes) == 1:
             return per_block
-        return np.repeat(per_block, self._repeats)
+        return per_block.repeat(self._repeats)
 
 
 @functools.lru_cache(maxsize=64)
@@ -397,6 +401,13 @@ def _power_scale(a: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 _HALF_MAX = float(np.finfo(float).max) / 2.0
 
+#: The most blocks whose block norms and log brackets are taken block by block:
+#: a norm costs one numpy call per block, and a bracket's ends a few float
+#: operations per block.  More blocks take the stacked kernels, a few numpy
+#: calls at any d.  Measured at d = 2, 3, 8 and 60, Euclidean norms and
+#: brackets together: the loops are faster at d = 2 and 3, slower from 4 on.
+_FEW_BLOCKS = 3
+
 
 def _euclidean_norm(v: np.ndarray) -> float:
     """||v||_2, finite whenever the norm itself is a finite double.
@@ -427,18 +438,26 @@ def _selector_norm(kind: str, val):
     return lambda v: float(np.sum(np.abs(v) ** val) ** inv)
 
 
-def _norm_kernel(shape: ShapeSpec, norms: NormSpec):
+def _norm_kernel(shape: ShapeSpec, norms: NormSpec, floats: bool = False):
     """``flat -> block_norms(x, norms)`` for the buffers of vectors laid out as ``shape``.
 
     The spec is checked against the shape and dispatched here, once, so a
     loop that takes the norms of many vectors of one shape pays neither per
-    call.
+    call.  With ``floats`` the kernel gives the same norms as a list of d
+    floats.
+
+    Each block's norm is its selector's function of the block (Euclidean
+    norms are ``_euclidean_norm``'s), called per block in a loop over the
+    blocks.  Euclidean norms of more than ``_FEW_BLOCKS`` blocks of one size
+    take one stacked product instead, with the same bits: its few numpy
+    calls cost the same at any d, and less than the loop's beyond
+    ``_FEW_BLOCKS``.
     """
     d = shape.d
     if norms.d != d:
         raise ValueError("norm spec block count does not match the vector")
     n = shape._uniform
-    if d > 1 and norms._euclidean and n is not None:
+    if d > _FEW_BLOCKS and norms._euclidean and n is not None:
         # one stacked (1 x n) @ (n x 1) product per block: numpy computes each
         # with the same dot kernel as np.dot, so the norms match the per-block
         # loop to the last bit (a summing reduction would not).  The sum of
@@ -451,16 +470,18 @@ def _norm_kernel(shape: ShapeSpec, norms: NormSpec):
                 return np.sqrt(np.matmul(X[:, None, :], X[:, :, None]).ravel())
             return np.array([_euclidean_norm(x) for x in X])
 
-        return stacked
+        return (lambda flat: stacked(flat).tolist()) if floats else stacked
     for i, ((kind, val), size) in enumerate(zip(norms.selectors, shape.sizes)):
         if kind == "phi" and val.shape != (size,):
             raise ValueError(f"phi weight length mismatch in block {i}")
     fns = [_selector_norm(kind, val) for kind, val in norms.selectors]
     if d == 1:
         norm = fns[0]
-        return lambda flat: np.array([norm(flat)])
-    slices = shape._slices
-    return lambda flat: np.array([norm(flat[sl]) for norm, sl in zip(fns, slices)])
+        return (lambda flat: [norm(flat)]) if floats else (lambda flat: np.array([norm(flat)]))
+    pairs = tuple(zip(fns, shape._slices))
+    if floats:
+        return lambda flat: [norm(flat[sl]) for norm, sl in pairs]
+    return lambda flat: np.array([norm(flat[sl]) for norm, sl in pairs])
 
 
 def block_norms(x: ProductVector, norms: NormSpec) -> np.ndarray:

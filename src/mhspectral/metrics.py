@@ -16,7 +16,7 @@ import dataclasses
 
 import numpy as np
 
-from .cones import ProductVector, ShapeSpec, _check_same_shape, as_weight_vector
+from .cones import _FEW_BLOCKS, ProductVector, ShapeSpec, _check_same_shape, as_weight_vector
 
 __all__ = [
     "POSITIVITY_FLOOR",
@@ -73,10 +73,14 @@ def _log_bracket(y: np.ndarray, x: np.ndarray, shape: ShapeSpec, w: np.ndarray):
     The log Collatz-Wielandt bracket of one power step, for flat buffers laid
     out as ``shape``; for stacks of one-block buffers (one step per row) the
     two ends are arrays, one entry per row, each that row's bracket to the
-    last bit.  The weighted extrema are formed in place and each end is
-    added left to right, so it equals ``_weighted_sum`` of the same extrema
-    to the last bit.  One block weights its two extrema as scalars: the
-    same one product plus the loop's 0.0 start, without the array steps.
+    last bit.  Each end equals ``_weighted_sum`` of the same extrema to the
+    last bit: the products w_i m_i added left to right from 0.0.  One block
+    weights its two extrema as scalars, the one product plus the loop's 0.0
+    start.  Up to ``_FEW_BLOCKS`` blocks form both ends from the d extrema
+    as floats, in that loop itself, which costs less than numpy's calls at
+    small d; more blocks weight the extrema in place and take numpy's
+    running sums.  The loop adds explicitly: Python's ``sum`` of floats is
+    compensated from 3.12 on, so it would not round as numpy does.
     """
     lo, hi = _log_ratio_extrema(y, x, shape)
     if lo.ndim == 2:
@@ -85,6 +89,12 @@ def _log_bracket(y: np.ndarray, x: np.ndarray, shape: ShapeSpec, w: np.ndarray):
     if len(lo) == 1:
         w0 = w.item(0)
         return w0 * lo.item(0) + 0.0, w0 * hi.item(0) + 0.0
+    if len(lo) <= _FEW_BLOCKS:
+        lo_end = hi_end = 0.0
+        for w_i, lo_i, hi_i in zip(w.tolist(), lo.tolist(), hi.tolist()):
+            lo_end += w_i * lo_i
+            hi_end += w_i * hi_i
+        return lo_end, hi_end
     lo *= w
     hi *= w
     return np.add.accumulate(lo)[-1] + 0.0, np.add.accumulate(hi)[-1] + 0.0

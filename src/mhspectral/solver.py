@@ -66,6 +66,7 @@ from .cones import (
     NormSpec,
     ProductVector,
     ShapeSpec,
+    _FEW_BLOCKS,
     _norm_kernel,
     _selector_norm,
     _weighted_product,
@@ -324,8 +325,13 @@ def power_method(F: MapInstance, x0: Optional[ProductVector], cfg: SolverConfig)
 
 
 def _solve_setup(F: MapInstance, cfg: SolverConfig) -> tuple[np.ndarray, Callable, list]:
-    """The weights, block-norm kernel and opening messages of a solve of F under cfg."""
-    norm_of = _norm_kernel(F.shape, cfg.norms)  # checks the norms against F's shape first
+    """The weights, block-norm kernel and opening messages of a solve of F under cfg.
+
+    The kernel gives a list of floats for at most ``_FEW_BLOCKS`` blocks (see
+    ``_power_steps``), else an array.
+    """
+    # checks the norms against F's shape first
+    norm_of = _norm_kernel(F.shape, cfg.norms, floats=F.shape.d <= _FEW_BLOCKS)
     messages: list[str] = []
     return _resolve_weights(F, cfg.weights, messages), norm_of, messages
 
@@ -365,7 +371,8 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
     """The loop of ``power_method``, after its weights and norm kernel.
 
     ``b`` is the resolved weight vector, ``norm_of`` the block-norm kernel
-    of ``cfg.norms`` on F's shape, and ``messages`` the messages so far.
+    of ``cfg.norms`` on F's shape from ``_solve_setup``, and ``messages`` the
+    messages so far.
     The iterates are flat buffers; a vector is built for the eigenvector
     only.
 
@@ -396,8 +403,11 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
     xf, kernel = x.flat, _kernel(F)
     spread = shape._spread
     # one block takes its norm as a float, the kernel's one entry without
-    # the length-1 array
+    # the length-1 array.  A few blocks take the kernel's list of floats,
+    # whose reciprocals one array holds: that costs less than an array of
+    # norms, its list and its reciprocals, and more once the kernel stacks
     block_norm = _selector_norm(*cfg.norms.selectors[0]) if shape.d == 1 else None
+    few = 1 < shape.d <= _FEW_BLOCKS
     # the smallest entry of a buffer: a short one's is read off its list,
     # which costs less than a numpy reduction's call.  A NaN can hide from
     # the list's min, but not from the block norms or the bracket
@@ -517,9 +527,13 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
         # the step rescales F(x), or G(x) once lazy: two square roots, as the
         # product can underflow where they do not
         zf = np.sqrt(yf) * np.sqrt(xf) if lazy else yf
-        # lam holds one norm per block of z (F's own unless lazy), a float for one block
+        # lam holds one norm per block of z (F's own unless lazy): a float for
+        # one block, a list of floats for a few, else an array
         if block_norm is not None:
             lam = lam_min = lam_max = block_norm(zf)
+        elif few:
+            lam = norm_of(zf)
+            lam_min, lam_max = min(lam), max(lam)
         else:
             lam = norm_of(zf)
             lam_list = lam.tolist()
@@ -533,15 +547,14 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
             messages.append("iterate left the open cone" if lam_max < inf else "block norm overflowed")
             break
         if gap < tol:
-            lam_F = norm_of(yf) if lazy else lam
+            lam_F = np.atleast_1d(norm_of(yf) if lazy else lam)
             res = _relative_residual_inf(yf, lam_F, xf, shape)
             if res < 10.0 * tol:
-                lam_F = np.atleast_1d(lam_F)
                 eigenpair = EigenPair(_wrap(xf, shape), lam_F, _weighted_product(lam_F, b))
                 status, res_val = CONVERGED, res
                 break
         # one block scales by one float: spread passes it through
-        xf = spread(1.0 / lam) * zf
+        xf = spread(np.array([1.0 / v for v in lam]) if few else 1.0 / lam) * zf
         # a rescaled entry of F(x) can underflow to 0 only if the smallest
         # entry times the smallest factor 1 / max(lam) does; then the iterate
         # is checked in full.  A lazy iterate is checked always, against the
@@ -560,7 +573,7 @@ def _power_steps(F: MapInstance, x0, cfg: SolverConfig, b: np.ndarray, norm_of, 
         status = MAX_ITER
         u = _wrap(xf, shape)
         y = evaluate(F, u)
-        lam = norm_of(y.flat)
+        lam = np.array(norm_of(y.flat))
         eigenpair = EigenPair(u, lam, _weighted_product(lam, b))
         res_val = _relative_residual_inf(y.flat, lam, u.flat, shape)
         messages.append("bracket did not close within max_iter")

@@ -3,12 +3,16 @@
 import copy
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mhspectral
 from mhspectral import graphs, homogeneity, maps
 from mhspectral.cli import (
     InstanceError,
@@ -881,6 +885,14 @@ class TestJobs:
         assert main(["analyze", inst, "--jobs", jobs]) == 0
         assert made == workers
         assert capsys.readouterr().out.count('"regime"') == docs
+
+    def test_the_library_loads_no_command_line_modules(self):
+        # in a fresh interpreter: argparse loads with main, and the process
+        # pool only on a batch run with several workers
+        code = "import sys, mhspectral.cli; print(sorted({'argparse', 'concurrent.futures'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(mhspectral.__file__).parent.parent)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_fewer_than_one_job_exits_two(self, tmp_path, capsys, made, jobs):

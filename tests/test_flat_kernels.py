@@ -788,8 +788,9 @@ def _former_power_steps(F, x0, cfg):
     iterates x_0, x_1, ..., the iterate of each step taken and then the last
     rescaled one.
     """
-    b, norm_of, messages = solver._solve_setup(F, cfg)
+    b, _, messages = solver._solve_setup(F, cfg)
     shape, inf = F.shape, math.inf
+    norm_of = cones._norm_kernel(shape, cfg.norms)
     x = solver._checked_start(cones.ones_vector(shape) if x0 is None else x0, shape, cfg.norms)
     xf, kernel = x.flat, maps._kernel(F)
     block_norm = cones._selector_norm(*cfg.norms.selectors[0]) if shape.d == 1 else None

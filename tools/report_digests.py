@@ -31,11 +31,14 @@ differentiable, certify's kink test), a ``compose`` with a ``dual`` part
 (the open-cone domain), and a one-block ``tight`` from a random start
 (its one block's head column spread over every row).  A three-block
 ``tight`` of sizes 4, 2 and 3 from a random start pins the several-block
-path of the monomial builder.  Three sit on both sides of the
-complete-pattern rule of ``_digraph``, at sizes no workload has: a positive
-60 x 60 ``linear`` (a complete pattern of L, no search), the same matrix
-with one off-diagonal zero (searched), and ``singular`` of a positive
-20 x 30 matrix (a bipartite L, searched).  Three end inside a block of the
+path of the monomial builder.  The same ``tight`` under the weights
+``[0.2, 0.3, 0.5]``, and a ``pq_singular`` under ``[0.3, 0.7]``, pin the
+order in which the log bracket adds its unequally weighted block ends: no
+workload item has unequal weights over three blocks.  Three sit on both
+sides of the complete-pattern rule of ``_digraph``, at sizes no workload
+has: a positive 60 x 60 ``linear`` (a complete pattern of L, no search),
+the same matrix with one off-diagonal zero (searched), and ``singular`` of
+a positive 20 x 30 matrix (a bipartite L, searched).  Three end inside a block of the
 power loop, which runs steps back to back and checks them together: the
 Jordan block ``[[1, 1], [0, 1]]`` cut at ``"max_iter": 37``, a long
 strict-contraction ``pq_singular`` solve at ``"tol": 1e-14`` from a random
@@ -195,6 +198,18 @@ EXTRA_DOCS = {
         "map": {"family": "tight", "params": {"exponents": [[0.3, 0, 0.5], [0, 0.6, 0.2], [0.2, 0.2, 0.2]],
                                               "sizes": [4, 2, 3]}},
         "solver": {"x0": "random", "seed": 5},
+    },
+    "three-block-tight-weighted": {
+        "map": {"family": "tight", "params": {"exponents": [[0.3, 0, 0.5], [0, 0.6, 0.2], [0.2, 0.2, 0.2]],
+                                              "sizes": [4, 2, 3]}},
+        "weights": [0.2, 0.3, 0.5],
+        "solver": {"x0": "random", "seed": 5},
+    },
+    "pq-singular-weighted": {
+        "map": {"family": "pq_singular", "params": {"matrix": [[1, 0.5, 0.2, 0.4], [0.3, 1, 0.6, 0.1],
+                                                               [0.7, 0.1, 1, 0.5]], "p": 2, "q": 4}},
+        "norms": [{"p": 2}, {"p": 4}],
+        "weights": [0.3, 0.7],
     },
     "positive-linear-60": {
         "map": {"family": "linear", "params": {"matrix": _positive(60, 60)}},
